@@ -16,12 +16,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    DOCUMENT_ERRORS,
     Domain,
     MixedSystem,
     State,
     Var,
     all_states,
     compose,
+    document_error,
     domains_agree,
     equivalent,
     sample,
@@ -30,6 +32,7 @@ from .core import (
     system_from_json,
     system_to_json,
     value_key,
+    vars_from_json,
 )
 from .errors import (
     IncompatibleInitials,
@@ -483,11 +486,14 @@ def ma_to_json(M: MixedAutomaton) -> dict:
 
 
 def ma_from_json(doc: dict) -> MixedAutomaton:
-    doms = {name: Domain(name, vals) for name, vals in doc["domains"].items()}
-    vars = [Var(e["name"], doms[e["domain"]]) for e in doc["vars"]]
-    delta = {}
-    for e in doc["delta"]:
-        key = (State(e["state"]), _action_from_json(e["action"]))
-        delta[key] = system_from_json(e["system"])
-    alphabet = [_action_from_json(a) for a in doc["alphabet"]]
-    return MixedAutomaton(alphabet, vars, State(doc["initial"]), delta)
+    try:
+        vars = vars_from_json(doc["domains"], doc["vars"])
+        delta = {}
+        for e in doc["delta"]:
+            key = (State(e["state"]), _action_from_json(e["action"]))
+            delta[key] = system_from_json(e["system"])
+        alphabet = [_action_from_json(a) for a in doc["alphabet"]]
+        initial = State(doc["initial"])
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("automaton", exc)
+    return MixedAutomaton(alphabet, vars, initial, delta)

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    DOCUMENT_ERRORS,
     DiscreteProb,
     Domain,
     EMPTY_STATE,
@@ -33,6 +34,7 @@ from .core import (
     compose,
     compress,
     consistency,
+    document_error,
     domains_agree,
     marginal,
     nil_system,
@@ -40,9 +42,11 @@ from .core import (
     sample,
     system_from_json,
     system_to_json,
+    vars_from_json,
 )
 from .errors import (
     InconsistentSystem,
+    MalformedSystem,
     MissingInit,
     NotIncremental,
     UnknownVariable,
@@ -289,17 +293,29 @@ def bn_validate(N: BayesianNetwork):
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {v: WHITE for v in succ}
-    def visit(v):
-        color[v] = GREY
-        for w in succ[v]:
-            if color.get(w, WHITE) == GREY:
-                return True
-            if color.get(w, WHITE) == WHITE and visit(w):
-                return True
-        color[v] = BLACK
+
+    def reaches_cycle(root):
+        # depth-first with an explicit stack of (node, unvisited successors),
+        # so long chains do not hit the recursion limit
+        color[root] = GREY
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                c = color.get(w, WHITE)
+                if c == GREY:
+                    return True
+                if c == WHITE:
+                    color[w] = GREY
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                color[v] = BLACK
+                stack.pop()
         return False
+
     for v in list(succ):
-        if color[v] == WHITE and visit(v):
+        if color[v] == WHITE and reaches_cycle(v):
             problems.append("graph has a cycle through %r" % (v,))
             break
 
@@ -467,21 +483,22 @@ def bn_to_json(N: BayesianNetwork) -> dict:
 
 
 def bn_from_json(doc: dict) -> BayesianNetwork:
-    doms = {name: Domain(name, vals) for name, vals in doc["domains"].items()}
-    vbyname = {e["name"]: Var(e["name"], doms[e["domain"]]) for e in doc["variables"]}
-    kernels = []
-    for kd in doc["kernels"]:
-        table = {}
-        for binding, sdoc in kd["table"]:
-            table[State(binding)] = system_from_json(sdoc)
-        kernels.append(
-            MixedKernel(
-                [vbyname[n] for n in kd["in"]],
-                [vbyname[n] for n in kd["out"]],
-                table,
-                name=kd["name"],
-            )
-        )
-    return BayesianNetwork(
-        kernels, sources=doc.get("sources", ()), variables=list(vbyname.values())
-    )
+    try:
+        vbyname = {v.name: v for v in vars_from_json(doc["domains"], doc["variables"])}
+        specs = []
+        for kd in doc["kernels"]:
+            table = {State(binding): system_from_json(sdoc) for binding, sdoc in kd["table"]}
+            specs.append((kd["name"], kd["in"], kd["out"], table))
+        sources = doc.get("sources", ())
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("network", exc)
+
+    def lookup(kernel, names):
+        unknown = [n for n in names if n not in vbyname]
+        if unknown:
+            raise MalformedSystem("kernel %r names unknown variables %r" % (kernel, unknown))
+        return [vbyname[n] for n in names]
+
+    kernels = [MixedKernel(lookup(name, ins), lookup(name, outs), table, name=name)
+               for name, ins, outs, table in specs]
+    return BayesianNetwork(kernels, sources=sources, variables=list(vbyname.values()))

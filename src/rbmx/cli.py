@@ -8,7 +8,7 @@
     rbmx fg2bn FILE [--root NODE]
     rbmx compose A B [--sigma R]
     rbmx simcheck A B [--bisim]
-    rbmx embed {spa2ma,pa2ma,ma2spa,spa2pa} FILE [--sigma R] [--cap N]
+    rbmx embed {spa2ma,pa2ma,ma2spa,spa2pa} FILE [--cap N]
 
 FILE is a ReactiveBayes source for parse/elaborate/sample/fg/fg2bn and a
 JSON model document everywhere else (fg/fg2bn also accept a factor-graph
@@ -425,9 +425,6 @@ def _build_parser():
     q = sub.add_parser("embed", help="translate between automaton classes")
     q.add_argument("direction", choices=("spa2ma", "pa2ma", "ma2spa", "spa2pa"))
     q.add_argument("file")
-    q.add_argument("--sigma", default="1/2",
-                   help="accepted for interface compatibility; embeddings are "
-                   "scheduler-free")
     q.add_argument("--cap", type=int, default=4096,
                    help="bound on constructed states/selections")
     q.set_defaults(func=cmd_embed)

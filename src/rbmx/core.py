@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .errors import (
     BadPartition,
+    CapExceeded,
     DomainMismatch,
     InconsistentSystem,
     MalformedSystem,
@@ -194,17 +195,40 @@ class State:
 EMPTY_STATE = State()
 
 
+def _state_of_pairs(pairs) -> State:
+    """A State over a tuple of pairs already sorted by distinct names."""
+    q = object.__new__(State)
+    object.__setattr__(q, "pairs", pairs)
+    return q
+
+
 def state_join(q1: State, q2: State):
     """Merge two states when they agree on every shared name; None when they
-    clash.  Disjoint states always join."""
-    merged = dict(q1.pairs)
-    for k, v in q2.pairs:
-        if k in merged:
-            if merged[k] != v:
-                return None
+    clash.  Disjoint states always join.  On a shared name the value of q1
+    is kept."""
+    a, b = q1.pairs, q2.pairs
+    if not b:
+        return q1
+    if not a:
+        return q2
+    merged = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ka, kb = a[i][0], b[j][0]
+        if ka < kb:
+            merged.append(a[i])
+            i += 1
+        elif kb < ka:
+            merged.append(b[j])
+            j += 1
+        elif a[i][1] != b[j][1]:
+            return None
         else:
-            merged[k] = v
-    return State(merged)
+            merged.append(a[i])
+            i += 1
+            j += 1
+    return _state_of_pairs(tuple(merged) + a[i:] + b[j:])
 
 
 def states_compatible(q1: State, q2: State) -> bool:
@@ -293,10 +317,8 @@ class MixedSystem:
             seen[name] = True
             norm_vars.append(Var(name, dom))
         norm_vars.sort(key=lambda v: v.name)
-        vnames = tuple(v.name for v in norm_vars)
-
-        def row_key(state):
-            return tuple(v.domain.index[state[v.name]] for v in norm_vars)
+        vnames = [v.name for v in norm_vars]
+        indexes = [v.domain.index for v in norm_vars]
 
         # normalize rel into {outcome: sorted tuple of states}
         if isinstance(rel, dict):
@@ -304,27 +326,32 @@ class MixedSystem:
         else:
             pairs = [(o, q) for o, q in rel]
 
-        known = set(prob.omega)
+        # rows[o] maps each state to its row key, the tuple of its domain
+        # indices; insertion order dedupes and keeps the first copy
         rows = {o: {} for o in prob.omega}
         for o, q in pairs:
-            if o not in known:
+            row = rows.get(o)
+            if row is None:
                 raise MalformedSystem("relation mentions unknown outcome %r" % (o,))
             if not isinstance(q, State):
                 q = State(q)
-            if q.names != vnames:
+            if q in row:
+                continue  # validated when first seen
+            qp = q.pairs
+            if len(qp) != len(vnames) or [k for k, _ in qp] != vnames:
                 raise MalformedSystem(
-                    "state %r does not bind exactly the variables %r" % (q, list(vnames))
+                    "state %r does not bind exactly the variables %r" % (q, vnames)
                 )
-            for v in norm_vars:
-                if q[v.name] not in v.domain:
-                    raise MalformedSystem(
-                        "value %r outside domain of %r" % (q[v.name], v.name)
-                    )
-            rows[o][q] = None  # dedupe, keep first
+            # both lists are sorted by name, so the values line up with indexes
+            key = tuple(map(dict.get, indexes, [v for _, v in qp]))
+            if None in key:
+                name, val = qp[key.index(None)]
+                raise MalformedSystem("value %r outside domain of %r" % (val, name))
+            row[q] = key
 
         self.prob = prob
         self.vars = tuple(norm_vars)
-        self.rel = {o: tuple(sorted(row, key=row_key)) for o, row in rows.items()}
+        self.rel = {o: tuple(sorted(row, key=row.__getitem__)) for o, row in rows.items()}
         self._cache = {}
 
     # --- small accessors ---------------------------------------------------
@@ -605,43 +632,82 @@ def marginal(S: MixedSystem, Y) -> MixedSystem:
     return MixedSystem(S.prob, new_vars, rel)
 
 
+MAX_OUTCOMES = 1 << 20  # largest outcome space compose() and grafting build
+
+
+def check_outcome_cap(sizes, what):
+    """Raise CapExceeded when the product of the outcome-space sizes exceeds
+    MAX_OUTCOMES; called before anything of that size is allocated."""
+    total = 1
+    for n in sizes:
+        total *= n
+    if total > MAX_OUTCOMES:
+        raise CapExceeded(
+            "%s would have %d outcomes, above the cap of %d" % (what, total, MAX_OUTCOMES)
+        )
+
+
 def compose(S1: MixedSystem, S2: MixedSystem, *rest) -> MixedSystem:
     """Parallel composition: product outcome space, product weights, rows
     joined pairwise where compatible.  Shared variables must carry the same
     domain (as a value set).  May produce an inconsistent system even from
     consistent operands — that is the point of conditioning.
-    """
-    if rest:
-        return compose(compose(S1, S2), *rest)
 
-    doms1 = {v.name: v.domain for v in S1.vars}
-    merged = dict(doms1)
-    for v in S2.vars:
-        if v.name in doms1:
-            if not domains_agree(doms1[v.name], v.domain):
+    Any number of operands is composed in one depth-first pass over the
+    product: each prefix's joined row is computed once and carried down to
+    its extensions, and one system is built at the end.  Outcome ids nest to
+    the left, ((o1, o2), o3), and the result is the very system of the
+    binary fold compose(compose(S1, S2), S3): the same omega order, weights,
+    rows and variables.  Raises CapExceeded before building anything when
+    the product has more than MAX_OUTCOMES outcomes.
+    """
+    systems = (S1, S2) + rest
+    merged = {v.name: v.domain for v in S1.vars}
+    for S in systems[1:]:
+        for v in S.vars:
+            dom = merged.get(v.name)
+            if dom is None:
+                merged[v.name] = v.domain
+            elif not domains_agree(dom, v.domain):
                 raise DomainMismatch(
                     "shared variable %r has different domains" % v.name
                 )
-        else:
-            merged[v.name] = v.domain
-    vars = [Var(n, d) for n, d in merged.items()]
+    check_outcome_cap((len(S.omega) for S in systems), "composition")
 
     omega = []
     weights = {}
     rel = {}
-    for o1 in S1.omega:
-        for o2 in S2.omega:
-            o = (o1, o2)
+    # depth-first over the product with one open branch per operand, each
+    # yielding (id, weight, joined row) children; an explicit stack keeps the
+    # number of operands clear of the interpreter's recursion limit
+    stack = [iter([(o, S1.pi[o], S1.rel[o]) for o in S1.omega])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(stack) < len(systems):
+            stack.append(_extend(node, systems[len(stack)]))
+        else:
+            o, w, row = node
             omega.append(o)
-            weights[o] = S1.pi[o1] * S2.pi[o2]
-            row = []
-            for q1 in S1.rel[o1]:
-                for q2 in S2.rel[o2]:
-                    j = state_join(q1, q2)
-                    if j is not None:
-                        row.append(j)
+            weights[o] = w
             rel[o] = row
-    return MixedSystem(DiscreteProb(omega, weights), vars, rel)
+    return MixedSystem(DiscreteProb(omega, weights), [Var(n, d) for n, d in merged.items()],
+                       rel)
+
+
+def _extend(node, S):
+    """The children of a product prefix (id, weight, row) under operand S."""
+    oid, w, row = node
+    pi, rel = S.pi, S.rel
+    for o in S.omega:
+        joined = []
+        for q1 in row:
+            for q2 in rel[o]:
+                j = state_join(q1, q2)
+                if j is not None:
+                    joined.append(j)
+        yield (oid, o), w * pi[o], joined
 
 
 # --- polarized scoring ----------------------------------------------------------
@@ -743,21 +809,39 @@ def system_to_json(S: MixedSystem) -> dict:
     }
 
 
+DOCUMENT_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def document_error(kind, exc) -> MalformedSystem:
+    """The MalformedSystem for a JSON document of the given kind that lacks
+    a field or has one of the wrong shape; exc is one of DOCUMENT_ERRORS."""
+    if isinstance(exc, KeyError):
+        return MalformedSystem("bad %s document: missing field %s" % (kind, exc))
+    return MalformedSystem("bad %s document: %s" % (kind, exc))
+
+
+def vars_from_json(domains_doc, entries):
+    """Vars from a {domain name: values} map and a list of
+    {"name", "domain"} entries."""
+    domains = {name: Domain(name, vals) for name, vals in domains_doc.items()}
+    vars = []
+    for entry in entries:
+        dom = domains.get(entry["domain"])
+        if dom is None:
+            raise MalformedSystem("var %r references unknown domain %r"
+                                  % (entry["name"], entry["domain"]))
+        vars.append(Var(entry["name"], dom))
+    return vars
+
+
 def system_from_json(doc: dict) -> MixedSystem:
     try:
-        domains = {name: Domain(name, vals) for name, vals in doc["domains"].items()}
-        vars = []
-        for entry in doc["vars"]:
-            dom = domains.get(entry["domain"])
-            if dom is None:
-                raise MalformedSystem("var %r references unknown domain %r"
-                                      % (entry["name"], entry["domain"]))
-            vars.append(Var(entry["name"], dom))
+        vars = vars_from_json(doc["domains"], doc["vars"])
         omega = list(doc["omega"])
         pi = {o: rat(doc["pi"][o]) for o in omega}
         pairs = [(o, dict(binding)) for o, binding in doc.get("rel", [])]
-    except (KeyError, TypeError) as exc:
-        raise MalformedSystem("bad system document: %s" % exc)
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("system", exc)
     return MixedSystem(DiscreteProb(omega, pi), vars, pairs)
 
 
@@ -765,7 +849,8 @@ def polarized_from_json(doc: dict):
     """Read (prob, PolarizedRelation) from a system document carrying a
     "blocks" list of {"outcomes": [...], "polarity": "angel"|"demon"}."""
     S = system_from_json(doc)
-    if "blocks" not in doc:
-        raise MalformedSystem('document has no "blocks" entry')
-    blocks = [(set(b["outcomes"]), b["polarity"]) for b in doc["blocks"]]
+    try:
+        blocks = [(set(b["outcomes"]), b["polarity"]) for b in doc["blocks"]]
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("polarized system", exc)
     return S.prob, PolarizedRelation(S.rel, blocks)

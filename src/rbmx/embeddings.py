@@ -27,9 +27,11 @@ from fractions import Fraction
 
 from .automata import MixedAutomaton, action_key
 from .core import (
+    DOCUMENT_ERRORS,
     Domain,
     MixedSystem,
     State,
+    document_error,
     rat,
     value_key,
 )
@@ -522,15 +524,15 @@ def spa_to_json(P: SPA) -> dict:
 
 
 def spa_from_json(doc: dict) -> SPA:
-    return SPA(
-        doc["alphabet"],
-        doc["states"],
-        doc["initial"],
-        [
+    try:
+        fields = doc["alphabet"], doc["states"], doc["initial"]
+        transitions = [
             (e["from"], e["action"], {s: rat(m) for s, m in e["dist"]})
             for e in doc["transitions"]
-        ],
-    )
+        ]
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("spa", exc)
+    return SPA(*fields, transitions)
 
 
 def pa_to_json(P: PA) -> dict:
@@ -553,12 +555,12 @@ def pa_to_json(P: PA) -> dict:
 
 
 def pa_from_json(doc: dict) -> PA:
-    return PA(
-        doc["alphabet"],
-        doc["states"],
-        doc["initial"],
-        [
+    try:
+        fields = doc["alphabet"], doc["states"], doc["initial"]
+        transitions = [
             (e["from"], {(a, s): rat(m) for a, s, m in e["dist"]})
             for e in doc["transitions"]
-        ],
-    )
+        ]
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("pa", exc)
+    return PA(*fields, transitions)

@@ -26,10 +26,12 @@ from ..core import (
     State,
     Var,
     all_states,
+    check_outcome_cap,
     compose,
     marginal,
     nil_system,
     rat,
+    state_join,
 )
 from ..errors import (
     DomainMismatch,
@@ -262,6 +264,7 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
     in_names = list(K.in_names)
 
     omegas = [base.omega] + [S.omega for S in cell_sys]
+    check_outcome_cap(map(len, omegas), "graft of kernel %r" % K.name)
     merged = {v.name: v for v in base.vars}
     for v in K.out_vars:
         if v.name not in merged:
@@ -280,16 +283,9 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
         for qb in base.rel[combo[0]]:
             idx = cell_index[qb.restrict(in_names)]
             for qc in cell_sys[idx].rel[combo[1 + idx]]:
-                joined = {}
-                joined.update(qb.as_dict())
-                ok = True
-                for nm, val in qc.items():
-                    if nm in joined and joined[nm] != val:
-                        ok = False
-                        break
-                    joined[nm] = val
-                if ok:
-                    row.append(State(joined))
+                joined = state_join(qb, qc)
+                if joined is not None:
+                    row.append(joined)
         rel[combo] = row
     return MixedSystem((omega, weights), list(merged.values()), rel)
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from ..core import State, compose, consistency, consistency_weight, sample
 from ..errors import InconsistentSystem, MissingObservation, NoTransition
 from .elaborate import elaborate_dynamic, eval_guard, observe_point, program_guards
-from .syntax import SInit, SObserve, SOn, print_expr, rewrite_guard, statements
+from .syntax import SObserve, SOn, print_expr, rewrite_guard, statements
 
 
 class ProgramRun(NamedTuple):
@@ -93,7 +93,3 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
 
 def _visible(q: State, prog_vars):
     return {nm: q[nm] for nm in prog_vars if nm in q}
-
-
-def init_state(p) -> State:
-    return State({s.var: s.value for s in statements(p.body) if isinstance(s, SInit)})

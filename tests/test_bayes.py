@@ -24,6 +24,7 @@ from rbmx.bayes import (
 from rbmx.core import EMPTY_STATE, all_states, outer
 from rbmx.errors import (
     InconsistentSystem,
+    MalformedSystem,
     MissingInit,
     VariableSetMismatch,
 )
@@ -203,6 +204,30 @@ class TestValidate:
         assert any("source" in p for p in bn_validate(N))
 
 
+def copy_chain(n):
+    """x0 ~ coin, then x_i = x_(i-1) for i < n: a chain of n kernels."""
+    coin = MixedSystem({"h": Fraction(1, 2), "t": Fraction(1, 2)}, [("x0", BIT)],
+                       {"h": [State({"x0": 1})], "t": [State({"x0": 0})]})
+    kernels = [kernel_from_system(coin, name="k0")]
+    for i in range(1, n):
+        src, dst = "x%d" % (i - 1), "x%d" % i
+        kernels.append(MixedKernel(
+            [(src, BIT)], [(dst, BIT)],
+            lambda q, _src=src, _dst=dst: point_system([(_dst, BIT)],
+                                                       State({_dst: q[_src]})),
+            name="k%d" % i))
+    return kernels
+
+
+class TestValidateLongChains:
+    def test_long_chain_is_well_formed(self):
+        assert bn_validate(BayesianNetwork(copy_chain(1500))) == []
+
+    def test_cycle_closing_a_long_chain_is_found(self):
+        N = BayesianNetwork(copy_chain(1500), extra_in={"k0": {"x1499"}})
+        assert any("cycle" in p for p in bn_validate(N))
+
+
 class TestScore:
     def test_factor_trace(self):
         N = seq_compose(kernel_from_system(coin_system(), name="prior"), neg_kernel())
@@ -266,3 +291,12 @@ class TestBnJson:
             N = bayes_split(S, [S.var_names[0]])
             M = bn_from_json(bn_to_json(N))
             assert bn_equivalent_p(N, M)
+
+    def test_missing_field_and_unknown_variable_are_typed(self):
+        doc = bn_to_json(seq_compose(kernel_from_system(coin_system(), name="prior"),
+                                     neg_kernel()))
+        with pytest.raises(MalformedSystem, match="missing field 'kernels'"):
+            bn_from_json({k: v for k, v in doc.items() if k != "kernels"})
+        doc["kernels"][0]["out"] = ["nosuch"]
+        with pytest.raises(MalformedSystem, match="nosuch"):
+            bn_from_json(doc)

@@ -40,6 +40,43 @@ dist coin : bit { 0 : 1/2, 1 : 1/2 }
 || observe y
 """
 
+CHAINS = """
+domain bool = { F, T }
+var x0, n0 : bool
+var x1, n1 : bool
+var x2, n2 : bool
+func xor2 : (bool, bool) -> bool { (F,F) -> F, (F,T) -> T, (T,F) -> T, (T,T) -> F }
+|| init x0 = F
+|| n0 ~ Bernoulli(1/3)
+|| x0 = xor2(pre x0, n0)
+|| init x1 = F
+|| n1 ~ Bernoulli(1/3)
+|| x1 = xor2(pre x1, n1)
+|| observe x1
+|| init x2 = F
+|| n2 ~ Bernoulli(1/3)
+|| x2 = xor2(pre x2, n2)
+"""
+
+CHAINS_OBS = ('{"x1": false}\n{"x1": true}\n{"x1": true}\n{"x1": false}\n'
+              '{"x1": false}\n')
+
+
+def _chain_state(bits):
+    """'n0 n1 n2 x0 x1 x2' as six 0/1 characters -> a trace entry."""
+    names = ("n0", "n1", "n2", "x0", "x1", "x2")
+    return {nm: b == "1" for nm, b in zip(names, bits)}
+
+
+# `rbmx sample` of CHAINS, seed 7, 6 steps: draw order is observable
+CHAINS_SEED7 = {
+    "actions": [{}] * 5,
+    "flags": [True] * 5,
+    "norms": ["2/3", "1/3", "2/3", "1/3", "2/3"],
+    "trace": [{"x0": False, "x1": False, "x2": False}]
+    + [_chain_state(b) for b in ("001001", "010011", "100111", "010101", "000101")],
+}
+
 S_AB = {
     "domains": {"ab": ["a", "b"]},
     "vars": [{"name": "x", "domain": "ab"}],
@@ -162,6 +199,16 @@ class TestSample:
         assert [st["x"] for st in doc["trace"][1:]] == [0, 1, 0]
         assert doc["norms"] == ["1/2", "1/2", "1/2"]
 
+    def test_seeded_chain_trace_is_pinned(self, tmp_path):
+        prog = tmp_path / "chains.rb.mx"
+        prog.write_text(CHAINS)
+        obs = tmp_path / "chains.jsonl"
+        obs.write_text(CHAINS_OBS)
+        r = run_cli("sample", str(prog), "--steps", "6", "--seed", "7",
+                    "--obs", str(obs))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == json.dumps(CHAINS_SEED7, sort_keys=True, indent=2) + "\n"
+
     def test_env_seed_is_the_default(self, files):
         a = run_cli("sample", files["counter.rb.mx"], "--steps", "5", seed=9)
         b = run_cli("sample", files["counter.rb.mx"], "--steps", "5", seed=9)
@@ -278,6 +325,14 @@ class TestComposeSimcheckEmbed:
         g = run_cli("embed", "spa2pa", files["spa.json"])
         assert g.returncode == 0, g.stderr
         assert json.loads(g.stdout)["kind"] == "pa"
+
+    def test_document_missing_a_field_is_exit_2(self, tmp_path):
+        f = tmp_path / "nodomains.json"
+        f.write_text(json.dumps({"vars": [], "alphabet": [], "initial": {},
+                                 "delta": []}))
+        r = run_cli("simcheck", str(f), str(f))
+        assert r.returncode == 2
+        assert "missing field 'domains'" in r.stderr
 
     def test_embed_wrong_direction_is_exit_2(self, files):
         r = run_cli("embed", "pa2ma", files["spa.json"])

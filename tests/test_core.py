@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -30,9 +31,11 @@ from rbmx import (
     system_from_json,
     system_to_json,
 )
-from rbmx.core import all_states, format_rat, rat, states_compatible
+from rbmx import core
+from rbmx.core import all_states, format_rat, polarized_from_json, rat, states_compatible
 from rbmx.errors import (
     BadPartition,
+    CapExceeded,
     DomainMismatch,
     InconsistentSystem,
     MalformedSystem,
@@ -347,6 +350,44 @@ class TestCompose:
         W = compose(S, T, U)
         assert set(W.var_names) == {"x", "y", "z"}
         assert equivalent(W, compose(compose(S, T), U))
+        # on random operands with shared variables, the one-pass product is
+        # the binary fold itself, not merely equivalent to it
+        rng = random.Random(707)
+        for _ in range(80):
+            pool = [Var("x%d" % i, rand_domain(rng, "D%d" % i)) for i in range(4)]
+            systems = [rand_system_over(rng, rng.sample(pool, rng.randint(0, 2)),
+                                        max_omega=3)
+                       for _ in range(rng.randint(3, 5))]
+            W = compose(*systems)
+            F = functools.reduce(compose, systems)
+            ids, pi = list(systems[0].omega), dict(systems[0].pi)
+            for S in systems[1:]:
+                ids = [(p, o) for p in ids for o in S.omega]
+                pi = {(p, o): pi[p] * S.pi[o] for p, o in ids}
+            assert W.omega == tuple(ids)
+            assert W.pi == pi
+            assert W.omega == F.omega
+            assert list(W.pi.items()) == list(F.pi.items())
+            assert list(W.rel.items()) == list(F.rel.items())
+            assert W.var_names == F.var_names
+            assert W.vars == F.vars
+
+    def test_outcome_ids_nest_to_the_left(self):
+        S = bitsys({"a": Fraction(1)}, {"a": [(0,)]})
+        T = bitsys({"b": Fraction(1)}, {"b": [(0,)]}, names=("y",))
+        U = bitsys({"c": Fraction(1)}, {"c": [(0,)]}, names=("z",))
+        assert compose(S, T, U).omega == ((("a", "b"), "c"),)
+
+    def test_size_cap_is_checked_before_building(self, monkeypatch):
+        coins = [bitsys({"h": Fraction(1, 2), "t": Fraction(1, 2)},
+                        {"h": [(1,)], "t": [(0,)]}, names=("x%d" % i,))
+                 for i in range(21)]
+        with pytest.raises(CapExceeded):
+            compose(*coins)  # 2^21 outcomes; raises without building any
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 8)
+        assert len(compose(*coins[:3]).omega) == 8
+        with pytest.raises(CapExceeded):
+            compose(*coins[:4])
 
 
 class TestMarginal:
@@ -459,3 +500,13 @@ class TestJson:
     def test_bad_document(self):
         with pytest.raises(MalformedSystem):
             system_from_json({"domains": {}, "vars": [], "omega": []})
+        with pytest.raises(MalformedSystem, match="missing field 'omega'"):
+            system_from_json({"domains": {}, "vars": []})
+        with pytest.raises(MalformedSystem):  # a list where a map belongs
+            system_from_json({"domains": [], "vars": [], "omega": []})
+
+    def test_polarized_block_missing_a_field(self):
+        doc = system_to_json(bitsys({"o": Fraction(1)}, {"o": [(0,)]}))
+        doc["blocks"] = [{"outcomes": ["o"]}]
+        with pytest.raises(MalformedSystem, match="missing field 'polarity'"):
+            polarized_from_json(doc)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from rbmx.automata import MixedAutomaton, ma_compose, sim_equivalent, simulates
 from rbmx.core import Domain, MixedSystem, State, all_states
+from rbmx.errors import MalformedSystem
 from rbmx.embeddings import (
     PA,
     SPA,
@@ -219,3 +222,13 @@ class TestJsonRoundTrips:
         assert len(set(doc["states"])) == len(doc["states"])
         rt = spa_from_json(doc)
         assert spa_sim_equivalent(img, rt)
+
+    def test_missing_fields_are_typed(self):
+        spa = spa_to_json(rand_spa(random.Random(9009)))
+        del spa["states"]
+        with pytest.raises(MalformedSystem, match="missing field 'states'"):
+            spa_from_json(spa)
+        pa = pa_to_json(rand_pa(random.Random(9010)))
+        del pa["transitions"]
+        with pytest.raises(MalformedSystem, match="missing field 'transitions'"):
+            pa_from_json(pa)

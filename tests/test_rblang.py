@@ -11,8 +11,10 @@ from rbmx import (
     equivalent,
     outer,
 )
+from rbmx import core
 from rbmx.bayes import MixedKernel, bn_score, bn_validate
 from rbmx.errors import (
+    CapExceeded,
     DomainMismatch,
     GuardNotBoolean,
     InconsistentSystem,
@@ -254,6 +256,24 @@ dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
         S = elaborate_static(p)
         assert outer(S, lambda q: q["y"] == 1 and q["x"] == 0) == Fraction(1, 8)
         assert outer(S, lambda q: q["y"] == 1) == Fraction(1, 2)
+
+    def test_graft_checks_the_size_cap(self, monkeypatch):
+        p = parse("""
+domain bit = { 0, 1 }
+var x : bit
+var y : bit
+dist coin : bit { 0 : 1/2, 1 : 1/2 }
+dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
+
+|| x ~ coin
+|| y ~ flip(x)
+""")
+        # 2 base outcomes times one 2-outcome draw per input cell: 8
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 8)
+        assert len(elaborate_static(p).omega) == 8
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 7)
+        with pytest.raises(CapExceeded):
+            elaborate_static(p)
 
 
 class TestGraph:
