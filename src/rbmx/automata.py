@@ -7,17 +7,19 @@ pluggable action algebra.  Simulation between automata reduces, per
 transition pair, to an exact transportation-feasibility question on the
 target systems' outcome weights, with allowed couplings governed by the
 candidate state relation.
+
+refine() is the greatest-fixpoint engine for every simulation check, here
+and in the embeddings module: simulates() keeps the pairs whose forward
+transitions lift, bisimilar() the pairs that lift both ways.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
     DOCUMENT_ERRORS,
-    Domain,
     MixedSystem,
     State,
     Var,
@@ -26,6 +28,7 @@ from .core import (
     document_error,
     domains_agree,
     equivalent,
+    norm_vars,
     sample,
     state_join,
     states_compatible,
@@ -43,20 +46,6 @@ from .errors import (
     VariableSetMismatch,
 )
 from .transport import feasible_transport
-
-
-def _norm_vars(vars):
-    out = []
-    for entry in vars:
-        if isinstance(entry, Var):
-            out.append(entry)
-        else:
-            name, dom = entry
-            if not isinstance(dom, Domain):
-                dom = Domain("D_%s" % name, dom)
-            out.append(Var(name, dom))
-    out.sort(key=lambda v: v.name)
-    return tuple(out)
 
 
 def action_key(a):
@@ -81,7 +70,7 @@ class MixedAutomaton:
 
     def __init__(self, alphabet, vars, initial, delta=None, provider=None):
         self.alphabet = tuple(sorted(set(alphabet), key=action_key))
-        self.vars = _norm_vars(vars)
+        self.vars = norm_vars(vars)
         if initial is None:
             initial = State()
         elif not isinstance(initial, State):
@@ -173,11 +162,6 @@ class MixedAutomaton:
             len(self.delta),
             ", lazy" if self.provider else "",
         )
-
-
-def ma_new(alphabet, vars, initial, delta) -> MixedAutomaton:
-    """Validating constructor over a fully materialized transition table."""
-    return MixedAutomaton(alphabet, vars, initial, delta)
 
 
 class Step(NamedTuple):
@@ -371,50 +355,47 @@ def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:
 # --- simulation ---------------------------------------------------------------
 
 
-def _greatest_simulation(M1, M2, R):
-    """One refinement pass: the set of pairs in R having an M1 transition
-    that M2 either lacks or cannot match by lifting R."""
-    rel = lambda a, b: (a, b) in R
-    removed = set()
-    for q1, q2 in R:
+def refine(pairs, initial, match, back=None):
+    """The greatest subset R of ``pairs`` in which every pair (p, q) passes
+    match(p, q, R) and, when ``back`` is given, also back(q, p, R⁻¹); None
+    when R does not hold ``initial``.
+
+    This is the one greatest-fixpoint loop behind every simulation check.
+    Each round collects the pairs of R that fail against that round's R and
+    removes them, so R shrinks until a round removes nothing.  Matching is
+    monotone in R, so a dropped pair never comes back and the loop may stop
+    once ``initial`` is gone.  It stops only between rounds: the work done
+    then does not depend on set iteration order.
+    """
+    R = set(pairs)
+    while initial in R:
+        rev = {(q, p) for p, q in R} if back is not None else None
+        removed = {
+            (p, q) for p, q in R
+            if not match(p, q, R) or (back is not None and not back(q, p, rev))
+        }
+        if not removed:
+            return R
+        R -= removed
+    return None
+
+
+def _lifts(M1, M2):
+    """match for refine: every M1 transition at q1 lifts, through R, into
+    the M2 transition on the same action at q2."""
+
+    def match(q1, q2, R):
+        rel = lambda a, b: (a, b) in R
         for a in M1.alphabet:
             T1 = M1.transition(q1, a)
             if T1 is None:
                 continue
             T2 = M2.transition(q2, a)
             if T2 is None or lift_check(T1, T2, rel) is None:
-                removed.add((q1, q2))
-                break
-    return removed
+                return False
+        return True
 
-
-def simulates(M1: MixedAutomaton, M2: MixedAutomaton):
-    """Greatest simulation of M1 by M2, or None when the initial states are
-    not related by it.
-
-    Standard fixpoint: start from the product of the reachable state sets
-    and remove any pair (q1, q2) with an M1-transition that M2 either lacks
-    or cannot match by lifting the current relation.  Pairs whose first
-    state has no transitions are never removed.  The loop is bounded by the
-    product size, since each pass removes at least one pair.  Restricting to
-    reachable states loses nothing: lifting only ever consults row states of
-    positive-mass outcomes, which are reachable by construction.
-    """
-    Q1 = _with_initial(M1)
-    Q2 = _with_initial(M2)
-    R = {(q1, q2) for q1 in Q1 for q2 in Q2}
-    bound = len(R) + 1
-    rounds = 0
-    while True:
-        rounds += 1
-        assert rounds <= bound, "refinement failed to terminate"
-        removed = _greatest_simulation(M1, M2, R)
-        if not removed:
-            break
-        R -= removed
-    if (M1.initial, M2.initial) in R:
-        return R
-    return None
+    return match
 
 
 def _with_initial(M):
@@ -426,31 +407,35 @@ def _with_initial(M):
     return Q
 
 
+def _state_pairs(M1, M2):
+    Q2 = _with_initial(M2)
+    return [(q1, q2) for q1 in _with_initial(M1) for q2 in Q2]
+
+
+def simulates(M1: MixedAutomaton, M2: MixedAutomaton):
+    """Greatest simulation of M1 by M2, or None when the initial states are
+    not related by it.
+
+    Refinement starts from the product of the reachable state sets and
+    removes any pair (q1, q2) with an M1-transition that M2 either lacks or
+    cannot match by lifting the current relation.  Pairs whose first state
+    has no transitions are never removed.  Restricting to reachable states
+    loses nothing: lifting only ever consults row states of positive-mass
+    outcomes, which are reachable by construction.
+    """
+    return refine(_state_pairs(M1, M2), (M1.initial, M2.initial), _lifts(M1, M2))
+
+
 def sim_equivalent(M1, M2) -> bool:
     return simulates(M1, M2) is not None and simulates(M2, M1) is not None
 
 
 def bisimilar(M1: MixedAutomaton, M2: MixedAutomaton):
-    """Greatest relation that is a simulation in both directions at once, or
-    None when it does not relate the initial states."""
-    Q1 = _with_initial(M1)
-    Q2 = _with_initial(M2)
-    R = {(q1, q2) for q1 in Q1 for q2 in Q2}
-    bound = len(R) + 1
-    rounds = 0
-    while True:
-        rounds += 1
-        assert rounds <= bound, "refinement failed to terminate"
-        removed = _greatest_simulation(M1, M2, R)
-        back = _greatest_simulation(M2, M1, {(b, a) for a, b in R})
-        removed |= {(a, b) for b, a in back}
-        removed &= R
-        if not removed:
-            break
-        R -= removed
-    if (M1.initial, M2.initial) in R:
-        return R
-    return None
+    """Greatest R such that both R and R⁻¹ are simulations, or None when it
+    does not relate the initial states.  This is stronger than mutual
+    simulation (sim_equivalent)."""
+    return refine(_state_pairs(M1, M2), (M1.initial, M2.initial),
+                  _lifts(M1, M2), _lifts(M2, M1))
 
 
 # --- JSON ------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from typing import NamedTuple
 from .core import (
     DOCUMENT_ERRORS,
     DiscreteProb,
-    Domain,
     EMPTY_STATE,
     MixedSystem,
     State,
@@ -38,6 +37,7 @@ from .core import (
     domains_agree,
     marginal,
     nil_system,
+    norm_vars,
     outer,
     sample,
     system_from_json,
@@ -54,20 +54,6 @@ from .errors import (
 )
 
 
-def _norm_vars(vars):
-    out = []
-    for entry in vars:
-        if isinstance(entry, Var):
-            out.append(entry)
-        else:
-            name, dom = entry
-            if not isinstance(dom, Domain):
-                dom = Domain("D_%s" % name, dom)
-            out.append(Var(name, dom))
-    out.sort(key=lambda v: v.name)
-    return tuple(out)
-
-
 class MixedKernel:
     """A map from states over in_vars to mixed systems over out_vars.
 
@@ -80,8 +66,8 @@ class MixedKernel:
     __slots__ = ("name", "in_vars", "out_vars", "_table", "_fn")
 
     def __init__(self, in_vars, out_vars, mapping, name=None):
-        self.in_vars = _norm_vars(in_vars)
-        self.out_vars = _norm_vars(out_vars)
+        self.in_vars = norm_vars(in_vars)
+        self.out_vars = norm_vars(out_vars)
         overlap = {v.name for v in self.in_vars} & {v.name for v in self.out_vars}
         if overlap:
             raise VariableSetMismatch(
@@ -153,7 +139,7 @@ def kernel_to_system(K: MixedKernel) -> MixedSystem:
 def point_system(Y, q_Y) -> MixedSystem:
     """The deterministic system forcing the variables Y to the state q_Y:
     one certain outcome admitting exactly that state."""
-    Yv = _norm_vars(Y)
+    Yv = norm_vars(Y)
     if not Yv:
         return nil_system()
     if not isinstance(q_Y, State):
@@ -222,7 +208,7 @@ class BayesianNetwork:
                         "variable %r carries different domains across kernels" % v.name
                     )
                 doms.setdefault(v.name, v.domain)
-        for v in _norm_vars(variables):
+        for v in norm_vars(variables):
             prev = doms.get(v.name)
             if prev is not None and not domains_agree(prev, v.domain):
                 raise VariableSetMismatch(
@@ -361,7 +347,10 @@ def bn_sample(N: BayesianNetwork, init, rng, resolver="lex") -> State:
                 )
             assigned.update(q_out.as_dict())
             pending.remove(K)
-        assert len(assigned) > before, "sampling round assigned nothing"
+        if len(assigned) == before:
+            raise NotIncremental(
+                "kernels %r assigned no new variable" % [K.name for K in ready]
+            )
     return State(assigned)
 
 

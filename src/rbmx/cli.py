@@ -15,6 +15,10 @@ JSON model document everywhere else (fg/fg2bn also accept a factor-graph
 document).  Model documents are recognized by shape: "kind": "spa"/"pa",
 "delta" for automata, "omega" for systems, "systems" for factor graphs.
 
+simcheck asks whether B simulates A.  With --bisim it asks for the greatest
+R such that both R and its inverse are simulations, for all three kinds
+(ma, spa, pa); that is stronger than simulation both ways.
+
 Results go to stdout as JSON with sorted keys (or DOT with --dot);
 diagnostics go to stderr.  Exit codes: 0 success, 1 negative verdict (no
 simulation / not bisimilar), 2 usage or input error, 3 inconsistency.
@@ -43,11 +47,13 @@ from .core import (
     system_to_json,
 )
 from .embeddings import (
+    pa_bisimilar,
     pa_compose,
     pa_from_json,
     pa_simulates,
     pa_to_json,
     pa_to_ma,
+    spa_bisimilar,
     spa_compose,
     spa_embed_pa,
     spa_from_json,
@@ -57,7 +63,7 @@ from .embeddings import (
     ma_to_spa,
 )
 from .errors import InconsistentSystem, MalformedSystem, RbmxError
-from .factorgraph import dot_export, factor_graph, fg_to_bn, fg_to_json
+from .factorgraph import dot_export, fg_from_json, fg_to_bn, fg_to_json
 from .rblang import (
     elaborate_dynamic,
     elaborate_graph,
@@ -103,9 +109,7 @@ def _load_model(path):
     if "omega" in doc:
         return "system", system_from_json(doc)
     if "systems" in doc:
-        labels = list(doc["systems"])
-        systems = [system_from_json(doc["systems"][lab]) for lab in labels]
-        return "fg", factor_graph(systems, labels)
+        return "fg", fg_from_json(doc)
     raise MalformedSystem("%s: unrecognized model document" % path)
 
 
@@ -114,14 +118,8 @@ def _load_fg(path):
     document."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        if "systems" not in doc:
-            raise MalformedSystem("%s: no \"systems\" entry" % path)
-        labels = list(doc["systems"])
-        systems = [system_from_json(doc["systems"][lab]) for lab in labels]
-        return factor_graph(systems, labels)
+    if text.lstrip().startswith("{"):
+        return fg_from_json(json.loads(text))
     return program_factor_graph(parse(text))
 
 
@@ -310,22 +308,17 @@ def cmd_simcheck(args):
     kind_b, B = _load_model(args.b)
     if kind_a != kind_b:
         raise MalformedSystem("cannot compare a %s with a %s" % (kind_a, kind_b))
-    if kind_a == "ma":
-        R = bisimilar(A, B) if args.bisim else simulates(A, B)
-    elif kind_a == "spa":
-        if args.bisim:
-            f, b = spa_simulates(A, B), spa_simulates(B, A)
-            R = f if (f is not None and b is not None) else None
-        else:
-            R = spa_simulates(A, B)
-    elif kind_a == "pa":
-        if args.bisim:
-            f, b = pa_simulates(A, B), pa_simulates(B, A)
-            R = f if (f is not None and b is not None) else None
-        else:
-            R = pa_simulates(A, B)
-    else:
+    # (simulation, bisimulation) per kind, looked up at call time so that
+    # rebinding a module name (as the benchmark's tracer does) takes effect
+    checks = {
+        "ma": (simulates, bisimilar),
+        "spa": (spa_simulates, spa_bisimilar),
+        "pa": (pa_simulates, pa_bisimilar),
+    }
+    if kind_a not in checks:
         raise MalformedSystem("simcheck wants two automata, got %s" % kind_a)
+    sim, bisim = checks[kind_a]
+    R = (bisim if args.bisim else sim)(A, B)
     verdict = R is not None
     _emit(
         {
@@ -419,7 +412,8 @@ def _build_parser():
     q.add_argument("a")
     q.add_argument("b")
     q.add_argument("--bisim", action="store_true",
-                   help="check bisimulation / mutual simulation instead")
+                   help="check bisimulation instead: the greatest R with R "
+                   "and its inverse both simulations (all kinds)")
     q.set_defaults(func=cmd_simcheck)
 
     q = sub.add_parser("embed", help="translate between automaton classes")

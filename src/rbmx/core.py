@@ -120,10 +120,27 @@ class Var(NamedTuple):
     domain: Domain
 
 
-def as_domain(name, spec) -> Domain:
-    if isinstance(spec, Domain):
-        return spec
-    return Domain(name, spec)
+def norm_vars(vars) -> tuple:
+    """Vars sorted by name, from Var entries or (name, domain) pairs whose
+    domain may be a plain value list (it is then named "D_<name>").  Raises
+    MalformedSystem when a name is declared twice or one domain name is
+    bound to two different value lists."""
+    out = []
+    seen = set()
+    domain_names = {}
+    for name, dom in vars:
+        if not isinstance(dom, Domain):
+            dom = Domain("D_%s" % name, dom)
+        if name in seen:
+            raise MalformedSystem("variable %r declared twice" % name)
+        if domain_names.setdefault(dom.name, dom).values != dom.values:
+            raise MalformedSystem(
+                "domain name %r bound to two different value lists" % dom.name
+            )
+        seen.add(name)
+        out.append(Var(name, dom))
+    out.sort(key=lambda v: v.name)
+    return tuple(out)
 
 
 class State:
@@ -297,28 +314,9 @@ class MixedSystem:
     def __init__(self, prob, vars, rel):
         prob = _as_prob(prob)
 
-        norm_vars = []
-        seen = {}
-        domain_names = {}
-        for entry in vars:
-            if isinstance(entry, Var):
-                name, dom = entry
-            else:
-                name, dom = entry
-                dom = as_domain("D_%s" % name, dom)
-            if name in seen:
-                raise MalformedSystem("variable %r declared twice" % name)
-            prev = domain_names.get(dom.name)
-            if prev is not None and prev.values != dom.values:
-                raise MalformedSystem(
-                    "domain name %r bound to two different value lists" % dom.name
-                )
-            domain_names[dom.name] = dom
-            seen[name] = True
-            norm_vars.append(Var(name, dom))
-        norm_vars.sort(key=lambda v: v.name)
-        vnames = [v.name for v in norm_vars]
-        indexes = [v.domain.index for v in norm_vars]
+        vars = norm_vars(vars)
+        vnames = [v.name for v in vars]
+        indexes = [v.domain.index for v in vars]
 
         # normalize rel into {outcome: sorted tuple of states}
         if isinstance(rel, dict):
@@ -350,7 +348,7 @@ class MixedSystem:
             row[q] = key
 
         self.prob = prob
-        self.vars = tuple(norm_vars)
+        self.vars = vars
         self.rel = {o: tuple(sorted(row, key=row.__getitem__)) for o, row in rows.items()}
         self._cache = {}
 

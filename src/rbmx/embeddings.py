@@ -4,14 +4,17 @@ with mixed automata.
 SPA transitions pick an action first and then a distribution over states
 (several distributions per (state, action) make the model nondeterministic).
 PA transitions are distributions over (action, state) pairs.  Both carry
-lifting-based greatest simulations, built on the same transportation solver
-as mixed automata.
+lifting-based greatest simulations and bisimulations, computed by the same
+refinement engine (automata.refine) and transportation solver as for mixed
+automata, over the full product of the two state sets.  A bisimulation is
+the greatest R such that both R and R⁻¹ are simulations, the same check as
+automata.bisimilar; it is stronger than mutual simulation
+(spa_sim_equivalent).
 
 The translations are constructive:
 
-* spa_to_ma materializes, per (q, a), the product of the candidate
-  distributions as the private outcome space, with the visible variable
-  nondeterministically reading one coordinate;
+* spa_to_ma takes each SPA step in two automaton steps: a nondeterministic
+  commitment to one candidate distribution, then a draw from it;
 * ma_to_spa enumerates selection functions over each target system's
   consistent outcomes and renormalizes their image measures;
 * pa_to_ma moves the action into a visible variable beside the state, over
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .automata import MixedAutomaton, action_key
+from .automata import MixedAutomaton, action_key, refine
 from .core import (
     DOCUMENT_ERRORS,
     Domain,
@@ -213,75 +216,70 @@ def pa_compose(P1: PA, P2: PA, sigma) -> PA:
 # --- simulation -----------------------------------------------------------
 
 
-def _greatest(R, remove_pass):
-    bound = len(R) + 1
-    rounds = 0
-    while True:
-        rounds += 1
-        assert rounds <= bound, "refinement failed to terminate"
-        removed = remove_pass(R)
-        if not removed:
-            return R
-        R = R - removed
+def _all_pairs(P1, P2):
+    return [(a, b) for a in P1.states for b in P2.states]
+
+
+def _spa_lifts(P1, P2):
+    """match for refine: every μ1 of q1 is matched, same action, by some μ2
+    of q2 whose coupling with μ1 stays inside R."""
+
+    def match(q1, q2, R):
+        return all(
+            any(
+                feasible_transport(
+                    d1, d2, [(s1, s2) for s1 in d1 for s2 in d2 if (s1, s2) in R],
+                ) is not None
+                for d2 in P2.dists(q2, a)
+            )
+            for p, a, d1 in P1.transitions if p == q1
+        )
+
+    return match
+
+
+def _pa_lifts(P1, P2):
+    """match for refine: couplings pair (action, state) outcomes with equal
+    actions and related states."""
+
+    def match(q1, q2, R):
+        return all(
+            any(
+                feasible_transport(
+                    d1, d2,
+                    [(p1, p2) for p1 in d1 for p2 in d2
+                     if p1[0] == p2[0] and (p1[1], p2[1]) in R],
+                ) is not None
+                for d2 in P2.dists(q2)
+            )
+            for p, d1 in P1.transitions if p == q1
+        )
+
+    return match
 
 
 def spa_simulates(P1: SPA, P2: SPA):
-    """Greatest SPA simulation, or None if it misses the initial pair: every
-    μ1 of the smaller side must be matched, same action, by some μ2 whose
-    coupling with μ1 stays inside the relation."""
+    """Greatest SPA simulation of P1 by P2, or None if it misses the
+    initial pair."""
+    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial), _spa_lifts(P1, P2))
 
-    def remove_pass(R):
-        removed = set()
-        for q1, q2 in R:
-            for p, a, d1 in P1.transitions:
-                if p != q1:
-                    continue
-                cands = P2.dists(q2, a)
-                ok = any(
-                    feasible_transport(
-                        d1, d2,
-                        [(s1, s2) for s1 in d1 for s2 in d2 if (s1, s2) in R],
-                    ) is not None
-                    for d2 in cands
-                )
-                if not ok:
-                    removed.add((q1, q2))
-                    break
-        return removed
 
-    R = _greatest({(a, b) for a in P1.states for b in P2.states}, remove_pass)
-    return R if (P1.initial, P2.initial) in R else None
+def spa_bisimilar(P1: SPA, P2: SPA):
+    """Greatest SPA bisimulation, or None if it misses the initial pair."""
+    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial),
+                  _spa_lifts(P1, P2), _spa_lifts(P2, P1))
 
 
 def pa_simulates(P1: PA, P2: PA):
-    """Greatest PA simulation: couplings pair (action, state) outcomes with
-    equal actions and related states."""
+    """Greatest PA simulation of P1 by P2, or None if it misses the initial
+    pair."""
+    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial), _pa_lifts(P1, P2))
 
-    def remove_pass(R):
-        removed = set()
-        for q1, q2 in R:
-            for p, d1 in P1.transitions:
-                if p != q1:
-                    continue
-                ok = any(
-                    feasible_transport(
-                        d1, d2,
-                        [
-                            (p1, p2)
-                            for p1 in d1
-                            for p2 in d2
-                            if p1[0] == p2[0] and (p1[1], p2[1]) in R
-                        ],
-                    ) is not None
-                    for d2 in P2.dists(q2)
-                )
-                if not ok:
-                    removed.add((q1, q2))
-                    break
-        return removed
 
-    R = _greatest({(a, b) for a in P1.states for b in P2.states}, remove_pass)
-    return R if (P1.initial, P2.initial) in R else None
+def pa_bisimilar(P1: PA, P2: PA):
+    """Greatest PA bisimulation, or None if it misses the initial pair."""
+    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial),
+                  _pa_lifts(P1, P2), _pa_lifts(P2, P1))
 
 
 def spa_sim_equivalent(P1, P2) -> bool:

@@ -14,7 +14,17 @@ from __future__ import annotations
 from collections import deque
 
 from .bayes import BayesianNetwork, conditional, kernel_from_system
-from .core import MixedSystem, compose, compress, domains_agree, marginal, system_to_json
+from .core import (
+    DOCUMENT_ERRORS,
+    MixedSystem,
+    compose,
+    compress,
+    document_error,
+    domains_agree,
+    marginal,
+    system_from_json,
+    system_to_json,
+)
 from .errors import DomainMismatch, NotATree
 
 
@@ -182,3 +192,13 @@ def fg_to_json(g: FactorGraph) -> dict:
         "edges": sorted([lab, x] for lab, x in g.edges),
         "tree": is_tree(g),
     }
+
+
+def fg_from_json(doc) -> FactorGraph:
+    """Factor graph from a {"systems": {label: system document}} document."""
+    try:
+        labels = list(doc["systems"])
+        docs = [doc["systems"][lab] for lab in labels]
+    except DOCUMENT_ERRORS as exc:
+        raise document_error("factor graph", exc)
+    return factor_graph([system_from_json(d) for d in docs], labels)

@@ -318,6 +318,101 @@ def rand_ma(rng, name):
     return MixedAutomaton(("a", "b"), vars, {name: 0}, delta)
 
 
+def sim_equivalent_not_bisimilar():
+    """Two SPAs that simulate each other but are not bisimilar.  P1 moves on
+    a to q1 or to q2; q1 can do b and c, q2 only b.  P2 moves on a to p1,
+    which can do b and c.  Every b and c move ends in the deadlock d, and
+    every distribution is Dirac.  p1 simulates both q1 and q2, and q1
+    simulates p1, but q2 cannot answer p1's c."""
+    acts = ("a", "b", "c")
+    P1 = SPA(acts, ("q0", "q1", "q2", "d"), "q0",
+             [("q0", "a", {"q1": 1}), ("q0", "a", {"q2": 1}),
+              ("q1", "b", {"d": 1}), ("q1", "c", {"d": 1}),
+              ("q2", "b", {"d": 1})])
+    P2 = SPA(acts, ("p0", "p1", "d"), "p0",
+             [("p0", "a", {"p1": 1}),
+              ("p1", "b", {"d": 1}), ("p1", "c", {"d": 1})])
+    return P1, P2
+
+
+# --- greatest simulations, one pair at a time ------------------------------------
+
+
+def naive_greatest(pairs, ok):
+    """The largest R within ``pairs`` whose every pair passes ok(p, q, R),
+    found by removing one failing pair at a time, in repr order, until no
+    pair fails.  Matching is monotone, so the removal order cannot matter."""
+    R = set(pairs)
+    while True:
+        bad = next((pq for pq in sorted(R, key=repr) if not ok(pq[0], pq[1], R)),
+                   None)
+        if bad is None:
+            return R
+        R.remove(bad)
+
+
+def both_ways(ok, ok_back):
+    """ok for a bisimulation: the pair passes ok against R and the reversed
+    pair passes ok_back against the inverse of R."""
+    return lambda p, q, R: ok(p, q, R) and ok_back(q, p, {(b, a) for a, b in R})
+
+
+def ma_ok(M1, M2):
+    """Every transition-table entry of M1 at q1 has an M2 entry at q2 on the
+    same action whose raw weights transport across the allowed outcome
+    pairs (cut condition).  Reads the materialized tables directly."""
+
+    def ok(q1, q2, R):
+        rel = lambda a, b: (a, b) in R  # noqa: E731
+        for a in M1.alphabet:
+            T1 = M1.delta.get((q1, a))
+            if T1 is None:
+                continue
+            T2 = M2.delta.get((q2, a))
+            if T2 is None or not cut_feasible(
+                    dict(T1.pi), dict(T2.pi), allowed_pairs(T1, T2, rel)):
+                return False
+        return True
+
+    return ok
+
+
+def spa_ok(P1, P2):
+    """Every (q1, a, μ1) has some (q2, a, μ2) with a coupling inside R."""
+
+    def ok(q1, q2, R):
+        for p, a, d1 in P1.transitions:
+            if p != q1:
+                continue
+            cands = [d2 for r, b, d2 in P2.transitions if r == q2 and b == a]
+            if not any(cut_feasible(d1, d2, [(s1, s2) for s1 in d1 for s2 in d2
+                                             if (s1, s2) in R])
+                       for d2 in cands):
+                return False
+        return True
+
+    return ok
+
+
+def pa_ok(P1, P2):
+    """Every (q1, μ1) has some (q2, μ2) with a coupling that pairs equal
+    actions and states related by R."""
+
+    def ok(q1, q2, R):
+        for p, d1 in P1.transitions:
+            if p != q1:
+                continue
+            cands = [d2 for r, d2 in P2.transitions if r == q2]
+            if not any(cut_feasible(d1, d2, [(x1, x2) for x1 in d1 for x2 in d2
+                                             if x1[0] == x2[0]
+                                             and (x1[1], x2[1]) in R])
+                       for d2 in cands):
+                return False
+        return True
+
+    return ok
+
+
 # --- tree-shaped factor graphs ---------------------------------------------------
 
 

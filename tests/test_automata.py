@@ -11,7 +11,6 @@ from rbmx.automata import (
     lift_check,
     ma_compose,
     ma_from_json,
-    ma_new,
     ma_run,
     ma_step,
     ma_to_json,
@@ -23,6 +22,7 @@ from rbmx.automata import (
 from rbmx.errors import (
     CapExceeded,
     IncompatibleInitials,
+    MalformedSystem,
     MissingInit,
     NoTransition,
     NondeterministicJoin,
@@ -32,7 +32,10 @@ from rbmx.transport import feasible_transport
 
 from .oracles import (
     allowed_pairs,
+    both_ways,
     cut_feasible,
+    ma_ok,
+    naive_greatest,
     rand_ma,
     rand_system,
     rand_system_over,
@@ -58,29 +61,36 @@ def walker():
     for v in (0, 1):
         delta[(State({"x": v}), "flip")] = target(1 - v)
         delta[(State({"x": v}), "stay")] = target(v)
-    return ma_new(("flip", "stay"), [("x", BIT)], {"x": 0}, delta)
+    return MixedAutomaton(("flip", "stay"), [("x", BIT)], {"x": 0}, delta)
 
 
 class TestConstruction:
     def test_target_variables_must_match(self):
         with pytest.raises(VariableSetMismatch):
-            ma_new(("a",), [("x", BIT)], {"x": 0},
-                   {(State({"x": 0}), "a"): target(0, name="y")})
+            MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                           {(State({"x": 0}), "a"): target(0, name="y")})
 
     def test_initial_validated(self):
         with pytest.raises(VariableSetMismatch):
-            ma_new(("a",), [("x", BIT)], {"zz": 0}, {})
+            MixedAutomaton(("a",), [("x", BIT)], {"zz": 0}, {})
         with pytest.raises(VariableSetMismatch):
-            ma_new(("a",), [("x", BIT)], {"x": 7}, {})
+            MixedAutomaton(("a",), [("x", BIT)], {"x": 7}, {})
 
     def test_partial_initial_allowed(self):
-        M = ma_new(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
+        M = MixedAutomaton(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
         assert M.initial == State({"x": 0})
         assert not M.is_total_state(M.initial)
 
     def test_alphabet_is_sorted_and_deduped(self):
-        M = ma_new(("b", "a", "b"), [("x", BIT)], {"x": 0}, {})
+        M = MixedAutomaton(("b", "a", "b"), [("x", BIT)], {"x": 0}, {})
         assert M.alphabet == ("a", "b")
+
+    def test_variables_are_validated_like_a_system(self):
+        with pytest.raises(MalformedSystem, match="declared twice"):
+            MixedAutomaton(("a",), [("x", BIT), ("x", BIT)], {"x": 0})
+        with pytest.raises(MalformedSystem, match="two different value lists"):
+            MixedAutomaton(("a",), [("x", BIT), ("y", Domain("bit", (0, 1, 2)))],
+                           {"x": 0})
 
 
 class TestProvider:
@@ -118,11 +128,11 @@ class TestReachable:
 
     def test_unreachable_states_are_dropped(self):
         delta = {(State({"x": 0}), "stay"): target(0)}
-        M = ma_new(("stay",), [("x", BIT)], {"x": 0}, delta)
+        M = MixedAutomaton(("stay",), [("x", BIT)], {"x": 0}, delta)
         assert M.reachable() == [State({"x": 0})]
 
     def test_partial_initial_falls_back_to_all_states(self):
-        M = ma_new(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
+        M = MixedAutomaton(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
         assert len(M.reachable()) == 4
 
 
@@ -144,14 +154,14 @@ class TestRuns:
 
     def test_inconsistent_target_aborts_with_error(self):
         dead = MixedSystem({"o": Fraction(1)}, [("x", BIT)], {"o": []})
-        M = ma_new(("a",), [("x", BIT)], {"x": 0},
-                   {(State({"x": 0}), "a"): dead})
+        M = MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                           {(State({"x": 0}), "a"): dead})
         r = ma_run(M, ["a"], random.Random(0))
         assert r.steps == ()
         assert "inconsistent" in r.error
 
     def test_partial_initial_cannot_run(self):
-        M = ma_new(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
+        M = MixedAutomaton(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
         with pytest.raises(MissingInit):
             ma_run(M, ["a"], random.Random(0))
 
@@ -167,7 +177,7 @@ class TestCompose:
         M1 = walker()
         delta2 = {(State({"y": v}), "flip"): target(1 - v, name="y")
                   for v in (0, 1)}
-        M2 = ma_new(("flip",), [("y", BIT)], {"y": 1}, delta2)
+        M2 = MixedAutomaton(("flip",), [("y", BIT)], {"y": 1}, delta2)
         C = ma_compose(M1, M2)
         assert C.alphabet == ("flip",)  # "stay" has no partner
         assert C.initial == State({"x": 0, "y": 1})
@@ -179,7 +189,7 @@ class TestCompose:
 
     def test_clashing_initials(self):
         M1 = walker()
-        M2 = ma_new(("flip",), [("x", BIT)], {"x": 1}, {})
+        M2 = MixedAutomaton(("flip",), [("x", BIT)], {"x": 1}, {})
         with pytest.raises(IncompatibleInitials):
             ma_compose(M1, M2)
 
@@ -198,9 +208,9 @@ class TestCompose:
         qa = State({"x": 0})
         d1 = {(qa, State({"g": True})): target(0),
               (qa, State({"g": True, "h": True})): target(1)}
-        M1 = ma_new(tuple(a for _, a in d1), [("x", BIT)], {"x": 0}, d1)
+        M1 = MixedAutomaton(tuple(a for _, a in d1), [("x", BIT)], {"x": 0}, d1)
         d2 = {(State({"y": 0}), State({"h": True})): target(0, name="y")}
-        M2 = ma_new((State({"h": True}),), [("y", BIT)], {"y": 0}, d2)
+        M2 = MixedAutomaton((State({"h": True}),), [("y", BIT)], {"y": 0}, d2)
         with pytest.raises(NondeterministicJoin):
             ma_compose(M1, M2, alg)
 
@@ -273,7 +283,7 @@ class TestSimulation:
         M = walker()
         # drop the "stay" loops: fewer behaviors
         delta = {(q, a): S for (q, a), S in M.delta.items() if a == "flip"}
-        P = ma_new(("flip", "stay"), [("x", BIT)], {"x": 0}, delta)
+        P = MixedAutomaton(("flip", "stay"), [("x", BIT)], {"x": 0}, delta)
         assert simulates(P, M) is not None
         assert simulates(M, P) is None
         assert not sim_equivalent(M, P)
@@ -286,10 +296,10 @@ class TestSimulation:
             {"h": Fraction(1, 2), "t": Fraction(1, 2)}, [("x", BIT)],
             {"h": [State({"x": 0})], "t": [State({"x": 1})]},
         )
-        M1 = ma_new(("a",), [("x", BIT)], {"x": 0},
-                    {(State({"x": 0}), "a"): S_cert})
-        M2 = ma_new(("a",), [("x", BIT)], {"x": 0},
-                    {(State({"x": 0}), "a"): S_half})
+        M1 = MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                            {(State({"x": 0}), "a"): S_cert})
+        M2 = MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                            {(State({"x": 0}), "a"): S_half})
         assert simulates(M1, M2) is None
         # the other direction holds: x=1 deadlocks on the right-hand automaton
         # and a deadlocked state is simulated by anything
@@ -298,17 +308,41 @@ class TestSimulation:
     def test_nondeterministic_row_simulates_point(self):
         S_point = target(0)
         S_both = target(0, 1)
-        M_point = ma_new(("a",), [("x", BIT)], {"x": 0},
-                         {(State({"x": 0}), "a"): S_point})
-        M_both = ma_new(("a",), [("x", BIT)], {"x": 0},
-                        {(State({"x": 0}), "a"): S_both})
+        M_point = MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                                 {(State({"x": 0}), "a"): S_point})
+        M_both = MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                                {(State({"x": 0}), "a"): S_both})
         assert simulates(M_point, M_both) is not None
 
     def test_partial_initials_join_the_relation(self):
-        M = ma_new(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
+        M = MixedAutomaton(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
         R = simulates(M, M)
         assert R is not None
         assert (M.initial, M.initial) in R
+
+
+class TestRefinement:
+    def test_relations_equal_the_naive_fixpoint(self):
+        # the naive fixpoint runs over all states; lifting only consults
+        # reachable ones, so restricted to them it is the engine's relation
+        rng = random.Random(75)
+        states = [State({"u": v}) for v in (0, 1, 2)]
+        everything = [(a, b) for a in states for b in states]
+        verdicts = set()
+        for _ in range(60):
+            M1, M2 = rand_ma(rng, "u"), rand_ma(rng, "u")
+            keep = {(a, b) for a in M1.reachable() for b in M2.reachable()}
+            initial = (M1.initial, M2.initial)
+            fwd = naive_greatest(everything, ma_ok(M1, M2))
+            both = naive_greatest(everything,
+                                  both_ways(ma_ok(M1, M2), ma_ok(M2, M1)))
+            for got, want in ((simulates(M1, M2), fwd), (bisimilar(M1, M2), both)):
+                if initial in want:
+                    assert got == want & keep
+                else:
+                    assert got is None
+            verdicts.add((initial in fwd, initial in both))
+        assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 class TestJson:
@@ -323,7 +357,7 @@ class TestJson:
     def test_round_trip_state_actions(self):
         q0 = State({"x": 0})
         act = State({"g": True})
-        M = ma_new((act,), [("x", BIT)], {"x": 0}, {(q0, act): target(1)})
+        M = MixedAutomaton((act,), [("x", BIT)], {"x": 0}, {(q0, act): target(1)})
         M2 = ma_from_json(ma_to_json(M))
         assert M2.alphabet == (act,)
         assert M2.transition(q0, act) is not None

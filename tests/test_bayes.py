@@ -26,6 +26,7 @@ from rbmx.errors import (
     InconsistentSystem,
     MalformedSystem,
     MissingInit,
+    NotIncremental,
     VariableSetMismatch,
 )
 
@@ -57,6 +58,12 @@ class TestKernel:
     def test_in_out_must_be_disjoint(self):
         with pytest.raises(VariableSetMismatch):
             MixedKernel([("x", BIT)], [("x", BIT)], {})
+
+    def test_variables_are_validated_like_a_system(self):
+        with pytest.raises(MalformedSystem, match="declared twice"):
+            MixedKernel([("x", BIT), ("x", BIT)], [("y", BIT)], {})
+        with pytest.raises(MalformedSystem, match="two different value lists"):
+            MixedKernel([], [("x", BIT), ("y", Domain("bit", (0, 1, 2)))], {})
 
     def test_apply_validates_input_names(self):
         K = neg_kernel()
@@ -274,6 +281,18 @@ class TestSampleBn:
         a = [bn_sample(N, {}, random.Random(77)) for _ in range(20)]
         b = [bn_sample(N, {}, random.Random(77)) for _ in range(20)]
         assert a == b
+
+    def test_round_that_assigns_nothing_is_typed(self):
+        # bn_validate flags the two producers of x; sampling must still end
+        # in a typed error when the second one runs in a round of its own
+        y0 = MixedSystem({"o": Fraction(1)}, [("y", BIT)], {"o": [State({"y": 0})]})
+        copy = MixedKernel([("y", BIT)], [("x", BIT)],
+                           lambda q: point_system([("x", BIT)], State({"x": q["y"]})),
+                           name="copy")
+        N = BayesianNetwork([kernel_from_system(coin_system(), name="px"),
+                             kernel_from_system(y0, name="py"), copy])
+        with pytest.raises(NotIncremental):
+            bn_sample(N, {}, random.Random(0))
 
     def test_init_must_cover_min_vars(self):
         N = BayesianNetwork([neg_kernel()])

@@ -5,6 +5,11 @@ import sys
 
 import pytest
 
+from rbmx.automata import ma_to_json
+from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_to_json, spa_to_ma
+
+from .oracles import sim_equivalent_not_bisimilar
+
 CLI = [sys.executable, "-m", "rbmx.cli"]
 
 COUNTER = """
@@ -290,6 +295,18 @@ class TestGraphCommands:
         assert "cycle" in r.stderr
 
 
+class TestFactorGraphDocuments:
+    @pytest.mark.parametrize("argv", [["fg", "{f}"], ["fg2bn", "{f}"],
+                                      ["compose", "{f}", "{f}"]])
+    def test_bad_factor_graph_document_is_exit_2(self, tmp_path, argv):
+        f = tmp_path / "fg.json"
+        f.write_text(json.dumps({"systems": [{"omega": []}]}))
+        r = run_cli(*[a.format(f=f) for a in argv])
+        assert r.returncode == 2
+        assert "bad factor graph document" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 class TestComposeSimcheckEmbed:
     def test_compose_systems(self, files, tmp_path):
         r = run_cli("compose", files["sab.json"], files["sab.json"])
@@ -312,6 +329,27 @@ class TestComposeSimcheckEmbed:
         r2 = run_cli("simcheck", files["spa.json"], str(f))
         assert r2.returncode == 1
         assert json.loads(r2.stdout)["verdict"] is False
+
+    def test_bisim_is_not_mutual_simulation(self, tmp_path):
+        P1, P2 = sim_equivalent_not_bisimilar()
+        docs = {
+            "spa": (spa_to_json(P1), spa_to_json(P2)),
+            "pa": (pa_to_json(spa_embed_pa(P1)), pa_to_json(spa_embed_pa(P2))),
+            "ma": (ma_to_json(spa_to_ma(P1, var="x1")),
+                   ma_to_json(spa_to_ma(P2, var="x2"))),
+        }
+        for kind, (d1, d2) in docs.items():
+            a, b = tmp_path / (kind + "1.json"), tmp_path / (kind + "2.json")
+            a.write_text(json.dumps(d1))
+            b.write_text(json.dumps(d2))
+            if kind == "spa":
+                assert run_cli("simcheck", str(a), str(b)).returncode == 0
+                assert run_cli("simcheck", str(b), str(a)).returncode == 0
+            r = run_cli("simcheck", str(a), str(b), "--bisim")
+            assert r.returncode == 1, (kind, r.stderr)
+            doc = json.loads(r.stdout)
+            assert (doc["kind"], doc["check"], doc["verdict"]) == (
+                kind, "bisimulation", False)
 
     def test_embed_directions(self, files, tmp_path):
         r = run_cli("embed", "spa2ma", files["spa.json"])

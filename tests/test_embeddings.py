@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rbmx.automata import MixedAutomaton, ma_compose, sim_equivalent, simulates
+from rbmx.automata import (
+    MixedAutomaton,
+    bisimilar,
+    ma_compose,
+    sim_equivalent,
+    simulates,
+)
 from rbmx.core import Domain, MixedSystem, State, all_states
 from rbmx.errors import MalformedSystem
 from rbmx.embeddings import (
@@ -11,11 +17,13 @@ from rbmx.embeddings import (
     SPA,
     _pair,
     ma_to_spa,
+    pa_bisimilar,
     pa_compose,
     pa_from_json,
     pa_simulates,
     pa_to_json,
     pa_to_ma,
+    spa_bisimilar,
     spa_compose,
     spa_embed_pa,
     spa_from_json,
@@ -25,7 +33,16 @@ from rbmx.embeddings import (
     spa_to_ma,
 )
 
-from .oracles import rand_ma, rand_pa, rand_spa
+from .oracles import (
+    both_ways,
+    naive_greatest,
+    pa_ok,
+    rand_ma,
+    rand_pa,
+    rand_spa,
+    sim_equivalent_not_bisimilar,
+    spa_ok,
+)
 
 HALF = Fraction(1, 2)
 
@@ -203,6 +220,40 @@ class TestSpaToPa:
         P = rand_spa(rng)
         G = spa_embed_pa(P)
         assert pa_simulates(G, G) is not None
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("kind", ["spa", "pa"])
+    def test_relations_equal_the_naive_fixpoint(self, kind):
+        rng = random.Random(9011)
+        draw, ok, sim, bisim = {
+            "spa": (rand_spa, spa_ok, spa_simulates, spa_bisimilar),
+            "pa": (rand_pa, pa_ok, pa_simulates, pa_bisimilar),
+        }[kind]
+        verdicts = set()
+        for _ in range(60):
+            P1, P2 = draw(rng, nq=rng.randint(2, 4)), draw(rng, nq=rng.randint(2, 4))
+            if rng.random() < 0.3:
+                P2 = P1
+            pairs = [(a, b) for a in P1.states for b in P2.states]
+            initial = (P1.initial, P2.initial)
+            fwd = naive_greatest(pairs, ok(P1, P2))
+            both = naive_greatest(pairs, both_ways(ok(P1, P2), ok(P2, P1)))
+            for got, want in ((sim(P1, P2), fwd), (bisim(P1, P2), both)):
+                assert got == (want if initial in want else None)
+            verdicts.add((initial in fwd, initial in both))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_bisimulation_is_stronger_than_mutual_simulation(self):
+        P1, P2 = sim_equivalent_not_bisimilar()
+        assert spa_sim_equivalent(P1, P2)
+        assert spa_bisimilar(P1, P2) is None
+        G1, G2 = spa_embed_pa(P1), spa_embed_pa(P2)
+        assert pa_simulates(G1, G2) is not None and pa_simulates(G2, G1) is not None
+        assert pa_bisimilar(G1, G2) is None
+        M1, M2 = spa_to_ma(P1, var="x1"), spa_to_ma(P2, var="x2")
+        assert sim_equivalent(M1, M2)
+        assert bisimilar(M1, M2) is None
 
 
 class TestJsonRoundTrips:

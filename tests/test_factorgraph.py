@@ -6,8 +6,15 @@ import pytest
 from rbmx import Domain, MixedSystem, State, compose
 from rbmx.bayes import bn_score, bn_validate
 from rbmx.core import all_states
-from rbmx.errors import DomainMismatch, NotATree
-from rbmx.factorgraph import dot_export, factor_graph, fg_to_bn, fg_to_json, is_tree
+from rbmx.errors import DomainMismatch, MalformedSystem, NotATree
+from rbmx.factorgraph import (
+    dot_export,
+    factor_graph,
+    fg_from_json,
+    fg_to_bn,
+    fg_to_json,
+    is_tree,
+)
 
 from .oracles import naive_point_outer, rand_tree_fg
 
@@ -128,3 +135,21 @@ class TestExports:
         assert set(doc["systems"]) == {"A", "B"}
         assert doc["tree"] is True
         assert ["A", "x"] in doc["edges"]
+
+    def test_json_round_trip(self):
+        g = factor_graph([pair_system("x", "y"), pair_system("y", "z")],
+                         ["A", "B"])
+        h = fg_from_json(fg_to_json(g))
+        assert h.labels == g.labels
+        assert h.edges == g.edges
+        assert fg_to_json(h) == fg_to_json(g)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"systems": [{"omega": []}]},
+        {"systems": 3},
+        {"systems": {"A": {"omega": []}}},
+    ])
+    def test_bad_documents_are_typed(self, doc):
+        with pytest.raises(MalformedSystem, match="bad (factor graph|system) document"):
+            fg_from_json(doc)
