@@ -22,12 +22,12 @@ from .core import (
     DOCUMENT_ERRORS,
     MixedSystem,
     State,
-    Var,
     all_states,
     compose,
     document_error,
-    domains_agree,
     equivalent,
+    json_label,
+    merge_vars,
     norm_vars,
     sample,
     state_join,
@@ -40,6 +40,7 @@ from .core import (
 from .errors import (
     IncompatibleInitials,
     InconsistentSystem,
+    MalformedSystem,
     MissingInit,
     NondeterministicJoin,
     NoTransition,
@@ -52,7 +53,7 @@ def action_key(a):
     """Deterministic ordering for mixed-type action labels."""
     try:
         return (0,) + value_key(a)
-    except Exception:
+    except MalformedSystem:
         return (1, repr(a))
 
 
@@ -239,8 +240,9 @@ def ma_compose(M1: MixedAutomaton, M2: MixedAutomaton, algebra=None) -> MixedAut
     """Product automaton: joinable state pairs, actions joined through the
     algebra, targets composed in parallel.  Raises NondeterministicJoin when
     two distinct transition pairs land on the same (state, action) with
-    non-equivalent targets, and IncompatibleInitials when the initial states
-    disagree on a shared variable."""
+    non-equivalent targets, IncompatibleInitials when the initial states
+    disagree on a shared variable, and DomainMismatch when a shared variable
+    carries different domains."""
     if algebra is None:
         algebra = sync_on_equal()
 
@@ -250,17 +252,7 @@ def ma_compose(M1: MixedAutomaton, M2: MixedAutomaton, algebra=None) -> MixedAut
             "initial states %r and %r clash" % (M1.initial, M2.initial)
         )
 
-    doms1 = {v.name: v.domain for v in M1.vars}
-    merged = dict(doms1)
-    for v in M2.vars:
-        if v.name in doms1:
-            if not domains_agree(doms1[v.name], v.domain):
-                raise VariableSetMismatch(
-                    "shared variable %r has different domains" % v.name
-                )
-        else:
-            merged[v.name] = v.domain
-    vars = [Var(n, d) for n, d in merged.items()]
+    vars = merge_vars(M1.vars, M2.vars)
 
     alphabet = set()
     for a1 in M1.alphabet:
@@ -451,7 +443,7 @@ def _action_to_json(a):
 def _action_from_json(j):
     if isinstance(j, dict):
         return State(j["state"])
-    return j
+    return json_label("automaton", "action", j)
 
 
 def ma_to_json(M: MixedAutomaton) -> dict:
@@ -479,6 +471,8 @@ def ma_from_json(doc: dict) -> MixedAutomaton:
             delta[key] = system_from_json(e["system"])
         alphabet = [_action_from_json(a) for a in doc["alphabet"]]
         initial = State(doc["initial"])
+        for _, value in initial.items():
+            json_label("automaton", "initial", value)
     except DOCUMENT_ERRORS as exc:
         raise document_error("automaton", exc)
     return MixedAutomaton(alphabet, vars, initial, delta)

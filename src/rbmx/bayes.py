@@ -18,17 +18,14 @@ unaffected: the pinned part contributes exactly the marginal factor.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
     DOCUMENT_ERRORS,
-    DiscreteProb,
     EMPTY_STATE,
     MixedSystem,
     State,
-    Var,
     all_states,
     compose,
     compress,
@@ -36,6 +33,7 @@ from .core import (
     document_error,
     domains_agree,
     marginal,
+    merge_vars,
     nil_system,
     norm_vars,
     outer,
@@ -183,6 +181,8 @@ class BayesianNetwork:
     beyond the kernels' own input sets.  Variables produced by no kernel
     are the network's minimal variables and must be supplied at sampling
     time; ``sources`` optionally flags some of them as observation feeds.
+    A variable carrying different domains across the kernels and
+    ``variables`` raises DomainMismatch.
     """
 
     __slots__ = ("kernels", "extra_in", "sources", "vars")
@@ -199,24 +199,8 @@ class BayesianNetwork:
         self.extra_in = {k: frozenset(v) for k, v in (extra_in or {}).items()}
         self.sources = frozenset(sources)
 
-        doms = {}
-        for K in ks:
-            for v in itertools.chain(K.in_vars, K.out_vars):
-                prev = doms.get(v.name)
-                if prev is not None and not domains_agree(prev, v.domain):
-                    raise VariableSetMismatch(
-                        "variable %r carries different domains across kernels" % v.name
-                    )
-                doms.setdefault(v.name, v.domain)
-        for v in norm_vars(variables):
-            prev = doms.get(v.name)
-            if prev is not None and not domains_agree(prev, v.domain):
-                raise VariableSetMismatch(
-                    "variable %r carries different domains across kernels" % v.name
-                )
-            doms.setdefault(v.name, v.domain)
-        self.vars = tuple(sorted((Var(n, d) for n, d in doms.items()),
-                                 key=lambda v: v.name))
+        merged = merge_vars(*(K.in_vars + K.out_vars for K in ks), norm_vars(variables))
+        self.vars = tuple(sorted(merged, key=lambda v: v.name))
 
     @property
     def var_names(self):
@@ -449,6 +433,16 @@ def seq_compose(first, second) -> BayesianNetwork:
 # --- JSON ---------------------------------------------------------------
 
 
+def kernel_to_json(K: MixedKernel) -> dict:
+    """The kernel's name, in/out variable names and full input table."""
+    return {
+        "name": K.name,
+        "in": list(K.in_names),
+        "out": list(K.out_names),
+        "table": [[q.as_dict(), system_to_json(K.apply(q))] for q in K.inputs()],
+    }
+
+
 def bn_to_json(N: BayesianNetwork) -> dict:
     doms = {}
     for v in N.vars:
@@ -457,17 +451,7 @@ def bn_to_json(N: BayesianNetwork) -> dict:
         "domains": doms,
         "variables": [{"name": v.name, "domain": v.domain.name} for v in N.vars],
         "sources": sorted(N.sources),
-        "kernels": [
-            {
-                "name": K.name,
-                "in": list(K.in_names),
-                "out": list(K.out_names),
-                "table": [
-                    [q.as_dict(), system_to_json(K.apply(q))] for q in K.inputs()
-                ],
-            }
-            for K in N.kernels
-        ],
+        "kernels": [kernel_to_json(K) for K in N.kernels],
     }
 
 

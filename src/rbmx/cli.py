@@ -29,10 +29,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .automata import bisimilar, ma_compose, ma_from_json, ma_to_json, simulates
-from .bayes import MixedKernel, bn_to_json
+from .bayes import bn_to_json, kernel_to_json
 from .core import (
     MixedSystem,
     compose,
@@ -159,16 +158,6 @@ def _parse_query(text):
     return pred, [n for n, _ in clauses]
 
 
-def _kernel_to_json(K: MixedKernel) -> dict:
-    return {
-        "kind": "kernel",
-        "name": K.name,
-        "in": list(K.in_names),
-        "out": list(K.out_names),
-        "table": [[q.as_dict(), system_to_json(K.apply(q))] for q in K.inputs()],
-    }
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -200,7 +189,7 @@ def cmd_elaborate(args):
         if isinstance(res, MixedSystem):
             _emit(system_to_json(res))
         else:
-            _emit(_kernel_to_json(res))
+            _emit(dict(kernel_to_json(res), kind="kernel"))
     elif args.mode == "graph":
         _emit(bn_to_json(elaborate_graph(p)))
     else:

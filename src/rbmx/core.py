@@ -143,6 +143,19 @@ def norm_vars(vars) -> tuple:
     return tuple(out)
 
 
+def merge_vars(*groups) -> list:
+    """The Vars of all groups, each name once, in first-seen order; a shared
+    name keeps its first Var.  Raises DomainMismatch when a shared name
+    carries different value sets."""
+    merged = {}
+    for group in groups:
+        for v in group:
+            first = merged.setdefault(v.name, v)
+            if first is not v and not domains_agree(first.domain, v.domain):
+                raise DomainMismatch("shared variable %r has different domains" % v.name)
+    return list(merged.values())
+
+
 class State:
     """An immutable assignment of values to variable names.
 
@@ -660,16 +673,7 @@ def compose(S1: MixedSystem, S2: MixedSystem, *rest) -> MixedSystem:
     the product has more than MAX_OUTCOMES outcomes.
     """
     systems = (S1, S2) + rest
-    merged = {v.name: v.domain for v in S1.vars}
-    for S in systems[1:]:
-        for v in S.vars:
-            dom = merged.get(v.name)
-            if dom is None:
-                merged[v.name] = v.domain
-            elif not domains_agree(dom, v.domain):
-                raise DomainMismatch(
-                    "shared variable %r has different domains" % v.name
-                )
+    vars = merge_vars(*(S.vars for S in systems))
     check_outcome_cap((len(S.omega) for S in systems), "composition")
 
     omega = []
@@ -690,8 +694,7 @@ def compose(S1: MixedSystem, S2: MixedSystem, *rest) -> MixedSystem:
             omega.append(o)
             weights[o] = w
             rel[o] = row
-    return MixedSystem(DiscreteProb(omega, weights), [Var(n, d) for n, d in merged.items()],
-                       rel)
+    return MixedSystem(DiscreteProb(omega, weights), vars, rel)
 
 
 def _extend(node, S):
@@ -750,24 +753,20 @@ def polarized_score(prob, pr: PolarizedRelation, P) -> Fraction:
         raise BadPartition("blocks do not cover the outcome space exactly")
 
     rows = {o: pr.rel.get(o, ()) for o in prob.omega}
-    cset = {o for o in prob.omega if rows[o]}
-    z = sum((prob.weights[o] for o in cset), Fraction(0))
+    z = sum((prob.weights[o] for o in prob.omega if rows[o]), Fraction(0))
     if z == 0:
         raise InconsistentSystem("polarized relation has no consistent mass")
-    cond = {o: (prob.weights[o] / z if o in cset else Fraction(0)) for o in prob.omega}
 
+    # inconsistent outcomes have empty rows, so neither quantifier counts them
     test, _ = _as_pred(P)
     score = Fraction(0)
     for members, polarity in pr.blocks:
+        quantifier = any if polarity == "angel" else all
         for o in members:
             row = rows[o]
-            if polarity == "angel":
-                if any(test(q) for q in row):
-                    score += cond[o]
-            else:
-                if row and all(test(q) for q in row):
-                    score += cond[o]
-    return score
+            if row and quantifier(test(q) for q in row):
+                score += prob.weights[o]
+    return score / z
 
 
 # --- JSON ------------------------------------------------------------------------
@@ -781,23 +780,24 @@ def _id_str(o) -> str:
     return str(o)
 
 
-def _string_ids(omega):
-    """Map outcome ids to unique strings, mangling collisions."""
+def unique_labels(items, label) -> dict:
+    """Map each item to the string label(item); a label an earlier item
+    already took gets "#2", "#3", ... appended."""
     out = {}
     used = set()
-    for o in omega:
-        s = base = _id_str(o)
+    for it in items:
+        s = base = label(it)
         n = 2
         while s in used:
             s = "%s#%d" % (base, n)
             n += 1
         used.add(s)
-        out[o] = s
+        out[it] = s
     return out
 
 
 def system_to_json(S: MixedSystem) -> dict:
-    ids = _string_ids(S.omega)
+    ids = unique_labels(S.omega, _id_str)
     return {
         "domains": {v.domain.name: list(v.domain.values) for v in S.vars},
         "vars": [{"name": v.name, "domain": v.domain.name} for v in S.vars],
@@ -818,12 +818,24 @@ def document_error(kind, exc) -> MalformedSystem:
     return MalformedSystem("bad %s document: %s" % (kind, exc))
 
 
+def json_label(kind, field, x):
+    """x, a label or state value read from the given field of a JSON
+    document of the given kind.  An array or an object cannot be one: it
+    raises MalformedSystem naming the field."""
+    if isinstance(x, (list, dict)):
+        raise MalformedSystem("bad %s document: %s label %r is not a scalar"
+                              % (kind, field, x))
+    return x
+
+
 def vars_from_json(domains_doc, entries):
     """Vars from a {domain name: values} map and a list of
     {"name", "domain"} entries."""
     domains = {name: Domain(name, vals) for name, vals in domains_doc.items()}
     vars = []
     for entry in entries:
+        if not isinstance(entry["name"], str):
+            raise MalformedSystem("var name %r is not a string" % (entry["name"],))
         dom = domains.get(entry["domain"])
         if dom is None:
             raise MalformedSystem("var %r references unknown domain %r"
@@ -838,9 +850,10 @@ def system_from_json(doc: dict) -> MixedSystem:
         omega = list(doc["omega"])
         pi = {o: rat(doc["pi"][o]) for o in omega}
         pairs = [(o, dict(binding)) for o, binding in doc.get("rel", [])]
+        # a binding to an array or object fails to hash inside the constructor
+        return MixedSystem(DiscreteProb(omega, pi), vars, pairs)
     except DOCUMENT_ERRORS as exc:
         raise document_error("system", exc)
-    return MixedSystem(DiscreteProb(omega, pi), vars, pairs)
 
 
 def polarized_from_json(doc: dict):

@@ -35,7 +35,9 @@ from .core import (
     MixedSystem,
     State,
     document_error,
+    json_label,
     rat,
+    unique_labels,
     value_key,
 )
 from .errors import CapExceeded, MalformedSystem, MissingInit
@@ -486,24 +488,9 @@ def _label(x):
     return repr(x)
 
 
-def _label_map(items):
-    out = {}
-    taken = set()
-    for it in items:
-        base = _label(it)
-        lab = base
-        k = 2
-        while lab in taken:
-            lab = "%s#%d" % (base, k)
-            k += 1
-        taken.add(lab)
-        out[it] = lab
-    return out
-
-
 def spa_to_json(P: SPA) -> dict:
-    sl = _label_map(P.states)
-    al = _label_map(P.alphabet)
+    sl = unique_labels(P.states, _label)
+    al = unique_labels(P.alphabet, _label)
     return {
         "kind": "spa",
         "alphabet": [al[a] for a in P.alphabet],
@@ -521,11 +508,19 @@ def spa_to_json(P: SPA) -> dict:
     }
 
 
+def _json_fields(kind, doc):
+    """The alphabet, states and initial state of an SPA or PA document."""
+    return ([json_label(kind, "alphabet", a) for a in doc["alphabet"]],
+            [json_label(kind, "states", q) for q in doc["states"]],
+            json_label(kind, "initial", doc["initial"]))
+
+
 def spa_from_json(doc: dict) -> SPA:
     try:
-        fields = doc["alphabet"], doc["states"], doc["initial"]
+        fields = _json_fields("spa", doc)
         transitions = [
-            (e["from"], e["action"], {s: rat(m) for s, m in e["dist"]})
+            (json_label("spa", "from", e["from"]), json_label("spa", "action", e["action"]),
+             {s: rat(m) for s, m in e["dist"]})
             for e in doc["transitions"]
         ]
     except DOCUMENT_ERRORS as exc:
@@ -534,8 +529,8 @@ def spa_from_json(doc: dict) -> SPA:
 
 
 def pa_to_json(P: PA) -> dict:
-    sl = _label_map(P.states)
-    al = _label_map(P.alphabet)
+    sl = unique_labels(P.states, _label)
+    al = unique_labels(P.alphabet, _label)
     return {
         "kind": "pa",
         "alphabet": [al[a] for a in P.alphabet],
@@ -554,9 +549,9 @@ def pa_to_json(P: PA) -> dict:
 
 def pa_from_json(doc: dict) -> PA:
     try:
-        fields = doc["alphabet"], doc["states"], doc["initial"]
+        fields = _json_fields("pa", doc)
         transitions = [
-            (e["from"], {(a, s): rat(m) for a, s, m in e["dist"]})
+            (json_label("pa", "from", e["from"]), {(a, s): rat(m) for a, s, m in e["dist"]})
             for e in doc["transitions"]
         ]
     except DOCUMENT_ERRORS as exc:

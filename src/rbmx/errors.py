@@ -82,7 +82,7 @@ class UnknownDistribution(RbmxError):
 
 
 class GuardNotBoolean(RbmxError):
-    """A reactive guard mentions a variable whose domain is not boolean."""
+    """A reactive guard evaluates to a value that is not a boolean."""
 
 
 class RbSyntaxError(RbmxError):

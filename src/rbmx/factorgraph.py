@@ -16,16 +16,15 @@ from collections import deque
 from .bayes import BayesianNetwork, conditional, kernel_from_system
 from .core import (
     DOCUMENT_ERRORS,
-    MixedSystem,
     compose,
     compress,
     document_error,
-    domains_agree,
     marginal,
+    merge_vars,
     system_from_json,
     system_to_json,
 )
-from .errors import DomainMismatch, NotATree
+from .errors import NotATree
 
 
 class FactorGraph:
@@ -42,19 +41,11 @@ class FactorGraph:
         if len(labels) != len(systems) or len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct and match the systems")
 
-        doms = {}
-        for lab, S in zip(labels, systems):
-            for v in S.vars:
-                prev = doms.get(v.name)
-                if prev is not None and not domains_agree(prev, v.domain):
-                    raise DomainMismatch(
-                        "variable %r has different domains across systems" % v.name
-                    )
-                doms.setdefault(v.name, v.domain)
+        merged = merge_vars(*(S.vars for S in systems))
 
         self.labels = tuple(labels)
         self.systems = dict(zip(labels, systems))
-        self.variables = tuple(sorted(doms))
+        self.variables = tuple(sorted(v.name for v in merged))
         self.edges = frozenset(
             (lab, v.name) for lab, S in zip(labels, systems) for v in S.vars
         )

@@ -29,6 +29,7 @@ from ..core import (
     check_outcome_cap,
     compose,
     marginal,
+    merge_vars,
     nil_system,
     rat,
     state_join,
@@ -87,21 +88,10 @@ def _var(p: Program, name) -> Var:
     return Var(name, _domain(p, p.vars[base_name(name)]))
 
 
-def rewrite_pre(e):
-    """Replace pre x by the companion variable •x."""
-    if isinstance(e, Pre):
-        return VarRef(pre_name(e.name))
-    if isinstance(e, Pair):
-        return Pair(tuple(rewrite_pre(x) for x in e.items))
-    if isinstance(e, Func):
-        return Func(e.name, tuple(rewrite_pre(x) for x in e.args))
-    return e
-
-
 def eval_expr(p: Program, e, env):
-    """Value of e under env (a mapping name -> value; companion names
-    included).  Tables are total, so the only runtime failure is a non-boolean
-    if-condition."""
+    """Value of e under env (a mapping name -> value; pre x reads the
+    companion name •x).  Tables are total, so the only runtime failure is a
+    non-boolean if-condition."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, VarRef):
@@ -166,7 +156,7 @@ def _dist_rows(p: Program, leaf: SPrior, env=None):
         return decl.table
     if env is None:
         raise MalformedSystem("parameterized prior needs an environment")
-    c = eval_expr(p, rewrite_pre(leaf.arg), env)
+    c = eval_expr(p, leaf.arg, env)
     rows = decl.table.get(c)
     if rows is None:
         raise DomainMismatch(
@@ -187,13 +177,7 @@ def prior_system(p: Program, leaf: SPrior, env=None) -> MixedSystem:
 def equation_system(p: Program, lhs, rhs) -> MixedSystem:
     """Trivial probability over the equation's solution set, enumerated over
     the product of the participating domains."""
-    lhs = rewrite_pre(lhs)
-    rhs = rewrite_pre(rhs)
-    names = expr_vars(lhs)
-    for nm in expr_vars(rhs):
-        if nm not in names:
-            names.append(nm)
-    names.sort()
+    names = sorted(set(expr_vars(lhs, pre_name) + expr_vars(rhs, pre_name)))
     vars = [_var(p, nm) for nm in names]
     sols = []
     for q in all_states(vars):
@@ -212,6 +196,10 @@ def free_system(p: Program, name) -> MixedSystem:
 
 
 def observe_point(p: Program, name, obs) -> MixedSystem:
+    """The point system pinning the observed variable to its value in the
+    record obs, a {variable: value} dict."""
+    if obs is not None and not isinstance(obs, dict):
+        raise MalformedSystem("observation record %r is not an object" % (obs,))
     if obs is None or name not in obs:
         raise MissingObservation("no value supplied for observed variable %r" % name)
     val = obs[name]
@@ -225,8 +213,7 @@ def observe_point(p: Program, name, obs) -> MixedSystem:
 def prior_kernel(p: Program, leaf: SPrior) -> MixedKernel:
     """A parameterized prior as a kernel from the parameter expression's
     variables to the declared variable."""
-    arg = rewrite_pre(leaf.arg)
-    in_vars = [_var(p, nm) for nm in expr_vars(arg)]
+    in_vars = [_var(p, nm) for nm in expr_vars(leaf.arg, pre_name)]
 
     def fn(q_in, _leaf=leaf):
         return prior_system(p, _leaf, env=dict(q_in.items()))
@@ -265,10 +252,6 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
 
     omegas = [base.omega] + [S.omega for S in cell_sys]
     check_outcome_cap(map(len, omegas), "graft of kernel %r" % K.name)
-    merged = {v.name: v for v in base.vars}
-    for v in K.out_vars:
-        if v.name not in merged:
-            merged[v.name] = v
 
     omega = []
     weights = {}
@@ -287,7 +270,7 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
                 if joined is not None:
                     row.append(joined)
         rel[combo] = row
-    return MixedSystem((omega, weights), list(merged.values()), rel)
+    return MixedSystem((omega, weights), merge_vars(base.vars, K.out_vars), rel)
 
 
 def _compose_all(systems) -> MixedSystem:
@@ -498,31 +481,6 @@ def elaborate_graph(p: Program) -> BayesianNetwork:
 # --- dynamic semantics ---------------------------------------------------------
 
 
-def eval_guard(p: Program, g, src: State):
-    """A guard is a previous-state expression: pre x reads the source state's
-    x directly."""
-    if isinstance(g, Pre):
-        return src[g.name]
-    if isinstance(g, Const):
-        return g.value
-    if isinstance(g, Pair):
-        return tuple(eval_guard(p, x, src) for x in g.items)
-    if isinstance(g, Func):
-        if g.name == IF_FUNC:
-            cond = eval_guard(p, g.args[0], src)
-            if not isinstance(cond, bool):
-                raise DomainMismatch("if-condition evaluated to %r" % (cond,))
-            return eval_guard(p, g.args[1 if cond else 2], src)
-        vals = [eval_guard(p, x, src) for x in g.args]
-        key = vals[0] if len(vals) == 1 else tuple(vals)
-        return p.funcs[g.name].table[key]
-    if isinstance(g, VarRef):
-        # guards are rewritten before evaluation; a bare variable here means
-        # the caller skipped rewrite_guard
-        raise MalformedSystem("guard %r was not rewritten" % (g,))
-    raise MalformedSystem("cannot evaluate guard %r" % (g,))
-
-
 def program_guards(p: Program):
     """(label, rewritten guard) per distinct guard, sorted by label."""
     seen = {}
@@ -536,7 +494,7 @@ def _check_guards_boolean(p: Program, guards):
         names = sorted(pre_vars(g))
         vars = [Var(nm, _domain(p, p.vars[nm])) for nm in names]
         for q in all_states(vars):
-            val = eval_guard(p, g, q)
+            val = eval_expr(p, g, {pre_name(k): v for k, v in q.items()})
             if not isinstance(val, bool):
                 raise GuardNotBoolean(
                     "guard %s evaluates to %r at %r" % (label, val, q)
@@ -549,10 +507,10 @@ def _leaf_vars(p: Program, s):
     if isinstance(s, SPrior):
         out = {s.var}
         if s.arg is not None and s.dist != "Uniform":
-            out |= set(expr_vars(rewrite_pre(s.arg)))
+            out |= set(expr_vars(s.arg, pre_name))
         return out
     if isinstance(s, SEq):
-        return set(expr_vars(rewrite_pre(s.lhs))) | set(expr_vars(rewrite_pre(s.rhs)))
+        return set(expr_vars(s.lhs, pre_name)) | set(expr_vars(s.rhs, pre_name))
     if isinstance(s, SOn):
         out = set()
         for branch in (s.then, s.els):
@@ -560,6 +518,20 @@ def _leaf_vars(p: Program, s):
                 out |= _leaf_vars(p, leaf)
         return out
     raise MalformedSystem("unexpected statement %r" % (s,))
+
+
+def active_leaves(leaves, assign):
+    """The statements a step runs under a guard assignment {label: bool}:
+    every leaf but init, with each on-statement replaced by the statements
+    of the branch its guard's value selects."""
+    active = []
+    for s in leaves:
+        if isinstance(s, SOn):
+            label = print_expr(rewrite_guard(s.guard))
+            active.extend(statements(s.then if assign[label] else s.els))
+        elif not isinstance(s, SInit):
+            active.append(s)
+    return active
 
 
 def elaborate_dynamic(p: Program):
@@ -606,16 +578,8 @@ def elaborate_dynamic(p: Program):
                          State({pre_name(x): q[x]}))
             for x in pres
         ]
-        active = []
-        for s in _leaves:
-            if isinstance(s, SInit):
-                continue
-            if isinstance(s, SOn):
-                label = print_expr(rewrite_guard(s.guard))
-                active.extend(statements(s.then if a[label] else s.els))
-            else:
-                active.append(s)
-        more_sys, kernels = _leaf_parts(p, active, obs=None, observe_free=True)
+        more_sys, kernels = _leaf_parts(p, active_leaves(_leaves, a), obs=None,
+                                        observe_free=True)
         systems.extend(more_sys)
         base = _compose_all(systems)
         base, left = _fold(base, kernels)

@@ -15,8 +15,15 @@ from typing import NamedTuple
 
 from ..core import State, compose, consistency, consistency_weight, sample
 from ..errors import InconsistentSystem, MissingObservation, NoTransition
-from .elaborate import elaborate_dynamic, eval_guard, observe_point, program_guards
-from .syntax import SObserve, SOn, print_expr, rewrite_guard, statements
+from .elaborate import (
+    active_leaves,
+    elaborate_dynamic,
+    eval_expr,
+    observe_point,
+    pre_name,
+    program_guards,
+)
+from .syntax import SObserve, statements
 
 
 class ProgramRun(NamedTuple):
@@ -26,26 +33,13 @@ class ProgramRun(NamedTuple):
     flags: tuple  # per transition: consistency (always True on a completed run)
 
 
-def active_observes(p, body, assign):
-    """Observed variables of the statements a guard assignment selects."""
-    out = []
-    for s in statements(body):
-        if isinstance(s, SObserve):
-            if s.var not in out:
-                out.append(s.var)
-        elif isinstance(s, SOn):
-            label = print_expr(rewrite_guard(s.guard))
-            branch = s.then if assign[label] else s.els
-            out.extend(x for x in active_observes(p, branch, assign) if x not in out)
-    return out
-
-
 def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     """Elaborate and run: trace of visible states, one guard assignment,
     normalization constant, and consistency flag per transition.  obs is a
     sequence of records, one per transition."""
     M = elaborate_dynamic(p)
     guards = program_guards(p)
+    leaves = statements(p.body)
     prog_vars = [nm for nm in p.vars if nm in {v.name for v in M.vars}]
     rng = random.Random(seed)
 
@@ -56,9 +50,10 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     flags = []
     for n in range(1, steps):
         assign = {}
+        env = {pre_name(k): v for k, v in q.items()}
         for label, g in guards:
             try:
-                assign[label] = eval_guard(p, g, q)
+                assign[label] = eval_expr(p, g, env)
             except KeyError:
                 raise InconsistentSystem(
                     "step %d: guard %s reads a variable the previous instant "
@@ -68,7 +63,8 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
         S = M.transition(q, a)
         if S is None:
             raise NoTransition("step %d: no transition from %r" % (n, q))
-        watched = active_observes(p, p.body, assign)
+        watched = list(dict.fromkeys(
+            s.var for s in active_leaves(leaves, assign) if isinstance(s, SObserve)))
         if watched:
             rec = obs[n - 1] if obs is not None and n - 1 < len(obs) else None
             if rec is None:

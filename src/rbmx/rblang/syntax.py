@@ -736,7 +736,7 @@ def _validate(p: Program):
                 raise MalformedSystem(
                     "distribution %r sums to %s, not 1" % (d.name, total)
                 )
-    _validate_body(p)
+    _validate_body(p, p.body)
     inits = {s.var for s in statements(p.body) if isinstance(s, SInit)}
     for name in sorted(required_inits(p)):
         if name not in inits:
@@ -774,9 +774,9 @@ def _validate_expr(p, e, where):
             _validate_expr(p, x, where)
 
 
-def _validate_body(p):
+def _validate_body(p, body):
     inits = {}
-    for s in statements(p.body):
+    for s in statements(body):
         if isinstance(s, SObserve):
             if s.var not in p.vars:
                 raise UndeclaredVariable("observe of undeclared variable %r" % s.var)
@@ -813,19 +813,10 @@ def _validate_body(p):
                         )
                     if isinstance(leaf, SInit):
                         raise MalformedSystem("init must sit at the top level")
-            _validate_body_part(p, s.then)
-            _validate_body_part(p, s.els)
+            _validate_body(p, s.then)
+            _validate_body(p, s.els)
         else:
             raise MalformedSystem("unexpected statement %r" % (s,))
-
-
-def _validate_body_part(p, body):
-    saved = p.body
-    p.body = body
-    try:
-        _validate_body(p)
-    finally:
-        p.body = saved
 
 
 # --- printer -------------------------------------------------------------------

@@ -369,3 +369,9 @@ class TestJson:
             M = rand_ma(rng, "u")
             M2 = ma_from_json(ma_to_json(M))
             assert sim_equivalent(M, M2)
+
+    def test_variable_name_must_be_a_string(self):
+        doc = ma_to_json(walker())
+        doc["vars"] = [{"name": ["x"], "domain": "bit"}]
+        with pytest.raises(MalformedSystem, match="var name \\['x'\\] is not a string"):
+            ma_from_json(doc)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from rbmx.automata import ma_to_json
-from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_to_json, spa_to_ma
+from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_from_json, spa_to_json, spa_to_ma
 
 from .oracles import sim_equivalent_not_bisimilar
 
@@ -80,6 +80,39 @@ CHAINS_SEED7 = {
     "norms": ["2/3", "1/3", "2/3", "1/3", "2/3"],
     "trace": [{"x0": False, "x1": False, "x2": False}]
     + [_chain_state(b) for b in ("001001", "010011", "100111", "010101", "000101")],
+}
+
+GUARDED = """
+domain bool = { F, T }
+var b, x, y : bool
+
+|| init b = T
+|| y ~ Bernoulli(1/3)
+|| on pre b then { x = y || b = F || observe x } else { x = T || b = T }
+"""
+
+GUARDED_OBS = "".join('{"x": %s}\n' % v for v in
+                      "true false true true false false true false true".split())
+
+
+def _guarded_run(states):
+    """A 10-instant `rbmx sample` of GUARDED from 'bxy' 0/1 triples of
+    instants 1..9; instant 0 binds only b, and pre b alternates from T."""
+    return {
+        "actions": [{"pre b": n % 2 == 0} for n in range(9)],
+        "flags": [True] * 9,
+        "norms": ["1/3", "1/1", "1/3", "1/1", "2/3", "1/1", "1/3", "1/1", "1/3"],
+        "trace": [{"b": True}]
+        + [{nm: c == "1" for nm, c in zip("bxy", st)} for st in states.split()],
+    }
+
+
+# `rbmx sample` of GUARDED, --resolver uniform, by seed: an observe inside
+# an on-branch is active on every other step only
+GUARDED_SEEDS = {
+    1: _guarded_run("011 110 011 110 000 110 011 111 011"),
+    2: _guarded_run("011 110 011 110 000 110 011 111 011"),
+    3: _guarded_run("011 110 011 110 000 111 011 111 011"),
 }
 
 S_AB = {
@@ -170,6 +203,13 @@ class TestParseElaborate:
         names = [v["name"] for v in doc["vars"]]
         assert names == ["x", "y"]
 
+    def test_elaborate_static_obs_not_an_object_is_exit_2(self, files):
+        r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "static",
+                    "--obs", "5")
+        assert r.returncode == 2, r.stderr
+        assert "observation record 5 is not an object" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_elaborate_static_without_obs_is_exit_2(self, files):
         r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "static")
         assert r.returncode == 2
@@ -213,6 +253,26 @@ class TestSample:
                     "--obs", str(obs))
         assert r.returncode == 0, r.stderr
         assert r.stdout == json.dumps(CHAINS_SEED7, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("seed", sorted(GUARDED_SEEDS))
+    def test_seeded_guarded_trace_is_pinned(self, tmp_path, seed):
+        prog = tmp_path / "guarded.rb.mx"
+        prog.write_text(GUARDED)
+        obs = tmp_path / "guarded.jsonl"
+        obs.write_text(GUARDED_OBS)
+        r = run_cli("sample", str(prog), "--steps", "10", "--seed", str(seed),
+                    "--resolver", "uniform", "--obs", str(obs))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == json.dumps(GUARDED_SEEDS[seed], sort_keys=True, indent=2) + "\n"
+
+    def test_observation_record_not_an_object_is_exit_2(self, files, tmp_path):
+        bad = tmp_path / "five.jsonl"
+        bad.write_text("5\n5\n")
+        r = run_cli("sample", files["noisy.rb.mx"], "--steps", "3",
+                    "--seed", "0", "--obs", str(bad))
+        assert r.returncode == 2, r.stderr
+        assert "observation record 5 is not an object" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_env_seed_is_the_default(self, files):
         a = run_cli("sample", files["counter.rb.mx"], "--steps", "5", seed=9)
@@ -371,6 +431,26 @@ class TestComposeSimcheckEmbed:
         r = run_cli("simcheck", str(f), str(f))
         assert r.returncode == 2
         assert "missing field 'domains'" in r.stderr
+
+    @pytest.mark.parametrize("kind, field, label", [
+        ("spa", "states", [["x"]]),
+        ("spa", "alphabet", [{"q": 1}]),
+        ("spa", "initial", ["x"]),
+        ("pa", "states", [["x"]]),
+        ("pa", "alphabet", [{"q": 1}]),
+        ("pa", "initial", ["x"]),
+        ("automaton", "alphabet", [["a"]]),
+        ("automaton", "initial", {"xi": [0]}),
+    ])
+    def test_non_scalar_label_is_exit_2(self, tmp_path, kind, field, label):
+        doc = {"spa": SPA_DOC, "pa": PA_DOC,
+               "automaton": ma_to_json(spa_to_ma(spa_from_json(SPA_DOC)))}[kind]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(dict(doc, **{field: label})))
+        r = run_cli("simcheck", str(f), str(f))
+        assert r.returncode == 2, r.stderr
+        assert "bad %s document" % kind in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_embed_wrong_direction_is_exit_2(self, files):
         r = run_cli("embed", "pa2ma", files["spa.json"])

@@ -32,7 +32,11 @@ from rbmx import (
     system_to_json,
 )
 from rbmx import core
+from rbmx.automata import MixedAutomaton, ma_compose
+from rbmx.bayes import BayesianNetwork, MixedKernel, kernel_from_system
 from rbmx.core import all_states, format_rat, polarized_from_json, rat, states_compatible
+from rbmx.factorgraph import factor_graph
+from rbmx.rblang.elaborate import _graft
 from rbmx.errors import (
     BadPartition,
     CapExceeded,
@@ -343,6 +347,27 @@ class TestCompose:
         with pytest.raises(DomainMismatch):
             compose(S1, S2)
 
+    @pytest.mark.parametrize("site", ["compose", "ma_compose", "network_kernels",
+                                      "network_variables", "factor_graph", "graft"])
+    def test_domain_clash_raises_at_every_merge_site(self, site):
+        three = Domain("three", (0, 1, 2))
+        S = bitsys({"o": Fraction(1)}, {"o": [(0,)]})
+        T = MixedSystem({"p": Fraction(1)}, [("x", three)], {"p": [State({"x": 2})]})
+        merge = {
+            "compose": lambda: compose(S, T),
+            "ma_compose": lambda: ma_compose(
+                MixedAutomaton(("a",), S.vars, {"x": 0}, {(State({"x": 0}), "a"): S}),
+                MixedAutomaton(("a",), T.vars, {"x": 0}, {(State({"x": 0}), "a"): T})),
+            "network_kernels": lambda: BayesianNetwork(
+                [kernel_from_system(S, "k1"), kernel_from_system(T, "k2")]),
+            "network_variables": lambda: BayesianNetwork(
+                [kernel_from_system(S, "k1")], variables=[("x", three)]),
+            "factor_graph": lambda: factor_graph([S, T]),
+            "graft": lambda: _graft(S, MixedKernel((), T.vars, {EMPTY_STATE: T})),
+        }[site]
+        with pytest.raises(DomainMismatch, match="'x' has different domains"):
+            merge()
+
     def test_variadic_left_fold(self):
         S = bitsys({"o": Fraction(1)}, {"o": [(0,)]})
         T = bitsys({"p": Fraction(1)}, {"p": [(0,)]}, names=("y",))
@@ -504,6 +529,12 @@ class TestJson:
             system_from_json({"domains": {}, "vars": []})
         with pytest.raises(MalformedSystem):  # a list where a map belongs
             system_from_json({"domains": [], "vars": [], "omega": []})
+
+    def test_array_binding_is_a_bad_document(self):
+        doc = system_to_json(bitsys({"o": Fraction(1)}, {"o": [(0,)]}))
+        doc["rel"] = [["o", {"x": [0]}]]
+        with pytest.raises(MalformedSystem, match="bad system document"):
+            system_from_json(doc)
 
     def test_polarized_block_missing_a_field(self):
         doc = system_to_json(bitsys({"o": Fraction(1)}, {"o": [(0,)]}))

@@ -4,13 +4,32 @@ import pathlib
 import rbmx
 
 SRC = pathlib.Path(rbmx.__file__).parent
+BROAD = {"Exception", "BaseException"}
 
 
-def test_no_assert_statements():
-    # `python -O` strips assert statements, so no check may rely on one
+def _find(match):
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d" % (path.relative_to(SRC), node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert found == []
+                  for node in ast.walk(tree) if match(node)]
+    return found
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so no check may rely on one
+    assert _find(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _catches_everything(node):
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(isinstance(t, ast.Name) and t.id in BROAD for t in caught)
+
+
+def test_no_broad_except():
+    # a handler that catches everything hides programming errors as results
+    assert _find(_catches_everything) == []
