@@ -209,12 +209,6 @@ class BayesianNetwork:
     def in_set(self, K) -> frozenset:
         return frozenset(K.in_names) | self.extra_in.get(K.name, frozenset())
 
-    def producer_of(self, name):
-        for K in self.kernels:
-            if name in K.out_names:
-                return K
-        return None
-
     def min_vars(self):
         produced = {n for K in self.kernels for n in K.out_names}
         return tuple(n for n in self.var_names if n not in produced)

@@ -329,9 +329,9 @@ def cmd_embed(args):
             % (args.direction, want[args.direction], kind)
         )
     if args.direction == "spa2ma":
-        _emit(ma_to_json(spa_to_ma(M, cap=args.cap)))
+        _emit(ma_to_json(spa_to_ma(M)))
     elif args.direction == "pa2ma":
-        _emit(ma_to_json(pa_to_ma(M, cap=args.cap)))
+        _emit(ma_to_json(pa_to_ma(M)))
     elif args.direction == "ma2spa":
         _emit(spa_to_json(ma_to_spa(M, cap=args.cap)))
     else:
@@ -409,7 +409,8 @@ def _build_parser():
     q.add_argument("direction", choices=("spa2ma", "pa2ma", "ma2spa", "spa2pa"))
     q.add_argument("file")
     q.add_argument("--cap", type=int, default=4096,
-                   help="bound on constructed states/selections")
+                   help="ma2spa only: bound on the selections per transition, "
+                        "whose number is exponential in the outcomes")
     q.set_defaults(func=cmd_embed)
 
     return ap

@@ -470,7 +470,6 @@ def _uniform_resolver(rng, row):
 
 RESOLVERS = {
     "lex": _lex_resolver,
-    "lexicographic": _lex_resolver,
     "uniform": _uniform_resolver,
 }
 

@@ -308,7 +308,7 @@ def _fresh_token(base, taken):
 SPA_COMMIT = "@commit"
 
 
-def spa_to_ma(P: SPA, var="xi", cap=4096) -> MixedAutomaton:
+def spa_to_ma(P: SPA, var="xi") -> MixedAutomaton:
     """Mixed automaton over one variable ranging over the SPA's states plus
     one commitment token per candidate distribution.
 
@@ -341,11 +341,6 @@ def spa_to_ma(P: SPA, var="xi", cap=4096) -> MixedAutomaton:
     for (q, a), ds in sorted(grouped.items(),
                              key=lambda kv: (repr(kv[0][0]), action_key(kv[0][1]))):
         ds.sort(key=_dist_key)
-        if len(ds) > cap:
-            raise CapExceeded(
-                "spa_to_ma at (%r, %r): %d candidates exceed cap %d"
-                % (q, a, len(ds), cap)
-            )
         for i, d in enumerate(ds):
             t = _fresh_token("%s@%s#%d" % (q, a, i), taken)
             taken.add(t)
@@ -406,7 +401,7 @@ def ma_to_spa(M: MixedAutomaton, cap=4096) -> SPA:
     return SPA(M.alphabet, states, M.initial, transitions)
 
 
-def pa_to_ma(P: PA, act_var="xi_a", state_var="xi_q", cap=4096) -> MixedAutomaton:
+def pa_to_ma(P: PA, act_var="xi_a", state_var="xi_q") -> MixedAutomaton:
     """Mixed automaton over a trivial singleton alphabet with two visible
     variables: the action drawn and the state reached.
 
@@ -428,11 +423,6 @@ def pa_to_ma(P: PA, act_var="xi_a", state_var="xi_q", cap=4096) -> MixedAutomato
     taken = set(P.states)
     for q, ds in sorted(grouped.items(), key=lambda kv: repr(kv[0])):
         ds.sort(key=_dist_key)
-        if len(ds) > cap:
-            raise CapExceeded(
-                "pa_to_ma at %r: %d candidates exceed cap %d"
-                % (q, len(ds), cap)
-            )
         for i, d in enumerate(ds):
             t = _fresh_token("%s#%d" % (q, i), taken)
             taken.add(t)

@@ -59,6 +59,7 @@ from .syntax import (
     VarRef,
     expr_vars,
     guard_exprs,
+    nodes,
     pre_vars,
     print_expr,
     required_inits,
@@ -501,23 +502,12 @@ def _check_guards_boolean(p: Program, guards):
                 )
 
 
-def _leaf_vars(p: Program, s):
-    if isinstance(s, SObserve) or isinstance(s, SInit):
-        return {s.var}
-    if isinstance(s, SPrior):
-        out = {s.var}
-        if s.arg is not None and s.dist != "Uniform":
-            out |= set(expr_vars(s.arg, pre_name))
-        return out
-    if isinstance(s, SEq):
-        return set(expr_vars(s.lhs, pre_name)) | set(expr_vars(s.rhs, pre_name))
-    if isinstance(s, SOn):
-        out = set()
-        for branch in (s.then, s.els):
-            for leaf in statements(branch):
-                out |= _leaf_vars(p, leaf)
-        return out
-    raise MalformedSystem("unexpected statement %r" % (s,))
+def _leaf_vars(node):
+    """Every variable the statements at or below node touch, with •x for
+    pre x.  Guard variables count too; they are read through pre anyway."""
+    names = set(expr_vars(node, pre_name))
+    names.update(x.var for x in nodes(node) if isinstance(x, (SObserve, SInit, SPrior)))
+    return names
 
 
 def active_leaves(leaves, assign):
@@ -552,9 +542,7 @@ def elaborate_dynamic(p: Program):
     guards = program_guards(p)
     _check_guards_boolean(p, guards)
 
-    names = set()
-    for s in leaves:
-        names |= _leaf_vars(p, s)
+    names = _leaf_vars(p.body)
     for x in pres:
         names.add(x)
         names.add(pre_name(x))

@@ -16,6 +16,17 @@ Declarations give every variable a finite domain and every external
 function/operator a finite table, so elaboration can enumerate relations
 exhaustively.  Distributions are declared as rational tables (optionally
 parameterized over a domain); Bernoulli and Uniform are built in.
+
+Numeric literals are decimal integers with an optional leading minus
+(``-3``), and, as probabilities and distribution parameters only, ratios of
+two integers with a nonzero denominator (``1/3``) and decimals with one
+point or an exponent or both (``0.25``, ``1e-6``).  A literal has at most
+MAX_NUMBER_LENGTH characters and an exponent of at most MAX_EXPONENT in
+size.  Statements and expressions nest at most MAX_NESTING levels deep,
+counted together: each sits one level below the one containing it, and a
+parenthesis or brace adds a level of its own.  Deeper programs are rejected
+with RbSyntaxError, so every recursive pass over a parsed program stays far
+below Python's recursion limit.
 """
 
 from dataclasses import dataclass
@@ -36,6 +47,10 @@ KEYWORDS = frozenset(
 BUILTIN_DISTS = frozenset(("Bernoulli", "Uniform"))
 
 IF_FUNC = "if"  # if-then-else expressions are carried as this function name
+
+MAX_NESTING = 100
+MAX_NUMBER_LENGTH = 100
+MAX_EXPONENT = 100
 
 
 # --- AST ---------------------------------------------------------------------
@@ -152,6 +167,23 @@ class Token:
         return "Token(%s, %r, %d:%d)" % (self.kind, self.text, self.line, self.col)
 
 
+def _number_kind(word, line, col):
+    """"int" or "num" for a numeric literal within the bounds; anything else
+    is rejected here, before int() or Fraction() reads it."""
+    if len(word) > MAX_NUMBER_LENGTH:
+        raise RbSyntaxError(
+            "number longer than %d characters" % MAX_NUMBER_LENGTH, line, col
+        )
+    mantissa, _, exponent = word.lower().partition("e")
+    if mantissa.count(".") > 1:
+        raise RbSyntaxError("malformed number %r" % word, line, col)
+    if exponent and abs(int(exponent)) > MAX_EXPONENT:
+        raise RbSyntaxError(
+            "exponent of %r exceeds %d" % (word, MAX_EXPONENT), line, col
+        )
+    return "num" if "." in mantissa or exponent else "int"
+
+
 def tokenize(text):
     toks = []
     i, line, col = 0, 1, 1
@@ -188,20 +220,20 @@ def tokenize(text):
             col += j + 1 - i
             i = j + 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
+            while j < n and (text[j].isdecimal() or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             word = text[i:j]
-            kind = "int" if word.lstrip("-").isdigit() else "num"
+            kind = _number_kind(word, start_line, start_col)
             toks.append(Token(kind, word, start_line, start_col))
             col += j - i
             i = j
@@ -227,10 +259,27 @@ def tokenize(text):
 # --- parser ------------------------------------------------------------------
 
 
+def _nested(rule):
+    """A recursive parse rule, run one nesting level deeper; past
+    MAX_NESTING levels the program is rejected."""
+
+    def counted(self):
+        if self.depth >= MAX_NESTING:
+            self.fail("nesting deeper than %d levels" % MAX_NESTING)
+        self.depth += 1
+        try:
+            return rule(self)
+        finally:
+            self.depth -= 1
+
+    return counted
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, k=0):
         j = min(self.i + k, len(self.toks) - 1)
@@ -244,10 +293,6 @@ class _Parser:
 
     def at(self, text):
         return self.peek().text == text and self.peek().kind in ("punct", "ident")
-
-    def at_kw(self, word):
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
 
     def accept(self, text):
         if self.at(text):
@@ -274,6 +319,13 @@ class _Parser:
             self.fail("expected %s, found %r" % (what, t.text or "end of input"))
         return self.next().text
 
+    def items(self, item, sep=","):
+        """One or more item()s separated by sep, as a list."""
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        return out
+
     # values and numbers
 
     def value(self):
@@ -285,38 +337,33 @@ class _Parser:
         if t.kind == "str":
             self.next()
             return t.text
-        if t.kind == "ident" and t.text == "T":
+        if t.kind == "ident" and t.text in ("T", "F"):
             self.next()
-            return True
-        if t.kind == "ident" and t.text == "F":
-            self.next()
-            return False
+            return t.text == "T"
         self.fail("expected a value, found %r" % (t.text or "end of input"))
 
     def rational(self):
         t = self.peek()
-        if t.kind == "int":
-            self.next()
-            num = int(t.text)
-            if self.accept("/"):
-                u = self.peek()
-                if u.kind != "int":
-                    self.fail("expected denominator")
-                self.next()
-                return Fraction(num, int(u.text))
-            return Fraction(num)
         if t.kind == "num":
             self.next()
             return Fraction(t.text)
-        self.fail("expected a rational number, found %r" % (t.text or "end of input"))
+        if t.kind != "int":
+            self.fail("expected a rational number, found %r" % (t.text or "end of input"))
+        self.next()
+        if not self.accept("/"):
+            return Fraction(int(t.text))
+        u = self.peek()
+        if u.kind != "int":
+            self.fail("expected denominator")
+        if int(u.text) == 0:
+            self.fail("zero denominator")
+        self.next()
+        return Fraction(int(t.text), int(u.text))
 
     def key_value(self):
         """A table key: a value or a tuple of values."""
-        if self.at("("):
-            self.next()
-            vals = [self.value()]
-            while self.accept(","):
-                vals.append(self.value())
+        if self.accept("("):
+            vals = self.items(self.value)
             self.expect(")")
             return vals[0] if len(vals) == 1 else tuple(vals)
         return self.value()
@@ -325,18 +372,10 @@ class _Parser:
 
     def parse_program(self):
         p = Program({}, {}, {}, {}, None)
-        while True:
-            t = self.peek()
-            if t.kind != "ident" or t.text not in ("domain", "var", "func", "op", "dist"):
-                break
-            if t.text == "domain":
-                self.decl_domain(p)
-            elif t.text == "var":
-                self.decl_var(p)
-            elif t.text in ("func", "op"):
-                self.decl_func(p)
-            else:
-                self.decl_dist(p)
+        decls = {"domain": self.decl_domain, "var": self.decl_var,
+                 "func": self.decl_func, "op": self.decl_func, "dist": self.decl_dist}
+        while self.peek().kind == "ident" and self.peek().text in decls:
+            decls[self.peek().text](p)
         if self.peek().kind != "eof":
             p.body = self.parse_body()
         t = self.peek()
@@ -352,9 +391,7 @@ class _Parser:
             self.fail("domain %r declared twice" % name)
         self.expect("=")
         self.expect("{")
-        vals = [self.value()]
-        while self.accept(","):
-            vals.append(self.value())
+        vals = self.items(self.value)
         self.expect("}")
         if len(set(vals)) != len(vals):
             self.fail("domain %r repeats a value" % name)
@@ -362,9 +399,7 @@ class _Parser:
 
     def decl_var(self, p):
         self.expect("var")
-        names = [self.ident("variable name")]
-        while self.accept(","):
-            names.append(self.ident("variable name"))
+        names = self.items(lambda: self.ident("variable name"))
         self.expect(":")
         dom = self.ident("domain name")
         for nm in names:
@@ -379,9 +414,7 @@ class _Parser:
             self.fail("function %r declared twice" % name)
         self.expect(":")
         if self.accept("("):
-            in_doms = [self.ident("domain name")]
-            while self.accept(","):
-                in_doms.append(self.ident("domain name"))
+            in_doms = self.items(lambda: self.ident("domain name"))
             self.expect(")")
         else:
             in_doms = [self.ident("domain name")]
@@ -389,15 +422,16 @@ class _Parser:
         out_dom = self.ident("domain name")
         self.expect("{")
         table = {}
-        while True:
+
+        def entry():
             key = self.key_value()
             self.expect("->")
             val = self.value()
             if key in table:
                 self.fail("function %r maps %r twice" % (name, key))
             table[key] = val
-            if not self.accept(","):
-                break
+
+        self.items(entry)
         self.expect("}")
         p.funcs[name] = FuncDecl(name, kind, tuple(in_doms), out_dom, table)
 
@@ -417,7 +451,8 @@ class _Parser:
             table = self.dist_rows()
         else:
             table = {}
-            while True:
+
+            def entry():
                 key = self.key_value()
                 self.expect("->")
                 self.expect("{")
@@ -426,23 +461,24 @@ class _Parser:
                 if key in table:
                     self.fail("distribution %r maps %r twice" % (name, key))
                 table[key] = rows
-                if not self.accept(","):
-                    break
+
+            self.items(entry)
         self.expect("}")
         p.dists[name] = DistDecl(name, param, target, table)
 
     def dist_rows(self):
         """value : rational pairs up to (not including) the closing brace."""
         rows = {}
-        while True:
+
+        def row():
             val = self.value()
             self.expect(":")
             prob = self.rational()
             if val in rows:
                 self.fail("distribution repeats value %r" % (val,))
             rows[val] = prob
-            if not self.accept(","):
-                break
+
+        self.items(row)
         return rows
 
     # statements
@@ -450,20 +486,17 @@ class _Parser:
     def parse_body(self):
         if self.at("||") or self.at("|"):
             self.next()
-        items = [self.parse_stmt()]
-        while self.accept("||"):
-            items.append(self.parse_stmt())
+        items = self.items(self.parse_stmt, "||")
         if len(items) == 1:
             return items[0]
         return SPar(tuple(items))
 
+    @_nested
     def parse_stmt(self):
         t = self.peek()
         if t.kind == "ident" and t.text == "observe":
             self.next()
-            names = [self.ident("variable name")]
-            while self.accept(","):
-                names.append(self.ident("variable name"))
+            names = self.items(lambda: self.ident("variable name"))
             if len(names) == 1:
                 return SObserve(names[0])
             return SPar(tuple(SObserve(nm) for nm in names))
@@ -476,9 +509,9 @@ class _Parser:
             self.next()
             guard = self.parse_expr()
             self.expect("then")
-            then = self.parse_branch()
+            then = self.parse_stmt()
             self.expect("else")
-            els = self.parse_branch()
+            els = self.parse_stmt()
             return SOn(guard, then, els)
         if t.text == "{":
             self.next()
@@ -511,19 +544,15 @@ class _Parser:
         rhs = self.parse_expr()
         return SEq(lhs, rhs)
 
-    def parse_branch(self):
-        return self.parse_stmt()
-
     def parse_prior_arg(self):
         t = self.peek()
-        if t.kind == "num":
+        if t.kind == "num" or (t.kind == "int" and self.peek(1).text == "/"):
             return Const(self.rational())
-        if t.kind == "int" and self.peek(1).text in ("/", ")"):
-            return Const(self.rational()) if self.peek(1).text == "/" else Const(int(self.next().text))
         return self.parse_expr()
 
     # expressions
 
+    @_nested
     def parse_expr(self):
         t = self.peek()
         if t.kind in ("int", "str") or (t.kind == "ident" and t.text in ("T", "F")):
@@ -540,27 +569,20 @@ class _Parser:
             return Func(IF_FUNC, (cond, then, els))
         if t.kind == "ident" and t.text == "pre":
             self.next()
-            if self.accept("("):
-                name = self.ident("variable name (pre nests no deeper)")
+            paren = self.accept("(")
+            name = self.ident("variable name (pre nests no deeper)")
+            if paren:
                 self.expect(")")
-            else:
-                name = self.ident("variable name (pre nests no deeper)")
             return Pre(name)
         if t.kind == "ident" and t.text not in KEYWORDS:
             name = self.next().text
-            if self.at("("):
-                self.next()
-                args = [self.parse_expr()]
-                while self.accept(","):
-                    args.append(self.parse_expr())
+            if self.accept("("):
+                args = self.items(self.parse_expr)
                 self.expect(")")
                 return Func(name, tuple(args))
             return VarRef(name)
-        if t.text == "(":
-            self.next()
-            items = [self.parse_expr()]
-            while self.accept(","):
-                items.append(self.parse_expr())
+        if self.accept("("):
+            items = self.items(self.parse_expr)
             self.expect(")")
             if len(items) == 1:
                 return items[0]
@@ -577,64 +599,48 @@ def parse(text) -> Program:
 # --- static analysis helpers --------------------------------------------------
 
 
+def _children(node):
+    """The direct sub-nodes of an expression or statement, left to right.
+    Uniform's argument names a domain, not a variable, so it has none."""
+    if isinstance(node, (Pair, SPar)):
+        return node.items
+    if isinstance(node, Func):
+        return node.args
+    if isinstance(node, SEq):
+        return (node.lhs, node.rhs)
+    if isinstance(node, SOn):
+        return (node.guard, node.then, node.els)
+    if isinstance(node, SPrior) and node.arg is not None and node.dist != "Uniform":
+        return (node.arg,)
+    return ()
+
+
+def nodes(node):
+    """Every node at or below node, in left-to-right preorder."""
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(_children(x)))
+
+
 def expr_vars(e, pre_as=None):
-    """Variable names read by an expression.  Pre nodes are skipped unless
-    pre_as is given, in which case they contribute pre_as(name)."""
-    out = []
-
-    def walk(e):
-        if isinstance(e, VarRef):
-            out.append(e.name)
-        elif isinstance(e, Pre):
-            if pre_as is not None:
-                out.append(pre_as(e.name))
-        elif isinstance(e, Pair):
-            for x in e.items:
-                walk(x)
-        elif isinstance(e, Func):
-            for x in e.args:
-                walk(x)
-
-    walk(e)
-    seen = set()
-    uniq = []
-    for nm in out:
-        if nm not in seen:
-            seen.add(nm)
-            uniq.append(nm)
-    return uniq
+    """Variable names read at or below e, in first-seen order.  Pre nodes
+    are skipped unless pre_as is given, in which case they contribute
+    pre_as(name)."""
+    out = {}
+    for x in nodes(e):
+        if isinstance(x, VarRef):
+            out.setdefault(x.name)
+        elif isinstance(x, Pre) and pre_as is not None:
+            out.setdefault(pre_as(x.name))
+    return list(out)
 
 
 def pre_vars(node):
     """All variables appearing under pre anywhere below node (exprs and
     statements alike)."""
-    out = set()
-
-    def walk(x):
-        if isinstance(x, Pre):
-            out.add(x.name)
-        elif isinstance(x, Pair):
-            for y in x.items:
-                walk(y)
-        elif isinstance(x, Func):
-            for y in x.args:
-                walk(y)
-        elif isinstance(x, SPrior):
-            if x.arg is not None:
-                walk(x.arg)
-        elif isinstance(x, SEq):
-            walk(x.lhs)
-            walk(x.rhs)
-        elif isinstance(x, SOn):
-            walk(x.guard)
-            walk(x.then)
-            walk(x.els)
-        elif isinstance(x, SPar):
-            for y in x.items:
-                walk(y)
-
-    walk(node)
-    return out
+    return {x.name for x in nodes(node) if isinstance(x, Pre)}
 
 
 def statements(body):
@@ -643,10 +649,7 @@ def statements(body):
     if body is None:
         return []
     if isinstance(body, SPar):
-        out = []
-        for s in body.items:
-            out.extend(statements(s))
-        return out
+        return [leaf for s in body.items for leaf in statements(s)]
     return [body]
 
 
@@ -746,32 +749,23 @@ def _validate(p: Program):
 
 
 def _validate_expr(p, e, where):
-    if isinstance(e, VarRef):
-        if e.name not in p.vars:
-            raise UndeclaredVariable("undeclared variable %r in %s" % (e.name, where))
-    elif isinstance(e, Pre):
-        if e.name not in p.vars:
-            raise UndeclaredVariable("undeclared variable %r in %s" % (e.name, where))
-    elif isinstance(e, Pair):
-        for x in e.items:
-            _validate_expr(p, x, where)
-    elif isinstance(e, Func):
-        if e.name == IF_FUNC:
-            if len(e.args) != 3:
+    for x in nodes(e):
+        if isinstance(x, (VarRef, Pre)) and x.name not in p.vars:
+            raise UndeclaredVariable("undeclared variable %r in %s" % (x.name, where))
+        if isinstance(x, Func) and x.name == IF_FUNC:
+            if len(x.args) != 3:
                 raise MalformedSystem("if expression needs 3 parts in %s" % where)
-        else:
-            decl = p.funcs.get(e.name)
+        elif isinstance(x, Func):
+            decl = p.funcs.get(x.name)
             if decl is None:
                 raise UndeclaredVariable(
-                    "undeclared function %r in %s" % (e.name, where)
+                    "undeclared function %r in %s" % (x.name, where)
                 )
-            if len(e.args) != len(decl.in_domains):
+            if len(x.args) != len(decl.in_domains):
                 raise DomainMismatch(
                     "function %r takes %d arguments, got %d in %s"
-                    % (e.name, len(decl.in_domains), len(e.args), where)
+                    % (x.name, len(decl.in_domains), len(x.args), where)
                 )
-        for x in e.args:
-            _validate_expr(p, x, where)
 
 
 def _validate_body(p, body):
@@ -882,6 +876,15 @@ def _print_branch(s):
     return "{ %s }" % print_stmt(s)
 
 
+def _by_key(table):
+    return sorted(table.items(), key=lambda kv: repr(kv[0]))
+
+
+def _print_rows(rows):
+    return ", ".join("%s : %s" % (print_value(v), print_value(pr))
+                     for v, pr in _by_key(rows))
+
+
 def print_program(p: Program) -> str:
     lines = []
     for name, vals in p.domains.items():
@@ -890,30 +893,17 @@ def print_program(p: Program) -> str:
         lines.append("var %s : %s" % (name, dom))
     for f in p.funcs.values():
         sig = f.in_domains[0] if len(f.in_domains) == 1 else "(%s)" % ", ".join(f.in_domains)
-        rows = ", ".join(
-            "%s -> %s" % (print_key(k), print_value(v))
-            for k, v in sorted(f.table.items(), key=lambda kv: repr(kv[0]))
-        )
+        rows = ", ".join("%s -> %s" % (print_key(k), print_value(v))
+                         for k, v in _by_key(f.table))
         lines.append("%s %s : %s -> %s { %s }" % (f.kind, f.name, sig, f.out_domain, rows))
     for d in p.dists.values():
         if d.param_domain is None:
-            rows = ", ".join(
-                "%s : %s" % (print_value(v), print_value(pr))
-                for v, pr in sorted(d.table.items(), key=lambda kv: repr(kv[0]))
-            )
-            lines.append("dist %s : %s { %s }" % (d.name, d.target_domain, rows))
+            head, rows = d.name, _print_rows(d.table)
         else:
-            cells = []
-            for key, rows in sorted(d.table.items(), key=lambda kv: repr(kv[0])):
-                body = ", ".join(
-                    "%s : %s" % (print_value(v), print_value(pr))
-                    for v, pr in sorted(rows.items(), key=lambda kv: repr(kv[0]))
-                )
-                cells.append("%s -> { %s }" % (print_key(key), body))
-            lines.append(
-                "dist %s(%s) : %s { %s }"
-                % (d.name, d.param_domain, d.target_domain, ", ".join(cells))
-            )
+            head = "%s(%s)" % (d.name, d.param_domain)
+            rows = ", ".join("%s -> { %s }" % (print_key(k), _print_rows(r))
+                             for k, r in _by_key(d.table))
+        lines.append("dist %s : %s { %s }" % (head, d.target_domain, rows))
     if p.body is not None:
         if lines:
             lines.append("")

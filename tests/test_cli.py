@@ -9,6 +9,7 @@ from rbmx.automata import ma_to_json
 from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_from_json, spa_to_json, spa_to_ma
 
 from .oracles import sim_equivalent_not_bisimilar
+from .test_rblang import HOSTILE
 
 CLI = [sys.executable, "-m", "rbmx.cli"]
 
@@ -193,6 +194,16 @@ class TestParseElaborate:
         r = run_cli("parse", str(bad))
         assert r.returncode == 2
         assert "error" in r.stderr
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_parse_hostile_input_is_exit_2(self, name, tmp_path):
+        text, words = HOSTILE[name]
+        bad = tmp_path / "hostile.rb.mx"
+        bad.write_text(text)
+        r = run_cli("parse", str(bad))
+        assert r.returncode == 2, r.stderr[-300:]
+        assert words in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_elaborate_static(self, files):
         r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "static",

@@ -35,6 +35,7 @@ from rbmx.rblang import (
     program_factor_graph,
     run_program,
 )
+from rbmx.rblang.syntax import MAX_NESTING
 
 COUNTER = """
 domain z4 = { 0, 1, 2, 3 }
@@ -55,6 +56,36 @@ dist coin : bit { 0 : 1/2, 1 : 1/2 }
 || x ~ coin
 || y = neg(x)
 """
+
+
+HEAD = ("domain bit = { 0, 1 }\nvar x, y : bit\n"
+        "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n")
+BOOL_HEAD = "domain bool = { F, T }\nvar b : bool\n"
+
+# text whose last line parse must reject with RbSyntaxError, and a piece of
+# the message; each case once raised a raw Python error instead
+HOSTILE = {
+    "parens in an equation": (HEAD + "|| x = " + "(" * 3000 + "y" + ")" * 3000, "nesting"),
+    "nested blocks": (HEAD + "|| " + "{ " * 3000 + "x = y" + " }" * 3000, "nesting"),
+    "parens around a lhs": (HEAD + "|| " + "(" * 3000 + "x" + ")" * 3000 + " = y", "nesting"),
+    "zero denominator in a dist row": (HEAD + "dist d : bit { 0 : 1/0, 1 : 1 }",
+                                       "zero denominator"),
+    "zero denominator in Bernoulli": (BOOL_HEAD + "|| b ~ Bernoulli(1/0)", "zero denominator"),
+    "two decimal points": (HEAD + "dist d : bit { 0 : 1.2.3, 1 : 0 }", "malformed number"),
+    "5000-digit value": ("domain d = { " + "7" * 5000 + " }", "longer than"),
+    "huge exponent": (BOOL_HEAD + "|| b ~ Bernoulli(1e999999999)", "exponent"),
+    "superscript digit": ("domain d = { \u00b2 }", "stray character"),
+}
+
+
+def deep_call(k):
+    """A dynamic program whose equation nests k calls of neg."""
+    return HEAD + "|| init y = 0\n|| y = x\n|| x = " + "neg(" * k + "pre y" + ")" * k
+
+
+def deep_blocks(k):
+    """A static program with k nested parallel blocks."""
+    return HEAD + "|| x = neg(y)\n|| " + "{ y = y || " * k + "x = x" + " }" * k
 
 
 def roundtrip(text):
@@ -102,6 +133,27 @@ class TestParsePrint:
                   "dist d : bit { 0 : 0.5, 1 : 0.5 }\n|| x ~ d")
         S = elaborate_static(p)
         assert outer(S, lambda q: q["x"] == 0) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_input_is_a_positioned_syntax_error(self, name):
+        text, words = HOSTILE[name]
+        with pytest.raises(RbSyntaxError) as exc:
+            parse(text)
+        assert words in str(exc.value)
+        assert exc.value.line == text.count("\n") + 1
+        assert exc.value.col is not None
+
+    def test_deepest_accepted_nesting_round_trips_and_elaborates(self):
+        # the statement and its right-hand side take the first two levels
+        k = MAX_NESTING - 2
+        p = roundtrip(deep_call(k))
+        r = run_program(p, steps=3, seed=0)
+        assert [st["x"] for st in r.trace[1:]] == [0, 0]  # k is even: x = pre y
+        S = elaborate_static(roundtrip(deep_blocks(k)))
+        assert outer(S, lambda q: q["x"] != q["y"]) == 1
+        for text in (deep_call(k + 1), deep_blocks(k + 1)):
+            with pytest.raises(RbSyntaxError, match="nesting"):
+                parse(text)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(RbSyntaxError) as exc:

@@ -5,6 +5,7 @@ import rbmx
 
 SRC = pathlib.Path(rbmx.__file__).parent
 BROAD = {"Exception", "BaseException"}
+LIMITS = {"RecursionError", "MemoryError"}
 
 
 def _find(match):
@@ -21,15 +22,25 @@ def test_no_assert_statements():
     assert _find(lambda node: isinstance(node, ast.Assert)) == []
 
 
-def _catches_everything(node):
-    if not isinstance(node, ast.ExceptHandler):
-        return False
-    if node.type is None:
-        return True
-    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-    return any(isinstance(t, ast.Name) and t.id in BROAD for t in caught)
+def _catches(names):
+    """A matcher for handlers that catch one of names, or everything."""
+
+    def match(node):
+        if not isinstance(node, ast.ExceptHandler):
+            return False
+        if node.type is None:
+            return True
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(isinstance(t, ast.Name) and t.id in names for t in caught)
+
+    return match
 
 
 def test_no_broad_except():
     # a handler that catches everything hides programming errors as results
-    assert _find(_catches_everything) == []
+    assert _find(_catches(BROAD)) == []
+
+
+def test_no_recursion_or_memory_handler():
+    # limits are checked before recursing or allocating, not caught after
+    assert _find(_catches(LIMITS)) == []
