@@ -3,14 +3,16 @@
 The automaton itself is deterministic — at most one target system per
 (state, action) — and all the probabilistic/nondeterministic behavior lives
 inside the target systems.  Composition synchronizes actions through a
-pluggable action algebra.  Simulation between automata reduces, per
-transition pair, to an exact transportation-feasibility question on the
-target systems' outcome weights, with allowed couplings governed by the
-candidate state relation.
+pluggable action algebra.
 
-refine() is the greatest-fixpoint engine for every simulation check, here
-and in the embeddings module: simulates() keeps the pairs whose forward
-transitions lift, bisimilar() the pairs that lift both ways.
+Every simulation check, here and in the embeddings module, runs one matcher
+over a View of each automaton kind: a pair (q1, q2) survives when every
+move of q1 is answered, on its label, by some target of q2 that it lifts to
+through the candidate relation.  Lifting is an exact coupling, built by
+couple() and decided by transport.feasible_transport; for mixed automata it
+couples the target systems' outcome weights.  greatest() bounds the
+candidate relation by core.MAX_OUTCOMES state pairs and runs refine(), the
+one greatest-fixpoint loop.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import core
 from .core import (
     DOCUMENT_ERRORS,
     MixedSystem,
@@ -38,6 +41,7 @@ from .core import (
     vars_from_json,
 )
 from .errors import (
+    CapExceeded,
     IncompatibleInitials,
     InconsistentSystem,
     MalformedSystem,
@@ -61,10 +65,12 @@ class MixedAutomaton:
     """States are total assignments over ``vars``; ``delta`` maps (state,
     action) to a target system over the same variables.
 
-    ``initial`` may be a partial state (program fragments pin only some
-    variables); running requires a total one.  A ``provider`` callable
-    (state, action) -> system-or-None serves transitions lazily; results are
-    cached into delta.  materialize() forces the whole table.
+    ``initial`` and the states of ``delta`` may be partial (program
+    fragments pin only some variables), but may bind only known variables to
+    values of their domains; running requires a total initial state.  A
+    ``provider`` callable (state, action) -> system-or-None serves
+    transitions lazily; results are cached into delta.  materialize() forces
+    the whole table.
     """
 
     __slots__ = ("alphabet", "vars", "initial", "delta", "provider")
@@ -77,17 +83,14 @@ class MixedAutomaton:
         elif not isinstance(initial, State):
             initial = State(initial)
         doms = {v.name: v.domain for v in self.vars}
-        for n, val in initial.items():
-            if n not in doms:
-                raise VariableSetMismatch("initial binds unknown variable %r" % n)
-            if val not in doms[n]:
-                raise VariableSetMismatch("initial value %r outside domain of %r" % (val, n))
+        _check_state(doms, initial, "initial")
         self.initial = initial
         self.delta = {}
         self.provider = provider
         for (q, a), S in (delta or {}).items():
             if not isinstance(q, State):
                 q = State(q)
+            _check_state(doms, q, "transition state %r" % (q,))
             self._store(q, a, S)
 
     def _store(self, q: State, a, S: MixedSystem):
@@ -142,8 +145,6 @@ class MixedAutomaton:
 
     def materialize(self, cap=4096):
         """Force every (state, action) pair through the provider."""
-        from .errors import CapExceeded
-
         count = 0
         for q in self.states():
             for a in self.alphabet:
@@ -163,6 +164,17 @@ class MixedAutomaton:
             len(self.delta),
             ", lazy" if self.provider else "",
         )
+
+
+def _check_state(doms, q: State, what):
+    """Raise VariableSetMismatch unless q binds only variables of doms, each
+    to a value of its domain.  Partial states pass: program fragments pin
+    only some variables."""
+    for n, val in q.items():
+        if n not in doms:
+            raise VariableSetMismatch("%s binds unknown variable %r" % (what, n))
+        if val not in doms[n]:
+            raise VariableSetMismatch("%s value %r outside domain of %r" % (what, val, n))
 
 
 class Step(NamedTuple):
@@ -298,43 +310,39 @@ def _as_relation(rho):
     return lambda a, b: (a, b) in pairs
 
 
+def couple(mu1: dict, mu2: dict, ok):
+    """A joint measure with marginals mu1 and mu2 on the key pairs (x, y)
+    that ok(x, y) admits, or None when there is none.  This is the one place
+    that builds an allowed-pair list and asks the transport solver."""
+    return feasible_transport(mu1, mu2, [(x, y) for x in mu1 for y in mu2 if ok(x, y)])
+
+
+def _rows_related(S1: MixedSystem, S2: MixedSystem, rel):
+    """ok for couple: outcomes o1 and o2 may be coupled when every state
+    admitted by o1 has some related state admitted by o2."""
+    return lambda o1, o2: all(any(rel(q1, q2) for q2 in S2.rel[o2]) for q1 in S1.rel[o1])
+
+
 def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
     """Decide whether the relation lifts between the two systems' weights.
 
-    A pair of outcomes may be coupled when every state admitted by the first
-    has some related state admitted by the second.  The raw (unconditioned)
-    weights must then transport exactly across the allowed pairs; the
+    The raw (unconditioned) weights of the positive-mass outcomes must
+    transport exactly across the outcome pairs whose rows are related; the
     witness weighting is returned, or None when infeasible.
     """
-    rel = _as_relation(rho)
-    allowed = []
-    support1 = [o for o in S1.omega if S1.pi[o] > 0]
-    support2 = [o for o in S2.omega if S2.pi[o] > 0]
-    row2sets = {o2: S2.rel[o2] for o2 in support2}
-    for o1 in support1:
-        row1 = S1.rel[o1]
-        for o2 in support2:
-            row2 = row2sets[o2]
-            if all(any(rel(q1, q2) for q2 in row2) for q1 in row1):
-                allowed.append((o1, o2))
-    return feasible_transport(
-        {o: S1.pi[o] for o in support1},
-        {o: S2.pi[o] for o in support2},
-        allowed,
-    )
+    return couple({o: S1.pi[o] for o in S1.omega if S1.pi[o] > 0},
+                  {o: S2.pi[o] for o in S2.omega if S2.pi[o] > 0},
+                  _rows_related(S1, S2, _as_relation(rho)))
 
 
 def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:
     """Independent check of a lifting witness: nonnegative, projects to the
     raw weights on both sides, and couples only allowed outcome pairs."""
-    rel = _as_relation(rho)
+    ok = _rows_related(S1, S2, _as_relation(rho))
     if any(m < 0 for m in w.values()):
         return False
-    for (o1, o2), m in w.items():
-        if m == 0:
-            continue
-        if not all(any(rel(q1, q2) for q2 in S2.rel[o2]) for q1 in S1.rel[o1]):
-            return False
+    if not all(ok(o1, o2) for (o1, o2), m in w.items() if m != 0):
+        return False
     for o1 in S1.omega:
         if sum((m for (a, _), m in w.items() if a == o1), Fraction(0)) != S1.pi[o1]:
             return False
@@ -345,6 +353,19 @@ def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:
 
 
 # --- simulation ---------------------------------------------------------------
+
+
+class View(NamedTuple):
+    """What the matcher needs from an automaton of one kind: the states the
+    relation ranges over, the initial state, moves(q) giving the (label,
+    target) pairs leaving q, targets(q, label), and lifts(t1, t2, R) saying
+    whether t1 lifts to t2 through R, a set of state pairs."""
+
+    states: object
+    initial: object
+    moves: object
+    targets: object
+    lifts: object
 
 
 def refine(pairs, initial, match, back=None):
@@ -372,36 +393,55 @@ def refine(pairs, initial, match, back=None):
     return None
 
 
-def _lifts(M1, M2):
-    """match for refine: every M1 transition at q1 lifts, through R, into
-    the M2 transition on the same action at q2."""
+def _matcher(V1: View, V2: View):
+    """match for refine: every move of V1 at q1 is answered, on its label,
+    by some target of V2 at q2 that it lifts to through R."""
+    moves, targets, lifts = V1.moves, V2.targets, V1.lifts
 
     def match(q1, q2, R):
-        rel = lambda a, b: (a, b) in R
-        for a in M1.alphabet:
-            T1 = M1.transition(q1, a)
-            if T1 is None:
-                continue
-            T2 = M2.transition(q2, a)
-            if T2 is None or lift_check(T1, T2, rel) is None:
-                return False
-        return True
+        return all(any(lifts(t1, t2, R) for t2 in targets(q2, a)) for a, t1 in moves(q1))
 
     return match
 
 
-def _with_initial(M):
-    """reachable() plus the initial state itself — partial initials (program
+def greatest(V1: View, V2: View, bisim=False):
+    """The greatest simulation of V1 by V2 (with ``bisim``, the greatest R
+    such that R and R⁻¹ are both simulations) over the product of their
+    state sets, or None when it misses the initial pair.  Raises
+    CapExceeded, before building anything, when that product has more than
+    core.MAX_OUTCOMES pairs."""
+    n = len(V1.states) * len(V2.states)
+    if n > core.MAX_OUTCOMES:
+        raise CapExceeded("the candidate relation would have %d state pairs, above the "
+                          "cap of %d" % (n, core.MAX_OUTCOMES))
+    pairs = [(q1, q2) for q1 in V1.states for q2 in V2.states]
+    back = _matcher(V2, V1) if bisim else None
+    return refine(pairs, (V1.initial, V2.initial), _matcher(V1, V2), back)
+
+
+def _ma_view(M: MixedAutomaton) -> View:
+    """Moves are the transitions on each action, asked for lazily, and a
+    target lifts when lift_check finds a coupling.  The states are the
+    reachable ones plus the initial state itself: partial initials (program
     fragments pin only some variables) are states of the refinement too."""
     Q = M.reachable()
     if M.initial not in set(Q):
         Q = [M.initial] + Q
-    return Q
 
+    def moves(q):
+        for a in M.alphabet:
+            T = M.transition(q, a)
+            if T is not None:
+                yield a, T
 
-def _state_pairs(M1, M2):
-    Q2 = _with_initial(M2)
-    return [(q1, q2) for q1 in _with_initial(M1) for q2 in Q2]
+    def targets(q, a):
+        T = M.transition(q, a)
+        return () if T is None else (T,)
+
+    def lifts(T1, T2, R):
+        return lift_check(T1, T2, lambda q1, q2: (q1, q2) in R) is not None
+
+    return View(Q, M.initial, moves, targets, lifts)
 
 
 def simulates(M1: MixedAutomaton, M2: MixedAutomaton):
@@ -415,7 +455,7 @@ def simulates(M1: MixedAutomaton, M2: MixedAutomaton):
     loses nothing: lifting only ever consults row states of positive-mass
     outcomes, which are reachable by construction.
     """
-    return refine(_state_pairs(M1, M2), (M1.initial, M2.initial), _lifts(M1, M2))
+    return greatest(_ma_view(M1), _ma_view(M2))
 
 
 def sim_equivalent(M1, M2) -> bool:
@@ -426,8 +466,7 @@ def bisimilar(M1: MixedAutomaton, M2: MixedAutomaton):
     """Greatest R such that both R and R⁻¹ are simulations, or None when it
     does not relate the initial states.  This is stronger than mutual
     simulation (sim_equivalent)."""
-    return refine(_state_pairs(M1, M2), (M1.initial, M2.initial),
-                  _lifts(M1, M2), _lifts(M2, M1))
+    return greatest(_ma_view(M1), _ma_view(M2), bisim=True)
 
 
 # --- JSON ------------------------------------------------------------------------

@@ -3,13 +3,17 @@ with mixed automata.
 
 SPA transitions pick an action first and then a distribution over states
 (several distributions per (state, action) make the model nondeterministic).
-PA transitions are distributions over (action, state) pairs.  Both carry
-lifting-based greatest simulations and bisimulations, computed by the same
-refinement engine (automata.refine) and transportation solver as for mixed
-automata, over the full product of the two state sets.  A bisimulation is
-the greatest R such that both R and R⁻¹ are simulations, the same check as
-automata.bisimilar; it is stronger than mutual simulation
-(spa_sim_equivalent).
+PA transitions are distributions over (action, state) pairs.  Both build
+one {state: transitions} index at construction, for dists() and for
+simulation.
+
+Both kinds carry lifting-based greatest simulations and bisimulations: each
+check hands automata.greatest a View of each side (_spa_view, _pa_view), so
+they share the matcher, the fixpoint and the coupling builder of mixed
+automata.  The relation ranges over the full product of the two state sets,
+bounded by core.MAX_OUTCOMES pairs.  A bisimulation is the greatest R such
+that both R and R⁻¹ are simulations, the same check as automata.bisimilar;
+it is stronger than mutual simulation (spa_sim_equivalent).
 
 The translations are constructive:
 
@@ -20,7 +24,10 @@ The translations are constructive:
 * pa_to_ma moves the action into a visible variable beside the state, over
   a trivial singleton alphabet.
 
-These blow up exponentially by design; caps keep them at desk scale.
+Only ma_to_spa can blow up: it lists every selection of one state per
+outcome, exponentially many in the outcomes, and its ``cap`` bounds them.
+spa_to_ma is linear in the transitions; pa_to_ma holds one copy of each
+transition per action value.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .automata import MixedAutomaton, action_key, refine
+from .automata import MixedAutomaton, View, action_key, couple, greatest
 from .core import (
     DOCUMENT_ERRORS,
     Domain,
@@ -41,7 +48,6 @@ from .core import (
     value_key,
 )
 from .errors import CapExceeded, MalformedSystem, MissingInit
-from .transport import feasible_transport
 
 
 def _dist(d) -> dict:
@@ -64,88 +70,75 @@ def _dist_key(d):
     return tuple(sorted(((repr(k), k, v) for k, v in d.items())))
 
 
-class SPA:
+class _ProbAutomaton:
+    """What SPA and PA share: a sorted alphabet, distinct states, an initial
+    state among them, and transitions from known states.  Each subclass's
+    _norm validates the rest of a transition and returns it normalized with
+    the key that deduplicates and orders the transitions.  ``out`` indexes
+    them by their source state, in order."""
+
+    __slots__ = ("alphabet", "states", "initial", "transitions", "out")
+
+    def __init__(self, alphabet, states, initial, transitions):
+        self.alphabet = tuple(sorted(set(alphabet), key=action_key))
+        self.states = tuple(states)
+        known = set(self.states)
+        if len(known) != len(self.states):
+            raise MalformedSystem("duplicate %s states" % type(self).__name__)
+        if initial not in known:
+            raise MalformedSystem("initial state %r not among states" % (initial,))
+        self.initial = initial
+        norm = {}
+        for t in transitions:
+            if t[0] not in known:
+                raise MalformedSystem("transition from unknown state %r" % (t[0],))
+            key, t = self._norm(t, known)
+            norm.setdefault(key, t)
+        self.transitions = tuple(norm[k] for k in sorted(norm))
+        self.out = {}
+        for t in self.transitions:
+            self.out.setdefault(t[0], []).append(t)
+
+    def __repr__(self):
+        return "%s(|Q|=%d, |Σ|=%d, %d transitions)" % (
+            type(self).__name__, len(self.states), len(self.alphabet), len(self.transitions))
+
+
+class SPA(_ProbAutomaton):
     """Action-labelled probabilistic automaton: transitions are (state,
     action, distribution-over-states) triples, several per pair allowed."""
 
-    __slots__ = ("alphabet", "states", "initial", "transitions")
+    __slots__ = ()
 
-    def __init__(self, alphabet, states, initial, transitions):
-        self.alphabet = tuple(sorted(set(alphabet), key=action_key))
-        states = tuple(states)
-        if len(set(states)) != len(states):
-            raise MalformedSystem("duplicate SPA states")
-        self.states = states
-        known = set(states)
-        if initial not in known:
-            raise MalformedSystem("initial state %r not among states" % (initial,))
-        self.initial = initial
-        seen = set()
-        norm = []
-        for q, a, d in transitions:
-            if q not in known:
-                raise MalformedSystem("transition from unknown state %r" % (q,))
-            if a not in self.alphabet:
-                raise MalformedSystem("transition on unknown action %r" % (a,))
-            d = _dist(d)
-            if not set(d) <= known:
-                raise MalformedSystem("distribution leaves the state set")
-            key = (repr(q), action_key(a), _dist_key(d))
-            if key in seen:
-                continue
-            seen.add(key)
-            norm.append((q, a, d))
-        norm.sort(key=lambda t: (repr(t[0]), action_key(t[1]), _dist_key(t[2])))
-        self.transitions = tuple(norm)
+    def _norm(self, t, known):
+        q, a, d = t
+        if a not in self.alphabet:
+            raise MalformedSystem("transition on unknown action %r" % (a,))
+        d = _dist(d)
+        if not set(d) <= known:
+            raise MalformedSystem("distribution leaves the state set")
+        return (repr(q), action_key(a), _dist_key(d)), (q, a, d)
 
     def dists(self, q, a):
-        return [d for (p, b, d) in self.transitions if p == q and b == a]
-
-    def __repr__(self):
-        return "SPA(|Q|=%d, |Σ|=%d, %d transitions)" % (
-            len(self.states), len(self.alphabet), len(self.transitions))
+        return [d for _, b, d in self.out.get(q, ()) if b == a]
 
 
-class PA:
+class PA(_ProbAutomaton):
     """Generative probabilistic automaton: transitions are (state,
     distribution-over-(action, state)) pairs."""
 
-    __slots__ = ("alphabet", "states", "initial", "transitions")
+    __slots__ = ()
 
-    def __init__(self, alphabet, states, initial, transitions):
-        self.alphabet = tuple(sorted(set(alphabet), key=action_key))
-        states = tuple(states)
-        if len(set(states)) != len(states):
-            raise MalformedSystem("duplicate PA states")
-        self.states = states
-        known = set(states)
-        acts = set(self.alphabet)
-        if initial not in known:
-            raise MalformedSystem("initial state %r not among states" % (initial,))
-        self.initial = initial
-        seen = set()
-        norm = []
-        for q, d in transitions:
-            if q not in known:
-                raise MalformedSystem("transition from unknown state %r" % (q,))
-            d = _dist(d)
-            for (a, s) in d:
-                if a not in acts or s not in known:
-                    raise MalformedSystem("distribution leaves Σ×Q at %r" % ((a, s),))
-            key = (repr(q), _dist_key(d))
-            if key in seen:
-                continue
-            seen.add(key)
-            norm.append((q, d))
-        norm.sort(key=lambda t: (repr(t[0]), _dist_key(t[1])))
-        self.transitions = tuple(norm)
+    def _norm(self, t, known):
+        q, d = t
+        d = _dist(d)
+        for (a, s) in d:
+            if a not in self.alphabet or s not in known:
+                raise MalformedSystem("distribution leaves Σ×Q at %r" % ((a, s),))
+        return (repr(q), _dist_key(d)), (q, d)
 
     def dists(self, q):
-        return [d for (p, d) in self.transitions if p == q]
-
-    def __repr__(self):
-        return "PA(|Q|=%d, |Σ|=%d, %d transitions)" % (
-            len(self.states), len(self.alphabet), len(self.transitions))
+        return [d for _, d in self.out.get(q, ())]
 
 
 def _pair(q1, q2) -> str:
@@ -218,70 +211,49 @@ def pa_compose(P1: PA, P2: PA, sigma) -> PA:
 # --- simulation -----------------------------------------------------------
 
 
-def _all_pairs(P1, P2):
-    return [(a, b) for a in P1.states for b in P2.states]
+def _spa_view(P: SPA) -> View:
+    """Moves are (action, distribution) pairs; two distributions lift when
+    they couple inside R."""
+
+    def lifts(d1, d2, R):
+        return couple(d1, d2, lambda s1, s2: (s1, s2) in R) is not None
+
+    return View(P.states, P.initial, lambda q: ((a, d) for _, a, d in P.out.get(q, ())),
+                P.dists, lifts)
 
 
-def _spa_lifts(P1, P2):
-    """match for refine: every μ1 of q1 is matched, same action, by some μ2
-    of q2 whose coupling with μ1 stays inside R."""
+def _pa_view(P: PA) -> View:
+    """Moves carry no label, since the action is drawn with the state; two
+    distributions lift when they couple equal actions with related states."""
 
-    def match(q1, q2, R):
-        return all(
-            any(
-                feasible_transport(
-                    d1, d2, [(s1, s2) for s1 in d1 for s2 in d2 if (s1, s2) in R],
-                ) is not None
-                for d2 in P2.dists(q2, a)
-            )
-            for p, a, d1 in P1.transitions if p == q1
-        )
+    def lifts(d1, d2, R):
+        return couple(d1, d2,
+                      lambda x1, x2: x1[0] == x2[0] and (x1[1], x2[1]) in R) is not None
 
-    return match
-
-
-def _pa_lifts(P1, P2):
-    """match for refine: couplings pair (action, state) outcomes with equal
-    actions and related states."""
-
-    def match(q1, q2, R):
-        return all(
-            any(
-                feasible_transport(
-                    d1, d2,
-                    [(p1, p2) for p1 in d1 for p2 in d2
-                     if p1[0] == p2[0] and (p1[1], p2[1]) in R],
-                ) is not None
-                for d2 in P2.dists(q2)
-            )
-            for p, d1 in P1.transitions if p == q1
-        )
-
-    return match
+    return View(P.states, P.initial, lambda q: ((None, d) for _, d in P.out.get(q, ())),
+                lambda q, _: P.dists(q), lifts)
 
 
 def spa_simulates(P1: SPA, P2: SPA):
     """Greatest SPA simulation of P1 by P2, or None if it misses the
     initial pair."""
-    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial), _spa_lifts(P1, P2))
+    return greatest(_spa_view(P1), _spa_view(P2))
 
 
 def spa_bisimilar(P1: SPA, P2: SPA):
     """Greatest SPA bisimulation, or None if it misses the initial pair."""
-    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial),
-                  _spa_lifts(P1, P2), _spa_lifts(P2, P1))
+    return greatest(_spa_view(P1), _spa_view(P2), bisim=True)
 
 
 def pa_simulates(P1: PA, P2: PA):
     """Greatest PA simulation of P1 by P2, or None if it misses the initial
     pair."""
-    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial), _pa_lifts(P1, P2))
+    return greatest(_pa_view(P1), _pa_view(P2))
 
 
 def pa_bisimilar(P1: PA, P2: PA):
     """Greatest PA bisimulation, or None if it misses the initial pair."""
-    return refine(_all_pairs(P1, P2), (P1.initial, P2.initial),
-                  _pa_lifts(P1, P2), _pa_lifts(P2, P1))
+    return greatest(_pa_view(P1), _pa_view(P2), bisim=True)
 
 
 def spa_sim_equivalent(P1, P2) -> bool:
@@ -297,10 +269,20 @@ def _values_domain(name, values):
     return Domain(name, tuple(sorted(values, key=value_key)))
 
 
-def _fresh_token(base, taken):
-    while base in taken:
-        base = base + "'"
-    return base
+def _tokens(groups, name, taken):
+    """One fresh name per candidate of each group: name(key, i), primed
+    until it clashes with nothing in ``taken``, which grows as names are
+    made.  Returns {key: [token, ...]} in the groups' order."""
+    out = {}
+    for key, ds in groups.items():
+        out[key] = []
+        for i in range(len(ds)):
+            t = name(key, i)
+            while t in taken:
+                t = t + "'"
+            taken.add(t)
+            out[key].append(t)
+    return out
 
 
 #: reserved action carrying the sampling half of an embedded SPA step; fixed
@@ -332,34 +314,25 @@ def spa_to_ma(P: SPA, var="xi") -> MixedAutomaton:
     """
     if SPA_COMMIT in P.alphabet:
         raise MalformedSystem("action name %r is reserved" % SPA_COMMIT)
-    tokens = {}
-    token_list = []
-    grouped = {}
+    grouped = {}  # (q, a) -> candidates; the transitions are sorted, so are these
     for q, a, d in P.transitions:
         grouped.setdefault((q, a), []).append(d)
-    taken = set(P.states)
-    for (q, a), ds in sorted(grouped.items(),
-                             key=lambda kv: (repr(kv[0][0]), action_key(kv[0][1]))):
-        ds.sort(key=_dist_key)
-        for i, d in enumerate(ds):
-            t = _fresh_token("%s@%s#%d" % (q, a, i), taken)
-            taken.add(t)
-            tokens[(q, a, i)] = t
-            token_list.append((q, a, i, d, t))
+    tokens = _tokens(grouped, lambda qa, i: "%s@%s#%d" % (qa[0], qa[1], i), set(P.states))
 
     tau = SPA_COMMIT
-    dom = _values_domain("Q_%s" % var, list(P.states) + [t for *_, t in token_list])
+    dom = _values_domain(
+        "Q_%s" % var, list(P.states) + [t for ts in tokens.values() for t in ts])
     vars = [(var, dom)]
 
     delta = {}
-    for (q, a), ds in grouped.items():
-        row = [State({var: tokens[(q, a, i)]}) for i in range(len(ds))]
+    for (q, a), ts in tokens.items():
         delta[(State({var: q}), a)] = MixedSystem(
-            (["c"], {"c": Fraction(1)}), vars, {"c": row})
-    for q, a, i, d, t in token_list:
-        omega = sorted(d, key=value_key)
-        rel = {c: [State({var: c})] for c in omega}
-        delta[(State({var: t}), tau)] = MixedSystem((omega, d), vars, rel)
+            (["c"], {"c": Fraction(1)}), vars, {"c": [State({var: t}) for t in ts]})
+    for qa, ds in grouped.items():
+        for d, t in zip(ds, tokens[qa]):
+            omega = sorted(d, key=value_key)
+            rel = {c: [State({var: c})] for c in omega}
+            delta[(State({var: t}), tau)] = MixedSystem((omega, d), vars, rel)
 
     alphabet = list(P.alphabet) + [tau]
     return MixedAutomaton(alphabet, vars, {var: P.initial}, delta)
@@ -414,39 +387,25 @@ def pa_to_ma(P: PA, act_var="xi_a", state_var="xi_q") -> MixedAutomaton:
     The initial action value is pinned to the first action in sorted order,
     the same convention on both sides of any comparison.
     """
-    grouped = {}
-    for q, d in P.transitions:
-        grouped.setdefault(q, []).append(d)
-
-    tokens = {}
-    token_list = []
-    taken = set(P.states)
-    for q, ds in sorted(grouped.items(), key=lambda kv: repr(kv[0])):
-        ds.sort(key=_dist_key)
-        for i, d in enumerate(ds):
-            t = _fresh_token("%s#%d" % (q, i), taken)
-            taken.add(t)
-            tokens[(q, i)] = t
-            token_list.append((q, i, d, t))
-
+    tokens = _tokens(P.out, lambda q, i: "%s#%d" % (q, i), set(P.states))
     adom = _values_domain("Q_%s" % act_var, P.alphabet)
     qdom = _values_domain(
-        "Q_%s" % state_var, list(P.states) + [t for *_, t in token_list])
+        "Q_%s" % state_var, list(P.states) + [t for ts in tokens.values() for t in ts])
     vars = [(act_var, adom), (state_var, qdom)]
 
     delta = {}
-    for q, ds in grouped.items():
+    for q, ts in tokens.items():
         for a0 in adom.values:
-            row = [State({act_var: a0, state_var: tokens[(q, i)]})
-                   for i in range(len(ds))]
+            row = [State({act_var: a0, state_var: t}) for t in ts]
             delta[(State({act_var: a0, state_var: q}), 1)] = MixedSystem(
                 (["c"], {"c": Fraction(1)}), vars, {"c": row})
-    for q, i, d, t in token_list:
-        omega = sorted(d, key=lambda p: (action_key(p[0]), value_key(p[1])))
-        rel = {(a, s): [State({act_var: a, state_var: s})] for (a, s) in omega}
-        S = MixedSystem((omega, d), vars, rel)
-        for a0 in adom.values:
-            delta[(State({act_var: a0, state_var: t}), 1)] = S
+    for q, ts in P.out.items():
+        for (_, d), t in zip(ts, tokens[q]):
+            omega = sorted(d, key=lambda p: (action_key(p[0]), value_key(p[1])))
+            rel = {(a, s): [State({act_var: a, state_var: s})] for (a, s) in omega}
+            S = MixedSystem((omega, d), vars, rel)
+            for a0 in adom.values:
+                delta[(State({act_var: a0, state_var: t}), 1)] = S
     initial = State({act_var: adom.values[0], state_var: P.initial})
     return MixedAutomaton((1,), vars, initial, delta)
 

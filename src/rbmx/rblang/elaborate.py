@@ -19,7 +19,14 @@ Three targets, at increasing expressiveness:
 import itertools
 from fractions import Fraction
 
-from ..bayes import BayesianNetwork, MixedKernel, kernel_from_system, point_system
+from ..automata import MixedAutomaton
+from ..bayes import (
+    BayesianNetwork,
+    MixedKernel,
+    bn_validate,
+    kernel_from_system,
+    point_system,
+)
 from ..core import (
     Domain,
     MixedSystem,
@@ -274,14 +281,6 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
     return MixedSystem((omega, weights), merge_vars(base.vars, K.out_vars), rel)
 
 
-def _compose_all(systems) -> MixedSystem:
-    if not systems:
-        return nil_system()
-    if len(systems) == 1:
-        return systems[0]
-    return compose(*systems)
-
-
 def _fold(base: MixedSystem, kernels):
     """Graft every kernel whose inputs the running system determines;
     returns the grown system and the kernels still waiting for inputs."""
@@ -313,8 +312,12 @@ def _static_only(p: Program, leaves):
         )
 
 
-def _leaf_parts(p: Program, leaves, obs, observe_free):
-    systems = []
+def _leaf_system(p: Program, leaves, obs=None, observe_free=False, pins=()):
+    """Compose the pins and the leaves' systems in order, then graft the
+    parameterized priors' kernels; returns the system and the kernels still
+    waiting for inputs.  An observed variable is pinned to its value in obs,
+    or left free with observe_free."""
+    systems = list(pins)
     kernels = []
     for s in leaves:
         if isinstance(s, SObserve):
@@ -331,7 +334,11 @@ def _leaf_parts(p: Program, leaves, obs, observe_free):
             systems.append(equation_system(p, s.lhs, s.rhs))
         else:
             raise MalformedSystem("unexpected statement %r" % (s,))
-    return systems, kernels
+    if len(systems) > 1:
+        base = compose(*systems)
+    else:
+        base = systems[0] if systems else nil_system()
+    return _fold(base, kernels)
 
 
 def elaborate_static(p: Program, obs=None):
@@ -340,9 +347,7 @@ def elaborate_static(p: Program, obs=None):
     observed variable."""
     leaves = statements(p.body)
     _static_only(p, leaves)
-    systems, kernels = _leaf_parts(p, leaves, obs, observe_free=False)
-    base = _compose_all(systems)
-    base, left = _fold(base, kernels)
+    base, left = _leaf_system(p, leaves, obs)
     if not left:
         return base
 
@@ -429,8 +434,6 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
         sources=flagged,
         variables=[_var(p, nm) for nm in sorted(mentioned)],
     )
-    from ..bayes import bn_validate
-
     problems = bn_validate(N)
     if problems:
         raise _DirectRulesFail("; ".join(problems))
@@ -438,10 +441,7 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
 
 
 def _block_system(p: Program, block, idx) -> MixedSystem:
-    leaves = statements(block)
-    systems, kernels = _leaf_parts(p, leaves, obs=None, observe_free=True)
-    base = _compose_all(systems)
-    base, left = _fold(base, kernels)
+    base, left = _leaf_system(p, statements(block), observe_free=True)
     if left:
         raise NotIncremental(
             "block %d has parameterized priors whose inputs it does not determine"
@@ -535,8 +535,6 @@ def elaborate_dynamic(p: Program):
     always-on statement, and the branch each guard's assigned value selects;
     variables the selected statements leave unconstrained stay free.
     """
-    from ..automata import MixedAutomaton
-
     leaves = statements(p.body)
     pres = sorted(required_inits(p))
     guards = program_guards(p)
@@ -561,16 +559,13 @@ def elaborate_dynamic(p: Program):
         for x in pres:
             if x not in q:
                 return None
-        systems = [
+        pins = [
             point_system([Var(pre_name(x), _domain(p, p.vars[x]))],
                          State({pre_name(x): q[x]}))
             for x in pres
         ]
-        more_sys, kernels = _leaf_parts(p, active_leaves(_leaves, a), obs=None,
-                                        observe_free=True)
-        systems.extend(more_sys)
-        base = _compose_all(systems)
-        base, left = _fold(base, kernels)
+        base, left = _leaf_system(p, active_leaves(_leaves, a), observe_free=True,
+                                  pins=pins)
         if left:
             raise NotIncremental(
                 "parameterized priors need inputs the step does not determine"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbmx import Domain, MixedSystem, State, equivalent
+from rbmx import Domain, MixedSystem, State, core, equivalent
 from rbmx.automata import (
     MixedAutomaton,
     assignment_algebra,
@@ -75,6 +75,19 @@ class TestConstruction:
             MixedAutomaton(("a",), [("x", BIT)], {"zz": 0}, {})
         with pytest.raises(VariableSetMismatch):
             MixedAutomaton(("a",), [("x", BIT)], {"x": 7}, {})
+
+    def test_transition_states_validated(self):
+        # a delta key is checked like the initial state; partial keys over
+        # known variables stay legal
+        for key in ({"x": 5}, {"zz": 0}):
+            with pytest.raises(VariableSetMismatch):
+                MixedAutomaton(("a",), [("x", BIT)], {"x": 0},
+                               {(State(key), "a"): target(0)})
+        S = MixedSystem({"o": Fraction(1)}, [("x", BIT), ("y", BIT)],
+                        {"o": [State({"x": 0, "y": 0})]})
+        M = MixedAutomaton(("a",), [("x", BIT), ("y", BIT)], {"x": 0},
+                           {(State({"x": 0}), "a"): S})
+        assert M.transition({"x": 0}, "a") is S
 
     def test_partial_initial_allowed(self):
         M = MixedAutomaton(("a",), [("x", BIT), ("y", BIT)], {"x": 0}, {})
@@ -278,6 +291,15 @@ class TestSimulation:
             for q in M.reachable():
                 assert (q, q) in R
             assert bisimilar(M, M) is not None
+
+    def test_candidate_relation_is_capped_before_building(self, monkeypatch):
+        M = walker()  # two reachable states, so four candidate pairs
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 4)
+        assert simulates(M, M) is not None
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 3)
+        for check in (simulates, bisimilar):
+            with pytest.raises(CapExceeded, match="4 state pairs"):
+                check(M, M)
 
     def test_richer_automaton_simulates_poorer(self):
         M = walker()

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rbmx import cli, core
 from rbmx.automata import ma_to_json
 from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_from_json, spa_to_json, spa_to_ma
 
@@ -462,6 +463,31 @@ class TestComposeSimcheckEmbed:
         assert r.returncode == 2, r.stderr
         assert "bad %s document" % kind in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("state", [{"xi": 5}, {"y": 0}])
+    def test_transition_state_outside_the_variables_is_exit_2(self, tmp_path, state):
+        doc = ma_to_json(spa_to_ma(spa_from_json(SPA_DOC)))
+        doc["delta"].append(dict(doc["delta"][0], state=state))
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        for argv in (["compose", str(f), str(f)], ["embed", "ma2spa", str(f)],
+                     ["simcheck", str(f), str(f)]):
+            r = run_cli(*argv)
+            assert r.returncode == 2, (argv, r.stderr)
+            assert "transition state" in r.stderr
+            assert "Traceback" not in r.stderr
+
+    def test_simcheck_over_the_relation_cap_is_exit_2(self, files, monkeypatch, capsys):
+        # SPA_DOC has two states, so a self-check has four candidate pairs
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 4)
+        assert cli.main(["simcheck", files["spa.json"], files["spa.json"]]) == 0
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 3)
+        capsys.readouterr()
+        for extra in ([], ["--bisim"]):
+            argv = ["simcheck", files["spa.json"], files["spa.json"]] + extra
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "4 state pairs" in err
 
     def test_embed_wrong_direction_is_exit_2(self, files):
         r = run_cli("embed", "pa2ma", files["spa.json"])

@@ -10,8 +10,9 @@ from rbmx.automata import (
     sim_equivalent,
     simulates,
 )
+from rbmx import core
 from rbmx.core import Domain, MixedSystem, State, all_states
-from rbmx.errors import MalformedSystem
+from rbmx.errors import CapExceeded, MalformedSystem
 from rbmx.embeddings import (
     PA,
     SPA,
@@ -243,6 +244,34 @@ class TestRefinement:
                 assert got == (want if initial in want else None)
             verdicts.add((initial in fwd, initial in both))
         assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_spa_checks_agree_with_pa_checks_on_the_embedding(self):
+        # spa_embed_pa keeps the states, so the greatest relations must be
+        # equal pair for pair, not only in their verdicts
+        rng = random.Random(9012)
+        kinds = set()
+        for _ in range(80):
+            P1 = rand_spa(rng, nq=rng.randint(2, 4))
+            P2 = P1 if rng.random() < 0.25 else rand_spa(rng, nq=rng.randint(2, 4))
+            G1, G2 = spa_embed_pa(P1), spa_embed_pa(P2)
+            sim, bisim = spa_simulates(P1, P2), spa_bisimilar(P1, P2)
+            assert pa_simulates(G1, G2) == sim
+            assert pa_bisimilar(G1, G2) == bisim
+            kinds.add((P1 is P2, sim is not None, bisim is not None))
+        assert kinds == {(True, True, True), (False, True, True),
+                         (False, True, False), (False, False, False)}
+
+    @pytest.mark.parametrize("sim", [spa_simulates, spa_bisimilar,
+                                     pa_simulates, pa_bisimilar])
+    def test_candidate_relation_is_capped_before_building(self, monkeypatch, sim):
+        P = rand_spa(random.Random(9013), nq=3)
+        if sim in (pa_simulates, pa_bisimilar):
+            P = spa_embed_pa(P)
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 9)
+        assert sim(P, P) is not None
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 8)
+        with pytest.raises(CapExceeded, match="9 state pairs"):
+            sim(P, P)
 
     def test_bisimulation_is_stronger_than_mutual_simulation(self):
         P1, P2 = sim_equivalent_not_bisimilar()

@@ -44,3 +44,15 @@ def test_no_broad_except():
 def test_no_recursion_or_memory_handler():
     # limits are checked before recursing or allocating, not caught after
     assert _find(_catches(LIMITS)) == []
+
+
+def _imports_inside_functions(node):
+    """A matcher hit for every function whose body holds an import."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))
+
+
+def test_no_function_local_imports():
+    # imports sit at the top of a module, where a reader finds them
+    assert _find(_imports_inside_functions) == []
