@@ -17,6 +17,7 @@ one greatest-fixpoint loop.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -70,7 +71,8 @@ class MixedAutomaton:
     values of their domains; running requires a total initial state.  A
     ``provider`` callable (state, action) -> system-or-None serves
     transitions lazily; results are cached into delta.  materialize() forces
-    the whole table.
+    the whole table and drops the provider; every consumer that reads delta
+    as a whole calls it first.
     """
 
     __slots__ = ("alphabet", "vars", "initial", "delta", "provider")
@@ -144,14 +146,20 @@ class MixedAutomaton:
         return order
 
     def materialize(self, cap=4096):
-        """Force every (state, action) pair through the provider."""
+        """Force every (state, action) pair through the provider, the initial
+        state's too when it is partial, then drop the provider.  A no-op
+        when there is none."""
+        if self.provider is None:
+            return self
+        partial = [] if self.is_total_state(self.initial) else [self.initial]
         count = 0
-        for q in self.states():
+        for q in itertools.chain(self.states(), partial):
             for a in self.alphabet:
                 count += 1
                 if count > cap:
                     raise CapExceeded("materialization exceeds cap %d" % cap)
                 self.transition(q, a)
+        self.provider = None
         return self
 
     def is_total_state(self, q: State) -> bool:
@@ -273,8 +281,8 @@ def ma_compose(M1: MixedAutomaton, M2: MixedAutomaton, algebra=None) -> MixedAut
                 alphabet.add(algebra.join(a1, a2))
 
     delta = {}
-    for (q1, a1), S1 in M1.delta.items():
-        for (q2, a2), S2 in M2.delta.items():
+    for (q1, a1), S1 in M1.materialize().delta.items():
+        for (q2, a2), S2 in M2.materialize().delta.items():
             if not algebra.compatible(a1, a2):
                 continue
             q = state_join(q1, q2)
@@ -486,6 +494,7 @@ def _action_from_json(j):
 
 
 def ma_to_json(M: MixedAutomaton) -> dict:
+    M.materialize()
     return {
         "alphabet": [_action_to_json(a) for a in M.alphabet],
         "domains": {v.domain.name: list(v.domain.values) for v in M.vars},

@@ -67,15 +67,14 @@ from .rblang import (
     elaborate_dynamic,
     elaborate_graph,
     elaborate_static,
+    is_dynamic,
     parse,
-    pre_vars,
     print_program,
     program_factor_graph,
     program_guards,
     run_program,
     statements,
 )
-from .rblang.syntax import SInit, SOn
 
 
 def _emit(doc):
@@ -163,9 +162,6 @@ def _parse_query(text):
 
 def cmd_parse(args):
     p = _read_program(args.file)
-    dynamic = bool(pre_vars(p.body)) or any(
-        isinstance(s, (SInit, SOn)) for s in statements(p.body)
-    )
     _emit(
         {
             "domains": {name: list(vals) for name, vals in p.domains.items()},
@@ -174,7 +170,7 @@ def cmd_parse(args):
             "dists": sorted(p.dists),
             "guards": [label for label, _ in program_guards(p)],
             "statements": len(statements(p.body)),
-            "mode_hint": "dynamic" if dynamic else "static",
+            "mode_hint": "dynamic" if is_dynamic(p) else "static",
             "printed": print_program(p),
         }
     )
@@ -194,10 +190,7 @@ def cmd_elaborate(args):
         _emit(bn_to_json(elaborate_graph(p)))
     else:
         M = elaborate_dynamic(p)
-        M.materialize(cap=args.cap)
-        for a in M.alphabet:  # partial initials are not in states()
-            M.transition(M.initial, a)
-        _emit(ma_to_json(M))
+        _emit(ma_to_json(M.materialize(cap=args.cap)))
     return 0
 
 

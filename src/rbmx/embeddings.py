@@ -348,7 +348,7 @@ def ma_to_spa(M: MixedAutomaton, cap=4096) -> SPA:
     if not M.is_total_state(M.initial):
         raise MissingInit("automaton initial state is partial")
     transitions = []
-    for (q, a), S in sorted(M.delta.items(),
+    for (q, a), S in sorted(M.materialize().delta.items(),
                             key=lambda kv: (repr(kv[0][0]), action_key(kv[0][1]))):
         live = [o for o in S.omega if S.pi[o] > 0 and S.rel[o]]
         z = sum((S.pi[o] for o in live), Fraction(0))

@@ -66,6 +66,7 @@ from .syntax import (
     VarRef,
     expr_vars,
     guard_exprs,
+    is_dynamic,
     nodes,
     pre_vars,
     print_expr,
@@ -98,8 +99,8 @@ def _var(p: Program, name) -> Var:
 
 def eval_expr(p: Program, e, env):
     """Value of e under env (a mapping name -> value; pre x reads the
-    companion name •x).  Tables are total, so the only runtime failure is a
-    non-boolean if-condition."""
+    companion name •x).  Raises DomainMismatch for a non-boolean
+    if-condition or a function applied outside its table."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, VarRef):
@@ -117,6 +118,9 @@ def eval_expr(p: Program, e, env):
         decl = p.funcs[e.name]
         vals = [eval_expr(p, x, env) for x in e.args]
         key = vals[0] if len(vals) == 1 else tuple(vals)
+        if key not in decl.table:
+            raise DomainMismatch("function %s is not defined at (%s)"
+                                 % (e.name, ", ".join(map(repr, vals))))
         return decl.table[key]
     raise MalformedSystem("cannot evaluate %r" % (e,))
 
@@ -300,13 +304,8 @@ def _fold(base: MixedSystem, kernels):
 # --- static semantics -----------------------------------------------------------
 
 
-def _static_only(p: Program, leaves):
-    for s in leaves:
-        if isinstance(s, (SInit, SOn)):
-            raise MalformedSystem(
-                "the static semantics covers programs without pre/init/on"
-            )
-    if pre_vars(p.body):
+def _static_only(p: Program):
+    if is_dynamic(p):
         raise MalformedSystem(
             "the static semantics covers programs without pre/init/on"
         )
@@ -346,7 +345,7 @@ def elaborate_static(p: Program, obs=None):
     parameterized priors leave free).  obs supplies the value of every
     observed variable."""
     leaves = statements(p.body)
-    _static_only(p, leaves)
+    _static_only(p)
     base, left = _leaf_system(p, leaves, obs)
     if not left:
         return base
@@ -452,8 +451,7 @@ def _block_system(p: Program, block, idx) -> MixedSystem:
 
 def program_factor_graph(p: Program):
     """The top-level parallel blocks as a factor graph, labelled S1..Sk."""
-    leaves = statements(p.body)
-    _static_only(p, leaves)
+    _static_only(p)
     blocks = p.body.items if isinstance(p.body, SPar) else (p.body,)
     systems = [_block_system(p, b, i + 1) for i, b in enumerate(blocks)]
     labels = ["S%d" % (i + 1) for i in range(len(systems))]
@@ -466,7 +464,7 @@ def elaborate_graph(p: Program) -> BayesianNetwork:
     sources; otherwise the tree-shaped factor-graph rewrite rooted at the
     first block.  Anything else is not incremental."""
     leaves = statements(p.body)
-    _static_only(p, leaves)
+    _static_only(p)
     try:
         return _direct_bn(p, leaves)
     except _DirectRulesFail as first:

@@ -669,6 +669,13 @@ def rewrite_guard(e):
     return e
 
 
+def is_dynamic(p: Program) -> bool:
+    """Whether the program needs the dynamic semantics: it reads some
+    variable through pre, or holds an init or on statement."""
+    return bool(pre_vars(p.body)) or any(
+        isinstance(s, (SInit, SOn)) for s in statements(p.body))
+
+
 def required_inits(p: Program):
     """Variables whose previous value is read somewhere: explicitly pre'd
     ones plus every variable a guard mentions."""

@@ -4,10 +4,13 @@ Given two rational measures of equal total mass and a set of allowed pairs,
 decide whether some nonnegative joint measure supported on the allowed
 pairs has exactly those marginals — and produce one when it exists.
 
-This is a bipartite max-flow problem.  Capacities are fractions.Fraction,
-so we use the shortest-augmenting-path (BFS) variant, whose termination
-does not depend on capacities being integers.  Problem sizes here are tiny
-(supports of mixed systems), so no scaling cleverness is needed.
+feasible_transport works on the measures' own keys: the left keys with
+supply left, the right keys with room left, and the flow already placed on
+allowed pairs.  Each round is one breadth-first search from every left key
+with supply, forward along allowed pairs (unbounded) and back against pairs
+that carry flow, to the nearest right key with room; the bottleneck is then
+pushed along that path.  Shortest paths bound the number of rounds whatever
+the masses are, so exact Fractions need no scaling.
 """
 
 from __future__ import annotations
@@ -16,96 +19,68 @@ from collections import deque
 from fractions import Fraction
 
 
-class _FlowNet:
-    # adjacency of edge indices; edges stored in pairs so edge i^1 is the
-    # reverse of edge i, and the residual of the reverse equals pushed flow
-    def __init__(self, n):
-        self.n = n
-        self.adj = [[] for _ in range(n)]
-        self.to = []
-        self.residual = []
-
-    def add_edge(self, u, v, cap):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.residual.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.residual.append(Fraction(0))
-
-    def flow_on(self, edge_index):
-        return self.residual[edge_index ^ 1]
-
-    def max_flow(self, s, t) -> Fraction:
-        total = Fraction(0)
-        while True:
-            parent_edge = [-1] * self.n
-            parent_edge[s] = -2
-            queue = deque([s])
-            while queue and parent_edge[t] == -1:
-                u = queue.popleft()
-                for ei in self.adj[u]:
-                    v = self.to[ei]
-                    if parent_edge[v] == -1 and self.residual[ei] > 0:
-                        parent_edge[v] = ei
-                        queue.append(v)
-            if parent_edge[t] == -1:
-                return total
-            # bottleneck along the found path, then augment
-            push = None
-            v = t
-            while v != s:
-                ei = parent_edge[v]
-                r = self.residual[ei]
-                push = r if push is None or r < push else push
-                v = self.to[ei ^ 1]
-            v = t
-            while v != s:
-                ei = parent_edge[v]
-                self.residual[ei] -= push
-                self.residual[ei ^ 1] += push
-                v = self.to[ei ^ 1]
-            total += push
-
-
 def feasible_transport(mu1: dict, mu2: dict, allowed):
     """Find a joint measure on ``allowed`` pairs with marginals mu1 and mu2.
 
     mu1 and mu2 map keys to nonnegative Fractions.  Returns the witness as a
     {(a, b): mass} dict over its support, or None when no such joint exists
     (including when the totals differ, since then no coupling can exist).
-    Zero-mass keys are irrelevant and are dropped up front.
+    Zero-mass keys are irrelevant and are dropped up front; duplicate pairs
+    count once.
     """
-    left = [a for a, w in mu1.items() if w > 0]
-    right = [b for b, w in mu2.items() if w > 0]
-    t1 = sum((mu1[a] for a in left), Fraction(0))
-    t2 = sum((mu2[b] for b in right), Fraction(0))
-    if t1 != t2:
+    supply = {a: w for a, w in mu1.items() if w > 0}
+    room = {b: w for b, w in mu2.items() if w > 0}
+    if sum(supply.values(), Fraction(0)) != sum(room.values(), Fraction(0)):
         return None
-    if t1 == 0:
-        return {}
-
-    li = {a: i for i, a in enumerate(left)}
-    ri = {b: i for i, b in enumerate(right)}
-    n = len(left) + len(right) + 2
-    source, sink = n - 2, n - 1
-    net = _FlowNet(n)
-    for a in left:
-        net.add_edge(source, li[a], mu1[a])
-    for b in right:
-        net.add_edge(ri[b] + len(left), sink, mu2[b])
-    middle = {}
-    for a, b in allowed:
-        if a in li and b in ri and (a, b) not in middle:
-            ei = len(net.to)
-            net.add_edge(li[a], ri[b] + len(left), t1)
-            middle[(a, b)] = ei
-
-    if net.max_flow(source, sink) != t1:
-        return None
-    witness = {}
-    for (a, b), ei in middle.items():
-        f = net.flow_on(ei)
-        if f > 0:
-            witness[(a, b)] = f
-    return witness
+    succ = {a: [] for a in supply}
+    for a, b in dict.fromkeys(allowed):
+        if a in supply and b in room:
+            succ[a].append(b)
+    flow = {}
+    into = {b: [] for b in room}
+    while supply:
+        # came[a] is the right key whose flow from a led here (None: a root);
+        # reached[b] is the left key whose allowed pair reached b
+        came = dict.fromkeys(supply)
+        reached = {}
+        queue = deque(supply)
+        end = None
+        while queue and end is None:
+            a = queue.popleft()
+            for b in succ[a]:
+                if b in reached:
+                    continue
+                reached[b] = a
+                if b in room:
+                    end = b
+                    break
+                for a2 in into[b]:
+                    if a2 not in came:
+                        came[a2] = b
+                        queue.append(a2)
+        if end is None:
+            return None
+        path, b = [], end  # (a, b, back): a gains flow to b and loses it to back
+        while b is not None:
+            a = reached[b]
+            path.append((a, b, came[a]))
+            b = came[a]
+        root = a
+        push = min([room[end], supply[root]] + [flow[(a, back)] for a, _, back in path[:-1]])
+        for a, b, back in path:
+            if (a, b) not in flow:
+                flow[(a, b)] = 0
+                into[b].append(a)
+            flow[(a, b)] += push
+            if back is not None:
+                flow[(a, back)] -= push
+                if not flow[(a, back)]:
+                    del flow[(a, back)]
+                    into[back].remove(a)
+        room[end] -= push
+        if not room[end]:
+            del room[end]
+        supply[root] -= push
+        if not supply[root]:
+            del supply[root]
+    return flow

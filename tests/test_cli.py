@@ -10,7 +10,7 @@ from rbmx.automata import ma_to_json
 from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_from_json, spa_to_json, spa_to_ma
 
 from .oracles import sim_equivalent_not_bisimilar
-from .test_rblang import HOSTILE
+from .test_rblang import HOSTILE, OFF_TABLE
 
 CLI = [sys.executable, "-m", "rbmx.cli"]
 
@@ -226,6 +226,13 @@ class TestParseElaborate:
         r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "static")
         assert r.returncode == 2
 
+    def test_function_outside_its_table_is_exit_2(self, tmp_path):
+        prog = tmp_path / "off.rb.mx"
+        prog.write_text(OFF_TABLE + "|| x ~ Uniform(tri) || y = f(x)")
+        r = run_cli("elaborate", str(prog), "--mode", "static")
+        assert r.returncode == 2
+        assert r.stderr == "error: function f is not defined at (2)\n"
+
     def test_elaborate_graph(self, files):
         r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "graph")
         assert r.returncode == 0, r.stderr
@@ -385,6 +392,37 @@ class TestComposeSimcheckEmbed:
         assert r.returncode == 0, r.stderr
         doc = json.loads(r.stdout)
         assert len(doc["omega"]) == 4
+
+    def test_compose_automata_documents(self, files, tmp_path):
+        r = run_cli("compose", files["spa.json"], files["spa.json"])
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert len(doc["states"]) == len(SPA_DOC["states"]) ** 2
+        assert doc["initial"] == "(q0,q0)"
+        r = run_cli("compose", files["pa.json"], files["pa.json"])
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["states"] == ["(r0,r0)"]
+        P = spa_from_json(SPA_DOC)
+        for v in ("x1", "x2"):
+            (tmp_path / (v + ".json")).write_text(json.dumps(ma_to_json(spa_to_ma(P, var=v))))
+        r = run_cli("compose", str(tmp_path / "x1.json"), str(tmp_path / "x2.json"))
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert [v["name"] for v in doc["vars"]] == ["x1", "x2"]
+        assert doc["initial"] == {"x1": "q0", "x2": "q0"}
+        assert len(doc["delta"]) == len(ma_to_json(spa_to_ma(P))["delta"])
+
+    def test_compose_factor_graphs_is_exit_2(self, files, tmp_path):
+        fg = tmp_path / "fg.json"
+        fg.write_text(run_cli("fg", files["noisy.rb.mx"]).stdout)
+        r = run_cli("compose", str(fg), str(fg))
+        assert r.returncode == 2
+        assert "cannot compose factor graphs" in r.stderr
+
+    def test_simcheck_on_systems_is_exit_2(self, files):
+        r = run_cli("simcheck", files["sab.json"], files["sab.json"])
+        assert r.returncode == 2
+        assert "simcheck wants two automata, got system" in r.stderr
 
     def test_compose_kind_mismatch_is_exit_2(self, files):
         r = run_cli("compose", files["spa.json"], files["pa.json"])

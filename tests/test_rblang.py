@@ -12,7 +12,9 @@ from rbmx import (
     outer,
 )
 from rbmx import core
+from rbmx.automata import ma_compose, ma_to_json
 from rbmx.bayes import MixedKernel, bn_score, bn_validate
+from rbmx.embeddings import ma_to_spa
 from rbmx.errors import (
     CapExceeded,
     DomainMismatch,
@@ -30,6 +32,7 @@ from rbmx.rblang import (
     elaborate_dynamic,
     elaborate_graph,
     elaborate_static,
+    is_dynamic,
     parse,
     print_program,
     program_factor_graph,
@@ -57,6 +60,17 @@ dist coin : bit { 0 : 1/2, 1 : 1/2 }
 || y = neg(x)
 """
 
+
+# f and g are defined on bit, but x ranges over tri: both leave their tables at x = 2
+OFF_TABLE = """
+domain bit = { 0, 1 }
+domain tri = { 0, 1, 2 }
+domain bool = { F, T }
+var x : tri
+var y : bit
+func f : bit -> bit { 0 -> 1, 1 -> 0 }
+func g : bit -> bool { 0 -> T, 1 -> F }
+"""
 
 HEAD = ("domain bit = { 0, 1 }\nvar x, y : bit\n"
         "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n")
@@ -154,6 +168,15 @@ class TestParsePrint:
         for text in (deep_call(k + 1), deep_blocks(k + 1)):
             with pytest.raises(RbSyntaxError, match="nesting"):
                 parse(text)
+
+    @pytest.mark.parametrize("text, dynamic", [
+        (STATIC, False),
+        (COUNTER, True),
+        (BOOL_HEAD + "|| init b = T", True),
+        (BOOL_HEAD + "var x : bool\n|| init b = T\n|| on b then x = T else x = F", True),
+    ], ids=["static", "init and pre", "init alone", "init and on"])
+    def test_is_dynamic(self, text, dynamic):
+        assert is_dynamic(parse(text)) is dynamic
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(RbSyntaxError) as exc:
@@ -265,6 +288,17 @@ dist fb : bool { F : 9/10, T : 1/10 }
         S = elaborate_static(p)
         assert outer(S, lambda q: q["y"] == 1) == Fraction(1, 20)
 
+    def test_function_outside_its_table_is_a_domain_mismatch(self):
+        p = parse(OFF_TABLE + "|| x ~ Uniform(tri) || y = f(x)")
+        with pytest.raises(DomainMismatch, match=r"function f is not defined at \(2\)"):
+            elaborate_static(p)
+
+    def test_guard_outside_its_table_is_a_domain_mismatch(self):
+        p = parse(OFF_TABLE + "|| init x = 0\n|| x ~ Uniform(tri)\n"
+                  "|| on g(x) then y = 0 else y = 1")
+        with pytest.raises(DomainMismatch, match=r"function g is not defined at \(2\)"):
+            elaborate_dynamic(p)
+
     def test_builtin_dists(self):
         S = elaborate_static(parse("domain bool = { F, T }\nvar rf : bool\n"
                                    "|| rf ~ Bernoulli(1e-6)"))
@@ -370,6 +404,39 @@ class TestDynamic:
         S = elaborate_static(p)
         assert outer(S, lambda q: q["y"] == 0) == 1  # both values admitted
         assert outer(S, lambda q: q["y"] == 1) == 1
+
+    def test_padding_frees_what_the_chosen_branch_leaves_unconstrained(self):
+        p = parse("domain bool = { F, T }\ndomain bit = { 0, 1 }\n"
+                  "var b : bool\nvar y, z : bit\n"
+                  "|| init b = T\n|| b = pre b\n|| on pre b then y = 1 else z = 1")
+        M = elaborate_dynamic(p)
+        S = M.transition(M.initial, State({"pre b": True}))
+        assert outer(S, lambda q: q["y"] == 0) == 0
+        assert outer(S, lambda q: q["z"] == 0) == 1  # z is padded, so free
+        assert outer(S, lambda q: q["z"] == 1) == 1
+
+    def test_consumers_of_the_whole_table_materialize_lazy_automata(self):
+        def copy(v):
+            return elaborate_dynamic(parse(
+                "domain bit = { 0, 1 }\nvar %s : bit\n|| init %s = 0\n|| %s = pre %s"
+                % (v, v, v, v)))
+
+        lazy = ma_compose(copy("x"), copy("y"))
+        eager = ma_compose(copy("x").materialize(), copy("y").materialize())
+        # 4 total states and the partial initial on each side
+        assert len(lazy.delta) == len(eager.delta) == 25
+        assert lazy.delta.keys() == eager.delta.keys()
+        assert all(equivalent(S, eager.delta[k]) for k, S in lazy.delta.items())
+
+        step = "domain bit = { 0, 1 }\nvar x : bit\n|| init x = 0\n|| x ~ Uniform(bit)"
+        assert len(ma_to_spa(elaborate_dynamic(parse(step))).transitions) == 2
+        assert ma_to_json(elaborate_dynamic(parse(step))) == ma_to_json(
+            elaborate_dynamic(parse(step)).materialize())
+
+    def test_materialize_without_a_provider_is_a_no_op(self):
+        M = elaborate_dynamic(parse(COUNTER)).materialize()
+        assert M.provider is None
+        assert M.materialize(cap=0) is M
 
     def test_observe_only_program(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n|| observe x")

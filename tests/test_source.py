@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import rbmx
 
@@ -56,3 +57,21 @@ def _imports_inside_functions(node):
 def test_no_function_local_imports():
     # imports sit at the top of a module, where a reader finds them
     assert _find(_imports_inside_functions) == []
+
+
+def _third_party_import(node):
+    """A matcher hit for every absolute import of a module that is neither
+    in the standard library nor rbmx itself."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    allowed = sys.stdlib_module_names | {"rbmx"}
+    return any(name.split(".")[0] not in allowed for name in names)
+
+
+def test_standard_library_only():
+    # pyproject.toml declares no dependencies, so none may be imported
+    assert _find(_third_party_import) == []

@@ -1,0 +1,56 @@
+import random
+from fractions import Fraction
+
+from rbmx.transport import feasible_transport
+
+from .oracles import cut_feasible
+
+HALF = Fraction(1, 2)
+
+
+def check_witness(w, mu1, mu2, allowed):
+    """w is a joint measure on allowed pairs with marginals mu1 and mu2."""
+    assert all(m > 0 and pair in allowed for pair, m in w.items())
+    for side, mu in ((0, mu1), (1, mu2)):
+        for key, mass in mu.items():
+            got = sum((m for pair, m in w.items() if pair[side] == key), Fraction(0))
+            assert got == mass, (side, key)
+
+
+def test_a_backward_step_reroutes_placed_mass():
+    # the first round places a -> c; b then reaches d only by undoing it
+    mu1, mu2 = {"a": HALF, "b": HALF}, {"c": HALF, "d": HALF}
+    allowed = [("a", "c"), ("a", "d"), ("b", "c")]
+    assert feasible_transport(mu1, mu2, allowed) == {("a", "d"): HALF, ("b", "c"): HALF}
+
+
+def test_zero_totals_and_unequal_totals():
+    assert feasible_transport({"a": Fraction(0)}, {}, []) == {}
+    assert feasible_transport({"a": HALF}, {"a": Fraction(1)}, [("a", "a")]) is None
+
+
+def _measure(rng, keys):
+    # zero masses included; the denominators keep sums exact but uneven
+    return {k: Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5))) for k in keys}
+
+
+def test_agrees_with_the_cut_oracle_on_random_instances():
+    rng = random.Random(2201)
+    feasible = 0
+    for _ in range(1500):
+        left = ["l%d" % i for i in range(rng.randint(0, 7))]
+        right = ["r%d" % i for i in range(rng.randint(0, 7))]
+        right += rng.sample(left, min(len(left), rng.randint(0, 2)))  # shared keys
+        mu1, mu2 = _measure(rng, left), _measure(rng, right[:7])
+        t1, t2 = sum(mu1.values(), Fraction(0)), sum(mu2.values(), Fraction(0))
+        if t1 and t2 and rng.random() < 0.8:  # else the totals differ
+            mu2 = {k: m * t1 / t2 for k, m in mu2.items()}
+        density = rng.choice((0.3, 0.6, 0.9))
+        allowed = [(a, b) for a in mu1 for b in mu2 if rng.random() < density]
+        allowed += rng.sample(allowed, min(len(allowed), 3))  # duplicate pairs
+        w = feasible_transport(mu1, mu2, allowed)
+        assert (w is not None) == cut_feasible(mu1, mu2, allowed), (mu1, mu2, allowed)
+        if w is not None:
+            feasible += 1
+            check_witness(w, mu1, mu2, set(allowed))
+    assert feasible > 300
