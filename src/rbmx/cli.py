@@ -26,6 +26,7 @@ RBMX_SEED supplies the default seed for sample.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -75,6 +76,13 @@ from .rblang import (
     run_program,
     statements,
 )
+from .rblang.syntax import MAX_NESTING
+
+# brackets and quotes of a UTF-8 JSON text, with braces read as brackets
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_A_MARK = bytes(c for c in range(256) if c not in b'[]{}"')
+_DEPTH_STEP = [0] * 256
+_DEPTH_STEP[ord("[")], _DEPTH_STEP[ord("]")] = 1, -1
 
 
 def _emit(doc):
@@ -86,9 +94,31 @@ def _read_program(path):
         return parse(fh.read())
 
 
+def _loads(text, source):
+    """The JSON document in text, read from source (named in errors).
+    Arrays and objects nest at most MAX_NESTING levels deep: the decoder
+    recurses once per level, so the depth is counted, outside strings,
+    before it runs, and a deeper document raises MalformedSystem."""
+    # drop escaped backslashes, then escaped quotes: every quote left opens
+    # or closes a string.  A string without brackets leaves an adjacent pair
+    # of quotes; if a quote survives removing those pairs, some string holds
+    # a bracket, and only the text between strings is kept
+    data = text.encode("utf-8", "surrogatepass").replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = data.translate(_BRACKETS, _NOT_A_MARK)
+    brackets = marks.replace(b'""', b"")
+    if b'"' in brackets:
+        brackets = b"".join(marks.split(b'"')[::2])
+    depth = max(itertools.accumulate(map(_DEPTH_STEP.__getitem__, brackets)), default=0)
+    if depth > MAX_NESTING:
+        raise MalformedSystem(
+            "%s: JSON nested deeper than %d levels" % (source, MAX_NESTING)
+        )
+    return json.loads(text)
+
+
 def _read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return _loads(fh.read(), path)
 
 
 def _load_model(path):
@@ -117,7 +147,7 @@ def _load_fg(path):
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return fg_from_json(json.loads(text))
+        return fg_from_json(_loads(text, path))
     return program_factor_graph(parse(text))
 
 
@@ -180,7 +210,7 @@ def cmd_parse(args):
 def cmd_elaborate(args):
     p = _read_program(args.file)
     if args.mode == "static":
-        obs = json.loads(args.obs) if args.obs else None
+        obs = _loads(args.obs, "--obs") if args.obs else None
         res = elaborate_static(p, obs=obs)
         if isinstance(res, MixedSystem):
             _emit(system_to_json(res))
@@ -203,7 +233,7 @@ def cmd_sample(args):
             for line in fh:
                 line = line.strip()
                 if line:
-                    obs.append(json.loads(line))
+                    obs.append(_loads(line, args.obs))
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("RBMX_SEED", "0"))

@@ -254,35 +254,57 @@ def _is_parameterized(p: Program, leaf: SPrior) -> bool:
 
 
 def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
-    """Compose a system with a kernel whose inputs the system determines:
-    one independent draw per input cell, consulted according to the input
-    values each row realizes."""
+    """Compose a system with a kernel whose inputs the system determines.
+
+    Each input cell (a state over K's inputs) carries its own independent
+    draw from K.  A base outcome ob draws only the cells its row's states
+    restrict to, in cell order, so its outcomes are (ob, (i1, o1), (i2, o2),
+    ...) for every oi in the outcome space of cell i, weighted
+    base.pi[ob] * K(cell i1).pi[o1] * ...; each row state joins with the
+    row of its own cell's draw.  This is the exact marginal of the full
+    product with one draw per cell for every base outcome, over the draws
+    no row consults, so every query answers as on that product.  K is still
+    applied at every cell, so an error at any cell surfaces, and CapExceeded
+    is raised on the number of outcomes built, before building them."""
     cells = list(all_states(K.in_vars))
     cell_index = {c: i for i, c in enumerate(cells)}
     cell_sys = [K.apply(c) for c in cells]
+    vars = merge_vars(base.vars, K.out_vars)
     in_names = list(K.in_names)
 
-    omegas = [base.omega] + [S.omega for S in cell_sys]
-    check_outcome_cap(map(len, omegas), "graft of kernel %r" % K.name)
+    # per base outcome: its row states with their cells, and the cells drawn
+    plans = []
+    total = 0
+    for ob in base.omega:
+        row = [(qb, cell_index[qb.restrict(in_names)]) for qb in base.rel[ob]]
+        drawn = sorted({i for _, i in row})
+        size = 1
+        for i in drawn:
+            size *= len(cell_sys[i].omega)
+        total += size
+        plans.append((ob, row, drawn))
+    check_outcome_cap([total], "graft of kernel %r" % K.name)
 
     omega = []
     weights = {}
     rel = {}
-    for combo in itertools.product(*omegas):
-        mass = base.pi[combo[0]]
-        for S, o in zip(cell_sys, combo[1:]):
-            mass *= S.pi[o]
-        omega.append(combo)
-        weights[combo] = mass
-        row = []
-        for qb in base.rel[combo[0]]:
-            idx = cell_index[qb.restrict(in_names)]
-            for qc in cell_sys[idx].rel[combo[1 + idx]]:
-                joined = state_join(qb, qc)
-                if joined is not None:
-                    row.append(joined)
-        rel[combo] = row
-    return MixedSystem((omega, weights), merge_vars(base.vars, K.out_vars), rel)
+    for ob, row, drawn in plans:
+        for draw in itertools.product(*(cell_sys[i].omega for i in drawn)):
+            pick = dict(zip(drawn, draw))
+            o = (ob,) + tuple(pick.items())
+            mass = base.pi[ob]
+            for i, oc in pick.items():
+                mass *= cell_sys[i].pi[oc]
+            omega.append(o)
+            weights[o] = mass
+            joined_row = []
+            for qb, i in row:
+                for qc in cell_sys[i].rel[pick[i]]:
+                    joined = state_join(qb, qc)
+                    if joined is not None:
+                        joined_row.append(joined)
+            rel[o] = joined_row
+    return MixedSystem((omega, weights), vars, rel)
 
 
 def _fold(base: MixedSystem, kernels):
@@ -532,6 +554,11 @@ def elaborate_dynamic(p: Program):
     target at (q, action) composes, in order: the pins •x = q(x), every
     always-on statement, and the branch each guard's assigned value selects;
     variables the selected statements leave unconstrained stay free.
+
+    The target reads q only through those pins, so the provider builds it
+    once per (pinned values, action) and hands the same system to every
+    state that agrees on the variables read through pre; a program with no
+    pre builds one target per action.
     """
     leaves = statements(p.body)
     pres = sorted(required_inits(p))
@@ -550,19 +577,15 @@ def elaborate_dynamic(p: Program):
         for bits in itertools.product((False, True), repeat=len(labels))
     ]
     initial = State({s.var: s.value for s in leaves if isinstance(s, SInit)})
+    targets = {}  # (values of pres, action) -> target system
 
-    def provider(q, a, _leaves=tuple(leaves)):
-        if not isinstance(a, State) or set(a.names) != set(labels):
-            return None
-        for x in pres:
-            if x not in q:
-                return None
+    def build(values, a):
         pins = [
             point_system([Var(pre_name(x), _domain(p, p.vars[x]))],
-                         State({pre_name(x): q[x]}))
-            for x in pres
+                         State({pre_name(x): v}))
+            for x, v in zip(pres, values)
         ]
-        base, left = _leaf_system(p, active_leaves(_leaves, a), observe_free=True,
+        base, left = _leaf_system(p, active_leaves(leaves, a), observe_free=True,
                                   pins=pins)
         if left:
             raise NotIncremental(
@@ -572,5 +595,16 @@ def elaborate_dynamic(p: Program):
         if pad:
             base = compose(base, *pad)
         return base
+
+    def provider(q, a):
+        if not isinstance(a, State) or set(a.names) != set(labels):
+            return None
+        for x in pres:
+            if x not in q:
+                return None
+        key = (tuple(q[x] for x in pres), a)
+        if key not in targets:
+            targets[key] = build(*key)
+        return targets[key]
 
     return MixedAutomaton(alphabet, vars, initial, provider=provider)

@@ -21,8 +21,9 @@ Numeric literals are decimal integers with an optional leading minus
 (``-3``), and, as probabilities and distribution parameters only, ratios of
 two integers with a nonzero denominator (``1/3``) and decimals with one
 point or an exponent or both (``0.25``, ``1e-6``).  A literal has at most
-MAX_NUMBER_LENGTH characters and an exponent of at most MAX_EXPONENT in
-size.  Statements and expressions nest at most MAX_NESTING levels deep,
+core.MAX_NUMBER_LENGTH characters and an exponent of at most
+core.MAX_EXPONENT in size; core.rat holds numbers in documents to the same
+bounds.  Statements and expressions nest at most MAX_NESTING levels deep,
 counted together: each sits one level below the one containing it, and a
 parenthesis or brace adds a level of its own.  Deeper programs are rejected
 with RbSyntaxError, so every recursive pass over a parsed program stays far
@@ -32,6 +33,7 @@ below Python's recursion limit.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..core import number_text_problem
 from ..errors import (
     DomainMismatch,
     MalformedSystem,
@@ -49,8 +51,6 @@ BUILTIN_DISTS = frozenset(("Bernoulli", "Uniform"))
 IF_FUNC = "if"  # if-then-else expressions are carried as this function name
 
 MAX_NESTING = 100
-MAX_NUMBER_LENGTH = 100
-MAX_EXPONENT = 100
 
 
 # --- AST ---------------------------------------------------------------------
@@ -170,17 +170,10 @@ class Token:
 def _number_kind(word, line, col):
     """"int" or "num" for a numeric literal within the bounds; anything else
     is rejected here, before int() or Fraction() reads it."""
-    if len(word) > MAX_NUMBER_LENGTH:
-        raise RbSyntaxError(
-            "number longer than %d characters" % MAX_NUMBER_LENGTH, line, col
-        )
+    problem = number_text_problem(word)
+    if problem is not None:
+        raise RbSyntaxError(problem, line, col)
     mantissa, _, exponent = word.lower().partition("e")
-    if mantissa.count(".") > 1:
-        raise RbSyntaxError("malformed number %r" % word, line, col)
-    if exponent and abs(int(exponent)) > MAX_EXPONENT:
-        raise RbSyntaxError(
-            "exponent of %r exceeds %d" % (word, MAX_EXPONENT), line, col
-        )
     return "num" if "." in mantissa or exponent else "int"
 
 

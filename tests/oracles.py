@@ -155,6 +155,35 @@ def naive_compose_sig(S1, S2):
     return Counter((m, k) for k, m in acc.items() if m > 0)
 
 
+def full_graft(base, K):
+    """A system grafted with a kernel on its inputs, as the full product: one
+    independent draw from K at every input cell for every base outcome, each
+    row state joining the row of its own cell's draw."""
+    cells = list(all_states(K.in_vars))
+    cell_index = {c: i for i, c in enumerate(cells)}
+    cell_sys = [K.apply(c) for c in cells]
+    in_names = list(K.in_names)
+    names = set(base.var_names)
+    vars = list(base.vars) + [v for v in K.out_vars if v.name not in names]
+
+    omega, weights, rel = [], {}, {}
+    for combo in itertools.product(base.omega, *(S.omega for S in cell_sys)):
+        mass = base.pi[combo[0]]
+        for S, o in zip(cell_sys, combo[1:]):
+            mass *= S.pi[o]
+        omega.append(combo)
+        weights[combo] = mass
+        row = []
+        for qb in base.rel[combo[0]]:
+            idx = cell_index[qb.restrict(in_names)]
+            for qc in cell_sys[idx].rel[combo[1 + idx]]:
+                joined = join_states(qb, qc)
+                if joined is not None:
+                    row.append(joined)
+        rel[combo] = row
+    return MixedSystem((omega, weights), vars, rel)
+
+
 def naive_marginal_sig(S, names):
     keep = set(names)
     acc = {}

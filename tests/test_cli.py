@@ -7,7 +7,18 @@ import pytest
 
 from rbmx import cli, core
 from rbmx.automata import ma_to_json
-from rbmx.embeddings import pa_to_json, spa_embed_pa, spa_from_json, spa_to_json, spa_to_ma
+from rbmx.core import system_from_json
+from rbmx.embeddings import (
+    pa_compose,
+    pa_from_json,
+    pa_to_json,
+    spa_embed_pa,
+    spa_from_json,
+    spa_to_json,
+    spa_to_ma,
+)
+from rbmx.errors import MalformedSystem
+from rbmx.rblang.syntax import MAX_NESTING
 
 from .oracles import sim_equivalent_not_bisimilar
 from .test_rblang import HOSTILE, OFF_TABLE
@@ -530,3 +541,71 @@ class TestComposeSimcheckEmbed:
     def test_embed_wrong_direction_is_exit_2(self, files):
         r = run_cli("embed", "pa2ma", files["spa.json"])
         assert r.returncode == 2
+
+
+DEEP = "[" * 200000 + "]" * 200000
+
+# weights no document may carry: a 10-million-digit power of ten, a number
+# past the length bound, and a JSON boolean
+BAD_WEIGHTS = ["1e10000000", "9" * 5000, True]
+
+
+def _with_weight(kind, w):
+    """A system, SPA or PA document whose first weight is w."""
+    if kind == "system":
+        return dict(S_AB, pi={"o1": w, "o2": "1/2"})
+    if kind == "spa":
+        return dict(SPA_DOC, transitions=[{"from": "q0", "action": "a", "dist": [["q1", w]]}])
+    return dict(PA_DOC, transitions=[{"from": "r0", "dist": [["b", "r0", w]]}])
+
+
+class TestHostileJson:
+    def test_nesting_is_bounded_outside_strings(self):
+        assert cli._loads("[" * MAX_NESTING + "]" * MAX_NESTING, "doc") is not None
+        assert cli._loads('["' + "[{" * 500 + '\\"]"]', "doc") == ["[{" * 500 + '"]']
+        # the string before the deep array ends in an escaped backslash
+        behind_a_string = '["\\\\", ' + "[" * MAX_NESTING + "]" * MAX_NESTING + "]"
+        for text in ("[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1), "[" * 200000,
+                     behind_a_string):
+            with pytest.raises(MalformedSystem, match="deeper than %d" % MAX_NESTING):
+                cli._loads(text, "doc")
+
+    @pytest.mark.parametrize("site", ["eval", "fg", "elaborate --obs", "sample --obs"])
+    def test_deep_document_is_exit_2_at_every_read_site(self, site, files, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(('{"systems": %s}' % DEEP if site == "fg" else DEEP) + "\n")
+        argv = {
+            "eval": ["eval", str(deep), "--query", "x=0"],
+            "fg": ["fg", str(deep)],
+            "elaborate --obs": ["elaborate", files["noisy.rb.mx"], "--obs", DEEP],
+            "sample --obs": ["sample", files["noisy.rb.mx"], "--steps", "2",
+                             "--obs", str(deep)],
+        }[site]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "JSON nested deeper than %d levels" % MAX_NESTING in err
+
+    @pytest.mark.parametrize("weight", BAD_WEIGHTS, ids=["exponent", "length", "boolean"])
+    @pytest.mark.parametrize("kind", ["system", "spa", "pa"])
+    def test_bad_weight_is_malformed(self, kind, weight, tmp_path, capsys):
+        doc = _with_weight(kind, weight)
+        load = {"system": system_from_json, "spa": spa_from_json, "pa": pa_from_json}[kind]
+        with pytest.raises(MalformedSystem):
+            load(doc)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        argv = (["eval", str(f), "--query", "x=a"] if kind == "system"
+                else ["simcheck", str(f), str(f)])
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("sigma", ["1e10000000", "9" * 5000])
+    def test_bad_sigma_is_malformed(self, sigma, files, capsys):
+        P = pa_from_json(PA_DOC)
+        with pytest.raises(MalformedSystem):
+            pa_compose(P, P, sigma)
+        assert cli.main(["compose", files["pa.json"], files["pa.json"], "--sigma", sigma]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")

@@ -4,16 +4,21 @@ from fractions import Fraction
 import pytest
 
 from rbmx import (
+    MixedSystem,
     State,
+    Var,
     compose,
     consistency,
     consistency_weight,
     equivalent,
+    inner,
+    likelihood,
     outer,
 )
 from rbmx import core
 from rbmx.automata import ma_compose, ma_to_json
 from rbmx.bayes import MixedKernel, bn_score, bn_validate
+from rbmx.core import all_states
 from rbmx.embeddings import ma_to_spa
 from rbmx.errors import (
     CapExceeded,
@@ -38,7 +43,11 @@ from rbmx.rblang import (
     program_factor_graph,
     run_program,
 )
+from rbmx.rblang import elaborate
+from rbmx.rblang.elaborate import _graft
 from rbmx.rblang.syntax import MAX_NESTING
+
+from .oracles import full_graft, rand_domain, rand_system_over
 
 COUNTER = """
 domain z4 = { 0, 1, 2, 3 }
@@ -100,6 +109,60 @@ def deep_call(k):
 def deep_blocks(k):
     """A static program with k nested parallel blocks."""
     return HEAD + "|| x = neg(y)\n|| " + "{ y = y || " * k + "x = x" + " }" * k
+
+
+# the parameterized priors: y ~ flip(x) with x free, then with x drawn first
+FLIP_KERNEL = """
+domain bit = { 0, 1 }
+var x : bit
+var y : bit
+dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
+
+|| y ~ flip(x)
+"""
+
+FLIP_COVERED = """
+domain bit = { 0, 1 }
+var x : bit
+var y : bit
+dist coin : bit { 0 : 1/2, 1 : 1/2 }
+dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
+
+|| x ~ coin
+|| y ~ flip(x)
+"""
+
+# a dynamic step that grafts: z's next value is drawn from a row chosen by pre z
+MARKOV = """
+domain t3 = { 0, 1, 2 }
+var z : t3
+dist step(t3) : t3 { 0 -> { 0 : 1/2, 1 : 1/2, 2 : 0 }, 1 -> { 0 : 0, 1 : 1/3, 2 : 2/3 },
+                     2 -> { 0 : 1/4, 1 : 0, 2 : 3/4 } }
+
+|| init z = 0
+|| z ~ step(pre z)
+"""
+
+
+def chain(k, seed=0):
+    """A static Markov chain z0 ~ init0, z_i ~ step(z_{i-1}), w = f(z_{k-1})
+    over a 3-value domain, with seeded tables."""
+    rng = random.Random(seed)
+
+    def dist():
+        w = [rng.randint(1, 4) for _ in range(3)]
+        return "{ %s }" % ", ".join("%d : %d/%d" % (v, x, sum(w)) for v, x in enumerate(w))
+
+    names = ["z%d" % i for i in range(k)]
+    lines = ["domain t3 = { 0, 1, 2 }", "domain bool = { F, T }",
+             "var %s : t3" % ", ".join(names), "var w : bool",
+             "dist init0 : t3 " + dist(),
+             "dist step(t3) : t3 { %s }" % ", ".join("%d -> %s" % (c, dist()) for c in range(3)),
+             "func f : t3 -> bool { 0 -> T, 1 -> F, 2 -> T }",
+             "|| z0 ~ init0"]
+    lines += ["|| z%d ~ step(z%d)" % (i, i - 1) for i in range(1, k)]
+    lines.append("|| w = f(z%d)" % (k - 1))
+    return "\n".join(lines) + "\n"
 
 
 def roundtrip(text):
@@ -315,51 +378,108 @@ dist fb : bool { F : 9/10, T : 1/10 }
                                    "|| x ~ nosuch"))
 
     def test_parameterized_prior_becomes_a_kernel(self):
-        p = roundtrip("""
-domain bit = { 0, 1 }
-var x : bit
-var y : bit
-dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
-
-|| y ~ flip(x)
-""")
+        p = roundtrip(FLIP_KERNEL)
         K = elaborate_static(p)
         assert isinstance(K, MixedKernel)
         assert K.in_names == ("x",)
         assert outer(K.apply(State({"x": 1})), lambda q: q["y"] == 1) == Fraction(3, 4)
 
     def test_covered_parameter_grafts_into_a_system(self):
-        p = parse("""
-domain bit = { 0, 1 }
-var x : bit
-var y : bit
-dist coin : bit { 0 : 1/2, 1 : 1/2 }
-dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
-
-|| x ~ coin
-|| y ~ flip(x)
-""")
+        p = parse(FLIP_COVERED)
         S = elaborate_static(p)
         assert outer(S, lambda q: q["y"] == 1 and q["x"] == 0) == Fraction(1, 8)
         assert outer(S, lambda q: q["y"] == 1) == Fraction(1, 2)
 
     def test_graft_checks_the_size_cap(self, monkeypatch):
-        p = parse("""
-domain bit = { 0, 1 }
-var x : bit
-var y : bit
-dist coin : bit { 0 : 1/2, 1 : 1/2 }
-dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }
-
-|| x ~ coin
-|| y ~ flip(x)
-""")
-        # 2 base outcomes times one 2-outcome draw per input cell: 8
-        monkeypatch.setattr(core, "MAX_OUTCOMES", 8)
-        assert len(elaborate_static(p).omega) == 8
-        monkeypatch.setattr(core, "MAX_OUTCOMES", 7)
+        p = parse(FLIP_COVERED)
+        # 2 base outcomes, each drawing only the one cell its row reads: 4
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 4)
+        assert len(elaborate_static(p).omega) == 4
+        monkeypatch.setattr(core, "MAX_OUTCOMES", 3)
         with pytest.raises(CapExceeded):
             elaborate_static(p)
+
+
+def _static_systems(p):
+    """The static elaboration of p as systems: the system itself, or the
+    kernel's system at every input."""
+    res = elaborate_static(p)
+    if isinstance(res, MixedKernel):
+        return [res.apply(c) for c in res.inputs()]
+    return [res]
+
+
+def _under_both_grafts(build):
+    """build() with the graft under test, then with the full-product graft."""
+    new = build()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(elaborate, "_graft", full_graft)
+        old = build()
+    return new, old
+
+
+def rand_graft(rng):
+    """A random base and a kernel on some of its variables.  Base rows hold
+    several states or none; the kernel's output may share a base variable,
+    so joins can clash, and a cell may admit no state at all."""
+    pool = [Var("x%d" % i, rand_domain(rng, "D%d" % i, max_size=2)) for i in range(3)]
+    base_vars = rng.sample(pool, rng.randint(1, 3))
+    base = rand_system_over(rng, base_vars, max_omega=3)
+    in_vars = rng.sample(base_vars, rng.randint(0, min(2, len(base_vars))))
+    out_vars = [Var("y", rand_domain(rng, "Dy", max_size=2))]
+    rest = [v for v in base_vars if v not in in_vars]
+    if rest and rng.random() < 0.4:
+        out_vars.append(rng.choice(rest))
+    table = {}
+    for cell in all_states(in_vars):
+        if rng.random() < 0.15:
+            table[cell] = MixedSystem((["e"], {"e": Fraction(1)}), out_vars, {"e": []})
+        else:
+            table[cell] = rand_system_over(rng, out_vars, max_omega=3)
+    return base, MixedKernel(in_vars, out_vars, table, name="k")
+
+
+class TestGraft:
+    @pytest.mark.parametrize("text", [FLIP_KERNEL, FLIP_COVERED, chain(2), chain(3), chain(4)],
+                             ids=["kernel", "covered", "chain2", "chain3", "chain4"])
+    def test_static_agrees_with_the_full_product(self, text):
+        p = parse(text)
+        new, old = _under_both_grafts(lambda: _static_systems(p))
+        assert len(new) == len(old)
+        assert all(equivalent(S, T) for S, T in zip(new, old))
+
+    def test_dynamic_steps_agree_with_the_full_product(self):
+        for text in (MARKOV, chain(3)):
+            p = parse(text)
+            new, old = _under_both_grafts(lambda: elaborate_dynamic(p).materialize())
+            assert new.delta.keys() == old.delta.keys()
+            assert all(equivalent(S, old.delta[key]) for key, S in new.delta.items())
+
+    def test_random_grafts_agree_with_the_full_product(self):
+        rng = random.Random(8080)
+        seen = {"several cells": 0, "empty row": 0, "inconsistent cell": 0, "queried": 0}
+        for _ in range(300):
+            base, K = rand_graft(rng)
+            G, F = _graft(base, K), full_graft(base, K)
+            assert equivalent(G, F)
+            assert consistency_weight(G) == consistency_weight(F)
+            cells = [{q.restrict(K.in_names) for q in base.rel[o]} for o in base.omega]
+            seen["several cells"] += any(len(c) > 1 for c in cells)
+            seen["empty row"] += any(not c for c in cells)
+            seen["inconsistent cell"] += any(
+                not any(K.apply(c).rel.values()) for c in K.inputs())
+            if consistency_weight(G) > 0:
+                seen["queried"] += 1
+                states = list(all_states(G.vars))
+                A = rng.sample(states, rng.randint(1, min(3, len(states))))
+                for query in (outer, inner, likelihood):
+                    assert query(G, A) == query(F, A)
+        assert all(seen.values()), seen
+
+    def test_chains_draw_one_cell_per_outcome(self):
+        # the full product had 81, 2,187 and 59,049 outcomes
+        sizes = [len(elaborate_static(parse(chain(k))).omega) for k in (2, 3, 4)]
+        assert sizes == [9, 27, 81]
 
 
 class TestGraph:
@@ -444,3 +564,25 @@ class TestDynamic:
         flag, _ = consistency(S)
         assert flag
         assert outer(S, lambda q: q["x"] == 1) == 1
+
+    def test_steps_without_pre_share_one_target(self):
+        p = parse("domain bit = { 0, 1 }\nvar x : bit\n"
+                  "dist coin : bit { 0 : 1/2, 1 : 1/2 }\n|| init x = 0\n|| x ~ coin")
+        M = elaborate_dynamic(p)
+        q1, q2 = M.reachable()
+        a = State({})
+        assert q1 != q2
+        assert M.transition(q1, a) is M.transition(q2, a)
+
+    def test_steps_share_a_target_when_they_agree_on_pre(self):
+        M = elaborate_dynamic(parse(MARKOV))
+        a = State({})
+        S = M.transition(State({"z": 1, "•z": 0}), a)
+        assert M.transition(State({"z": 1, "•z": 2}), a) is S
+        assert M.transition(State({"z": 2, "•z": 0}), a) is not S
+        assert outer(S, lambda q: q["z"] == 2) == Fraction(2, 3)
+
+    def test_dynamic_chain_grafts_one_cell_per_outcome(self):
+        M = elaborate_dynamic(parse(chain(4))).materialize()
+        assert len(M.delta) == 3 ** 4 * 2 + 1  # every total state and the empty initial
+        assert {len(S.omega) for S in M.delta.values()} == {81}

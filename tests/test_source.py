@@ -75,3 +75,34 @@ def _third_party_import(node):
 def test_standard_library_only():
     # pyproject.toml declares no dependencies, so none may be imported
     assert _find(_third_party_import) == []
+
+
+def _decodes_json(node):
+    """A call of json.load or json.loads, or an import from json that could
+    reach them under another name."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json"
+    if isinstance(node, ast.Import):
+        return any(alias.name == "json" and alias.asname for alias in node.names)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            and node.func.attr in ("load", "loads"))
+
+
+def test_one_json_decoder():
+    # the decoder recurses once per nesting level, so every document goes
+    # through cli._loads, which bounds the depth first
+    found = []
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+            else:
+                if _decodes_json(child):
+                    found.append("%s:%s" % (path.relative_to(SRC), owner))
+                visit(child, path, owner)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "<module>")
+    assert found == ["cli.py:_loads"]
