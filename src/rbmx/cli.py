@@ -100,14 +100,9 @@ def _loads(text, source):
     recurses once per level, so the depth is counted, outside strings,
     before it runs, and a deeper document raises MalformedSystem."""
     # drop escaped backslashes, then escaped quotes: every quote left opens
-    # or closes a string.  A string without brackets leaves an adjacent pair
-    # of quotes; if a quote survives removing those pairs, some string holds
-    # a bracket, and only the text between strings is kept
+    # or closes a string, and only the marks between strings are kept
     data = text.encode("utf-8", "surrogatepass").replace(b"\\\\", b"").replace(b'\\"', b"")
-    marks = data.translate(_BRACKETS, _NOT_A_MARK)
-    brackets = marks.replace(b'""', b"")
-    if b'"' in brackets:
-        brackets = b"".join(marks.split(b'"')[::2])
+    brackets = b"".join(data.translate(_BRACKETS, _NOT_A_MARK).split(b'"')[::2])
     depth = max(itertools.accumulate(map(_DEPTH_STEP.__getitem__, brackets)), default=0)
     if depth > MAX_NESTING:
         raise MalformedSystem(

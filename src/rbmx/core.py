@@ -37,37 +37,35 @@ from .errors import (
 )
 
 
-MAX_NUMBER_LENGTH = 100  # longest numeric text read, in characters
 MAX_EXPONENT = 100  # largest decimal exponent in numeric text, in size
 
 
 def number_text_problem(text):
-    """Why the numeric text is out of bounds, or None when it is within
-    them: at most MAX_NUMBER_LENGTH characters and an exponent of at most
-    MAX_EXPONENT in size.  Checked before int() or Fraction() reads the
-    text, which would otherwise build the number's every digit."""
-    if len(text) > MAX_NUMBER_LENGTH:
-        return "number longer than %d characters" % MAX_NUMBER_LENGTH
+    """Why the numeric text cannot be read, or None: it has at most one
+    point and an exponent of at most MAX_EXPONENT in size.  Checked before
+    int() or Fraction() reads the text, which would otherwise build every
+    digit of 10**exponent."""
     mantissa, _, exponent = text.lower().partition("e")
     if mantissa.count(".") > 1:
-        return "malformed number %r" % text
+        return "malformed number %s" % reprlib.repr(text)
     if exponent:
         try:
             size = abs(int(exponent))
         except ValueError:
-            return "malformed number %r" % text
+            return "malformed number %s" % reprlib.repr(text)
         if size > MAX_EXPONENT:
-            return "exponent of %r exceeds %d" % (text, MAX_EXPONENT)
+            return "exponent of %s exceeds %d" % (reprlib.repr(text), MAX_EXPONENT)
     return None
 
 
 def rat(x) -> Fraction:
     """Coerce to an exact rational.  Accepts Fraction, int, and strings like
     "3/5", "7", or "0.25" (decimal strings convert exactly) whose numbers,
-    on either side of a "/", keep within the bounds of number_text_problem,
-    as literals in a program do.  Floats are refused: they would silently
-    poison exact comparisons downstream.  So are booleans, which a JSON
-    document spells true and false, not 1 and 0.
+    on either side of a "/", pass number_text_problem.  Their length is not
+    bounded here: exact products written by system_to_json grow long.
+    Floats are refused: they would silently poison exact comparisons
+    downstream.  So are booleans, which a JSON document spells true and
+    false, not 1 and 0.
     """
     if isinstance(x, Fraction):
         return x
@@ -77,8 +75,7 @@ def rat(x) -> Fraction:
         )
     if isinstance(x, bool):
         raise MalformedSystem("refusing boolean %r as a number" % x)
-    # only a long text or one with an exponent can be out of bounds
-    if isinstance(x, str) and (len(x) > MAX_NUMBER_LENGTH or "e" in x or "E" in x):
+    if isinstance(x, str):
         for number in x.split("/"):
             problem = number_text_problem(number)
             if problem is not None:

@@ -21,10 +21,10 @@ Numeric literals are decimal integers with an optional leading minus
 (``-3``), and, as probabilities and distribution parameters only, ratios of
 two integers with a nonzero denominator (``1/3``) and decimals with one
 point or an exponent or both (``0.25``, ``1e-6``).  A literal has at most
-core.MAX_NUMBER_LENGTH characters and an exponent of at most
-core.MAX_EXPONENT in size; core.rat holds numbers in documents to the same
-bounds.  Statements and expressions nest at most MAX_NESTING levels deep,
-counted together: each sits one level below the one containing it, and a
+MAX_NUMBER_LENGTH characters and an exponent of at most core.MAX_EXPONENT
+in size; core.rat holds numbers in documents to the same exponent bound.
+Statements and expressions nest at most MAX_NESTING levels deep, counted
+together: each sits one level below the one containing it, and a
 parenthesis or brace adds a level of its own.  Deeper programs are rejected
 with RbSyntaxError, so every recursive pass over a parsed program stays far
 below Python's recursion limit.
@@ -51,6 +51,7 @@ BUILTIN_DISTS = frozenset(("Bernoulli", "Uniform"))
 IF_FUNC = "if"  # if-then-else expressions are carried as this function name
 
 MAX_NESTING = 100
+MAX_NUMBER_LENGTH = 100
 
 
 # --- AST ---------------------------------------------------------------------
@@ -170,11 +171,14 @@ class Token:
 def _number_kind(word, line, col):
     """"int" or "num" for a numeric literal within the bounds; anything else
     is rejected here, before int() or Fraction() reads it."""
+    if len(word) > MAX_NUMBER_LENGTH:
+        raise RbSyntaxError(
+            "number longer than %d characters" % MAX_NUMBER_LENGTH, line, col
+        )
     problem = number_text_problem(word)
     if problem is not None:
         raise RbSyntaxError(problem, line, col)
-    mantissa, _, exponent = word.lower().partition("e")
-    return "num" if "." in mantissa or exponent else "int"
+    return "num" if "." in word or "e" in word.lower() else "int"
 
 
 def tokenize(text):

@@ -546,7 +546,7 @@ class TestComposeSimcheckEmbed:
 DEEP = "[" * 200000 + "]" * 200000
 
 # weights no document may carry: a 10-million-digit power of ten, a number
-# past the length bound, and a JSON boolean
+# past CPython's 4300-digit limit for integer text, and a JSON boolean
 BAD_WEIGHTS = ["1e10000000", "9" * 5000, True]
 
 
@@ -600,6 +600,23 @@ class TestHostileJson:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
+
+    def test_long_exact_weights_are_read_back(self, tmp_path, capsys):
+        # each weight has a 61-digit denominator; their products have 121
+        d = 10 ** 60 + 7
+        paths = []
+        for v in ("x", "y"):
+            doc = dict(S_AB, vars=[{"name": v, "domain": "ab"}],
+                       pi={"o1": "1/%d" % d, "o2": "%d/%d" % (d - 1, d)},
+                       rel=[["o1", {v: "a"}], ["o2", {v: "b"}]])
+            paths.append(tmp_path / (v + ".json"))
+            paths[-1].write_text(json.dumps(doc))
+        assert cli.main(["compose"] + [str(p) for p in paths]) == 0
+        composed = capsys.readouterr().out
+        assert max(len(w) for w in json.loads(composed)["pi"].values()) > 2 * 60
+        (tmp_path / "xy.json").write_text(composed)
+        assert cli.main(["eval", str(tmp_path / "xy.json"), "--query", "x = a"]) == 0
+        assert "1/%d" % d in capsys.readouterr().out
 
     @pytest.mark.parametrize("sigma", ["1e10000000", "9" * 5000])
     def test_bad_sigma_is_malformed(self, sigma, files, capsys):

@@ -88,7 +88,7 @@ class TestRat:
             rat("1/0")
 
     @pytest.mark.parametrize("x", [True, False, "1e10000000", "1e-10000000", "1e101",
-                                   "9" * 101, "1/" + "3" * 101, "1ex", "1.2.3"])
+                                   "1/1e101", "9" * 5000, "1ex", "1.2.3"])
     def test_rejects_booleans_and_text_out_of_bounds(self, x):
         with pytest.raises(MalformedSystem):
             rat(x)
@@ -96,8 +96,9 @@ class TestRat:
     def test_accepts_text_at_the_bounds(self):
         assert rat("1e100") == 10 ** 100
         assert rat("1E-100") == Fraction(1, 10 ** 100)
-        assert rat("9" * 100) == int("9" * 100)
-        assert rat("1/" + "3" * 100) == Fraction(1, int("3" * 100))
+        # long exact weights, as system_to_json writes them, are read back
+        assert rat("9" * 1000) == int("9" * 1000)
+        assert rat("1/" + "3" * 1000) == Fraction(1, int("3" * 1000))
 
     def test_format(self):
         assert format_rat(Fraction(3, 5)) == "3/5"
