@@ -12,7 +12,9 @@ through the candidate relation.  Lifting is an exact coupling, built by
 couple() and decided by transport.feasible_transport; for mixed automata it
 couples the target systems' outcome weights.  greatest() bounds the
 candidate relation by core.MAX_OUTCOMES state pairs and runs refine(), the
-one greatest-fixpoint loop.
+one greatest-fixpoint loop.  refine() indexes each pair that passes under
+the pairs of the relation its check found there, and after the first round
+rechecks only the pairs indexed under a pair that was just removed.
 """
 
 from __future__ import annotations
@@ -367,7 +369,8 @@ class View(NamedTuple):
     """What the matcher needs from an automaton of one kind: the states the
     relation ranges over, the initial state, moves(q) giving the (label,
     target) pairs leaving q, targets(q, label), and lifts(t1, t2, R) saying
-    whether t1 lifts to t2 through R, a set of state pairs."""
+    whether t1 lifts to t2 through R, a relation on states that lifts may
+    read only with ``in``."""
 
     states: object
     initial: object
@@ -376,28 +379,62 @@ class View(NamedTuple):
     lifts: object
 
 
+class _Probe:
+    """R as one check sees it: ``pair in probe`` answers membership in R and
+    records each pair it finds there in ``found``.  With ``flip`` the check
+    runs against R⁻¹, so a pair is reversed before it is looked up and
+    recorded as the pair of R it stands for."""
+
+    __slots__ = ("R", "found", "flip")
+
+    def __init__(self, R, found, flip):
+        self.R, self.found, self.flip = R, found, flip
+
+    def __contains__(self, pair):
+        if self.flip:
+            pair = (pair[1], pair[0])
+        if pair in self.R:
+            self.found[pair] = None
+            return True
+        return False
+
+
 def refine(pairs, initial, match, back=None):
-    """The greatest subset R of ``pairs`` in which every pair (p, q) passes
-    match(p, q, R) and, when ``back`` is given, also back(q, p, R⁻¹); None
-    when R does not hold ``initial``.
+    """The greatest subset R of the sequence ``pairs`` in which every pair
+    (p, q) passes match(p, q, R) and, when ``back`` is given, also
+    back(q, p, R⁻¹); None when R does not hold ``initial``.
 
     This is the one greatest-fixpoint loop behind every simulation check.
-    Each round collects the pairs of R that fail against that round's R and
-    removes them, so R shrinks until a round removes nothing.  Matching is
-    monotone in R, so a dropped pair never comes back and the loop may stop
-    once ``initial`` is gone.  It stops only between rounds: the work done
-    then does not depend on set iteration order.
+    Each round checks its pairs against that round's R, then removes the
+    ones that failed; the first round checks every pair.  match and back
+    see R through a _Probe, which records the pairs of R a check found, and
+    a passing pair is indexed under each of them.  Matching reads R only by
+    membership and is monotone in R, so a pair that passed passes again as
+    long as every pair it found is still in R.  A later round therefore
+    rechecks only the surviving pairs indexed under a pair the round before
+    removed: R after each round is the same as if every pair had been
+    rechecked, a dropped pair never comes back, and the loop may stop
+    between rounds once ``initial`` is gone.  Which pairs a round checks
+    follows from what the checks found, not from set iteration order.
     """
     R = set(pairs)
+    users = {}  # pair of R -> the passing pairs whose checks found it
+    todo = pairs
     while initial in R:
-        rev = {(q, p) for p, q in R} if back is not None else None
-        removed = {
-            (p, q) for p, q in R
-            if not match(p, q, R) or (back is not None and not back(q, p, rev))
-        }
+        removed = []
+        for pair in todo:
+            p, q = pair
+            found = {}
+            if match(p, q, _Probe(R, found, False)) and (
+                    back is None or back(q, p, _Probe(R, found, True))):
+                for d in found:
+                    users.setdefault(d, []).append(pair)
+            else:
+                removed.append(pair)
         if not removed:
             return R
-        R -= removed
+        R.difference_update(removed)
+        todo = dict.fromkeys(c for d in removed for c in users.pop(d, ()) if c in R)
     return None
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import reprlib
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -87,7 +88,15 @@ def rat(x) -> Fraction:
 
 
 def format_rat(f: Fraction) -> str:
-    return "%d/%d" % (f.numerator, f.denominator)
+    """The exact text n/d of a weight.  Raises CapExceeded when n or d has
+    more digits than CPython writes as text (sys.get_int_max_str_digits(),
+    4300 by default): exact products of weights that each read fine can
+    grow past it."""
+    try:
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:
+        raise CapExceeded("a weight has more than %d digits, the limit for integer text"
+                          % sys.get_int_max_str_digits()) from None
 
 
 def value_key(v):

@@ -4,19 +4,23 @@ Given two rational measures of equal total mass and a set of allowed pairs,
 decide whether some nonnegative joint measure supported on the allowed
 pairs has exactly those marginals — and produce one when it exists.
 
-feasible_transport works on the measures' own keys: the left keys with
-supply left, the right keys with room left, and the flow already placed on
-allowed pairs.  Each round is one breadth-first search from every left key
-with supply, forward along allowed pairs (unbounded) and back against pairs
-that carry flow, to the nearest right key with room; the bottleneck is then
-pushed along that path.  Shortest paths bound the number of rounds whatever
-the masses are, so exact Fractions need no scaling.
+feasible_transport first scales both measures by the least common multiple
+of their denominators, so every mass is a Python int and the search never
+builds a Fraction.  It then works on the measures' own keys: the left keys
+with supply left, the right keys with room left, and the flow already
+placed on allowed pairs.  Each round is one breadth-first search from every
+left key with supply, forward along allowed pairs (unbounded) and back
+against pairs that carry flow, to the nearest right key with room; the
+bottleneck is then pushed along that path.  Shortest paths bound the number
+of rounds whatever the masses are.  The witness is divided back by the
+scale, so the answer is exact.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 
 def feasible_transport(mu1: dict, mu2: dict, allowed):
@@ -30,7 +34,12 @@ def feasible_transport(mu1: dict, mu2: dict, allowed):
     """
     supply = {a: w for a, w in mu1.items() if w > 0}
     room = {b: w for b, w in mu2.items() if w > 0}
-    if sum(supply.values(), Fraction(0)) != sum(room.values(), Fraction(0)):
+    scale = lcm(*[w.denominator for w in supply.values()],
+                *[w.denominator for w in room.values()])
+    for masses in (supply, room):
+        for k, w in masses.items():
+            masses[k] = w.numerator * (scale // w.denominator)
+    if sum(supply.values()) != sum(room.values()):
         return None
     succ = {a: [] for a in supply}
     for a, b in dict.fromkeys(allowed):
@@ -83,4 +92,4 @@ def feasible_transport(mu1: dict, mu2: dict, allowed):
         supply[root] -= push
         if not supply[root]:
             del supply[root]
-    return flow
+    return {pair: Fraction(m, scale) for pair, m in flow.items()}

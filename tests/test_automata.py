@@ -1,8 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rbmx
 from rbmx import Domain, MixedSystem, State, core, equivalent
 from rbmx.automata import (
     MixedAutomaton,
@@ -14,11 +19,13 @@ from rbmx.automata import (
     ma_run,
     ma_step,
     ma_to_json,
+    refine,
     sim_equivalent,
     simulates,
     sync_on_equal,
     verify_weighting,
 )
+from rbmx.embeddings import spa_to_json
 from rbmx.errors import (
     CapExceeded,
     IncompatibleInitials,
@@ -37,6 +44,7 @@ from .oracles import (
     ma_ok,
     naive_greatest,
     rand_ma,
+    rand_spa,
     rand_system,
     rand_system_over,
 )
@@ -343,6 +351,36 @@ class TestSimulation:
         assert (M.initial, M.initial) in R
 
 
+# spa_simulates and spa_bisimilar of the two SPA documents on stdin, with
+# the couplings (lifts) and match calls each made, and the relations sorted
+COUNT_WORK = """
+import json, sys
+from rbmx import automata, embeddings
+
+couple, refine = embeddings.couple, automata.refine
+work = {}
+
+def counted(key, f):
+    def g(*args):
+        work[key] += 1
+        return f(*args)
+    return g
+
+def counted_refine(pairs, initial, match, back=None):
+    return refine(pairs, initial, counted("match", match), back and counted("match", back))
+
+embeddings.couple = counted("lift", couple)
+automata.refine = counted_refine
+P1, P2 = (embeddings.spa_from_json(doc) for doc in json.load(sys.stdin))
+out = []
+for check in (embeddings.spa_simulates, embeddings.spa_bisimilar):
+    work.update(lift=0, match=0)
+    R = check(P1, P2)
+    out.append([dict(work), None if R is None else sorted(R)])
+print(json.dumps(out))
+"""
+
+
 class TestRefinement:
     def test_relations_equal_the_naive_fixpoint(self):
         # the naive fixpoint runs over all states; lifting only consults
@@ -365,6 +403,81 @@ class TestRefinement:
                     assert got is None
             verdicts.add((initial in fwd, initial in both))
         assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+    def test_a_pair_is_rechecked_only_when_a_pair_it_found_drops(self):
+        # ("p", i) passes while every pair it consults is in R, in order;
+        # ("p", 0) never passes, and the drop travels 0 -> 1 -> 2 -> 5
+        consults = {0: None, 1: [0], 2: [1], 3: [4], 4: [], 5: [3, 2]}
+        pairs = [("p", i) for i in consults]
+
+        def stub():
+            calls = dict.fromkeys(consults, 0)
+
+            def match(p, i, R):
+                calls[i] += 1
+                return consults[i] is not None and all((p, j) in R for j in consults[i])
+
+            return calls, match
+
+        calls, match = stub()
+        assert refine(pairs, ("p", 3), match) == {("p", 3), ("p", 4)}
+        assert calls == {0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 2}
+        # the loop stops in the round after the initial pair drops
+        calls, match = stub()
+        assert refine(pairs, ("p", 2), match) is None
+        assert calls == {0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1}
+
+    def test_pairs_found_against_the_inverse_index_the_pair_of_r(self):
+        # back sees R⁻¹: (1, 2) passes only while (5, 0) is in R⁻¹, so it is
+        # rechecked when (0, 5) drops
+        calls = {}
+
+        def match(p, q, R):
+            return (p, q) != (0, 5)
+
+        def back(q, p, inverse):
+            calls[(p, q)] = calls.get((p, q), 0) + 1
+            return (5, 0) in inverse if (p, q) == (1, 2) else True
+
+        assert refine([(0, 5), (1, 2), (3, 4)], (3, 4), match, back) == {(3, 4)}
+        assert calls == {(1, 2): 2, (3, 4): 1}
+
+    def test_random_dependencies_equal_the_naive_fixpoint(self):
+        # each pair passes when some alternative lies wholly in R (forward)
+        # and, for the inverse check, in R⁻¹ reversed
+        rng = random.Random(2000)
+        for _ in range(200):
+            pairs = [(a, b) for a in range(3) for b in range(3)]
+
+            def rand_ok():
+                alts = {pq: [rng.sample(pairs, rng.randint(0, 3))
+                             for _ in range(rng.randint(0, 2))] for pq in pairs}
+                return lambda p, q, R: any(all(x in R for x in alt) for alt in alts[(p, q)])
+
+            ok, ok_back = rand_ok(), rand_ok()
+            initial = rng.choice(pairs)
+            for args, oracle in (((ok,), ok), ((ok, ok_back), both_ways(ok, ok_back))):
+                want = naive_greatest(pairs, oracle)
+                got = refine(pairs, initial, *args)
+                assert got == (want if initial in want else None)
+
+    def test_work_does_not_depend_on_the_hash_seed(self):
+        # state names are strings, whose hashes change with PYTHONHASHSEED
+        rng = random.Random(15)
+        docs = json.dumps([spa_to_json(rand_spa(rng, nq=6)) for _ in range(2)])
+        src = os.path.dirname(os.path.dirname(rbmx.__file__))
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            r = subprocess.run([sys.executable, "-c", COUNT_WORK], input=docs, env=env,
+                               capture_output=True, text=True, timeout=120)
+            assert r.returncode == 0, r.stderr
+            runs.append(json.loads(r.stdout))
+        assert runs[0] == runs[1]
+        (sim_work, sim), (bisim_work, bisim) = runs[0]
+        assert len(sim) == 6 and len(bisim) == 1
+        assert sim_work["match"] > 36 and bisim_work["match"] > 36  # more than one round
 
 
 class TestJson:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from rbmx.embeddings import (
     spa_to_json,
     spa_to_ma,
 )
-from rbmx.errors import MalformedSystem
+from rbmx.errors import CapExceeded, MalformedSystem
 from rbmx.rblang.syntax import MAX_NESTING
 
 from .oracles import sim_equivalent_not_bisimilar
@@ -617,6 +618,24 @@ class TestHostileJson:
         (tmp_path / "xy.json").write_text(composed)
         assert cli.main(["eval", str(tmp_path / "xy.json"), "--query", "x = a"]) == 0
         assert "1/%d" % d in capsys.readouterr().out
+
+    def test_weights_past_the_text_limit_are_cap_exceeded(self, tmp_path, capsys):
+        # each 3001-digit denominator reads fine; their 6001-digit products
+        # cannot be written as integer text
+        d = 10 ** 3000 + 7
+        with pytest.raises(CapExceeded, match="more than 4300 digits"):
+            core.format_rat(Fraction(1, d * d))
+        paths = []
+        for v in ("x", "y"):
+            doc = dict(S_AB, vars=[{"name": v, "domain": "ab"}],
+                       pi={"o1": "1/%d" % d, "o2": "%d/%d" % (d - 1, d)},
+                       rel=[["o1", {v: "a"}], ["o2", {v: "b"}]])
+            paths.append(tmp_path / (v + ".json"))
+            paths[-1].write_text(json.dumps(doc))
+        assert cli.main(["compose"] + [str(p) for p in paths]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a weight has more than 4300 digits, the limit for integer text\n"
 
     @pytest.mark.parametrize("sigma", ["1e10000000", "9" * 5000])
     def test_bad_sigma_is_malformed(self, sigma, files, capsys):

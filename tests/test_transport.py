@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from rbmx.transport import feasible_transport
 
@@ -54,3 +55,31 @@ def test_agrees_with_the_cut_oracle_on_random_instances():
             feasible += 1
             check_witness(w, mu1, mu2, set(allowed))
     assert feasible > 300
+
+
+def test_large_coprime_denominators_stay_exact():
+    # denominators 10**40 + k, pairwise coprime, so the common scale has
+    # hundreds of digits; witnesses come back as exact Fractions
+    big = [10 ** 40 + k for k in (1, 3, 7, 9, 13, 19, 21)]
+    assert all(gcd(a, b) == 1 for a in big for b in big if a < b)
+    rng = random.Random(7474)
+    feasible = 0
+    for _ in range(200):
+        mu1 = {"l%d" % i: Fraction(rng.randint(1, 3), rng.choice(big))
+               for i in range(rng.randint(1, 5))}
+        mu2 = {"r%d" % i: Fraction(rng.randint(1, 3), rng.choice(big))
+               for i in range(rng.randint(1, 5))}
+        t1, t2 = sum(mu1.values()), sum(mu2.values())
+        mu2 = {k: m * t1 / t2 for k, m in mu2.items()}
+        allowed = [(a, b) for a in mu1 for b in mu2 if rng.random() < 0.6]
+        w = feasible_transport(mu1, mu2, allowed)
+        assert (w is not None) == cut_feasible(mu1, mu2, allowed), (mu1, mu2, allowed)
+        if w is None:
+            continue
+        feasible += 1
+        assert all(type(m) is Fraction for m in w.values())
+        check_witness(w, mu1, mu2, set(allowed))
+        # a total off by 1/(10**40 + 7) admits no coupling at all
+        off = dict(mu2, r0=mu2["r0"] + Fraction(1, big[2]))
+        assert feasible_transport(mu1, off, [(a, b) for a in mu1 for b in off]) is None
+    assert feasible > 40
