@@ -26,6 +26,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -97,6 +98,16 @@ def format_rat(f: Fraction) -> str:
     except ValueError:
         raise CapExceeded("a weight has more than %d digits, the limit for integer text"
                           % sys.get_int_max_str_digits()) from None
+
+
+def describe_rat(f: Fraction) -> str:
+    """f for an error message: its text when numerator and denominator are
+    short, else its size.  A message never writes a long number in full:
+    past CPython's limit on integer text that would raise instead."""
+    bits = max(f.numerator.bit_length(), f.denominator.bit_length())
+    if bits <= 128:
+        return str(f)
+    return "a fraction of about %d digits" % (bits * 0.30103 + 1)
 
 
 def value_key(v):
@@ -326,14 +337,15 @@ class DiscreteProb:
                 raise MalformedSystem("missing weight for outcome %r" % (o,))
             f = rat(weights[o])
             if f < 0:
-                raise MalformedSystem("negative weight %s for outcome %r" % (f, o))
+                raise MalformedSystem("negative weight %s for outcome %r"
+                                      % (describe_rat(f), o))
             w[o] = f
         for o in weights:
             if o not in known:
                 raise MalformedSystem("weight for unknown outcome %r" % (o,))
         total = sum(w.values(), Fraction(0))
         if total != 1:
-            raise MalformedSystem("weights sum to %s, not 1" % total)
+            raise MalformedSystem("weights sum to %s, not 1" % describe_rat(total))
         self.omega = omega
         self.weights = w
 
@@ -533,20 +545,71 @@ def _sampler_tables(S):
     return tab
 
 
-def sample(S: MixedSystem, rng, resolver="lex"):
-    """Draw (outcome, state).  The outcome is exact: a uniform integer below
-    the common denominator of the conditioned weights, inverted through the
-    cumulative table.  The state is picked from the outcome's row by the
-    resolver ("lex", "uniform", or a callable (rng, row) -> state).
+def sample(S, rng, resolver="lex"):
+    """Draw (outcome, state) from a system, or from a sequence of
+    variable-disjoint systems as from their composition, without building it.
+
+    The outcome is exact: one uniform integer below D, the product of the
+    systems' common denominators of conditioned weights, which is the
+    composition's common denominator because each system's conditioned
+    weights sum to 1.  It is inverted system by system, in exact integers,
+    through each cumulative table, exactly as the composition's table would
+    invert it; outcome ids nest to the left like compose's, ((o1, o2), o3).
+    The state is picked by the resolver ("lex", "uniform", or a callable
+    (rng, row) -> state) from the joined row of the drawn outcomes, in
+    MixedSystem row order.  For one system this is the draw from its own
+    table and row.
     """
-    denom, ids, cum = _sampler_tables(S)
-    k = rng.randrange(denom)
-    o = ids[bisect_right(cum, k)]
-    row = S.rel[o]
+    systems = (S,) if isinstance(S, MixedSystem) else tuple(S)
+    if len(systems) != 1:
+        if not systems:
+            raise MalformedSystem("nothing to sample from")
+        names = [nm for T in systems for nm in T.var_names]
+        if len(set(names)) != len(names):
+            raise MalformedSystem("sampled systems share a variable")
+    tables = [_sampler_tables(T) for T in systems]
+    rest = 1
+    for denom, _, _ in tables:
+        rest *= denom
+    k = rng.randrange(rest)
+    drawn = []
+    for denom, ids, cum in tables:
+        # a system's outcomes split [0, rest) into runs of width weight *
+        # rest, in table order; the systems after it split each run in turn
+        rest //= denom
+        i = bisect_right(cum, k // rest)
+        drawn.append(ids[i])
+        if i:
+            k -= cum[i - 1] * rest
+            k //= cum[i] - cum[i - 1]
+        else:
+            k //= cum[0]
+    o = drawn[0]
+    if len(systems) == 1:
+        row = systems[0].rel[o]
+    else:
+        for oi in drawn[1:]:
+            o = (o, oi)
+        row = _joined_row(systems, drawn)
     pick = RESOLVERS.get(resolver, resolver)
     if not callable(pick):
         raise ValueError("unknown resolver %r" % (resolver,))
     return o, pick(rng, row)
+
+
+def _joined_row(systems, drawn):
+    """The row of the drawn outcomes' composition: every join of one state
+    per row, sorted as a MixedSystem sorts a row, by domain indices."""
+    rows = [T.rel[o] for T, o in zip(systems, drawn)]
+    joined = [_state_of_pairs(tuple(sorted(itertools.chain.from_iterable(
+        q.pairs for q in combo), key=itemgetter(0))))
+              for combo in itertools.product(*rows)]
+    if len(joined) > 1:
+        indexes = [v.domain.index for v in sorted(
+            (v for T in systems for v in T.vars), key=itemgetter(0))]
+        joined.sort(key=lambda q: tuple(map(dict.__getitem__, indexes,
+                                            [v for _, v in q.pairs])))
+    return tuple(joined)
 
 
 # --- probabilistic semantics -------------------------------------------------

@@ -41,6 +41,7 @@ from .core import (
     Domain,
     MixedSystem,
     State,
+    describe_rat,
     document_error,
     json_label,
     rat,
@@ -57,12 +58,12 @@ def _dist(d) -> dict:
     for k, w in d.items():
         f = rat(w)
         if f < 0:
-            raise MalformedSystem("negative mass %s at %r" % (f, k))
+            raise MalformedSystem("negative mass %s at %r" % (describe_rat(f), k))
         if f > 0:
             out[k] = f
-    if sum(out.values(), Fraction(0)) != 1:
-        raise MalformedSystem("distribution mass is %s, not 1"
-                              % sum(out.values(), Fraction(0)))
+    total = sum(out.values(), Fraction(0))
+    if total != 1:
+        raise MalformedSystem("distribution mass is %s, not 1" % describe_rat(total))
     return out
 
 

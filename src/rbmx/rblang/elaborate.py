@@ -49,7 +49,7 @@ from ..errors import (
     MissingObservation,
     GuardNotBoolean,
 )
-from ..factorgraph import factor_graph, fg_to_bn, is_tree
+from ..factorgraph import _components, factor_graph, fg_to_bn, is_tree
 from .syntax import (
     IF_FUNC,
     Const,
@@ -528,6 +528,27 @@ def _leaf_vars(node):
     names = set(expr_vars(node, pre_name))
     names.update(x.var for x in nodes(node) if isinstance(x, (SObserve, SInit, SPrior)))
     return names
+
+
+def program_parts(p: Program):
+    """The program's top-level parallel statements grouped into independent
+    parts: two statements share a part when they touch a common base
+    variable, where reading pre x, init x and a guard reading x all touch
+    x, so x and •x stay in one part.  Each part is a Program with p's
+    declarations; parts keep the order of their first statements, and
+    statements keep theirs.  A program with one part gives (p,)."""
+    leaves = statements(p.body)
+    adj = {("s", i): {("v", base_name(x)) for x in _leaf_vars(s)}
+           for i, s in enumerate(leaves)}
+    for node, touched in list(adj.items()):
+        for v in touched:
+            adj.setdefault(v, set()).add(node)
+    groups = [sorted(i for kind, i in comp if kind == "s") for comp in _components(adj)]
+    if len(groups) <= 1:
+        return (p,)
+    return tuple(Program(p.domains, p.vars, p.funcs, p.dists,
+                         SPar(tuple(leaves[i] for i in group)))
+                 for group in groups)
 
 
 def active_leaves(leaves, assign):

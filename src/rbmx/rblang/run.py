@@ -4,16 +4,23 @@ A run covers ``steps`` instants numbered 0..steps-1.  Instant 0 is the
 initial state (the init declarations); each later instant is reached by one
 transition, so a run makes steps-1 transitions and consumes steps-1
 observation records — obs[k] constrains the transition into instant k+1.
-Observed variables are pinned by composing point systems into the step's
-target before conditioning and sampling; the per-step normalization constant
-of the conditioned distribution and a consistency flag are reported next to
-the trace.
+
+The program runs as its independent parts (program_parts), one automaton
+each, in lockstep: the parts touch disjoint variables, so the step's target
+is the composition of the parts' targets, and it is never built.  Guards
+are evaluated on the joint state and each part takes the guards it owns.
+Observed variables are pinned by composing point systems into the target of
+the part that owns them before conditioning; the per-step normalization
+constant is the product of the parts' consistency weights, reported with a
+consistency flag and the parts' outcome-space sizes next to the trace.  One
+core.sample call draws the next joint state from all the parts' targets, as
+it would from their composition.
 """
 
 import random
 from typing import NamedTuple
 
-from ..core import State, compose, consistency, consistency_weight, sample
+from ..core import State, compose, consistency, consistency_weight, sample, state_join
 from ..errors import InconsistentSystem, MissingObservation, NoTransition
 from .elaborate import (
     active_leaves,
@@ -22,6 +29,7 @@ from .elaborate import (
     observe_point,
     pre_name,
     program_guards,
+    program_parts,
 )
 from .syntax import SObserve, statements
 
@@ -31,23 +39,32 @@ class ProgramRun(NamedTuple):
     actions: tuple  # per transition: {guard label: bool}
     norms: tuple  # per transition: normalization constant of the conditioned prior
     flags: tuple  # per transition: consistency (always True on a completed run)
+    sizes: tuple  # per transition: outcome-space size of each part's observed target
 
 
 def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     """Elaborate and run: trace of visible states, one guard assignment,
-    normalization constant, and consistency flag per transition.  obs is a
-    sequence of records, one per transition."""
-    M = elaborate_dynamic(p)
+    normalization constant, consistency flag and part sizes per transition.
+    obs is a sequence of records, one per transition."""
+    parts = program_parts(p)
+    machines = [elaborate_dynamic(part) for part in parts]
+    labels = [[label for label, _ in program_guards(part)] for part in parts]
+    names = [[v.name for v in M.vars] for M in machines]
     guards = program_guards(p)
     leaves = statements(p.body)
-    prog_vars = [nm for nm in p.vars if nm in {v.name for v in M.vars}]
+    owner = {v.name: i for i, M in enumerate(machines) for v in M.vars}
+    prog_vars = [nm for nm in p.vars if nm in owner]
     rng = random.Random(seed)
 
-    q = M.initial
+    states = [M.initial for M in machines]
+    q = State()
+    for qi in states:
+        q = state_join(q, qi)
     trace = [_visible(q, prog_vars)]
     actions = []
     norms = []
     flags = []
+    sizes = []
     for n in range(1, steps):
         assign = {}
         env = {pre_name(k): v for k, v in q.items()}
@@ -59,10 +76,12 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
                     "step %d: guard %s reads a variable the previous instant "
                     "did not determine" % (n, label)
                 )
-        a = State(assign)
-        S = M.transition(q, a)
-        if S is None:
-            raise NoTransition("step %d: no transition from %r" % (n, q))
+        targets = []
+        for M, qi, own in zip(machines, states, labels):
+            S = M.transition(qi, State({label: assign[label] for label in own}))
+            if S is None:
+                raise NoTransition("step %d: no transition from %r" % (n, q))
+            targets.append(S)
         watched = list(dict.fromkeys(
             s.var for s in active_leaves(leaves, assign) if isinstance(s, SObserve)))
         if watched:
@@ -71,20 +90,27 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
                 raise MissingObservation(
                     "step %d: no observation record for %r" % (n, watched)
                 )
-            points = [observe_point(p, x, rec) for x in watched]
-            S = compose(S, *points)
-        ok, _ = consistency(S)
-        if not ok:
-            flags.append(False)
-            raise InconsistentSystem(
-                "step %d: observations contradict the model" % n
-            )
-        norms.append(consistency_weight(S))
+            points = [[] for _ in machines]
+            for x in watched:
+                points[owner[x]].append(observe_point(p, x, rec))
+            targets = [compose(S, *pts) if pts else S for S, pts in zip(targets, points)]
+        norm = 1
+        for S in targets:
+            ok, _ = consistency(S)
+            if not ok:
+                raise InconsistentSystem(
+                    "step %d: observations contradict the model" % n
+                )
+            norm *= consistency_weight(S)
+        norms.append(norm)
         flags.append(True)
         actions.append(dict(assign))
-        _, q = sample(S, rng, resolver)
+        sizes.append(tuple(len(S.omega) for S in targets))
+        _, q = sample(targets, rng, resolver)
+        states = [q.restrict(own) for own in names]
         trace.append(_visible(q, prog_vars))
-    return ProgramRun(tuple(trace), tuple(actions), tuple(norms), tuple(flags))
+    return ProgramRun(tuple(trace), tuple(actions), tuple(norms), tuple(flags),
+                      tuple(sizes))
 
 
 def _visible(q: State, prog_vars):

@@ -15,9 +15,20 @@ from fractions import Fraction
 
 from rbmx import Domain, MixedSystem, State, Var
 from rbmx.automata import MixedAutomaton
-from rbmx.core import all_states
+from rbmx.core import all_states, compose, consistency, consistency_weight, sample
 from rbmx.embeddings import PA, SPA
+from rbmx.errors import InconsistentSystem, MissingObservation, NoTransition
 from rbmx.factorgraph import factor_graph
+from rbmx.rblang.elaborate import (
+    active_leaves,
+    elaborate_dynamic,
+    eval_expr,
+    observe_point,
+    pre_name,
+    program_guards,
+)
+from rbmx.rblang.run import ProgramRun
+from rbmx.rblang.syntax import SObserve, statements
 
 SYMS = ("red", "green", "blue")
 
@@ -462,3 +473,60 @@ def rand_tree_fg(rng, k):
         for vs in sysvars
     ]
     return factor_graph(systems, ["S%d" % (i + 1) for i in range(k)])
+
+
+# --- programs run as one automaton ------------------------------------------------
+
+
+def whole_step(p, M, q, obs, n):
+    """Step n of p's single automaton M from state q: the guard assignment
+    and the whole step's target with every active observation composed in."""
+    assign = {}
+    env = {pre_name(k): v for k, v in q.items()}
+    for label, g in program_guards(p):
+        try:
+            assign[label] = eval_expr(p, g, env)
+        except KeyError:
+            raise InconsistentSystem(
+                "step %d: guard %s reads a variable the previous instant "
+                "did not determine" % (n, label)
+            )
+    S = M.transition(q, State(assign))
+    if S is None:
+        raise NoTransition("step %d: no transition from %r" % (n, q))
+    watched = list(dict.fromkeys(
+        s.var for s in active_leaves(statements(p.body), assign) if isinstance(s, SObserve)))
+    if watched:
+        rec = obs[n - 1] if obs is not None and n - 1 < len(obs) else None
+        if rec is None:
+            raise MissingObservation(
+                "step %d: no observation record for %r" % (n, watched)
+            )
+        S = compose(S, *[observe_point(p, x, rec) for x in watched])
+    return assign, S
+
+
+def whole_run(p, obs=None, steps=1, seed=0, resolver="lex"):
+    """run_program as one automaton for the whole program: every step builds
+    and samples the full product of all its statements.  Sizes hold the
+    whole target's outcome count, as the one part."""
+    M = elaborate_dynamic(p)
+    prog_vars = [nm for nm in p.vars if nm in {v.name for v in M.vars}]
+    rng = random.Random(seed)
+
+    q = M.initial
+    trace = [{nm: q[nm] for nm in prog_vars if nm in q}]
+    actions, norms, flags, sizes = [], [], [], []
+    for n in range(1, steps):
+        assign, S = whole_step(p, M, q, obs, n)
+        ok, _ = consistency(S)
+        if not ok:
+            raise InconsistentSystem("step %d: observations contradict the model" % n)
+        norms.append(consistency_weight(S))
+        flags.append(True)
+        actions.append(assign)
+        sizes.append((len(S.omega),))
+        _, q = sample(S, rng, resolver)
+        trace.append({nm: q[nm] for nm in prog_vars if nm in q})
+    return ProgramRun(tuple(trace), tuple(actions), tuple(norms), tuple(flags),
+                      tuple(sizes))

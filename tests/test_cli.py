@@ -637,6 +637,29 @@ class TestHostileJson:
         assert out == ""
         assert err == "error: a weight has more than 4300 digits, the limit for integer text\n"
 
+    @pytest.mark.parametrize("kind", ["system", "spa", "pa"])
+    def test_long_wrong_total_is_named_by_its_size(self, kind, tmp_path, capsys):
+        # both weights read fine; their total, 6001 digits long and not 1,
+        # is past the limit for integer text, so no message may write it
+        a, b = ("1/%d" % (10 ** 3000 + c) for c in (7, 9))
+        doc = {
+            "system": dict(S_AB, pi={"o1": a, "o2": b}),
+            "spa": dict(SPA_DOC, transitions=[
+                {"from": "q0", "action": "a", "dist": [["q0", a], ["q1", b]]}]),
+            "pa": dict(PA_DOC, states=["r0", "r1"], transitions=[
+                {"from": "r0", "dist": [["b", "r0", a], ["b", "r1", b]]}]),
+        }[kind]
+        load = {"system": system_from_json, "spa": spa_from_json, "pa": pa_from_json}[kind]
+        with pytest.raises(MalformedSystem, match="a fraction of about 6001 digits, not 1"):
+            load(doc)
+        f = tmp_path / "total.json"
+        f.write_text(json.dumps(doc))
+        argv = (["eval", str(f), "--query", "x=a"] if kind == "system"
+                else ["simcheck", str(f), str(f)])
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "about 6001 digits, not 1" in err
+
     @pytest.mark.parametrize("sigma", ["1e10000000", "9" * 5000])
     def test_bad_sigma_is_malformed(self, sigma, files, capsys):
         P = pa_from_json(PA_DOC)

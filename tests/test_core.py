@@ -157,6 +157,14 @@ class TestDiscreteProb:
         with pytest.raises(MalformedSystem):
             DiscreteProb(("a", "a"), {"a": Fraction(1)})
 
+    def test_long_weights_in_messages_are_named_by_size(self):
+        tiny = Fraction(1, 10 ** 5000)
+        with pytest.raises(MalformedSystem, match="negative weight a fraction of about 5001"):
+            DiscreteProb(["a", "b"], {"a": -tiny, "b": 1 + tiny})
+        with pytest.raises(MalformedSystem, match="sum to a fraction of about 5001 digits"):
+            DiscreteProb(["a", "b"], {"a": tiny, "b": Fraction(1, 2)})
+        assert core.describe_rat(Fraction(-3, 4)) == "-3/4"
+
     def test_support_skips_zero(self):
         p = DiscreteProb(("a", "b"), {"a": Fraction(1), "b": Fraction(0)})
         assert p.support() == ("a",)
@@ -470,6 +478,37 @@ class TestSample:
         assert q == State({"x": 1})
         with pytest.raises(ValueError):
             sample(S, random.Random(0), resolver="zigzag")
+
+    def test_disjoint_systems_draw_as_their_composition(self):
+        rng = random.Random(7474)
+        seen = {"zero weight": 0, "inconsistent outcome": 0, "several states": 0,
+                "several systems": 0}
+        for _ in range(300):
+            systems = []
+            for i in range(rng.randint(1, 4)):
+                vars = [Var("s%d_%d" % (i, j), rand_domain(rng, "D%d_%d" % (i, j)))
+                        for j in range(rng.randint(1, 2))]
+                systems.append(rand_system_over(rng, vars, max_omega=4))
+            whole = compose(*systems) if len(systems) > 1 else systems[0]
+            for resolver in ("lex", "uniform"):
+                seed = rng.randrange(2 ** 32)
+                r1, r2 = random.Random(seed), random.Random(seed)
+                parts = [sample(tuple(systems), r1, resolver) for _ in range(5)]
+                composed = [sample(whole, r2, resolver) for _ in range(5)]
+                assert parts == composed
+                assert r1.getstate() == r2.getstate()
+            seen["zero weight"] += any(0 in S.pi.values() for S in systems)
+            seen["inconsistent outcome"] += any(not r for S in systems for r in S.rel.values())
+            seen["several states"] += any(len(r) > 1 for S in systems for r in S.rel.values())
+            seen["several systems"] += len(systems) > 1
+        assert all(seen.values()), seen
+
+    def test_sampled_systems_must_be_variable_disjoint(self):
+        S = bitsys({"o": Fraction(1)}, {"o": [(0,)]})
+        with pytest.raises(MalformedSystem):
+            sample((S, S), random.Random(0))
+        with pytest.raises(MalformedSystem):
+            sample((), random.Random(0))
 
 
 class TestPolarized:

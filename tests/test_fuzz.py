@@ -1,10 +1,13 @@
-"""Parser fuzzing: generated programs round-trip through the printer, and
-text built from the language's tokens either parses or raises RbmxError."""
+"""Fuzzing: generated programs round-trip through the printer, text built
+from the language's tokens either parses or raises RbmxError, and system,
+SPA and PA documents either load or raise RbmxError."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from rbmx.core import system_from_json
+from rbmx.embeddings import pa_from_json, spa_from_json
 from rbmx.errors import RbmxError
 from rbmx.rblang import parse, print_program
 from rbmx.rblang.syntax import (
@@ -130,3 +133,97 @@ def test_token_soup_parses_or_raises_a_typed_error(text):
     except RbmxError:
         return
     assert parse(print_program(p)) == p
+
+
+# --- JSON loaders -----------------------------------------------------------------
+
+HUGE = 10 ** 3000  # weights over it read fine; their sums pass the integer-text limit
+
+# one weight as a document spells it: short and exact, 3001 digits long, out
+# of bounds, or not a number at all
+WEIGHTS = st.one_of(
+    st.fractions(0, 1, max_denominator=12).map(lambda f: "%d/%d" % (f.numerator, f.denominator)),
+    st.integers(1, 40).map(lambda c: "1/%d" % (HUGE + c)),
+    st.sampled_from(["9" * 5000, "1/" + "7" * 4400, "1e999999", "-1/3", "0.5", "1/0", "x",
+                     True, None, 0.25, 1, [], {}]),
+)
+
+
+@st.composite
+def weight_lists(draw, n):
+    """n weights: exact ones summing to 1, ones whose total is off by one
+    unit of a short or a 3001-digit denominator, or n independent draws."""
+    mode = draw(st.sampled_from(("exact", "off", "free")))
+    if mode == "free":
+        return [draw(WEIGHTS) for _ in range(n)]
+    d = draw(st.one_of(st.integers(1, 12), st.integers(1, 40).map(lambda c: HUGE + c)))
+    nums = [draw(st.integers(0, 3)) for _ in range(n - 1)]
+    last = Fraction(d - sum(nums), d)
+    if mode == "off":
+        unit = d if d > HUGE else draw(st.sampled_from((d, HUGE + 1)))
+        last += Fraction(draw(st.sampled_from((-1, 1))), unit)
+    return ["%d/%d" % (a, d) for a in nums] + ["%d/%d" % (last.numerator, last.denominator)]
+
+
+JUNK = st.sampled_from([None, 5, "x", [], {}, [[1]], [["q0"]], {"x": [0]}])
+
+
+@st.composite
+def mangled(draw, doc):
+    """doc, or doc with one top-level field dropped or replaced by junk."""
+    roll = draw(st.integers(0, 4))
+    key = draw(st.sampled_from(sorted(doc)))
+    if roll == 0:
+        del doc[key]
+    elif roll == 1:
+        doc[key] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def system_docs(draw):
+    n = draw(st.integers(1, 4))
+    omega = ["o%d" % i for i in range(n)]
+    rows = [draw(st.lists(st.sampled_from((0, 1, 2)), max_size=3)) for _ in omega]
+    return draw(mangled({
+        "domains": {"d": [0, 1, 2]},
+        "vars": [{"name": "x", "domain": "d"}],
+        "omega": omega,
+        "pi": dict(zip(omega, draw(weight_lists(n)))),
+        "rel": [[o, {"x": v}] for o, row in zip(omega, rows) for v in row],
+    }))
+
+
+@st.composite
+def automaton_docs(draw, kind):
+    states = ["q%d" % i for i in range(draw(st.integers(1, 3)))]
+    transitions = []
+    for _ in range(draw(st.integers(0, 3))):
+        targets = draw(st.lists(st.tuples(st.sampled_from(("a", "b")), st.sampled_from(states)),
+                                min_size=1, max_size=3, unique=True))
+        ws = draw(weight_lists(len(targets)))
+        t = {"from": draw(st.sampled_from(states))}
+        if kind == "spa":
+            t["action"] = draw(st.sampled_from(("a", "b")))
+            t["dist"] = [[s, w] for (_, s), w in zip(targets, ws)]
+        else:
+            t["dist"] = [[a, s, w] for (a, s), w in zip(targets, ws)]
+        transitions.append(t)
+    return draw(mangled({"kind": kind, "alphabet": ["a", "b"], "states": states,
+                         "initial": states[0], "transitions": transitions}))
+
+
+LOADERS = {"system": system_from_json, "spa": spa_from_json, "pa": pa_from_json}
+DOCS = st.one_of(system_docs().map(lambda d: ("system", d)),
+                 automaton_docs("spa").map(lambda d: ("spa", d)),
+                 automaton_docs("pa").map(lambda d: ("pa", d)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(DOCS)
+def test_json_documents_load_or_raise_a_typed_error(case):
+    kind, doc = case
+    try:
+        LOADERS[kind](doc)
+    except RbmxError:
+        pass
