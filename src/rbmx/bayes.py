@@ -235,8 +235,6 @@ def bn_validate(N: BayesianNetwork):
                 )
             else:
                 produced[x] = K.name
-        if not set(K.in_names) <= N.in_set(K):
-            problems.append("kernel %s input set exceeds its in-edges" % K.name)
 
     for x in N.sources:
         if x in produced:

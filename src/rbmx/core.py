@@ -110,6 +110,28 @@ def describe_rat(f: Fraction) -> str:
     return "a fraction of about %d digits" % (bits * 0.30103 + 1)
 
 
+def exact_weights(keys, weights) -> dict:
+    """{k: rat(weights[k]) for k in keys}, the one check of an exact
+    distribution: weights has exactly the keys, none negative, summing to
+    exactly 1; else MalformedSystem, naming long numbers by describe_rat."""
+    w = {}
+    for k in keys:
+        if k not in weights:
+            raise MalformedSystem("missing weight for outcome %r" % (k,))
+        f = rat(weights[k])
+        if f < 0:
+            raise MalformedSystem("negative weight %s for outcome %r"
+                                  % (describe_rat(f), k))
+        w[k] = f
+    for k in weights:
+        if k not in w:
+            raise MalformedSystem("weight for unknown outcome %r" % (k,))
+    total = sum(w.values(), Fraction(0))
+    if total != 1:
+        raise MalformedSystem("weights sum to %s, not 1" % describe_rat(total))
+    return w
+
+
 def value_key(v):
     """Total order over values of mixed type: booleans, then integers, then
     symbols.  bool is tested before int because bool subclasses int."""
@@ -330,24 +352,8 @@ class DiscreteProb:
             raise MalformedSystem("outcome space is empty")
         if len(set(omega)) != len(omega):
             raise MalformedSystem("duplicate outcome ids")
-        known = set(omega)
-        w = {}
-        for o in omega:
-            if o not in weights:
-                raise MalformedSystem("missing weight for outcome %r" % (o,))
-            f = rat(weights[o])
-            if f < 0:
-                raise MalformedSystem("negative weight %s for outcome %r"
-                                      % (describe_rat(f), o))
-            w[o] = f
-        for o in weights:
-            if o not in known:
-                raise MalformedSystem("weight for unknown outcome %r" % (o,))
-        total = sum(w.values(), Fraction(0))
-        if total != 1:
-            raise MalformedSystem("weights sum to %s, not 1" % describe_rat(total))
         self.omega = omega
-        self.weights = w
+        self.weights = exact_weights(omega, weights)
 
     def support(self):
         return tuple(o for o in self.omega if self.weights[o] > 0)

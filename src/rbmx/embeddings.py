@@ -41,8 +41,9 @@ from .core import (
     Domain,
     MixedSystem,
     State,
-    describe_rat,
     document_error,
+    exact_weights,
+    format_rat,
     json_label,
     rat,
     unique_labels,
@@ -52,19 +53,9 @@ from .errors import CapExceeded, MalformedSystem, MissingInit
 
 
 def _dist(d) -> dict:
-    """Validate and normalize a distribution mapping: exact weights, zero
-    entries dropped, total exactly 1."""
-    out = {}
-    for k, w in d.items():
-        f = rat(w)
-        if f < 0:
-            raise MalformedSystem("negative mass %s at %r" % (describe_rat(f), k))
-        if f > 0:
-            out[k] = f
-    total = sum(out.values(), Fraction(0))
-    if total != 1:
-        raise MalformedSystem("distribution mass is %s, not 1" % describe_rat(total))
-    return out
+    """Validate and normalize a distribution mapping: exact weights
+    (core.exact_weights), zero entries dropped."""
+    return {k: f for k, f in exact_weights(d, d).items() if f}
 
 
 def _dist_key(d):
@@ -450,7 +441,7 @@ def spa_to_json(P: SPA) -> dict:
             {
                 "from": sl[q],
                 "action": al[a],
-                "dist": [[sl[s], "%d/%d" % (m.numerator, m.denominator)]
+                "dist": [[sl[s], format_rat(m)]
                          for s, m in sorted(d.items(), key=lambda kv: repr(kv[0]))],
             }
             for q, a, d in P.transitions
@@ -489,7 +480,7 @@ def pa_to_json(P: PA) -> dict:
         "transitions": [
             {
                 "from": sl[q],
-                "dist": [[al[a], sl[s], "%d/%d" % (m.numerator, m.denominator)]
+                "dist": [[al[a], sl[s], format_rat(m)]
                          for (a, s), m in sorted(d.items(), key=lambda kv: repr(kv[0]))],
             }
             for q, d in P.transitions

@@ -14,6 +14,10 @@ Three targets, at increasing expressiveness:
   pinned per step from the source state; guards are evaluated at the source
   state and selected through actions that assign a truth value to every
   guard.
+
+Each target trusts a Program from syntax.parse, which checked its
+declarations, statements and priors; only what depends on the values and
+dependencies met while elaborating is checked here.
 """
 
 import itertools
@@ -45,7 +49,6 @@ from ..errors import (
     DomainMismatch,
     MalformedSystem,
     NotIncremental,
-    UnknownDistribution,
     MissingObservation,
     GuardNotBoolean,
 )
@@ -130,44 +133,18 @@ def eval_expr(p: Program, e, env):
 
 def _dist_rows(p: Program, leaf: SPrior, env=None):
     """The probability table a prior denotes, resolving builtins and
-    parameters.  env supplies values for a parameterized table's expression."""
-    x = leaf.var
-    dom_vals = p.domain_values(x)
+    parameters.  env supplies values for a parameterized table's expression;
+    parse has checked the rest of the prior."""
     if leaf.dist == "Bernoulli":
-        if not isinstance(leaf.arg, Const):
-            raise UnknownDistribution(
-                "Bernoulli takes a fixed rational parameter, in prior for %r" % x
-            )
         prob = rat(leaf.arg.value)
-        if prob < 0 or prob > 1:
-            raise MalformedSystem("Bernoulli parameter %s outside [0,1]" % prob)
-        if set(dom_vals) != {False, True}:
-            raise DomainMismatch(
-                "Bernoulli needs the boolean domain, %r has %r" % (x, dom_vals)
-            )
         return {False: 1 - prob, True: prob}
     if leaf.dist == "Uniform":
-        vals = p.domains.get(getattr(leaf.arg, "name", None))
-        if vals is None:
-            raise UnknownDistribution("Uniform takes a domain name, in prior for %r" % x)
-        if set(vals) != set(dom_vals):
-            raise DomainMismatch(
-                "Uniform over %r does not match the domain of %r" % (vals, x)
-            )
+        vals = p.domains[leaf.arg.name]
         share = Fraction(1, len(vals))
         return {v: share for v in vals}
-    decl = p.dists.get(leaf.dist)
-    if decl is None:
-        raise UnknownDistribution("no distribution named %r" % leaf.dist)
-    if decl.target_domain != p.vars[x]:
-        raise DomainMismatch(
-            "distribution %r is over %r but %r has domain %r"
-            % (leaf.dist, decl.target_domain, x, p.vars[x])
-        )
+    decl = p.dists[leaf.dist]
     if decl.param_domain is None:
         return decl.table
-    if env is None:
-        raise MalformedSystem("parameterized prior needs an environment")
     c = eval_expr(p, leaf.arg, env)
     rows = decl.table.get(c)
     if rows is None:
@@ -234,20 +211,7 @@ def prior_kernel(p: Program, leaf: SPrior) -> MixedKernel:
 
 
 def _is_parameterized(p: Program, leaf: SPrior) -> bool:
-    if leaf.dist in ("Bernoulli", "Uniform"):
-        return False
-    decl = p.dists.get(leaf.dist)
-    if decl is None:
-        raise UnknownDistribution("no distribution named %r" % leaf.dist)
-    if decl.param_domain is not None and leaf.arg is None:
-        raise UnknownDistribution(
-            "distribution %r needs a parameter, in prior for %r" % (leaf.dist, leaf.var)
-        )
-    if decl.param_domain is None and leaf.arg is not None:
-        raise UnknownDistribution(
-            "distribution %r takes no parameter, in prior for %r" % (leaf.dist, leaf.var)
-        )
-    return decl.param_domain is not None
+    return leaf.dist in p.dists and p.dists[leaf.dist].param_domain is not None
 
 
 # --- kernel grafting ------------------------------------------------------------

@@ -28,18 +28,33 @@ together: each sits one level below the one containing it, and a
 parenthesis or brace adds a level of its own.  Deeper programs are rejected
 with RbSyntaxError, so every recursive pass over a parsed program stays far
 below Python's recursion limit.
+
+parse is the one boundary for programs: elaboration trusts what it returns.
+Beyond the syntax, parse checks that
+* every domain a declaration names is declared;
+* function tables cover their input domains, inside their output domain;
+* distribution tables are exact (core.exact_weights), one per parameter;
+* statements use declared variables and functions with the right arity;
+* inits lie in their domains and agree, and sit at the top level, as
+  on-statements do;
+* a prior's distribution is declared over its variable's domain and gets
+  the parameter it takes: Bernoulli a constant in [0,1] (the variable is
+  boolean), Uniform a domain name, a declared one an expression exactly
+  when it has a parameter domain;
+* whatever pre or a guard reads has an init.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import number_text_problem
+from ..core import describe_rat, exact_weights, format_rat, number_text_problem, rat
 from ..errors import (
     DomainMismatch,
     MalformedSystem,
     MissingInit,
     RbSyntaxError,
     UndeclaredVariable,
+    UnknownDistribution,
 )
 
 KEYWORDS = frozenset(
@@ -727,22 +742,13 @@ def _validate(p: Program):
                     % (d.name, d.param_domain)
                 )
         for rows in tables.values():
-            total = Fraction(0)
-            for val, prob in rows.items():
+            for val in rows:
                 if val not in p.domains[d.target_domain]:
                     raise DomainMismatch(
                         "distribution %r weights %r outside %r"
                         % (d.name, val, d.target_domain)
                     )
-                if prob < 0:
-                    raise MalformedSystem(
-                        "distribution %r has negative weight" % d.name
-                    )
-                total += prob
-            if total != 1:
-                raise MalformedSystem(
-                    "distribution %r sums to %s, not 1" % (d.name, total)
-                )
+            exact_weights(rows, rows)
     _validate_body(p, p.body)
     inits = {s.var for s in statements(p.body) if isinstance(s, SInit)}
     for name in sorted(required_inits(p)):
@@ -772,6 +778,43 @@ def _validate_expr(p, e, where):
                 )
 
 
+def _validate_prior(p, s):
+    if s.var not in p.vars:
+        raise UndeclaredVariable("prior for undeclared variable %r" % s.var)
+    where = "prior for %r" % s.var
+    dom = p.vars[s.var]
+    if s.dist == "Uniform":
+        if not isinstance(s.arg, VarRef) or s.arg.name not in p.domains:
+            raise DomainMismatch("Uniform takes a domain name, in %s" % where)
+        if set(p.domains[s.arg.name]) != set(p.domains[dom]):
+            raise DomainMismatch("Uniform over %r does not match the domain of %r"
+                                 % (s.arg.name, s.var))
+        return
+    if s.arg is not None:
+        _validate_expr(p, s.arg, where)
+    if s.dist == "Bernoulli":
+        if not isinstance(s.arg, Const):
+            raise UnknownDistribution("Bernoulli takes a fixed rational parameter, in %s"
+                                      % where)
+        prob = rat(s.arg.value)
+        if prob < 0 or prob > 1:
+            raise MalformedSystem("Bernoulli parameter %s outside [0,1]" % describe_rat(prob))
+        if set(p.domains[dom]) != {False, True}:
+            raise DomainMismatch("Bernoulli needs the boolean domain, %r has %r"
+                                 % (s.var, dom))
+        return
+    decl = p.dists.get(s.dist)
+    if decl is None:
+        raise UnknownDistribution("no distribution named %r" % s.dist)
+    if decl.target_domain != dom:
+        raise DomainMismatch("distribution %r is over %r but %r has domain %r"
+                             % (s.dist, decl.target_domain, s.var, dom))
+    if decl.param_domain is not None and s.arg is None:
+        raise UnknownDistribution("distribution %r needs a parameter, in %s" % (s.dist, where))
+    if decl.param_domain is None and s.arg is not None:
+        raise UnknownDistribution("distribution %r takes no parameter, in %s" % (s.dist, where))
+
+
 def _validate_body(p, body):
     inits = {}
     for s in statements(body):
@@ -789,15 +832,7 @@ def _validate_body(p, body):
                 raise MalformedSystem("conflicting init values for %r" % s.var)
             inits[s.var] = s.value
         elif isinstance(s, SPrior):
-            if s.var not in p.vars:
-                raise UndeclaredVariable("prior for undeclared variable %r" % s.var)
-            if s.dist == "Uniform":
-                if not isinstance(s.arg, VarRef) or s.arg.name not in p.domains:
-                    raise DomainMismatch(
-                        "Uniform takes a domain name, in prior for %r" % s.var
-                    )
-            elif s.arg is not None:
-                _validate_expr(p, s.arg, "prior for %r" % s.var)
+            _validate_prior(p, s)
         elif isinstance(s, SEq):
             _validate_expr(p, s.lhs, "equation")
             _validate_expr(p, s.rhs, "equation")
@@ -826,7 +861,7 @@ def print_value(v):
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Fraction):
-        return "%d/%d" % (v.numerator, v.denominator)
+        return format_rat(v)
     return '"%s"' % v
 
 

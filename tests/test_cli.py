@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from rbmx.embeddings import (
     spa_to_ma,
 )
 from rbmx.errors import CapExceeded, MalformedSystem
+from rbmx.rblang import parse
 from rbmx.rblang.syntax import MAX_NESTING
 
 from .oracles import sim_equivalent_not_bisimilar
@@ -217,6 +219,21 @@ class TestParseElaborate:
         assert r.returncode == 2, r.stderr[-300:]
         assert words in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_long_wrong_dist_total_is_named_by_its_size(self, tmp_path, capsys):
+        # 60 weights with 98-digit denominators: each literal is short, their
+        # total is past the limit for integer text and is not 1
+        text = ("domain v = { %s }\nvar x : v\ndist d : v { %s }\n|| x ~ d\n"
+                % (", ".join(map(str, range(60))),
+                   ", ".join("%d : 1/%d" % (i, 10 ** 97 + 2 * i + 1) for i in range(60))))
+        message = r"weights sum to a fraction of about \d+ digits, not 1$"
+        with pytest.raises(MalformedSystem, match=message):
+            parse(text)
+        prog = tmp_path / "long.rb.mx"
+        prog.write_text(text)
+        assert cli.main(["parse", str(prog)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.match("error: " + message, err)
 
     def test_elaborate_static(self, files):
         r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "static",
@@ -633,6 +650,25 @@ class TestHostileJson:
             paths.append(tmp_path / (v + ".json"))
             paths[-1].write_text(json.dumps(doc))
         assert cli.main(["compose"] + [str(p) for p in paths]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a weight has more than 4300 digits, the limit for integer text\n"
+
+    @pytest.mark.parametrize("kind", ["spa", "pa"])
+    def test_composed_automaton_weights_past_the_text_limit(self, kind, tmp_path, capsys):
+        # a document composed with itself: its 3001-digit weights read fine,
+        # their 6001-digit products cannot be written as integer text
+        d = 10 ** 3000 + 7
+        a, b = "1/%d" % d, "%d/%d" % (d - 1, d)
+        doc = {
+            "spa": dict(SPA_DOC, transitions=[
+                {"from": "q0", "action": "a", "dist": [["q0", a], ["q1", b]]}]),
+            "pa": dict(PA_DOC, states=["r0", "r1"], transitions=[
+                {"from": "r0", "dist": [["b", "r0", a], ["b", "r1", b]]}]),
+        }[kind]
+        f = tmp_path / "long.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["compose", str(f), str(f)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: a weight has more than 4300 digits, the limit for integer text\n"

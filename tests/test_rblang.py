@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,23 @@ def deep_blocks(k):
     return HEAD + "|| x = neg(y)\n|| " + "{ y = y || " * k + "x = x" + " }" * k
 
 
+# priors that parse must reject, each with its typed error and a piece of
+# the message; elaboration trusts a parsed program and checks none of them
+BIT_BOOL = "domain bit = { 0, 1 }\ndomain bool = { F, T }\nvar x : bit\nvar b, c : bool\n"
+FLIP_DECL = "dist flip(bit) : bit { 0 -> { 0 : 3/4, 1 : 1/4 }, 1 -> { 0 : 1/4, 1 : 3/4 } }\n"
+BAD_PRIORS = {
+    "Bernoulli of a variable": (BIT_BOOL + "|| b ~ Bernoulli(c)",
+                                UnknownDistribution, "fixed rational parameter"),
+    "Bernoulli above 1": (BIT_BOOL + "|| b ~ Bernoulli(3/2)", MalformedSystem, "outside [0,1]"),
+    "declared over another domain": (BIT_BOOL + "dist fb : bool { F : 1/2, T : 1/2 }\n|| x ~ fb",
+                                     DomainMismatch, "is over 'bool'"),
+    "parameter missing": (BIT_BOOL + FLIP_DECL + "|| x ~ flip",
+                          UnknownDistribution, "needs a parameter"),
+    "parameter not taken": (BIT_BOOL + "dist coin : bit { 0 : 1/2, 1 : 1/2 }\n|| x ~ coin(x)",
+                            UnknownDistribution, "takes no parameter"),
+}
+
+
 # the parameterized priors: y ~ flip(x) with x free, then with x drawn first
 FLIP_KERNEL = """
 domain bit = { 0, 1 }
@@ -204,6 +222,12 @@ class TestParsePrint:
         with pytest.raises(MalformedSystem):
             parse("domain bit = { 0, 1 }\nvar x : bit\n"
                   "dist d : bit { 0 : 1/2, 1 : 1/3 }\n|| x ~ d")
+
+    @pytest.mark.parametrize("name", sorted(BAD_PRIORS))
+    def test_bad_prior_is_rejected_at_parse(self, name):
+        text, error, words = BAD_PRIORS[name]
+        with pytest.raises(error, match=re.escape(words)):
+            parse(text)
 
     def test_decimal_probabilities_are_exact(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n"
@@ -376,6 +400,13 @@ dist fb : bool { F : 9/10, T : 1/10 }
         with pytest.raises(UnknownDistribution):
             elaborate_static(parse("domain bit = { 0, 1 }\nvar x : bit\n"
                                    "|| x ~ nosuch"))
+
+    def test_parameter_outside_the_table_is_a_domain_mismatch(self):
+        # flip has a case for 0 and 1 only; x ranges over tri
+        p = parse("domain bit = { 0, 1 }\ndomain tri = { 0, 1, 2 }\nvar x : tri\nvar y : bit\n"
+                  + FLIP_DECL + "|| x ~ Uniform(tri)\n|| y ~ flip(x)")
+        with pytest.raises(DomainMismatch, match="'flip' has no case for parameter 2"):
+            elaborate_static(p)
 
     def test_parameterized_prior_becomes_a_kernel(self):
         p = roundtrip(FLIP_KERNEL)

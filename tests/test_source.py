@@ -89,9 +89,9 @@ def _decodes_json(node):
             and node.func.attr in ("load", "loads"))
 
 
-def test_one_json_decoder():
-    # the decoder recurses once per nesting level, so every document goes
-    # through cli._loads, which bounds the depth first
+def _owners(match):
+    """The "file:function" of every node that match accepts, by the
+    innermost function holding it ("<module>" outside any)."""
     found = []
 
     def visit(node, path, owner):
@@ -99,10 +99,27 @@ def test_one_json_decoder():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path, child.name)
             else:
-                if _decodes_json(child):
+                if match(child):
                     found.append("%s:%s" % (path.relative_to(SRC), owner))
                 visit(child, path, owner)
 
     for path in sorted(SRC.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, "<module>")
-    assert found == ["cli.py:_loads"]
+    return found
+
+
+def test_one_json_decoder():
+    # the decoder recurses once per nesting level, so every document goes
+    # through cli._loads, which bounds the depth first
+    assert _owners(_decodes_json) == ["cli.py:_loads"]
+
+
+def _weight_format(node):
+    return isinstance(node, ast.Constant) and node.value == "%d/%d"
+
+
+def test_one_weight_format():
+    # "%d/%d" raises a raw ValueError on an integer past CPython's limit on
+    # integer text; core.format_rat raises CapExceeded instead, so every
+    # exact weight is written through it
+    assert _owners(_weight_format) == ["core.py:format_rat"]
