@@ -8,6 +8,12 @@ variables.  Sampling walks the network in dependency order; scoring takes,
 per kernel, the outer probability of the state's out-part given its
 in-part, and multiplies.
 
+Scoring reads compiled tables.  The first time a kernel is scored at an
+input, MixedKernel.score_table turns the output system into an exact table
+{output value tuple: outer mass} in one pass over its rows (or None when
+the system is inconsistent) and keeps it, so every later score at that
+input is one dict lookup per kernel.
+
 Conditioning convention: the conditional of a system on Y is the kernel
 that pins Y to the given input, conditions the system on that, and exposes
 only the remaining variables.  The input variables are not re-exposed on
@@ -18,6 +24,7 @@ unaffected: the pinned part contributes exactly the marginal factor.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +36,7 @@ from .core import (
     all_states,
     compose,
     compress,
+    conditioned,
     consistency,
     document_error,
     domains_agree,
@@ -36,7 +44,6 @@ from .core import (
     merge_vars,
     nil_system,
     norm_vars,
-    outer,
     sample,
     system_from_json,
     system_to_json,
@@ -51,6 +58,8 @@ from .errors import (
     VariableSetMismatch,
 )
 
+ZERO = Fraction(0)
+
 
 class MixedKernel:
     """A map from states over in_vars to mixed systems over out_vars.
@@ -61,7 +70,7 @@ class MixedKernel:
     disjoint, and every produced system must have exactly the out variables.
     """
 
-    __slots__ = ("name", "in_vars", "out_vars", "_table", "_fn")
+    __slots__ = ("name", "in_vars", "out_vars", "_table", "_fn", "_scores")
 
     def __init__(self, in_vars, out_vars, mapping, name=None):
         self.in_vars = norm_vars(in_vars)
@@ -78,6 +87,7 @@ class MixedKernel:
             self._table = {State(k) if not isinstance(k, State) else k: v
                            for k, v in mapping.items()}
             self._fn = None
+        self._scores = {}
         self.name = name
 
     @property
@@ -113,6 +123,31 @@ class MixedKernel:
                 % (self.name, list(S.var_names), list(self.out_names))
             )
         return S
+
+    def score_table(self, in_values):
+        """The exact outer mass of each output value tuple (values in
+        out_names order) at the input whose values, in in_names order, are
+        in_values; None when the output system is inconsistent there.
+        Built on first use from apply's system, in one pass over its rows:
+        each outcome adds its conditioned weight once to every state of its
+        row, which MixedSystem has deduped.  Output tuples no row admits
+        are absent, so their mass is 0."""
+        try:
+            return self._scores[in_values]
+        except KeyError:
+            pass
+        S = self.apply(State(zip(self.in_names, in_values)))
+        table = None
+        if consistency(S)[0]:
+            weights = conditioned(S).weights
+            table = {}
+            for o, row in S.rel.items():
+                w = weights[o]
+                for q in row:
+                    out = tuple([v for _, v in q.pairs])
+                    table[out] = table.get(out, 0) + w
+        self._scores[in_values] = table
+        return table
 
     def __repr__(self):
         return "MixedKernel(%s: %s -> %s)" % (
@@ -185,7 +220,7 @@ class BayesianNetwork:
     ``variables`` raises DomainMismatch.
     """
 
-    __slots__ = ("kernels", "extra_in", "sources", "vars")
+    __slots__ = ("kernels", "extra_in", "sources", "vars", "_positions")
 
     def __init__(self, kernels, extra_in=None, sources=(), variables=()):
         ks = list(kernels)
@@ -201,6 +236,12 @@ class BayesianNetwork:
 
         merged = merge_vars(*(K.in_vars + K.out_vars for K in ks), norm_vars(variables))
         self.vars = tuple(sorted(merged, key=lambda v: v.name))
+        # per kernel, where its in- and out-values sit in a full state's
+        # values, which follow var_names
+        at = {v.name: i for i, v in enumerate(self.vars)}
+        self._positions = tuple(
+            (K, tuple(at[n] for n in K.in_names), tuple(at[n] for n in K.out_names))
+            for K in ks)
 
     @property
     def var_names(self):
@@ -334,38 +375,40 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     """Product over kernels of the outer probability of the state's out-part
     given its in-part.  Kernels that are inconsistent at their input
     contribute no factor; that is only tolerated when another factor is
-    zero, otherwise InconsistentSystem propagates."""
+    zero, otherwise InconsistentSystem propagates.
+
+    Each factor is a lookup in the kernel's compiled table for its input
+    (MixedKernel.score_table), built the first time that input is scored;
+    apply's checks and errors meet a bad input then, and again each time,
+    since nothing is kept for it.  The product is taken over integer
+    numerators and denominators, with one Fraction at the end."""
     if not isinstance(q, State):
         q = State(q)
-    if set(q.names) != set(N.var_names):
+    # both name tuples are sorted, so they are equal exactly when the sets are
+    if q.names != N.var_names:
         raise VariableSetMismatch(
             "state covers %r, network has %r" % (list(q.names), list(N.var_names))
         )
+    values = [v for _, v in q.pairs]
     factors = []
     bad = None
-    for K in N.kernels:
-        q_in = State({n: q[n] for n in K.in_names})
-        q_out = State({n: q[n] for n in K.out_names})
-        S = K.apply(q_in)
-        flag, _ = consistency(S)
-        if not flag:
+    num = den = 1
+    for K, ins, outs in N._positions:
+        table = K.score_table(tuple([values[i] for i in ins]))
+        if table is None:
             factors.append((K.name, None))
             if bad is None:
                 bad = K
             continue
-        factors.append((K.name, outer(S, [q_out])))
-
-    value = Fraction(1)
-    for _, f in factors:
-        if f is not None:
-            value *= f
-    if bad is not None and value != 0:
+        f = table.get(tuple([values[i] for i in outs]), ZERO)
+        factors.append((K.name, f))
+        num *= f.numerator
+        den *= f.denominator
+    if bad is not None and num != 0:
         raise InconsistentSystem(
             "kernel %s is inconsistent at input %r" % (bad.name, q), kernel=bad.name
         )
-    if bad is not None:
-        value = Fraction(0)
-    return Score(value, tuple(factors))
+    return Score(Fraction(num, den), tuple(factors))
 
 
 def bn_equivalent_p(N1: BayesianNetwork, N2: BayesianNetwork) -> bool:
@@ -447,14 +490,29 @@ def bn_to_json(N: BayesianNetwork) -> dict:
     }
 
 
+def _names_from_json(field, names):
+    """names, read from the given field of a network document: a list of
+    strings, else MalformedSystem naming the field."""
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise MalformedSystem("bad network document: %s is not a list of names: %s"
+                              % (field, reprlib.repr(names)))
+    return names
+
+
 def bn_from_json(doc: dict) -> BayesianNetwork:
     try:
         vbyname = {v.name: v for v in vars_from_json(doc["domains"], doc["variables"])}
         specs = []
         for kd in doc["kernels"]:
+            name = kd["name"]
+            if not isinstance(name, str):
+                raise MalformedSystem("bad network document: kernel name %s is not a string"
+                                      % reprlib.repr(name))
+            ins = _names_from_json("the 'in' of kernel %r" % name, kd["in"])
+            outs = _names_from_json("the 'out' of kernel %r" % name, kd["out"])
             table = {State(binding): system_from_json(sdoc) for binding, sdoc in kd["table"]}
-            specs.append((kd["name"], kd["in"], kd["out"], table))
-        sources = doc.get("sources", ())
+            specs.append((name, ins, outs, table))
+        sources = _names_from_json("'sources'", doc.get("sources", []))
     except DOCUMENT_ERRORS as exc:
         raise document_error("network", exc)
 

@@ -42,7 +42,6 @@ from ..core import (
     marginal,
     merge_vars,
     nil_system,
-    rat,
     state_join,
 )
 from ..errors import (
@@ -136,7 +135,7 @@ def _dist_rows(p: Program, leaf: SPrior, env=None):
     parameters.  env supplies values for a parameterized table's expression;
     parse has checked the rest of the prior."""
     if leaf.dist == "Bernoulli":
-        prob = rat(leaf.arg.value)
+        prob = Fraction(leaf.arg.value)
         return {False: 1 - prob, True: prob}
     if leaf.dist == "Uniform":
         vals = p.domains[leaf.arg.name]

@@ -38,7 +38,7 @@ Beyond the syntax, parse checks that
 * inits lie in their domains and agree, and sit at the top level, as
   on-statements do;
 * a prior's distribution is declared over its variable's domain and gets
-  the parameter it takes: Bernoulli a constant in [0,1] (the variable is
+  the parameter it takes: Bernoulli a number literal in [0,1] (the variable is
   boolean), Uniform a domain name, a declared one an expression exactly
   when it has a parameter domain;
 * whatever pre or a guard reads has an init.
@@ -47,7 +47,7 @@ Beyond the syntax, parse checks that
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import describe_rat, exact_weights, format_rat, number_text_problem, rat
+from ..core import describe_rat, exact_weights, format_rat, number_text_problem
 from ..errors import (
     DomainMismatch,
     MalformedSystem,
@@ -793,10 +793,12 @@ def _validate_prior(p, s):
     if s.arg is not None:
         _validate_expr(p, s.arg, where)
     if s.dist == "Bernoulli":
-        if not isinstance(s.arg, Const):
+        # a number literal parses to an int or a Fraction; the exact type
+        # test turns away T and F (bools) and quoted strings like "1/3"
+        if not (isinstance(s.arg, Const) and type(s.arg.value) in (int, Fraction)):
             raise UnknownDistribution("Bernoulli takes a fixed rational parameter, in %s"
                                       % where)
-        prob = rat(s.arg.value)
+        prob = Fraction(s.arg.value)
         if prob < 0 or prob > 1:
             raise MalformedSystem("Bernoulli parameter %s outside [0,1]" % describe_rat(prob))
         if set(p.domains[dom]) != {False, True}:

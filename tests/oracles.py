@@ -6,6 +6,10 @@ helpers, so that agreement between the two is evidence rather than a
 tautology.  The transport oracle decides feasibility by the cut condition
 (every subset of the left support must fit inside the mass of its allowed
 neighbours) instead of the flow computation the library uses.
+
+Algorithms the library replaced are kept here as references too
+(full_graft, whole_run, outer_bn_score).  They may call the library's
+query helpers, which the naive oracles check.
 """
 
 import itertools
@@ -15,9 +19,16 @@ from fractions import Fraction
 
 from rbmx import Domain, MixedSystem, State, Var
 from rbmx.automata import MixedAutomaton
-from rbmx.core import all_states, compose, consistency, consistency_weight, sample
+from rbmx.bayes import BayesianNetwork, MixedKernel, Score
+from rbmx.core import all_states, compose, consistency, consistency_weight, outer, sample
 from rbmx.embeddings import PA, SPA
-from rbmx.errors import InconsistentSystem, MissingObservation, NoTransition
+from rbmx.errors import (
+    InconsistentSystem,
+    MissingObservation,
+    NoTransition,
+    RbmxError,
+    VariableSetMismatch,
+)
 from rbmx.factorgraph import factor_graph
 from rbmx.rblang.elaborate import (
     active_leaves,
@@ -453,6 +464,97 @@ def pa_ok(P1, P2):
     return ok
 
 
+# --- network scores -------------------------------------------------------------
+
+
+def outer_bn_score(N, q):
+    """bn_score without compiled tables: per kernel, build the in- and
+    out-states, apply the kernel, and take the outer probability of the
+    out-state, as bn_score did before it read per-input tables."""
+    if not isinstance(q, State):
+        q = State(q)
+    if set(q.names) != set(N.var_names):
+        raise VariableSetMismatch(
+            "state covers %r, network has %r" % (list(q.names), list(N.var_names))
+        )
+    factors = []
+    bad = None
+    for K in N.kernels:
+        q_in = State({n: q[n] for n in K.in_names})
+        q_out = State({n: q[n] for n in K.out_names})
+        S = K.apply(q_in)
+        flag, _ = consistency(S)
+        if not flag:
+            factors.append((K.name, None))
+            if bad is None:
+                bad = K
+            continue
+        factors.append((K.name, outer(S, [q_out])))
+
+    value = Fraction(1)
+    for _, f in factors:
+        if f is not None:
+            value *= f
+    if bad is not None and value != 0:
+        raise InconsistentSystem(
+            "kernel %s is inconsistent at input %r" % (bad.name, q), kernel=bad.name
+        )
+    if bad is not None:
+        value = Fraction(0)
+    return Score(value, tuple(factors))
+
+
+def score_outcome(score, N, q):
+    """What score(N, q) gives: the Score with its repr, which tells a
+    Fraction factor from an int, or the error's type, kernel and message."""
+    try:
+        sc = score(N, q)
+    except RbmxError as exc:
+        return type(exc), exc.context.get("kernel"), str(exc)
+    return sc, repr(sc)
+
+
+def off_domain_states(N):
+    """One full state per variable, with that variable's value outside its
+    domain and every other value the first of its domain."""
+    first = {v.name: v.domain.values[0] for v in N.vars}
+    for name in N.var_names:
+        yield State(dict(first, **{name: "off"}))
+
+
+def rand_inconsistent_over(rng, vars):
+    """A system with no consistent mass: no outcome admits a state, or only
+    zero-weight outcomes do."""
+    if rng.random() < 0.5:
+        return MixedSystem({"o": Fraction(1)}, vars, {"o": []})
+    states = list(all_states(vars))
+    return MixedSystem({"a": Fraction(1), "b": Fraction(0)}, vars,
+                       {"a": [], "b": rng.sample(states, min(2, len(states)))})
+
+
+def rand_network(rng, k):
+    """k table kernels: kernel i outputs up to two fresh variables and
+    reads up to two variables that earlier kernels output; one that outputs
+    none is a check on its inputs.  Its system at each input may have rows
+    of several states, zero-weight outcomes and empty rows; about one input
+    in six gets an inconsistent system."""
+    made = []
+    kernels = []
+    for i in range(k):
+        ins = rng.sample(made, rng.randint(0, min(2, len(made))))
+        outs = [Var("v%d_%d" % (i, j), rand_domain(rng, "D%d_%d" % (i, j)))
+                for j in range(rng.choice((0, 1, 1, 2)))]
+        table = {}
+        for q in all_states(ins):
+            if rng.random() < 0.17:
+                table[q] = rand_inconsistent_over(rng, outs)
+            else:
+                table[q] = rand_system_over(rng, outs, max_omega=4)
+        kernels.append(MixedKernel(ins, outs, table, name="K%d" % i))
+        made += outs
+    return BayesianNetwork(kernels)
+
+
 # --- tree-shaped factor graphs ---------------------------------------------------
 
 
@@ -473,6 +575,23 @@ def rand_tree_fg(rng, k):
         for vs in sysvars
     ]
     return factor_graph(systems, ["S%d" % (i + 1) for i in range(k)])
+
+
+def consistent_tree_fgs(rng, count, max_attempts=600):
+    """Up to count graphs from rand_tree_fg, with 3, 4 and 5 systems in
+    turn, each with its consistent joint; graphs whose joint is
+    inconsistent are skipped, at most max_attempts drawn in all."""
+    graphs = attempts = 0
+    while graphs < count and attempts < max_attempts:
+        attempts += 1
+        g = rand_tree_fg(rng, 3 + graphs % 3)
+        joint = g.systems[g.labels[0]]
+        for lab in g.labels[1:]:
+            joint = compose(joint, g.systems[lab])
+        if not consistency(joint)[0]:
+            continue
+        graphs += 1
+        yield g, joint
 
 
 # --- programs run as one automaton ------------------------------------------------

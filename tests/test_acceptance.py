@@ -34,7 +34,7 @@ from rbmx.automata import (
     verify_weighting,
 )
 from rbmx.bayes import BayesianNetwork, bayes_split, bn_score, kernel_from_system
-from rbmx.core import all_states, conditioned, consistency
+from rbmx.core import all_states, conditioned
 from rbmx.embeddings import (
     PA,
     _pair,
@@ -52,6 +52,7 @@ from rbmx.rblang import elaborate_static, parse
 from .conftest import record
 from .oracles import (
     allowed_pairs,
+    consistent_tree_fgs,
     cut_feasible,
     equivalent_variant,
     naive_point_outer,
@@ -61,7 +62,6 @@ from .oracles import (
     rand_spa,
     rand_system,
     rand_system_over,
-    rand_tree_fg,
 )
 from rbmx.core import Var
 
@@ -169,15 +169,7 @@ def test_criterion_4_tree_message_passing():
     t0 = time.time()
     bad = 0
     graphs = 0
-    attempts = 0
-    while graphs < 18 and attempts < 600:
-        attempts += 1
-        g = rand_tree_fg(rng, 3 + graphs % 3)
-        joint = g.systems[g.labels[0]]
-        for lab in g.labels[1:]:
-            joint = compose(joint, g.systems[lab])
-        if not consistency(joint)[0]:
-            continue
+    for g, joint in consistent_tree_fgs(rng, 18):
         graphs += 1
         # one pass over the joint gives every point score at once
         pt = conditioned(joint)

@@ -29,8 +29,17 @@ from rbmx.errors import (
     NotIncremental,
     VariableSetMismatch,
 )
+from rbmx.factorgraph import fg_to_bn
 
-from .oracles import naive_point_outer, rand_system
+from .oracles import (
+    consistent_tree_fgs,
+    naive_point_outer,
+    off_domain_states,
+    outer_bn_score,
+    rand_network,
+    rand_system,
+    score_outcome,
+)
 
 BIT = Domain("bit", (0, 1))
 
@@ -268,6 +277,66 @@ class TestScore:
             bn_score(N1, State({"x": 1, "y": 0}))
 
 
+class TestCompiledScores:
+    """bn_score reads per-input tables; outer_bn_score recomputes each
+    factor with outer.  Both must give the same Score, or the same error."""
+
+    def assert_agree(self, N, states):
+        """The oracle's outcome at each state, after checking bn_score's."""
+        wants = []
+        for q in states:
+            want = score_outcome(outer_bn_score, N, q)
+            assert score_outcome(bn_score, N, q) == want, q
+            wants.append(want)
+        return wants
+
+    def test_random_networks(self):
+        rng = random.Random(4242)
+        seen = {"positive": 0, "zero": 0, "tolerated": 0, "raised": 0, "no entry": 0}
+        for _ in range(120):
+            N = rand_network(rng, rng.randint(1, 4))
+            states = list(all_states(N.vars)) + list(off_domain_states(N))
+            for got in self.assert_agree(N, states):
+                if got[0] is InconsistentSystem:
+                    seen["raised"] += 1
+                elif got[0] is VariableSetMismatch:
+                    seen["no entry"] += 1
+                elif any(f is None for _, f in got[0].factors):
+                    seen["tolerated"] += 1
+                else:
+                    seen["positive" if got[0].value else "zero"] += 1
+        assert all(seen.values()), seen
+
+    def test_tree_graphs_at_every_root(self):
+        # the graphs of acceptance criterion 4
+        for g, _ in consistent_tree_fgs(random.Random(1004), 18):
+            for root in g.labels:
+                N = fg_to_bn(g, root=root)
+                self.assert_agree(N, list(all_states(N.vars)) + list(off_domain_states(N)))
+
+    def test_each_input_is_compiled_once(self):
+        calls = []
+
+        def copy(q):
+            calls.append(q)
+            return point_system([("y", BIT)], State({"y": q["x"]}))
+
+        N = seq_compose(kernel_from_system(coin_system(), name="prior"),
+                        MixedKernel([("x", BIT)], [("y", BIT)], copy, name="copy"))
+        states = list(all_states(N.vars))
+        assert [bn_score(N, q).value for q in states] == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
+        assert sorted(calls, key=repr) == [State({"x": 0}), State({"x": 1})]
+        assert bn_equivalent_p(N, N)
+        assert len(calls) == 2
+        # an input outside the domain reaches the kernel each time, and its
+        # error is the one the kernel's system raises
+        for _ in range(2):
+            with pytest.raises(MalformedSystem, match="outside domain"):
+                bn_score(N, State({"x": 5, "y": 0}))
+        assert len(calls) == 4
+        assert bn_score(N, State({"x": 0, "y": 5})).value == 0
+
+
 class TestSampleBn:
     def test_respects_the_equations(self):
         N = seq_compose(kernel_from_system(coin_system(), name="prior"), neg_kernel())
@@ -319,3 +388,15 @@ class TestBnJson:
         doc["kernels"][0]["out"] = ["nosuch"]
         with pytest.raises(MalformedSystem, match="nosuch"):
             bn_from_json(doc)
+
+    @pytest.mark.parametrize("kernel, field, junk", [
+        (1, "name", ["neg"]), (1, "name", None), (1, "in", "x"), (1, "in", [["x"]]),
+        (0, "out", [1]), (None, "sources", [["x"]]), (None, "sources", None),
+    ])
+    def test_names_must_be_strings(self, kernel, field, junk):
+        doc = bn_to_json(seq_compose(kernel_from_system(coin_system(), name="prior"),
+                                     neg_kernel()))
+        (doc if kernel is None else doc["kernels"][kernel])[field] = junk
+        with pytest.raises(MalformedSystem, match="bad network document: .*%s" % field):
+            bn_from_json(doc)
+

@@ -24,7 +24,7 @@ from rbmx.rblang import parse
 from rbmx.rblang.syntax import MAX_NESTING
 
 from .oracles import sim_equivalent_not_bisimilar
-from .test_rblang import HOSTILE, OFF_TABLE
+from .test_rblang import BAD_PRIORS, HOSTILE, OFF_TABLE
 
 CLI = [sys.executable, "-m", "rbmx.cli"]
 
@@ -219,6 +219,16 @@ class TestParseElaborate:
         assert r.returncode == 2, r.stderr[-300:]
         assert words in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("name", ["Bernoulli of a string", "Bernoulli of a boolean"])
+    def test_bernoulli_parameter_must_be_a_number(self, name, tmp_path, capsys):
+        text, _, words = BAD_PRIORS[name]
+        prog = tmp_path / "bern.rb.mx"
+        prog.write_text(text)
+        for argv in (["parse", str(prog)], ["elaborate", str(prog), "--mode", "static"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and words in err
 
     def test_long_wrong_dist_total_is_named_by_its_size(self, tmp_path, capsys):
         # 60 weights with 98-digit denominators: each literal is short, their

@@ -1,11 +1,12 @@
 """Fuzzing: generated programs round-trip through the printer, text built
 from the language's tokens either parses or raises RbmxError, and system,
-SPA and PA documents either load or raise RbmxError."""
+SPA, PA and network documents either load or raise RbmxError."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from rbmx.bayes import bn_from_json
 from rbmx.core import system_from_json
 from rbmx.embeddings import pa_from_json, spa_from_json
 from rbmx.errors import RbmxError
@@ -213,10 +214,36 @@ def automaton_docs(draw, kind):
                          "initial": states[0], "transitions": transitions}))
 
 
-LOADERS = {"system": system_from_json, "spa": spa_from_json, "pa": pa_from_json}
+@st.composite
+def network_docs(draw):
+    """Up to three kernels producing x or y from nothing, x, y or the
+    undeclared z, each with a table of bindings of its inputs to system
+    documents, mostly a well-formed one; a kernel entry may be mangled like
+    the document."""
+    kernels = []
+    for i in range(draw(st.integers(0, 3))):
+        ins, out = draw(st.sampled_from((((), "x"), (("x",), "y"), (("z",), "y"), (("y",), "y"))))
+        good = {"domains": {"d": [0, 1, 2]}, "vars": [{"name": out, "domain": "d"}],
+                "omega": ["o"], "pi": {"o": "1"}, "rel": [["o", {out: 0}]]}
+        table = [[{n: draw(st.sampled_from((0, 1, 2, "a"))) for n in ins},
+                  draw(st.one_of(st.just(good), system_docs()))]
+                 for _ in range(draw(st.integers(0, 2)))]
+        kernels.append(draw(mangled({"name": draw(st.sampled_from(("K%d" % i, "K0"))),
+                                     "in": list(ins), "out": [out], "table": table})))
+    return draw(mangled({
+        "domains": {"d": [0, 1, 2]},
+        "variables": [{"name": "x", "domain": "d"}, {"name": "y", "domain": "d"}],
+        "sources": draw(st.lists(st.sampled_from(("x", "y", "z")), max_size=2)),
+        "kernels": kernels,
+    }))
+
+
+LOADERS = {"system": system_from_json, "spa": spa_from_json, "pa": pa_from_json,
+           "network": bn_from_json}
 DOCS = st.one_of(system_docs().map(lambda d: ("system", d)),
                  automaton_docs("spa").map(lambda d: ("spa", d)),
-                 automaton_docs("pa").map(lambda d: ("pa", d)))
+                 automaton_docs("pa").map(lambda d: ("pa", d)),
+                 network_docs().map(lambda d: ("network", d)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -48,7 +48,14 @@ from rbmx.rblang import elaborate
 from rbmx.rblang.elaborate import _graft
 from rbmx.rblang.syntax import MAX_NESTING
 
-from .oracles import full_graft, rand_domain, rand_system_over
+from .oracles import (
+    full_graft,
+    off_domain_states,
+    outer_bn_score,
+    rand_domain,
+    rand_system_over,
+    score_outcome,
+)
 
 COUNTER = """
 domain z4 = { 0, 1, 2, 3 }
@@ -120,6 +127,10 @@ BAD_PRIORS = {
     "Bernoulli of a variable": (BIT_BOOL + "|| b ~ Bernoulli(c)",
                                 UnknownDistribution, "fixed rational parameter"),
     "Bernoulli above 1": (BIT_BOOL + "|| b ~ Bernoulli(3/2)", MalformedSystem, "outside [0,1]"),
+    "Bernoulli of a string": (BIT_BOOL + '|| b ~ Bernoulli("1/3")',
+                              UnknownDistribution, "fixed rational parameter"),
+    "Bernoulli of a boolean": (BIT_BOOL + "|| b ~ Bernoulli(T)",
+                               UnknownDistribution, "fixed rational parameter"),
     "declared over another domain": (BIT_BOOL + "dist fb : bool { F : 1/2, T : 1/2 }\n|| x ~ fb",
                                      DomainMismatch, "is over 'bool'"),
     "parameter missing": (BIT_BOOL + FLIP_DECL + "|| x ~ flip",
@@ -513,6 +524,14 @@ class TestGraft:
         assert sizes == [9, 27, 81]
 
 
+# a static program that elaborate_graph turns into a network through its
+# factor graph, not one kernel per statement
+TREE_REWRITE = ("domain bit = { 0, 1 }\nvar x : bit\nvar y : bit\n"
+                "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n"
+                "dist coin : bit { 0 : 1/2, 1 : 1/2 }\n"
+                "|| { x ~ coin || y = neg(x) }\n|| observe y")
+
+
 class TestGraph:
     def test_direct_rules(self):
         N = elaborate_graph(parse(STATIC))
@@ -527,13 +546,16 @@ class TestGraph:
             elaborate_graph(p)
 
     def test_fallback_tree_rewrite(self):
-        p = parse("domain bit = { 0, 1 }\nvar x : bit\nvar y : bit\n"
-                  "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n"
-                  "dist coin : bit { 0 : 1/2, 1 : 1/2 }\n"
-                  "|| { x ~ coin || y = neg(x) }\n|| observe y")
-        N = elaborate_graph(p)
+        N = elaborate_graph(parse(TREE_REWRITE))
         assert not bn_validate(N)
         assert bn_score(N, State({"x": 0, "y": 1})).value == Fraction(1, 2)
+
+    def test_scores_match_the_outer_oracle(self):
+        texts = [STATIC, TREE_REWRITE, FLIP_KERNEL, FLIP_COVERED] + [chain(k) for k in (2, 3, 4)]
+        for text in texts:
+            N = elaborate_graph(parse(text))
+            for q in list(all_states(N.vars)) + list(off_domain_states(N)):
+                assert score_outcome(bn_score, N, q) == score_outcome(outer_bn_score, N, q)
 
     def test_factor_graph_exposure(self):
         g = program_factor_graph(parse(STATIC))
