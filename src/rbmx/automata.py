@@ -25,12 +25,11 @@ from typing import NamedTuple
 
 from . import core
 from .core import (
-    DOCUMENT_ERRORS,
     MixedSystem,
     State,
     all_states,
     compose,
-    document_error,
+    document_reader,
     equivalent,
     json_label,
     merge_vars,
@@ -42,6 +41,7 @@ from .core import (
     system_to_json,
     value_key,
     vars_from_json,
+    vars_to_json,
 )
 from .errors import (
     CapExceeded,
@@ -524,18 +524,22 @@ def _action_to_json(a):
     return a
 
 
+def _state_from_json(field, binding):
+    """The State a JSON object binds, each value a label of the field."""
+    return State({n: json_label(field, v) for n, v in dict(binding).items()})
+
+
 def _action_from_json(j):
     if isinstance(j, dict):
-        return State(j["state"])
-    return json_label("automaton", "action", j)
+        return _state_from_json("action", j["state"])
+    return json_label("action", j)
 
 
 def ma_to_json(M: MixedAutomaton) -> dict:
     M.materialize()
     return {
         "alphabet": [_action_to_json(a) for a in M.alphabet],
-        "domains": {v.domain.name: list(v.domain.values) for v in M.vars},
-        "vars": [{"name": v.name, "domain": v.domain.name} for v in M.vars],
+        **vars_to_json(M.vars),
         "initial": M.initial.as_dict(),
         "delta": [
             {"state": q.as_dict(), "action": _action_to_json(a),
@@ -547,17 +551,13 @@ def ma_to_json(M: MixedAutomaton) -> dict:
     }
 
 
+@document_reader("automaton")
 def ma_from_json(doc: dict) -> MixedAutomaton:
-    try:
-        vars = vars_from_json(doc["domains"], doc["vars"])
-        delta = {}
-        for e in doc["delta"]:
-            key = (State(e["state"]), _action_from_json(e["action"]))
-            delta[key] = system_from_json(e["system"])
-        alphabet = [_action_from_json(a) for a in doc["alphabet"]]
-        initial = State(doc["initial"])
-        for _, value in initial.items():
-            json_label("automaton", "initial", value)
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("automaton", exc)
+    vars = vars_from_json(doc)
+    delta = {}
+    for e in doc["delta"]:
+        key = (_state_from_json("state", e["state"]), _action_from_json(e["action"]))
+        delta[key] = system_from_json(e["system"])
+    alphabet = [_action_from_json(a) for a in doc["alphabet"]]
+    initial = _state_from_json("initial", doc["initial"])
     return MixedAutomaton(alphabet, vars, initial, delta)

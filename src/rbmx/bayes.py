@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
-    DOCUMENT_ERRORS,
     EMPTY_STATE,
     MixedSystem,
     State,
@@ -38,7 +37,7 @@ from .core import (
     compress,
     conditioned,
     consistency,
-    document_error,
+    document_reader,
     domains_agree,
     marginal,
     merge_vars,
@@ -48,6 +47,7 @@ from .core import (
     system_from_json,
     system_to_json,
     vars_from_json,
+    vars_to_json,
 )
 from .errors import (
     InconsistentSystem,
@@ -479,12 +479,8 @@ def kernel_to_json(K: MixedKernel) -> dict:
 
 
 def bn_to_json(N: BayesianNetwork) -> dict:
-    doms = {}
-    for v in N.vars:
-        doms[v.domain.name] = list(v.domain.values)
     return {
-        "domains": doms,
-        "variables": [{"name": v.name, "domain": v.domain.name} for v in N.vars],
+        **vars_to_json(N.vars, "variables"),
         "sources": sorted(N.sources),
         "kernels": [kernel_to_json(K) for K in N.kernels],
     }
@@ -492,36 +488,30 @@ def bn_to_json(N: BayesianNetwork) -> dict:
 
 def _names_from_json(field, names):
     """names, read from the given field of a network document: a list of
-    strings, else MalformedSystem naming the field."""
+    strings, else ValueError naming the field."""
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise MalformedSystem("bad network document: %s is not a list of names: %s"
-                              % (field, reprlib.repr(names)))
+        raise ValueError("%s is not a list of names: %s" % (field, reprlib.repr(names)))
     return names
 
 
+@document_reader("network")
 def bn_from_json(doc: dict) -> BayesianNetwork:
-    try:
-        vbyname = {v.name: v for v in vars_from_json(doc["domains"], doc["variables"])}
-        specs = []
-        for kd in doc["kernels"]:
-            name = kd["name"]
-            if not isinstance(name, str):
-                raise MalformedSystem("bad network document: kernel name %s is not a string"
-                                      % reprlib.repr(name))
-            ins = _names_from_json("the 'in' of kernel %r" % name, kd["in"])
-            outs = _names_from_json("the 'out' of kernel %r" % name, kd["out"])
-            table = {State(binding): system_from_json(sdoc) for binding, sdoc in kd["table"]}
-            specs.append((name, ins, outs, table))
-        sources = _names_from_json("'sources'", doc.get("sources", []))
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("network", exc)
+    vbyname = {v.name: v for v in vars_from_json(doc, "variables")}
 
     def lookup(kernel, names):
         unknown = [n for n in names if n not in vbyname]
         if unknown:
-            raise MalformedSystem("kernel %r names unknown variables %r" % (kernel, unknown))
+            raise ValueError("kernel %r names unknown variables %r" % (kernel, unknown))
         return [vbyname[n] for n in names]
 
-    kernels = [MixedKernel(lookup(name, ins), lookup(name, outs), table, name=name)
-               for name, ins, outs, table in specs]
+    kernels = []
+    for kd in doc["kernels"]:
+        name = kd["name"]
+        if not isinstance(name, str):
+            raise ValueError("kernel name %s is not a string" % reprlib.repr(name))
+        ins = lookup(name, _names_from_json("the 'in' of kernel %r" % name, kd["in"]))
+        outs = lookup(name, _names_from_json("the 'out' of kernel %r" % name, kd["out"]))
+        table = {State(binding): system_from_json(sdoc) for binding, sdoc in kd["table"]}
+        kernels.append(MixedKernel(ins, outs, table, name=name))
+    sources = _names_from_json("'sources'", doc.get("sources", []))
     return BayesianNetwork(kernels, sources=sources, variables=list(vbyname.values()))

@@ -20,9 +20,11 @@ R such that both R and its inverse are simulations, for all three kinds
 (ma, spa, pa); that is stronger than simulation both ways.
 
 Results go to stdout as JSON with sorted keys (or DOT with --dot);
-diagnostics go to stderr.  Exit codes: 0 success, 1 negative verdict (no
-simulation / not bisimilar), 2 usage or input error, 3 inconsistency.
-RBMX_SEED supplies the default seed for sample.
+diagnostics go to stderr.  An error in a JSON document names its file, and
+an error in a sample --obs record names the file and the line as well.
+Exit codes: 0 success, 1 negative verdict (no simulation / not bisimilar),
+2 usage or input error, 3 inconsistency.  RBMX_SEED supplies the default
+seed for sample.
 """
 
 import argparse
@@ -98,7 +100,8 @@ def _loads(text, source):
     """The JSON document in text, read from source (named in errors).
     Arrays and objects nest at most MAX_NESTING levels deep: the decoder
     recurses once per level, so the depth is counted, outside strings,
-    before it runs, and a deeper document raises MalformedSystem."""
+    before it runs.  A deeper document, or text that is not JSON, raises
+    MalformedSystem."""
     # drop escaped backslashes, then escaped quotes: every quote left opens
     # or closes a string, and only the marks between strings are kept
     data = text.encode("utf-8", "surrogatepass").replace(b"\\\\", b"").replace(b'\\"', b"")
@@ -108,20 +111,29 @@ def _loads(text, source):
         raise MalformedSystem(
             "%s: JSON nested deeper than %d levels" % (source, MAX_NESTING)
         )
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedSystem("%s: %s" % (source, exc)) from None
 
 
-def _read_json(path):
-    with open(path) as fh:
-        return _loads(fh.read(), path)
+def _read_document(path, read, text=None):
+    """read(doc) for the JSON document doc at path (text is the file's, if
+    read already).  Every model document is read here: errors name the file."""
+    if text is None:
+        with open(path) as fh:
+            text = fh.read()
+    doc = _loads(text, path)
+    try:
+        return read(doc)
+    except MalformedSystem as exc:
+        raise MalformedSystem("%s: %s" % (path, exc)) from None
 
 
-def _load_model(path):
-    """(kind, object) for a JSON model document; kind in
-    system/ma/spa/pa/fg."""
-    doc = _read_json(path)
+def _model(doc):
+    """(kind, object) for a model document by its shape: system/ma/spa/pa/fg."""
     if not isinstance(doc, dict):
-        raise MalformedSystem("%s: model document must be a JSON object" % path)
+        raise MalformedSystem("model document must be a JSON object")
     kind = doc.get("kind")
     if kind == "spa":
         return "spa", spa_from_json(doc)
@@ -133,7 +145,7 @@ def _load_model(path):
         return "system", system_from_json(doc)
     if "systems" in doc:
         return "fg", fg_from_json(doc)
-    raise MalformedSystem("%s: unrecognized model document" % path)
+    raise MalformedSystem("unrecognized model document")
 
 
 def _load_fg(path):
@@ -142,7 +154,7 @@ def _load_fg(path):
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return fg_from_json(_loads(text, path))
+        return _read_document(path, fg_from_json, text)
     return program_factor_graph(parse(text))
 
 
@@ -225,10 +237,10 @@ def cmd_sample(args):
     if args.obs:
         obs = []
         with open(args.obs) as fh:
-            for line in fh:
+            for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    obs.append(_loads(line, args.obs))
+                    obs.append(_loads(line, "%s line %d" % (args.obs, n)))
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("RBMX_SEED", "0"))
@@ -245,17 +257,16 @@ def cmd_sample(args):
 
 
 def cmd_eval(args):
-    doc = _read_json(args.file)
     pred, names = _parse_query(args.query)
     if args.mode == "polarized":
-        prob, pr = polarized_from_json(doc)
+        prob, pr = _read_document(args.file, polarized_from_json)
         known = {n for row in pr.rel.values() for q in row for n in q.names}
         missing = [n for n in names if n not in known]
         if missing:
             raise ValueError("query mentions unknown variables %s" % missing)
         value = polarized_score(prob, pr, pred)
     else:
-        S = system_from_json(doc)
+        S = _read_document(args.file, system_from_json)
         missing = [n for n in names if n not in S.var_names]
         if missing:
             raise ValueError("query mentions unknown variables %s" % missing)
@@ -282,12 +293,10 @@ def cmd_fg2bn(args):
 
 
 def cmd_compose(args):
-    kind_a, A = _load_model(args.a)
-    kind_b, B = _load_model(args.b)
+    kind_a, A = _read_document(args.a, _model)
+    kind_b, B = _read_document(args.b, _model)
     if kind_a != kind_b:
-        raise MalformedSystem(
-            "cannot compose a %s with a %s" % (kind_a, kind_b)
-        )
+        raise MalformedSystem("cannot compose a %s with a %s" % (kind_a, kind_b))
     if kind_a == "system":
         _emit(system_to_json(compose(A, B)))
     elif kind_a == "ma":
@@ -302,17 +311,14 @@ def cmd_compose(args):
 
 
 def _pairs_json(R):
-    out = []
-    for a, b in R:
-        out.append([a.as_dict() if hasattr(a, "as_dict") else a,
-                    b.as_dict() if hasattr(b, "as_dict") else b])
-    out.sort(key=repr)
-    return out
+    def plain(q):
+        return q.as_dict() if hasattr(q, "as_dict") else q
+    return sorted(([plain(a), plain(b)] for a, b in R), key=repr)
 
 
 def cmd_simcheck(args):
-    kind_a, A = _load_model(args.a)
-    kind_b, B = _load_model(args.b)
+    kind_a, A = _read_document(args.a, _model)
+    kind_b, B = _read_document(args.b, _model)
     if kind_a != kind_b:
         raise MalformedSystem("cannot compare a %s with a %s" % (kind_a, kind_b))
     # (simulation, bisimulation) per kind, looked up at call time so that
@@ -339,13 +345,11 @@ def cmd_simcheck(args):
 
 
 def cmd_embed(args):
-    kind, M = _load_model(args.file)
+    kind, M = _read_document(args.file, _model)
     want = {"spa2ma": "spa", "pa2ma": "pa", "ma2spa": "ma", "spa2pa": "spa"}
     if kind != want[args.direction]:
-        raise MalformedSystem(
-            "embed %s wants a %s document, got %s"
-            % (args.direction, want[args.direction], kind)
-        )
+        raise MalformedSystem("embed %s wants a %s document, got %s"
+                              % (args.direction, want[args.direction], kind))
     if args.direction == "spa2ma":
         _emit(ma_to_json(spa_to_ma(M)))
     elif args.direction == "pa2ma":
@@ -442,10 +446,7 @@ def main(argv=None):
     except InconsistentSystem as exc:
         sys.stderr.write("inconsistent: %s\n" % exc)
         return 3
-    except RbmxError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (RbmxError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

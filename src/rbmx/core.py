@@ -19,6 +19,7 @@ construction (caches aside), so they can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import reprlib
 import sys
@@ -880,6 +881,12 @@ def polarized_score(prob, pr: PolarizedRelation, P) -> Fraction:
 
 
 # --- JSON ------------------------------------------------------------------------
+#
+# The boundary: a JSON document enters only through a reader decorated with
+# document_reader(kind), which reads it and builds its object under that one
+# guard, so a bad field ends in MalformedSystem "bad <kind> document: ...",
+# never in a raw error (a reader's own checks raise ValueError for the guard
+# to type).  What a reader returns is trusted.  Writers mirror the readers.
 
 
 def _id_str(o) -> str:
@@ -906,72 +913,81 @@ def unique_labels(items, label) -> dict:
     return out
 
 
+DOCUMENT_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def document_reader(kind):
+    """Decorate a reader of JSON documents of the given kind: any of
+    DOCUMENT_ERRORS raised while it reads and builds becomes MalformedSystem
+    "bad <kind> document: ...", a KeyError naming the missing field."""
+    def guard(read):
+        @functools.wraps(read)
+        def guarded(doc):
+            try:
+                return read(doc)
+            except DOCUMENT_ERRORS as exc:
+                what = "missing field %s" % exc if isinstance(exc, KeyError) else exc
+                raise MalformedSystem("bad %s document: %s" % (kind, what)) from exc
+        return guarded
+    return guard
+
+
+def json_label(field, x):
+    """x, a label or state value read from the given field of a JSON
+    document.  An array or an object cannot be one: it raises ValueError
+    naming the field."""
+    if isinstance(x, (list, dict)):
+        raise ValueError("%s label %r is not a scalar" % (field, x))
+    return x
+
+
+def vars_to_json(vars, field="vars") -> dict:
+    """The "domains" map of vars and their {"name", "domain"} entries under
+    field: the two fields vars_from_json reads."""
+    return {"domains": {v.domain.name: list(v.domain.values) for v in vars},
+            field: [{"name": v.name, "domain": v.domain.name} for v in vars]}
+
+
+def vars_from_json(doc, field="vars"):
+    """Vars from the {domain name: values} map at doc["domains"] and the
+    list of {"name", "domain"} entries at doc[field]."""
+    domains = {name: Domain(name, vals) for name, vals in doc["domains"].items()}
+    vars = []
+    for entry in doc[field]:
+        if not isinstance(entry["name"], str):
+            raise ValueError("var name %r is not a string" % (entry["name"],))
+        dom = domains.get(entry["domain"])
+        if dom is None:
+            raise ValueError("var %r references unknown domain %r"
+                             % (entry["name"], entry["domain"]))
+        vars.append(Var(entry["name"], dom))
+    return vars
+
+
 def system_to_json(S: MixedSystem) -> dict:
     ids = unique_labels(S.omega, _id_str)
     return {
-        "domains": {v.domain.name: list(v.domain.values) for v in S.vars},
-        "vars": [{"name": v.name, "domain": v.domain.name} for v in S.vars],
+        **vars_to_json(S.vars),
         "omega": [ids[o] for o in S.omega],
         "pi": {ids[o]: format_rat(S.pi[o]) for o in S.omega},
         "rel": [[ids[o], q.as_dict()] for o in S.omega for q in S.rel[o]],
     }
 
 
-DOCUMENT_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
-
-
-def document_error(kind, exc) -> MalformedSystem:
-    """The MalformedSystem for a JSON document of the given kind that lacks
-    a field or has one of the wrong shape; exc is one of DOCUMENT_ERRORS."""
-    if isinstance(exc, KeyError):
-        return MalformedSystem("bad %s document: missing field %s" % (kind, exc))
-    return MalformedSystem("bad %s document: %s" % (kind, exc))
-
-
-def json_label(kind, field, x):
-    """x, a label or state value read from the given field of a JSON
-    document of the given kind.  An array or an object cannot be one: it
-    raises MalformedSystem naming the field."""
-    if isinstance(x, (list, dict)):
-        raise MalformedSystem("bad %s document: %s label %r is not a scalar"
-                              % (kind, field, x))
-    return x
-
-
-def vars_from_json(domains_doc, entries):
-    """Vars from a {domain name: values} map and a list of
-    {"name", "domain"} entries."""
-    domains = {name: Domain(name, vals) for name, vals in domains_doc.items()}
-    vars = []
-    for entry in entries:
-        if not isinstance(entry["name"], str):
-            raise MalformedSystem("var name %r is not a string" % (entry["name"],))
-        dom = domains.get(entry["domain"])
-        if dom is None:
-            raise MalformedSystem("var %r references unknown domain %r"
-                                  % (entry["name"], entry["domain"]))
-        vars.append(Var(entry["name"], dom))
-    return vars
-
-
+@document_reader("system")
 def system_from_json(doc: dict) -> MixedSystem:
-    try:
-        vars = vars_from_json(doc["domains"], doc["vars"])
-        omega = list(doc["omega"])
-        pi = {o: rat(doc["pi"][o]) for o in omega}
-        pairs = [(o, dict(binding)) for o, binding in doc.get("rel", [])]
-        # a binding to an array or object fails to hash inside the constructor
-        return MixedSystem(DiscreteProb(omega, pi), vars, pairs)
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("system", exc)
+    vars = vars_from_json(doc)
+    omega = list(doc["omega"])
+    pi = {o: rat(doc["pi"][o]) for o in omega}
+    pairs = [(o, dict(binding)) for o, binding in doc.get("rel", [])]
+    # a binding to an array or object fails to hash inside the constructor
+    return MixedSystem(DiscreteProb(omega, pi), vars, pairs)
 
 
+@document_reader("polarized system")
 def polarized_from_json(doc: dict):
     """Read (prob, PolarizedRelation) from a system document carrying a
     "blocks" list of {"outcomes": [...], "polarity": "angel"|"demon"}."""
     S = system_from_json(doc)
-    try:
-        blocks = [(set(b["outcomes"]), b["polarity"]) for b in doc["blocks"]]
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("polarized system", exc)
+    blocks = [(set(b["outcomes"]), b["polarity"]) for b in doc["blocks"]]
     return S.prob, PolarizedRelation(S.rel, blocks)

@@ -37,11 +37,10 @@ from fractions import Fraction
 
 from .automata import MixedAutomaton, View, action_key, couple, greatest
 from .core import (
-    DOCUMENT_ERRORS,
     Domain,
     MixedSystem,
     State,
-    document_error,
+    document_reader,
     exact_weights,
     format_rat,
     json_label,
@@ -429,72 +428,63 @@ def _label(x):
     return repr(x)
 
 
-def spa_to_json(P: SPA) -> dict:
+def _automaton_to_json(kind, P, entry) -> dict:
+    """The document of P, an SPA or PA of the given kind: the shared fields,
+    and entry(t, sl, al) for each transition t, sl and al labelling P."""
     sl = unique_labels(P.states, _label)
     al = unique_labels(P.alphabet, _label)
     return {
-        "kind": "spa",
+        "kind": kind,
         "alphabet": [al[a] for a in P.alphabet],
         "states": [sl[q] for q in P.states],
         "initial": sl[P.initial],
-        "transitions": [
-            {
-                "from": sl[q],
-                "action": al[a],
-                "dist": [[sl[s], format_rat(m)]
-                         for s, m in sorted(d.items(), key=lambda kv: repr(kv[0]))],
-            }
-            for q, a, d in P.transitions
-        ],
+        "transitions": [entry(t, sl, al) for t in P.transitions],
     }
 
 
-def _json_fields(kind, doc):
-    """The alphabet, states and initial state of an SPA or PA document."""
-    return ([json_label(kind, "alphabet", a) for a in doc["alphabet"]],
-            [json_label(kind, "states", q) for q in doc["states"]],
-            json_label(kind, "initial", doc["initial"]))
+def _automaton_from_json(cls, doc, entry):
+    """The SPA or PA cls of a document: the fields both kinds share, and
+    entry(e) for each transition entry e."""
+    return cls([json_label("alphabet", a) for a in doc["alphabet"]],
+               [json_label("states", q) for q in doc["states"]],
+               json_label("initial", doc["initial"]),
+               [entry(e) for e in doc["transitions"]])
 
 
+def _spa_entry_to_json(t, sl, al) -> dict:
+    q, a, d = t
+    dist = sorted(d.items(), key=lambda kv: repr(kv[0]))
+    return {"from": sl[q], "action": al[a], "dist": [[sl[s], format_rat(m)] for s, m in dist]}
+
+
+def _spa_entry_from_json(e):
+    return (json_label("from", e["from"]), json_label("action", e["action"]),
+            {s: rat(m) for s, m in e["dist"]})
+
+
+def _pa_entry_to_json(t, sl, al) -> dict:
+    q, d = t
+    dist = sorted(d.items(), key=lambda kv: repr(kv[0]))
+    return {"from": sl[q], "dist": [[al[a], sl[s], format_rat(m)] for (a, s), m in dist]}
+
+
+def _pa_entry_from_json(e):
+    return json_label("from", e["from"]), {(a, s): rat(m) for a, s, m in e["dist"]}
+
+
+def spa_to_json(P: SPA) -> dict:
+    return _automaton_to_json("spa", P, _spa_entry_to_json)
+
+
+@document_reader("spa")
 def spa_from_json(doc: dict) -> SPA:
-    try:
-        fields = _json_fields("spa", doc)
-        transitions = [
-            (json_label("spa", "from", e["from"]), json_label("spa", "action", e["action"]),
-             {s: rat(m) for s, m in e["dist"]})
-            for e in doc["transitions"]
-        ]
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("spa", exc)
-    return SPA(*fields, transitions)
+    return _automaton_from_json(SPA, doc, _spa_entry_from_json)
 
 
 def pa_to_json(P: PA) -> dict:
-    sl = unique_labels(P.states, _label)
-    al = unique_labels(P.alphabet, _label)
-    return {
-        "kind": "pa",
-        "alphabet": [al[a] for a in P.alphabet],
-        "states": [sl[q] for q in P.states],
-        "initial": sl[P.initial],
-        "transitions": [
-            {
-                "from": sl[q],
-                "dist": [[al[a], sl[s], format_rat(m)]
-                         for (a, s), m in sorted(d.items(), key=lambda kv: repr(kv[0]))],
-            }
-            for q, d in P.transitions
-        ],
-    }
+    return _automaton_to_json("pa", P, _pa_entry_to_json)
 
 
+@document_reader("pa")
 def pa_from_json(doc: dict) -> PA:
-    try:
-        fields = _json_fields("pa", doc)
-        transitions = [
-            (json_label("pa", "from", e["from"]), {(a, s): rat(m) for a, s, m in e["dist"]})
-            for e in doc["transitions"]
-        ]
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("pa", exc)
-    return PA(*fields, transitions)
+    return _automaton_from_json(PA, doc, _pa_entry_from_json)

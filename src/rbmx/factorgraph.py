@@ -15,10 +15,9 @@ from collections import deque
 
 from .bayes import BayesianNetwork, conditional, kernel_from_system
 from .core import (
-    DOCUMENT_ERRORS,
     compose,
     compress,
-    document_error,
+    document_reader,
     marginal,
     merge_vars,
     system_from_json,
@@ -185,11 +184,11 @@ def fg_to_json(g: FactorGraph) -> dict:
     }
 
 
+@document_reader("factor graph")
 def fg_from_json(doc) -> FactorGraph:
-    """Factor graph from a {"systems": {label: system document}} document."""
-    try:
-        labels = list(doc["systems"])
-        docs = [doc["systems"][lab] for lab in labels]
-    except DOCUMENT_ERRORS as exc:
-        raise document_error("factor graph", exc)
-    return factor_graph([system_from_json(d) for d in docs], labels)
+    """Factor graph from a {"systems": {label: system document}} document, not empty."""
+    systems = doc["systems"]
+    if not systems:
+        raise ValueError("it holds no systems")
+    labels = list(systems)
+    return factor_graph([system_from_json(systems[lab]) for lab in labels], labels)

@@ -510,3 +510,9 @@ class TestJson:
         doc["vars"] = [{"name": ["x"], "domain": "bit"}]
         with pytest.raises(MalformedSystem, match="var name \\['x'\\] is not a string"):
             ma_from_json(doc)
+
+    def test_action_state_values_must_be_labels(self):
+        doc = dict(ma_to_json(walker()), alphabet=[{"state": {"g": [1]}}])
+        with pytest.raises(MalformedSystem,
+                           match="bad automaton document: action label \\[1\\] is not a scalar"):
+            ma_from_json(doc)

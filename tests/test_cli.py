@@ -424,6 +424,15 @@ class TestFactorGraphDocuments:
         assert "bad factor graph document" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("command", ["fg", "fg2bn"])
+    def test_factor_graph_without_systems_is_exit_2(self, tmp_path, command):
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"systems": {}}))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == "error: %s: bad factor graph document: it holds no systems\n" % f
+
 
 class TestComposeSimcheckEmbed:
     def test_compose_systems(self, files, tmp_path):
@@ -530,6 +539,7 @@ class TestComposeSimcheckEmbed:
         ("pa", "initial", ["x"]),
         ("automaton", "alphabet", [["a"]]),
         ("automaton", "initial", {"xi": [0]}),
+        ("automaton", "alphabet", [{"state": {"g": [1]}}]),
     ])
     def test_non_scalar_label_is_exit_2(self, tmp_path, kind, field, label):
         doc = {"spa": SPA_DOC, "pa": PA_DOC,
@@ -569,6 +579,60 @@ class TestComposeSimcheckEmbed:
     def test_embed_wrong_direction_is_exit_2(self, files):
         r = run_cli("embed", "pa2ma", files["spa.json"])
         assert r.returncode == 2
+
+
+class TestErrorsNameTheFile:
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_simcheck_names_the_bad_document(self, bad_first, files, tmp_path, capsys):
+        bad = tmp_path / "nostates.json"
+        bad.write_text(json.dumps({k: v for k, v in SPA_DOC.items() if k != "states"}))
+        pair = [str(bad), files["spa.json"]]
+        assert cli.main(["simcheck"] + (pair if bad_first else pair[::-1])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s: bad spa document: missing field 'states'\n" % bad
+
+    @pytest.mark.parametrize("site, doc, message", [
+        ("compose", {"kind": "pa"}, "bad pa document: missing field 'alphabet'"),
+        ("embed", {"kind": "spa", "alphabet": 5},
+         "bad spa document: 'int' object is not iterable"),
+        ("eval", {"domains": {}, "vars": []}, "bad system document: missing field 'omega'"),
+        ("eval --mode polarized", dict(S_AB, blocks=[{}]),
+         "bad polarized system document: missing field 'outcomes'"),
+        ("fg", {"systems": {"A": {}}}, "bad system document: missing field 'domains'"),
+        ("fg2bn", {"systems": []}, "bad factor graph document: it holds no systems"),
+        ("fg", "{not JSON", "Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)"),
+        ("simcheck", "[]", "model document must be a JSON object"),
+    ], ids=["compose", "embed", "eval", "eval-polarized", "fg", "fg2bn", "fg-not-json",
+            "simcheck-not-an-object"])
+    def test_every_read_site_names_the_file(self, site, doc, message, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        command, _, mode = site.partition(" ")
+        argv = {
+            "compose": ["compose", str(f), str(f)],
+            "embed": ["embed", "spa2ma", str(f)],
+            "eval": ["eval", str(f), "--query", "x=a"] + mode.split(),
+            "fg": ["fg", str(f)],
+            "fg2bn": ["fg2bn", str(f)],
+            "simcheck": ["simcheck", str(f), str(f)],
+        }[command]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s: %s\n" % (f, message)
+
+    def test_observation_errors_name_the_file_and_line(self, files, tmp_path, capsys):
+        # the third line is the second record; its object is not closed
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"y": 1}\n\n{"y": 0\n')
+        argv = ["sample", files["noisy.rb.mx"], "--steps", "3", "--obs", str(obs)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: %s line 3: Expecting ',' delimiter: line 1 column 8 (char 7)\n"
+                       % obs)
 
 
 DEEP = "[" * 200000 + "]" * 200000

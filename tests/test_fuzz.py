@@ -1,14 +1,17 @@
 """Fuzzing: generated programs round-trip through the printer, text built
-from the language's tokens either parses or raises RbmxError, and system,
-SPA, PA and network documents either load or raise RbmxError."""
+from the language's tokens either parses or raises RbmxError, and the
+documents of every JSON reader (system, polarized system, automaton, SPA,
+PA, network and factor graph) either load or raise RbmxError."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from rbmx.automata import ma_from_json
 from rbmx.bayes import bn_from_json
-from rbmx.core import system_from_json
+from rbmx.core import polarized_from_json, system_from_json
 from rbmx.embeddings import pa_from_json, spa_from_json
+from rbmx.factorgraph import fg_from_json
 from rbmx.errors import RbmxError
 from rbmx.rblang import parse, print_program
 from rbmx.rblang.syntax import (
@@ -238,15 +241,76 @@ def network_docs(draw):
     }))
 
 
-LOADERS = {"system": system_from_json, "spa": spa_from_json, "pa": pa_from_json,
-           "network": bn_from_json}
+def good_system(var):
+    """A well-formed system document: two even outcomes, binding var to 0
+    and to 1."""
+    return {"domains": {"d": [0, 1, 2]}, "vars": [{"name": var, "domain": "d"}],
+            "omega": ["o0", "o1"], "pi": {"o0": "1/2", "o1": "1/2"},
+            "rel": [["o0", {var: 0}], ["o1", {var: 1}]]}
+
+
+# a system document over x, well-formed or drawn by system_docs
+SYSTEMS = st.one_of(st.just(good_system("x")), system_docs())
+
+
+@st.composite
+def polarized_docs(draw):
+    """A system document with up to three blocks, each of outcome names or
+    junk, tagged with a polarity or junk."""
+    blocks = [{"outcomes": draw(st.one_of(st.lists(st.sampled_from(("o0", "o1", "o2", "o9")),
+                                                    max_size=3), JUNK)),
+               "polarity": draw(st.sampled_from(("angel", "demon", "saint", None, ["angel"])))}
+              for _ in range(draw(st.integers(0, 3)))]
+    return draw(mangled(dict(draw(SYSTEMS), blocks=blocks)))
+
+
+# actions of a mixed automaton: labels, guard assignments, and guard
+# assignments whose "state" is not an object of labels
+ACTIONS = st.sampled_from(["a", "b", {"state": {"g": 0}}, {"state": [["g", 0]]},
+                           {"state": {"g": [1]}}, {"state": {"g": {"h": 0}}}, {"state": 5},
+                           {"state": "ab"}, {}])
+# states of x, or junk; {} is a partial state
+STATES = st.sampled_from(({"x": 0}, {"x": 1}, {"x": 2}, {}, {"x": [0]}, {"y": 0}, 3))
+
+
+@st.composite
+def ma_docs(draw):
+    """A mixed automaton over x in d, with up to two transitions from a
+    state of x on a label to a system document over x, mostly a
+    well-formed one; a transition may be mangled like the document."""
+    delta = [draw(mangled({"state": {"x": draw(st.sampled_from((0, 1, 2)))},
+                           "action": draw(st.sampled_from(("a", "b"))),
+                           "system": draw(st.one_of(st.just(good_system("x")), SYSTEMS))}))
+             for _ in range(draw(st.integers(0, 2)))]
+    return draw(mangled({
+        "alphabet": draw(st.lists(ACTIONS, max_size=3)),
+        "domains": {"d": [0, 1, 2]},
+        "vars": [{"name": "x", "domain": "d"}],
+        "initial": draw(STATES),
+        "delta": delta,
+    }))
+
+
+@st.composite
+def fg_docs(draw):
+    """Up to three labelled system documents, the empty map among them."""
+    systems = draw(st.dictionaries(st.sampled_from(("A", "B", "C")), SYSTEMS, max_size=3))
+    return draw(mangled({"systems": systems}))
+
+
+LOADERS = {"system": system_from_json, "polarized": polarized_from_json,
+           "automaton": ma_from_json, "spa": spa_from_json, "pa": pa_from_json,
+           "network": bn_from_json, "factor graph": fg_from_json}
 DOCS = st.one_of(system_docs().map(lambda d: ("system", d)),
+                 polarized_docs().map(lambda d: ("polarized", d)),
+                 ma_docs().map(lambda d: ("automaton", d)),
                  automaton_docs("spa").map(lambda d: ("spa", d)),
                  automaton_docs("pa").map(lambda d: ("pa", d)),
-                 network_docs().map(lambda d: ("network", d)))
+                 network_docs().map(lambda d: ("network", d)),
+                 fg_docs().map(lambda d: ("factor graph", d)))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
 @given(DOCS)
 def test_json_documents_load_or_raise_a_typed_error(case):
     kind, doc = case

@@ -123,3 +123,35 @@ def test_one_weight_format():
     # integer text; core.format_rat raises CapExceeded instead, so every
     # exact weight is written through it
     assert _owners(_weight_format) == ["core.py:format_rat"]
+
+
+# the readers of JSON documents, each under the one guard
+READERS = {"system_from_json", "polarized_from_json", "ma_from_json", "spa_from_json",
+           "pa_from_json", "bn_from_json", "fg_from_json"}
+
+
+def test_one_document_guard():
+    # a reader turns a bad field into MalformedSystem only through
+    # core.document_reader, which wraps its reading and its building
+    assert _owners(_catches({"DOCUMENT_ERRORS"})) == ["core.py:guarded"]
+
+
+def _guarded(node):
+    """Whether the function node is decorated with document_reader(...)."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "document_reader" for d in node.decorator_list)
+
+
+def test_every_reader_is_guarded():
+    public = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.FunctionDef) and node.name.endswith("_from_json")
+                    and not node.name.startswith("_")):
+                public[node.name] = _guarded(node)
+    assert {name for name, guarded in public.items() if guarded} == READERS
+    # the other public readers read a part of a document, inside a reader
+    for name in set(public) - READERS:
+        callers = _owners(lambda node: isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name) and node.func.id == name)
+        assert callers and {c.split(":")[1] for c in callers} <= READERS, (name, callers)
