@@ -10,11 +10,14 @@ over a View of each automaton kind: a pair (q1, q2) survives when every
 move of q1 is answered, on its label, by some target of q2 that it lifts to
 through the candidate relation.  Lifting is an exact coupling, built by
 couple() and decided by transport.feasible_transport; for mixed automata it
-couples the target systems' outcome weights.  greatest() bounds the
-candidate relation by core.MAX_OUTCOMES state pairs and runs refine(), the
-one greatest-fixpoint loop.  refine() indexes each pair that passes under
-the pairs of the relation its check found there, and after the first round
-rechecks only the pairs indexed under a pair that was just removed.
+couples the target systems' outcome weights.  Each View indexes a state's
+moves once and compiles each target once into transport.Masses (a mixed
+system keeps its own in its cache), so no lift inside the fixpoint compares
+a Fraction.  greatest() bounds the candidate relation by core.MAX_OUTCOMES
+state pairs and runs refine(), the one greatest-fixpoint loop.  refine()
+indexes each pair that passes under the pairs of the relation its check
+found there, and after the first round rechecks only the pairs indexed
+under a pair that was just removed.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .errors import (
     NoTransition,
     VariableSetMismatch,
 )
-from .transport import feasible_transport
+from .transport import Masses, feasible_transport
 
 
 def action_key(a):
@@ -320,11 +323,21 @@ def _as_relation(rho):
     return lambda a, b: (a, b) in pairs
 
 
-def couple(mu1: dict, mu2: dict, ok):
-    """A joint measure with marginals mu1 and mu2 on the key pairs (x, y)
-    that ok(x, y) admits, or None when there is none.  This is the one place
-    that builds an allowed-pair list and asks the transport solver."""
-    return feasible_transport(mu1, mu2, [(x, y) for x in mu1 for y in mu2 if ok(x, y)])
+def couple(mu1: Masses, mu2: Masses, ok):
+    """A joint measure with marginals mu1 and mu2, compiled measures, on
+    the key pairs (x, y) of positive mass that ok(x, y) admits, or None
+    when there is none.  This is the one place that builds an allowed-pair
+    list and asks the transport solver."""
+    return feasible_transport(mu1, mu2,
+                              [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)])
+
+
+def _masses(S: MixedSystem) -> Masses:
+    """S's raw outcome weights, compiled once per system."""
+    m = S._cache.get("masses")
+    if m is None:
+        m = S._cache["masses"] = Masses(S.pi)
+    return m
 
 
 def _rows_related(S1: MixedSystem, S2: MixedSystem, rel):
@@ -340,9 +353,7 @@ def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
     transport exactly across the outcome pairs whose rows are related; the
     witness weighting is returned, or None when infeasible.
     """
-    return couple({o: S1.pi[o] for o in S1.omega if S1.pi[o] > 0},
-                  {o: S2.pi[o] for o in S2.omega if S2.pi[o] > 0},
-                  _rows_related(S1, S2, _as_relation(rho)))
+    return couple(_masses(S1), _masses(S2), _rows_related(S1, S2, _as_relation(rho)))
 
 
 def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:
@@ -465,23 +476,32 @@ def greatest(V1: View, V2: View, bisim=False):
 
 
 def _ma_view(M: MixedAutomaton) -> View:
-    """Moves are the transitions on each action, asked for lazily, and a
-    target lifts when lift_check finds a coupling.  The states are the
-    reachable ones plus the initial state itself: partial initials (program
-    fragments pin only some variables) are states of the refinement too."""
+    """Moves are the transitions on each action, indexed once per state
+    when the state is first asked for, and a target lifts when lift_check
+    finds a coupling.  The states are the reachable ones plus the initial
+    state itself: partial initials (program fragments pin only some
+    variables) are states of the refinement too."""
     Q = M.reachable()
     if M.initial not in set(Q):
         Q = [M.initial] + Q
+    index = {}  # q -> ([(action, target)] in alphabet order, {action: (target,)})
+
+    def out(q):
+        got = index.get(q)
+        if got is None:
+            ms = []
+            for a in M.alphabet:
+                T = M.transition(q, a)
+                if T is not None:
+                    ms.append((a, T))
+            got = index[q] = (ms, {a: (T,) for a, T in ms})
+        return got
 
     def moves(q):
-        for a in M.alphabet:
-            T = M.transition(q, a)
-            if T is not None:
-                yield a, T
+        return out(q)[0]
 
     def targets(q, a):
-        T = M.transition(q, a)
-        return () if T is None else (T,)
+        return out(q)[1].get(a, ())
 
     def lifts(T1, T2, R):
         return lift_check(T1, T2, lambda q1, q2: (q1, q2) in R) is not None

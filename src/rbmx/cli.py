@@ -119,15 +119,17 @@ def _loads(text, source):
 
 def _read_document(path, read, text=None):
     """read(doc) for the JSON document doc at path (text is the file's, if
-    read already).  Every model document is read here: errors name the file."""
+    read already).  Every model document is read here: each RbmxError the
+    reader raises keeps its type, so its exit code, and names the file."""
     if text is None:
         with open(path) as fh:
             text = fh.read()
     doc = _loads(text, path)
     try:
         return read(doc)
-    except MalformedSystem as exc:
-        raise MalformedSystem("%s: %s" % (path, exc)) from None
+    except RbmxError as exc:
+        exc.args = ("%s: %s" % (path, exc),)
+        raise
 
 
 def _model(doc):
@@ -240,7 +242,12 @@ def cmd_sample(args):
             for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    obs.append(_loads(line, "%s line %d" % (args.obs, n)))
+                    where = "%s line %d" % (args.obs, n)
+                    record = _loads(line, where)
+                    if not isinstance(record, dict):
+                        raise MalformedSystem("%s: observation record %r is not an object"
+                                              % (where, record))
+                    obs.append(record)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("RBMX_SEED", "0"))

@@ -4,16 +4,18 @@ with mixed automata.
 SPA transitions pick an action first and then a distribution over states
 (several distributions per (state, action) make the model nondeterministic).
 PA transitions are distributions over (action, state) pairs.  Both build
-one {state: transitions} index at construction, for dists() and for
-simulation.
+one {state: transitions} index at construction, read by SPA.dists() and
+pa_to_ma.
 
 Both kinds carry lifting-based greatest simulations and bisimulations: each
 check hands automata.greatest a View of each side (_spa_view, _pa_view), so
 they share the matcher, the fixpoint and the coupling builder of mixed
-automata.  The relation ranges over the full product of the two state sets,
-bounded by core.MAX_OUTCOMES pairs.  A bisimulation is the greatest R such
-that both R and R⁻¹ are simulations, the same check as automata.bisimilar;
-it is stronger than mutual simulation (spa_sim_equivalent).
+automata.  A View indexes its moves once and compiles each distribution
+once, so the lifts inside the fixpoint compare no Fraction.  The relation
+ranges over the full product of the two state sets, bounded by
+core.MAX_OUTCOMES pairs.  A bisimulation is the greatest R such that both R
+and R⁻¹ are simulations, the same check as automata.bisimilar; it is
+stronger than mutual simulation (spa_sim_equivalent).
 
 The translations are constructive:
 
@@ -49,6 +51,7 @@ from .core import (
     value_key,
 )
 from .errors import CapExceeded, MalformedSystem, MissingInit
+from .transport import Masses
 
 
 def _dist(d) -> dict:
@@ -128,9 +131,6 @@ class PA(_ProbAutomaton):
                 raise MalformedSystem("distribution leaves Σ×Q at %r" % ((a, s),))
         return (repr(q), _dist_key(d)), (q, d)
 
-    def dists(self, q):
-        return [d for _, d in self.out.get(q, ())]
-
 
 def _pair(q1, q2) -> str:
     return "(%s,%s)" % (q1, q2)
@@ -202,6 +202,19 @@ def pa_compose(P1: PA, P2: PA, sigma) -> PA:
 # --- simulation -----------------------------------------------------------
 
 
+def _prob_view(P, label, lifts) -> View:
+    """The View of an SPA or PA: moves and targets indexed once by source
+    state, in transition order, with each distribution compiled once into
+    transport.Masses; label(t) is the label of transition t's move."""
+    moves, targets = {}, {}
+    for t in P.transitions:
+        a, m = label(t), Masses(t[-1])
+        moves.setdefault(t[0], []).append((a, m))
+        targets.setdefault((t[0], a), []).append(m)
+    return View(P.states, P.initial, lambda q: moves.get(q, ()),
+                lambda q, a: targets.get((q, a), ()), lifts)
+
+
 def _spa_view(P: SPA) -> View:
     """Moves are (action, distribution) pairs; two distributions lift when
     they couple inside R."""
@@ -209,8 +222,7 @@ def _spa_view(P: SPA) -> View:
     def lifts(d1, d2, R):
         return couple(d1, d2, lambda s1, s2: (s1, s2) in R) is not None
 
-    return View(P.states, P.initial, lambda q: ((a, d) for _, a, d in P.out.get(q, ())),
-                P.dists, lifts)
+    return _prob_view(P, lambda t: t[1], lifts)
 
 
 def _pa_view(P: PA) -> View:
@@ -221,8 +233,7 @@ def _pa_view(P: PA) -> View:
         return couple(d1, d2,
                       lambda x1, x2: x1[0] == x2[0] and (x1[1], x2[1]) in R) is not None
 
-    return View(P.states, P.initial, lambda q: ((None, d) for _, d in P.out.get(q, ())),
-                lambda q, _: P.dists(q), lifts)
+    return _prob_view(P, lambda t: None, lifts)
 
 
 def spa_simulates(P1: SPA, P2: SPA):

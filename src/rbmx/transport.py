@@ -4,16 +4,28 @@ Given two rational measures of equal total mass and a set of allowed pairs,
 decide whether some nonnegative joint measure supported on the allowed
 pairs has exactly those marginals — and produce one when it exists.
 
-feasible_transport first scales both measures by the least common multiple
-of their denominators, so every mass is a Python int and the search never
-builds a Fraction.  It then works on the measures' own keys: the left keys
-with supply left, the right keys with room left, and the flow already
-placed on allowed pairs.  Each round is one breadth-first search from every
-left key with supply, forward along allowed pairs (unbounded) and back
-against pairs that carry flow, to the nearest right key with room; the
-bottleneck is then pushed along that path.  Shortest paths bound the number
-of rounds whatever the masses are.  The witness is divided back by the
-scale, so the answer is exact.
+A measure is compiled once into Masses: its positive masses as Python ints
+over one common scale, the least common multiple of their denominators.
+feasible_transport takes either form and compiles a Fraction dict at entry;
+it then brings both sides to the lcm of their two scales, so the search
+never builds a Fraction.  Callers that test one measure against many
+others compile it once and hand the Masses over each time.
+
+The search works on the measures' own keys: the left keys with supply
+left, the right keys with room left, and the flow already placed on
+allowed pairs.  A greedy first pass walks the allowed pairs in order and
+places on each as much as both its keys still allow: northwest-corner
+style, since couplers list each left key's pairs together.  A complete set
+of pairs, or a point mass on either side that couples at all, is settled
+by that pass alone.  Each later round repairs what the greedy pass left:
+one breadth-first search from every left key with supply, forward along
+allowed pairs (unbounded) and back against pairs that carry flow, to the
+nearest right key with room; the bottleneck is then pushed along that
+path.  Shortest paths bound the number of rounds whatever the masses are.
+Only the witness is divided back by the scale, so the answer is exact.
+When several couplings exist the witness is one of them, fixed by the
+order of the keys and of the allowed pairs: callers may rely on it being
+an exact coupling, not on which one it is.
 """
 
 from __future__ import annotations
@@ -23,30 +35,65 @@ from fractions import Fraction
 from math import lcm
 
 
-def feasible_transport(mu1: dict, mu2: dict, allowed):
+class Masses:
+    """A measure compiled for transport: ``mass`` maps each key of positive
+    mass, in the measure's order, to that mass times ``scale``, the least
+    common multiple of the positive masses' denominators."""
+
+    __slots__ = ("scale", "mass")
+
+    def __init__(self, mu: dict):
+        positive = [(k, w) for k, w in mu.items() if w.numerator > 0]
+        self.scale = lcm(*[w.denominator for _, w in positive])
+        self.mass = {k: w.numerator * (self.scale // w.denominator) for k, w in positive}
+
+
+def feasible_transport(mu1, mu2, allowed):
     """Find a joint measure on ``allowed`` pairs with marginals mu1 and mu2.
 
-    mu1 and mu2 map keys to nonnegative Fractions.  Returns the witness as a
-    {(a, b): mass} dict over its support, or None when no such joint exists
-    (including when the totals differ, since then no coupling can exist).
-    Zero-mass keys are irrelevant and are dropped up front; duplicate pairs
-    count once.
+    mu1 and mu2 are Masses, or dicts mapping keys to nonnegative Fractions.
+    Returns the witness as a {(a, b): mass} dict of Fractions over its
+    support, or None when no such joint exists (including when the totals
+    differ, since then no coupling can exist).  Zero-mass keys are
+    irrelevant and are dropped up front; duplicate pairs count once.
     """
-    supply = {a: w for a, w in mu1.items() if w > 0}
-    room = {b: w for b, w in mu2.items() if w > 0}
-    scale = lcm(*[w.denominator for w in supply.values()],
-                *[w.denominator for w in room.values()])
-    for masses in (supply, room):
-        for k, w in masses.items():
-            masses[k] = w.numerator * (scale // w.denominator)
+    if not isinstance(mu1, Masses):
+        mu1 = Masses(mu1)
+    if not isinstance(mu2, Masses):
+        mu2 = Masses(mu2)
+    scale = lcm(mu1.scale, mu2.scale)
+    f1, f2 = scale // mu1.scale, scale // mu2.scale
+    supply = {a: m * f1 for a, m in mu1.mass.items()}
+    room = {b: m * f2 for b, m in mu2.mass.items()}
     if sum(supply.values()) != sum(room.values()):
         return None
-    succ = {a: [] for a in supply}
-    for a, b in dict.fromkeys(allowed):
-        if a in supply and b in room:
-            succ[a].append(b)
+    # greedy pass: each allowed pair in order takes all it can; keys that
+    # run out leave supply or room, so a repeated pair places nothing
     flow = {}
-    into = {b: [] for b in room}
+    for pair in allowed:
+        a, b = pair
+        s, r = supply.get(a), room.get(b)
+        if s is None or r is None:
+            continue
+        if s < r:
+            flow[pair] = s
+            del supply[a]
+            room[b] = r - s
+        else:
+            flow[pair] = r
+            del room[b]
+            if s == r:
+                del supply[a]
+            else:
+                supply[a] = s - r
+    if supply:
+        succ = {a: [] for a in mu1.mass}
+        for a, b in dict.fromkeys(allowed):
+            if a in succ and b in mu2.mass:
+                succ[a].append(b)
+        into = {b: [] for b in mu2.mass}
+        for a, b in flow:
+            into[b].append(a)
     while supply:
         # came[a] is the right key whose flow from a led here (None: a root);
         # reached[b] is the left key whose allowed pair reached b

@@ -380,6 +380,51 @@ for check in (embeddings.spa_simulates, embeddings.spa_bisimilar):
 print(json.dumps(out))
 """
 
+# the same SPA pair read three ways; each check reports how many compiled
+# measures it built, the most it may build (one per listed distribution,
+# one per target system) and the size of its relation
+COUNT_MASSES = """
+import json, sys
+from rbmx import automata, embeddings, transport
+
+init, built = transport.Masses.__init__, []
+
+def counted(self, mu):
+    built.append(mu)
+    init(self, mu)
+
+transport.Masses.__init__ = counted
+P1, P2 = (embeddings.spa_from_json(doc) for doc in json.load(sys.stdin))
+A1, A2 = embeddings.spa_embed_pa(P1), embeddings.spa_embed_pa(P2)
+M1, M2 = embeddings.spa_to_ma(P1), embeddings.spa_to_ma(P2)
+targets = {id(S) for M in (M1, M2) for S in M.delta.values()}
+out = []
+for check, X1, X2, most in (
+        (embeddings.spa_simulates, P1, P2, len(P1.transitions) + len(P2.transitions)),
+        (embeddings.pa_simulates, A1, A2, len(A1.transitions) + len(A2.transitions)),
+        (automata.simulates, M1, M2, len(targets)),
+        (automata.simulates, M1, M2, 0)):
+    del built[:]
+    R = check(X1, X2)
+    out.append([len(built), most, None if R is None else len(R)])
+print(json.dumps(out))
+"""
+
+
+def spa_docs(seed):
+    """Two seeded 6-state SPA documents, as COUNT_WORK reads them."""
+    rng = random.Random(seed)
+    return json.dumps([spa_to_json(rand_spa(rng, nq=6)) for _ in range(2)])
+
+
+def run_script(script, docs):
+    src = os.path.dirname(os.path.dirname(rbmx.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", script], input=docs, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
 
 class TestRefinement:
     def test_relations_equal_the_naive_fixpoint(self):
@@ -478,6 +523,22 @@ class TestRefinement:
         (sim_work, sim), (bisim_work, bisim) = runs[0]
         assert len(sim) == 6 and len(bisim) == 1
         assert sim_work["match"] > 36 and bisim_work["match"] > 36  # more than one round
+
+    def test_work_counts_are_pinned(self):
+        # compiled measures and the greedy transport pass change how a lift
+        # is decided, not which lifts and matches the fixpoint asks for
+        (sim_work, sim), (bisim_work, bisim) = run_script(COUNT_WORK, spa_docs(15))
+        assert sim_work == {"lift": 87, "match": 55} and len(sim) == 6
+        assert bisim_work == {"lift": 109, "match": 70} and len(bisim) == 1
+
+    def test_each_target_is_compiled_once(self):
+        # seed 26: every check keeps its initial pair after lifting targets
+        spa, pa, ma, ma_again = run_script(COUNT_MASSES, spa_docs(26))
+        for built, most, _ in (spa, pa, ma):
+            assert 0 < built <= most
+        assert spa[2] == pa[2] == 20 and ma[2] == 41
+        # a mixed system keeps its compiled weights: asking again builds none
+        assert ma_again[0] == 0 and ma_again[2] == ma[2]
 
 
 class TestJson:

@@ -592,6 +592,35 @@ class TestErrorsNameTheFile:
         assert out == ""
         assert err == "error: %s: bad spa document: missing field 'states'\n" % bad
 
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_every_reader_error_names_the_file(self, bad_first, tmp_path, capsys):
+        # a target over variable y where the automaton has xi: the reader
+        # raises VariableSetMismatch, which keeps its type and exit code 2
+        good = ma_to_json(spa_to_ma(spa_from_json(SPA_DOC)))
+        bad = json.loads(json.dumps(good))
+        target = bad["delta"][0]["system"]
+        target["vars"] = [{"name": "y", "domain": "Q_xi"}]
+        target["rel"] = [[o, {"y": q["xi"]}] for o, q in target["rel"]]
+        paths = []
+        for name, doc in (("good.json", good), ("bad.json", bad)):
+            (tmp_path / name).write_text(json.dumps(doc))
+            paths.append(str(tmp_path / name))
+        assert cli.main(["simcheck"] + (paths[::-1] if bad_first else paths)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: %s: target at (State(xi='q0'), 'a') has variables ['y'], "
+                       "automaton has ['xi']\n" % paths[1])
+
+    def test_an_observation_record_not_an_object_names_its_line(self, files, tmp_path,
+                                                                capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"y": 1}\n5\n')
+        argv = ["sample", files["noisy.rb.mx"], "--steps", "3", "--obs", str(obs)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s line 2: observation record 5 is not an object\n" % obs
+
     @pytest.mark.parametrize("site, doc, message", [
         ("compose", {"kind": "pa"}, "bad pa document: missing field 'alphabet'"),
         ("embed", {"kind": "spa", "alphabet": 5},

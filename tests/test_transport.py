@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from rbmx.transport import feasible_transport
+from rbmx.transport import Masses, feasible_transport
 
 from .oracles import cut_feasible
 
@@ -16,6 +16,15 @@ def check_witness(w, mu1, mu2, allowed):
         for key, mass in mu.items():
             got = sum((m for pair, m in w.items() if pair[side] == key), Fraction(0))
             assert got == mass, (side, key)
+
+
+def both_forms(mu1, mu2, allowed):
+    """The witnesses for the Fraction dicts and for their compiled forms;
+    their verdicts agree."""
+    w = feasible_transport(mu1, mu2, allowed)
+    wc = feasible_transport(Masses(mu1), Masses(mu2), allowed)
+    assert (w is None) == (wc is None), (mu1, mu2, allowed)
+    return w, wc
 
 
 def test_a_backward_step_reroutes_placed_mass():
@@ -49,11 +58,12 @@ def test_agrees_with_the_cut_oracle_on_random_instances():
         density = rng.choice((0.3, 0.6, 0.9))
         allowed = [(a, b) for a in mu1 for b in mu2 if rng.random() < density]
         allowed += rng.sample(allowed, min(len(allowed), 3))  # duplicate pairs
-        w = feasible_transport(mu1, mu2, allowed)
+        w, wc = both_forms(mu1, mu2, allowed)
         assert (w is not None) == cut_feasible(mu1, mu2, allowed), (mu1, mu2, allowed)
         if w is not None:
             feasible += 1
             check_witness(w, mu1, mu2, set(allowed))
+            check_witness(wc, mu1, mu2, set(allowed))
     assert feasible > 300
 
 
@@ -72,14 +82,67 @@ def test_large_coprime_denominators_stay_exact():
         t1, t2 = sum(mu1.values()), sum(mu2.values())
         mu2 = {k: m * t1 / t2 for k, m in mu2.items()}
         allowed = [(a, b) for a in mu1 for b in mu2 if rng.random() < 0.6]
-        w = feasible_transport(mu1, mu2, allowed)
+        w, wc = both_forms(mu1, mu2, allowed)
         assert (w is not None) == cut_feasible(mu1, mu2, allowed), (mu1, mu2, allowed)
         if w is None:
             continue
         feasible += 1
-        assert all(type(m) is Fraction for m in w.values())
-        check_witness(w, mu1, mu2, set(allowed))
+        for witness in (w, wc):
+            assert all(type(m) is Fraction for m in witness.values())
+            check_witness(witness, mu1, mu2, set(allowed))
         # a total off by 1/(10**40 + 7) admits no coupling at all
         off = dict(mu2, r0=mu2["r0"] + Fraction(1, big[2]))
-        assert feasible_transport(mu1, off, [(a, b) for a in mu1 for b in off]) is None
+        assert both_forms(mu1, off, [(a, b) for a in mu1 for b in off]) == (None, None)
     assert feasible > 40
+
+
+def test_compiled_masses_are_positive_ints_over_one_scale():
+    m = Masses({"a": Fraction(1, 6), "z": Fraction(0), "b": Fraction(3, 4), "c": Fraction(1, 12)})
+    assert m.scale == 12
+    assert list(m.mass.items()) == [("a", 2), ("b", 9), ("c", 1)]
+    assert Masses({}).mass == {} and Masses({}).scale == 1
+
+
+def northwest_corner(mu1, mu2):
+    """The coupling that fills pairs in order of mu1's keys, then mu2's,
+    each taking all it can: what the greedy pass places when every pair is
+    allowed."""
+    room = {b: m for b, m in mu2.items() if m}
+    w = {}
+    for a, m in mu1.items():
+        for b in list(room):
+            if not m:
+                break
+            push = min(m, room[b])
+            w[(a, b)] = push
+            m -= push
+            room[b] -= push
+            if not room[b]:
+                del room[b]
+    return w
+
+
+def test_complete_and_point_mass_instances_need_no_search():
+    # with every pair allowed, or a point mass on one side, the greedy pass
+    # places everything: the witness is the northwest corner, in both forms
+    rng = random.Random(2202)
+    for _ in range(300):
+        mu1 = _measure(rng, ["l%d" % i for i in range(rng.randint(1, 6))])
+        mu2 = _measure(rng, ["r%d" % i for i in range(rng.randint(1, 6))])
+        if rng.random() < 0.3:
+            mu1 = {"l": Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))}
+        elif rng.random() < 0.3:
+            mu2 = {"r": Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))}
+        t1, t2 = sum(mu1.values(), Fraction(0)), sum(mu2.values(), Fraction(0))
+        if not (t1 and t2):
+            continue
+        mu2 = {k: m * t1 / t2 for k, m in mu2.items()}
+        allowed = [(a, b) for a in mu1 for b in mu2]
+        want = northwest_corner(mu1, mu2)
+        assert both_forms(mu1, mu2, allowed) == (want, want)
+        # a point mass sends each right key its own mass, in any pair order
+        support = [a for a, m in mu1.items() if m]
+        if len(support) == 1:
+            rng.shuffle(allowed)
+            want = {(support[0], b): m for b, m in mu2.items() if m}
+            assert both_forms(mu1, mu2, allowed) == (want, want)
