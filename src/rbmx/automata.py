@@ -8,13 +8,16 @@ pluggable action algebra.
 Every simulation check, here and in the embeddings module, runs one matcher
 over a View of each automaton kind: a pair (q1, q2) survives when every
 move of q1 is answered, on its label, by some target of q2 that it lifts to
-through the candidate relation.  Lifting is an exact coupling, built by
-couple() and decided by transport.feasible_transport; for mixed automata it
-couples the target systems' outcome weights.  Each View indexes a state's
-moves once and compiles each target once into transport.Masses (a mixed
-system keeps its own in its cache), so no lift inside the fixpoint compares
-a Fraction.  greatest() bounds the candidate relation by core.MAX_OUTCOMES
-state pairs and runs refine(), the one greatest-fixpoint loop.  refine()
+through the candidate relation.  Lifting is an exact coupling, found by
+the one transport search (transport.coupling).  SPA and PA lifts ask
+couple(), which gives the witness as integer masses over a scale, and read
+only whether there is one; for mixed automata lift_check couples the target
+systems' outcome weights through transport.feasible_transport, which gives
+the witness in Fractions.  Each View indexes a state's moves once and
+compiles each target once into transport.Masses (a mixed system keeps its
+own in its cache), so no lift inside the fixpoint compares a Fraction.
+greatest() bounds the candidate relation by core.MAX_OUTCOMES state pairs
+and runs refine(), the one greatest-fixpoint loop.  refine()
 indexes each pair that passes under the pairs of the relation its check
 found there, and after the first round rechecks only the pairs indexed
 under a pair that was just removed.
@@ -56,7 +59,7 @@ from .errors import (
     NoTransition,
     VariableSetMismatch,
 )
-from .transport import Masses, feasible_transport
+from .transport import Masses, coupling, feasible_transport
 
 
 def action_key(a):
@@ -323,13 +326,17 @@ def _as_relation(rho):
     return lambda a, b: (a, b) in pairs
 
 
+def _allowed(mu1: Masses, mu2: Masses, ok):
+    """The key pairs (x, y) of positive mass that ok(x, y) admits, each
+    left key's pairs together, as the transport's greedy pass wants."""
+    return [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)]
+
+
 def couple(mu1: Masses, mu2: Masses, ok):
     """A joint measure with marginals mu1 and mu2, compiled measures, on
-    the key pairs (x, y) of positive mass that ok(x, y) admits, or None
-    when there is none.  This is the one place that builds an allowed-pair
-    list and asks the transport solver."""
-    return feasible_transport(mu1, mu2,
-                              [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)])
+    the pairs that ok admits, as transport.coupling gives it: integer
+    masses and their scale, or None when there is none."""
+    return coupling(mu1, mu2, _allowed(mu1, mu2, ok))
 
 
 def _masses(S: MixedSystem) -> Masses:
@@ -353,7 +360,8 @@ def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
     transport exactly across the outcome pairs whose rows are related; the
     witness weighting is returned, or None when infeasible.
     """
-    return couple(_masses(S1), _masses(S2), _rows_related(S1, S2, _as_relation(rho)))
+    m1, m2 = _masses(S1), _masses(S2)
+    return feasible_transport(m1, m2, _allowed(m1, m2, _rows_related(S1, S2, _as_relation(rho))))
 
 
 def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:

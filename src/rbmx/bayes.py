@@ -8,11 +8,14 @@ variables.  Sampling walks the network in dependency order; scoring takes,
 per kernel, the outer probability of the state's out-part given its
 in-part, and multiplies.
 
-Scoring reads compiled tables.  The first time a kernel is scored at an
-input, MixedKernel.score_table turns the output system into an exact table
-{output value tuple: outer mass} in one pass over its rows (or None when
-the system is inconsistent) and keeps it, so every later score at that
-input is one dict lookup per kernel.
+Scoring reads compiled tables through compiled keys.  The first time a
+kernel is scored at an input, MixedKernel.score_table turns the output
+system into an exact table {output value tuple: outer mass} in one pass
+over its rows (or None when the system is inconsistent) and keeps it.  A
+BayesianNetwork compiles, once, two key getters per kernel over a full
+state's values: one for the kernel's input tuple and one for its output
+tuple, each in the kernel's own name order.  Every later score at that
+input is then two getter calls and two dict lookups per kernel.
 
 Conditioning convention: the conditional of a system on Y is the kernel
 that pins Y to the given input, conditions the system on that, and exposes
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -208,6 +212,17 @@ class Score(NamedTuple):
     factors: tuple
 
 
+def _key_getter(positions):
+    """The function taking a tuple of values to the tuple of those at
+    positions, in that order."""
+    if not positions:
+        return lambda values: ()
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda values: (values[i],)
+    return itemgetter(*positions)
+
+
 class BayesianNetwork:
     """Kernels wired through their variables into a directed bipartite graph.
 
@@ -220,7 +235,7 @@ class BayesianNetwork:
     ``variables`` raises DomainMismatch.
     """
 
-    __slots__ = ("kernels", "extra_in", "sources", "vars", "_positions")
+    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_keys")
 
     def __init__(self, kernels, extra_in=None, sources=(), variables=()):
         ks = list(kernels)
@@ -236,16 +251,14 @@ class BayesianNetwork:
 
         merged = merge_vars(*(K.in_vars + K.out_vars for K in ks), norm_vars(variables))
         self.vars = tuple(sorted(merged, key=lambda v: v.name))
-        # per kernel, where its in- and out-values sit in a full state's
-        # values, which follow var_names
-        at = {v.name: i for i, v in enumerate(self.vars)}
-        self._positions = tuple(
-            (K, tuple(at[n] for n in K.in_names), tuple(at[n] for n in K.out_names))
+        self.var_names = tuple(v.name for v in self.vars)
+        # per kernel, the getters of its input and output keys from a full
+        # state's values, which follow var_names
+        at = {n: i for i, n in enumerate(self.var_names)}
+        self._keys = tuple(
+            (K, _key_getter([at[n] for n in K.in_names]),
+             _key_getter([at[n] for n in K.out_names]))
             for K in ks)
-
-    @property
-    def var_names(self):
-        return tuple(v.name for v in self.vars)
 
     def in_set(self, K) -> frozenset:
         return frozenset(K.in_names) | self.extra_in.get(K.name, frozenset())
@@ -377,30 +390,38 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     contribute no factor; that is only tolerated when another factor is
     zero, otherwise InconsistentSystem propagates.
 
-    Each factor is a lookup in the kernel's compiled table for its input
-    (MixedKernel.score_table), built the first time that input is scored;
-    apply's checks and errors meet a bad input then, and again each time,
-    since nothing is kept for it.  The product is taken over integer
-    numerators and denominators, with one Fraction at the end."""
+    The network's compiled getters take each kernel's input and output keys
+    from the state's values.  The input key is looked up in the kernel's
+    compiled tables, and MixedKernel.score_table builds the table only for
+    an input not seen before; apply's checks and errors meet a bad input
+    then, and again each time, since nothing is kept for it.  The factor is
+    the table's entry for the output key, 0 when absent.  The product is
+    taken over integer numerators and denominators, with one Fraction at
+    the end."""
     if not isinstance(q, State):
         q = State(q)
+    pairs = q.pairs
+    names, values = zip(*pairs) if pairs else ((), ())
     # both name tuples are sorted, so they are equal exactly when the sets are
-    if q.names != N.var_names:
+    if names != N.var_names:
         raise VariableSetMismatch(
-            "state covers %r, network has %r" % (list(q.names), list(N.var_names))
+            "state covers %r, network has %r" % (list(names), list(N.var_names))
         )
-    values = [v for _, v in q.pairs]
     factors = []
     bad = None
     num = den = 1
-    for K, ins, outs in N._positions:
-        table = K.score_table(tuple([values[i] for i in ins]))
+    for K, in_key, out_key in N._keys:
+        key = in_key(values)
+        try:
+            table = K._scores[key]
+        except KeyError:
+            table = K.score_table(key)
         if table is None:
             factors.append((K.name, None))
             if bad is None:
                 bad = K
             continue
-        f = table.get(tuple([values[i] for i in outs]), ZERO)
+        f = table.get(out_key(values), ZERO)
         factors.append((K.name, f))
         num *= f.numerator
         den *= f.denominator

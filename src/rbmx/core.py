@@ -247,8 +247,8 @@ class State:
             return
         if not isinstance(bindings, dict):
             bindings = dict(bindings)
-        pairs = tuple(sorted(bindings.items(), key=lambda kv: kv[0]))
-        object.__setattr__(self, "pairs", pairs)
+        # names are distinct, so sorting the pairs never compares values
+        object.__setattr__(self, "pairs", tuple(sorted(bindings.items())))
 
     def __setattr__(self, *_):
         raise AttributeError("State is immutable")
@@ -504,16 +504,21 @@ def consistency_weight(S: MixedSystem) -> Fraction:
 
 def conditioned(S: MixedSystem) -> DiscreteProb:
     """Weights renormalized on the consistent outcomes; inconsistent outcomes
-    keep weight 0.  Raises InconsistentSystem when nothing is consistent."""
+    keep weight 0.  Raises InconsistentSystem when nothing is consistent.
+    When the consistent weight is exactly 1, every inconsistent outcome
+    already weighs 0, so the result is S.prob itself."""
     got = S._cache.get("conditioned")
     if got is None:
         flag, cset = consistency(S)
         if not flag:
             raise InconsistentSystem("system has no consistent mass")
         z = consistency_weight(S)
-        got = DiscreteProb(
-            S.omega, {o: (S.pi[o] / z if o in cset else Fraction(0)) for o in S.omega}
-        )
+        if z == 1:
+            got = S.prob
+        else:
+            got = DiscreteProb(
+                S.omega, {o: (S.pi[o] / z if o in cset else Fraction(0)) for o in S.omega}
+            )
         S._cache["conditioned"] = got
     return got
 

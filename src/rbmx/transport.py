@@ -22,10 +22,13 @@ one breadth-first search from every left key with supply, forward along
 allowed pairs (unbounded) and back against pairs that carry flow, to the
 nearest right key with room; the bottleneck is then pushed along that
 path.  Shortest paths bound the number of rounds whatever the masses are.
-Only the witness is divided back by the scale, so the answer is exact.
-When several couplings exist the witness is one of them, fixed by the
-order of the keys and of the allowed pairs: callers may rely on it being
-an exact coupling, not on which one it is.
+coupling returns the witness as it was found, integer masses over one
+scale; feasible_transport divides it back by the scale, so the answer is
+exact either way.  Callers that only ask whether a coupling exists read
+coupling's result and build no Fraction.  When several couplings exist
+the witness is one of them, fixed by the order of the keys and of the
+allowed pairs: callers may rely on it being an exact coupling, not on
+which one it is.
 """
 
 from __future__ import annotations
@@ -57,6 +60,17 @@ def feasible_transport(mu1, mu2, allowed):
     differ, since then no coupling can exist).  Zero-mass keys are
     irrelevant and are dropped up front; duplicate pairs count once.
     """
+    found = coupling(mu1, mu2, allowed)
+    if found is None:
+        return None
+    flow, scale = found
+    return {pair: Fraction(m, scale) for pair, m in flow.items()}
+
+
+def coupling(mu1, mu2, allowed):
+    """feasible_transport's witness before the division: (flow, scale),
+    where flow maps each pair of the witness's support to its mass times
+    the int scale, or None when no joint exists."""
     if not isinstance(mu1, Masses):
         mu1 = Masses(mu1)
     if not isinstance(mu2, Masses):
@@ -139,4 +153,4 @@ def feasible_transport(mu1, mu2, allowed):
         supply[root] -= push
         if not supply[root]:
             del supply[root]
-    return {pair: Fraction(m, scale) for pair, m in flow.items()}
+    return flow, scale

@@ -555,6 +555,27 @@ def rand_network(rng, k):
     return BayesianNetwork(kernels)
 
 
+def chain(k, seed=0):
+    """A static Markov chain z0 ~ init0, z_i ~ step(z_{i-1}), w = f(z_{k-1})
+    over a 3-value domain, with seeded tables."""
+    rng = random.Random(seed)
+
+    def dist():
+        w = [rng.randint(1, 4) for _ in range(3)]
+        return "{ %s }" % ", ".join("%d : %d/%d" % (v, x, sum(w)) for v, x in enumerate(w))
+
+    names = ["z%d" % i for i in range(k)]
+    lines = ["domain t3 = { 0, 1, 2 }", "domain bool = { F, T }",
+             "var %s : t3" % ", ".join(names), "var w : bool",
+             "dist init0 : t3 " + dist(),
+             "dist step(t3) : t3 { %s }" % ", ".join("%d -> %s" % (c, dist()) for c in range(3)),
+             "func f : t3 -> bool { 0 -> T, 1 -> F, 2 -> T }",
+             "|| z0 ~ init0"]
+    lines += ["|| z%d ~ step(z%d)" % (i, i - 1) for i in range(1, k)]
+    lines.append("|| w = f(z%d)" % (k - 1))
+    return "\n".join(lines) + "\n"
+
+
 # --- tree-shaped factor graphs ---------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from rbmx.bayes import (
     point_system,
     seq_compose,
 )
-from rbmx.core import EMPTY_STATE, all_states, outer
+from rbmx.core import EMPTY_STATE, all_states, conditioned, consistency_weight, norm_vars, outer
 from rbmx.errors import (
     InconsistentSystem,
     MalformedSystem,
@@ -30,14 +30,17 @@ from rbmx.errors import (
     VariableSetMismatch,
 )
 from rbmx.factorgraph import fg_to_bn
+from rbmx.rblang import elaborate_graph, parse
 
 from .oracles import (
+    chain,
     consistent_tree_fgs,
     naive_point_outer,
     off_domain_states,
     outer_bn_score,
     rand_network,
     rand_system,
+    rand_system_over,
     score_outcome,
 )
 
@@ -335,6 +338,98 @@ class TestCompiledScores:
                 bn_score(N, State({"x": 5, "y": 0}))
         assert len(calls) == 4
         assert bn_score(N, State({"x": 0, "y": 5})).value == 0
+
+    def test_a_kernel_shared_by_two_networks(self):
+        # K reads (b, d) and writes (c, e): among N1's variables b c d e its
+        # keys sit at positions (0, 2) and (1, 3), among N2's a b c cc d e at
+        # (1, 4) and (2, 5); both read and fill K's one set of tables
+        rng = random.Random(15)
+        ins, outs = norm_vars([("b", BIT), ("d", BIT)]), norm_vars([("c", BIT), ("e", BIT)])
+        K = MixedKernel(ins, outs, {q: rand_system_over(rng, outs) for q in all_states(ins)},
+                        name="K")
+
+        def prior(vars, name):
+            return kernel_from_system(
+                rand_system_over(rng, norm_vars(vars), allow_empty_rows=False), name=name)
+
+        N1 = BayesianNetwork([prior(ins, "head"), K])
+        tail = MixedKernel([("c", BIT)], [("cc", BIT)],
+                           {q: rand_system_over(rng, norm_vars([("cc", BIT)]))
+                            for q in all_states(norm_vars([("c", BIT)]))}, name="tail")
+        N2 = BayesianNetwork([prior(ins + (("a", BIT),), "head"), K, tail])
+        assert N1.var_names == ("b", "c", "d", "e")
+        assert N2.var_names == ("a", "b", "c", "cc", "d", "e")
+        positive = 0
+        for N in (N1, N2, N1):
+            for got in self.assert_agree(N, all_states(N.vars)):
+                positive += got[0] is not InconsistentSystem and got[0].value > 0
+        assert positive
+
+    def test_an_inconsistent_input_gives_the_same_outcome_every_time(self):
+        dead = MixedSystem({"o": Fraction(1)}, [("y", BIT)], {"o": []})
+        live = point_system([("y", BIT)], State({"y": 0}))
+        tail = MixedKernel([("x", BIT)], [("y", BIT)],
+                           {State({"x": 0}): live, State({"x": 1}): dead}, name="tail")
+        dirac = MixedSystem({"h": Fraction(1), "t": Fraction(0)}, [("x", BIT)],
+                            {"h": [State({"x": 0})], "t": [State({"x": 1})]})
+        N0 = seq_compose(kernel_from_system(dirac, name="prior"), tail)
+        N1 = seq_compose(kernel_from_system(coin_system(), name="prior"), tail)
+        q = State({"x": 1, "y": 0})
+        for _ in range(2):
+            sc = bn_score(N0, q)
+            assert sc.value == 0
+            assert sc.factors == (("prior", 0), ("tail", None))
+            with pytest.raises(InconsistentSystem, match="kernel tail is inconsistent"):
+                bn_score(N1, q)
+
+    def test_an_input_apply_rejects_raises_on_every_score(self):
+        # at x=1 the kernel's system is over the wrong variable, so apply
+        # raises there, and no table is kept for that input
+        def fn(q):
+            return point_system([("y" if q["x"] == 0 else "zz", BIT)],
+                                State({"y" if q["x"] == 0 else "zz": 0}))
+
+        N = seq_compose(kernel_from_system(coin_system(), name="prior"),
+                        MixedKernel([("x", BIT)], [("y", BIT)], fn, name="odd"))
+        assert bn_score(N, State({"x": 0, "y": 0})).value == Fraction(1, 2)
+        for _ in range(2):
+            with pytest.raises(VariableSetMismatch, match="kernel odd produced variables"):
+                bn_score(N, State({"x": 1, "y": 0}))
+        self.assert_agree(N, all_states(N.vars))
+
+    def test_a_chain_compiles_each_input_once(self, monkeypatch):
+        seen = []
+        score_table = MixedKernel.score_table
+
+        def counted(K, in_values):
+            seen.append((K.name, in_values))
+            return score_table(K, in_values)
+
+        monkeypatch.setattr(MixedKernel, "score_table", counted)
+        N = elaborate_graph(parse(chain(5)))
+        states = list(all_states(N.vars))
+        assert len(states) == 3 ** 5 * 2
+        total = sum(bn_score(N, q).value for q in states)
+        assert total == 1
+        want = {(K.name, tuple(v for _, v in q.pairs)) for K in N.kernels for q in K.inputs()}
+        assert sorted(seen) == sorted(want)
+        for q in states:
+            bn_score(N, q)
+        assert len(seen) == len(want)
+
+    def test_conditioned_is_the_raw_prob_exactly_at_consistent_weight_one(self):
+        rng = random.Random(1505)
+        kinds = set()
+        for _ in range(300):
+            S = rand_system(rng)
+            one = consistency_weight(S) == 1
+            assert (conditioned(S) is S.prob) == one
+            kinds.add(one)
+        assert kinds == {True, False}
+        # an empty row of weight 0 leaves the consistent weight at 1
+        S = MixedSystem({"h": Fraction(1), "t": Fraction(0)}, [("x", BIT)],
+                        {"h": [State({"x": 0})], "t": []})
+        assert conditioned(S) is S.prob
 
 
 class TestSampleBn:

@@ -124,6 +124,15 @@ class TestDomainsAndStates:
             q.pairs = ()
         assert len({q, State({"a": 0, "b": 1})}) == 1
 
+    def test_values_that_do_not_compare_still_sort_by_name(self):
+        # None < 1 raises TypeError; names are distinct, so sorting the
+        # pairs never compares the values
+        for bindings in ({"b": None, "a": 1, "c": "x"}, [("c", "x"), ("a", 1), ("b", None)]):
+            q = State(bindings)
+            assert q.pairs == (("a", 1), ("b", None), ("c", "x"))
+            assert q.names == ("a", "b", "c")
+        assert State({"y": None, "x": 1}) == State([("x", 1), ("y", None)])
+
     def test_join(self):
         a = State({"x": 0})
         b = State({"y": 1})

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from rbmx.transport import Masses, feasible_transport
+from rbmx.transport import Masses, coupling, feasible_transport
 
 from .oracles import cut_feasible
 
@@ -20,10 +20,17 @@ def check_witness(w, mu1, mu2, allowed):
 
 def both_forms(mu1, mu2, allowed):
     """The witnesses for the Fraction dicts and for their compiled forms;
-    their verdicts agree."""
+    their verdicts agree, and the compiled form's witness is coupling's
+    integer flow divided by its scale."""
     w = feasible_transport(mu1, mu2, allowed)
     wc = feasible_transport(Masses(mu1), Masses(mu2), allowed)
     assert (w is None) == (wc is None), (mu1, mu2, allowed)
+    found = coupling(Masses(mu1), Masses(mu2), allowed)
+    assert (found is None) == (wc is None)
+    if found is not None:
+        flow, scale = found
+        assert all(type(m) is int for m in flow.values())
+        assert {pair: Fraction(m, scale) for pair, m in flow.items()} == wc
     return w, wc
 
 
