@@ -10,8 +10,9 @@ in-part, and multiplies.
 
 Scoring reads compiled tables through compiled keys.  The first time a
 kernel is scored at an input, MixedKernel.score_table turns the output
-system into an exact table {output value tuple: outer mass} in one pass
-over its rows (or None when the system is inconsistent) and keeps it.  A
+system into an exact table {output value tuple: (outer mass, its
+numerator, its denominator)} in one pass over its rows (or None when the
+system is inconsistent) and keeps it.  A
 BayesianNetwork compiles, once, two key getters per kernel over a full
 state's values: one for the kernel's input tuple and one for its output
 tuple, each in the kernel's own name order.  Every later score at that
@@ -62,7 +63,7 @@ from .errors import (
     VariableSetMismatch,
 )
 
-ZERO = Fraction(0)
+ABSENT = (Fraction(0), 0, 1)  # the score-table entry of an output no row admits
 
 
 class MixedKernel:
@@ -131,11 +132,12 @@ class MixedKernel:
     def score_table(self, in_values):
         """The exact outer mass of each output value tuple (values in
         out_names order) at the input whose values, in in_names order, are
-        in_values; None when the output system is inconsistent there.
-        Built on first use from apply's system, in one pass over its rows:
-        each outcome adds its conditioned weight once to every state of its
-        row, which MixedSystem has deduped.  Output tuples no row admits
-        are absent, so their mass is 0."""
+        in_values, as (mass, its numerator, its denominator); None when the
+        output system is inconsistent there.  Built on first use from
+        apply's system, in one pass over its rows: each outcome adds its
+        conditioned weight once to every state of its row, which
+        MixedSystem has deduped.  Output tuples no row admits are absent,
+        so their mass is 0."""
         try:
             return self._scores[in_values]
         except KeyError:
@@ -144,12 +146,13 @@ class MixedKernel:
         table = None
         if consistency(S)[0]:
             weights = conditioned(S).weights
-            table = {}
+            masses = {}
             for o, row in S.rel.items():
                 w = weights[o]
                 for q in row:
                     out = tuple([v for _, v in q.pairs])
-                    table[out] = table.get(out, 0) + w
+                    masses[out] = masses.get(out, 0) + w
+            table = {out: (f, f.numerator, f.denominator) for out, f in masses.items()}
         self._scores[in_values] = table
         return table
 
@@ -396,8 +399,8 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     an input not seen before; apply's checks and errors meet a bad input
     then, and again each time, since nothing is kept for it.  The factor is
     the table's entry for the output key, 0 when absent.  The product is
-    taken over integer numerators and denominators, with one Fraction at
-    the end."""
+    taken over the entries' integer numerators and denominators, with one
+    Fraction at the end."""
     if not isinstance(q, State):
         q = State(q)
     pairs = q.pairs
@@ -421,10 +424,10 @@ def bn_score(N: BayesianNetwork, q) -> Score:
             if bad is None:
                 bad = K
             continue
-        f = table.get(out_key(values), ZERO)
+        f, n, d = table.get(out_key(values), ABSENT)
         factors.append((K.name, f))
-        num *= f.numerator
-        den *= f.denominator
+        num *= n
+        den *= d
     if bad is not None and num != 0:
         raise InconsistentSystem(
             "kernel %s is inconsistent at input %r" % (bad.name, q), kernel=bad.name

@@ -284,7 +284,7 @@ class State:
     def restrict(self, names):
         """Keep only the bindings whose name is in ``names``."""
         keep = frozenset(names)
-        return State({k: v for k, v in self.pairs if k in keep})
+        return _state_of_pairs(tuple(kv for kv in self.pairs if kv[0] in keep))
 
     def __eq__(self, other):
         return isinstance(other, State) and self.pairs == other.pairs
@@ -365,6 +365,16 @@ class DiscreteProb:
         )
 
 
+def _prob(omega, weights) -> DiscreteProb:
+    """A DiscreteProb built unchecked, for a distribution that follows from
+    checked ones: omega a tuple of distinct ids, weights {id: Fraction} over
+    exactly those ids, none negative, summing to exactly 1."""
+    p = object.__new__(DiscreteProb)
+    p.omega = omega
+    p.weights = weights
+    return p
+
+
 def _as_prob(prob) -> DiscreteProb:
     if isinstance(prob, DiscreteProb):
         return prob
@@ -379,8 +389,13 @@ class MixedSystem:
 
     ``vars`` is kept sorted by variable name; every relation row is deduped
     and sorted by the tuple of domain indices (so row[0] is the
-    lexicographically-first admissible state).  Construction validates all
-    structural invariants and raises MalformedSystem on violation.
+    lexicographically-first admissible state).  MixedSystem(...) validates
+    all structural invariants and raises MalformedSystem on violation.
+
+    The results of compose, marginal, compress and the rblang elaborator's
+    grafts, equations, free variables and pins are built by _system instead,
+    unchecked: their invariants follow from operands that were checked
+    already, so checking them again would only repeat that work.
     """
 
     __slots__ = ("prob", "vars", "rel", "_cache")
@@ -460,6 +475,35 @@ class MixedSystem:
         return "MixedSystem(|Ω|=%d, X=%s)" % (len(self.omega), list(self.var_names))
 
 
+def _system(prob: DiscreteProb, vars: tuple, rows, dedupe=False) -> MixedSystem:
+    """A MixedSystem built unchecked from parts that are valid by
+    construction: prob a DiscreteProb, vars a tuple of Vars sorted by
+    distinct names (no domain name bound to two value lists), and rows
+    {outcome: States} over exactly prob.omega, each State binding exactly
+    vars to values of their domains.  Each row is sorted by domain indices,
+    as MixedSystem sorts it, after dropping repeated states when dedupe is
+    set; without it the rows must hold none."""
+    indexes = [v.domain.index for v in vars]
+
+    def key(q):
+        return tuple(map(dict.__getitem__, indexes, [v for _, v in q.pairs]))
+
+    rel = {}
+    for o in prob.omega:
+        row = rows[o]
+        if dedupe:
+            row = dict.fromkeys(row)
+        if len(row) > 1:
+            row = sorted(row, key=key)
+        rel[o] = tuple(row)
+    S = object.__new__(MixedSystem)
+    S.prob = prob
+    S.vars = vars
+    S.rel = rel
+    S._cache = {}
+    return S
+
+
 def new_system(prob, vars, rel) -> MixedSystem:
     """Validating constructor; see MixedSystem."""
     return MixedSystem(prob, vars, rel)
@@ -516,7 +560,7 @@ def conditioned(S: MixedSystem) -> DiscreteProb:
         if z == 1:
             got = S.prob
         else:
-            got = DiscreteProb(
+            got = _prob(
                 S.omega, {o: (S.pi[o] / z if o in cset else Fraction(0)) for o in S.omega}
             )
         S._cache["conditioned"] = got
@@ -713,15 +757,13 @@ def compress(S: MixedSystem) -> MixedSystem:
     classes = {}
     for o in S.omega:
         classes.setdefault(S.rel[o], []).append(o)
-    omega = []
     weights = {}
     rel = {}
     for row, members in classes.items():
         rep = members[0]
-        omega.append(rep)
         weights[rep] = sum((S.pi[o] for o in members), Fraction(0))
         rel[rep] = row
-    return MixedSystem(DiscreteProb(omega, weights), S.vars, rel)
+    return _system(_prob(tuple(weights), weights), S.vars, rel)
 
 
 def _signature(S: MixedSystem) -> Counter:
@@ -754,9 +796,10 @@ def marginal(S: MixedSystem, Y) -> MixedSystem:
     unknown = keep - set(S.var_names)
     if unknown:
         raise UnknownVariable("not variables of the system: %r" % sorted(unknown))
-    new_vars = [v for v in S.vars if v.name in keep]
+    new_vars = tuple(v for v in S.vars if v.name in keep)
     rel = {o: [q.restrict(keep) for q in S.rel[o]] for o in S.omega}
-    return MixedSystem(S.prob, new_vars, rel)
+    # restricting can make two states of a row equal
+    return _system(S.prob, new_vars, rel, dedupe=True)
 
 
 MAX_OUTCOMES = 1 << 20  # largest outcome space compose() and grafting build
@@ -789,10 +832,9 @@ def compose(S1: MixedSystem, S2: MixedSystem, *rest) -> MixedSystem:
     the product has more than MAX_OUTCOMES outcomes.
     """
     systems = (S1, S2) + rest
-    vars = merge_vars(*(S.vars for S in systems))
+    vars = norm_vars(merge_vars(*(S.vars for S in systems)))
     check_outcome_cap((len(S.omega) for S in systems), "composition")
 
-    omega = []
     weights = {}
     rel = {}
     # depth-first over the product with one open branch per operand, each
@@ -807,10 +849,11 @@ def compose(S1: MixedSystem, S2: MixedSystem, *rest) -> MixedSystem:
             stack.append(_extend(node, systems[len(stack)]))
         else:
             o, w, row = node
-            omega.append(o)
             weights[o] = w
             rel[o] = row
-    return MixedSystem(DiscreteProb(omega, weights), vars, rel)
+    # each joined state binds every variable, and two of one row differ on
+    # the operand state they came from, so the rows hold no repeats
+    return _system(_prob(tuple(weights), weights), vars, rel)
 
 
 def _extend(node, S):
@@ -892,6 +935,14 @@ def polarized_score(prob, pr: PolarizedRelation, P) -> Fraction:
 # guard, so a bad field ends in MalformedSystem "bad <kind> document: ...",
 # never in a raw error (a reader's own checks raise ValueError for the guard
 # to type).  What a reader returns is trusted.  Writers mirror the readers.
+#
+# Inside the boundary, what follows from checked systems is not checked
+# again: compose, marginal and compress (and the elaborator's grafts,
+# equations, free variables, pins and observation points) build their
+# results with _system and _prob, unchecked.  Everything a caller hands in
+# stays checked: MixedSystem(...), DiscreteProb(...), new_system,
+# bayes.point_system, a program's prior tables, the embeddings' systems and
+# every reader.
 
 
 def _id_str(o) -> str:

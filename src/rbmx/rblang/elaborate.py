@@ -36,12 +36,15 @@ from ..core import (
     MixedSystem,
     State,
     Var,
+    _prob,
+    _system,
     all_states,
     check_outcome_cap,
     compose,
     marginal,
     merge_vars,
     nil_system,
+    norm_vars,
     state_join,
 )
 from ..errors import (
@@ -162,6 +165,17 @@ def prior_system(p: Program, leaf: SPrior, env=None) -> MixedSystem:
     return MixedSystem((order, rows), [_var(p, leaf.var)], rel)
 
 
+# The systems below follow from a parsed Program: its variables' domains
+# are its declared ones, named once each, and every value comes from them,
+# so they are built unchecked by core._system.
+
+
+def _certain(v: Var, row) -> MixedSystem:
+    """One certain outcome admitting the row's states, which bind exactly v
+    to values of its domain."""
+    return _system(_prob(("1",), {"1": Fraction(1)}), (v,), {"1": row})
+
+
 def equation_system(p: Program, lhs, rhs) -> MixedSystem:
     """Trivial probability over the equation's solution set, enumerated over
     the product of the participating domains."""
@@ -172,15 +186,18 @@ def equation_system(p: Program, lhs, rhs) -> MixedSystem:
         env = dict(q.items())
         if eval_expr(p, lhs, env) == eval_expr(p, rhs, env):
             sols.append(q)
-    return MixedSystem((["e"], {"e": Fraction(1)}), vars, {"e": sols})
+    return _system(_prob(("e",), {"e": Fraction(1)}), tuple(vars), {"e": sols})
 
 
 def free_system(p: Program, name) -> MixedSystem:
     """No probability, no constraint: the variable may take any value."""
     v = _var(p, name)
-    return MixedSystem(
-        (["1"], {"1": Fraction(1)}), [v], {"1": [State({name: w}) for w in v.domain.values]}
-    )
+    return _certain(v, [State({name: w}) for w in v.domain.values])
+
+
+def _pin(v: Var, val) -> MixedSystem:
+    """The point system pinning v to val, a value of its domain."""
+    return _certain(v, [State({v.name: val})])
 
 
 def observe_point(p: Program, name, obs) -> MixedSystem:
@@ -195,7 +212,7 @@ def observe_point(p: Program, name, obs) -> MixedSystem:
         raise DomainMismatch(
             "observed value %r outside the domain of %r" % (val, name)
         )
-    return point_system([_var(p, name)], State({name: val}))
+    return _pin(_var(p, name), val)
 
 
 def prior_kernel(p: Program, leaf: SPrior) -> MixedKernel:
@@ -232,7 +249,7 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
     cells = list(all_states(K.in_vars))
     cell_index = {c: i for i, c in enumerate(cells)}
     cell_sys = [K.apply(c) for c in cells]
-    vars = merge_vars(base.vars, K.out_vars)
+    vars = norm_vars(merge_vars(base.vars, K.out_vars))
     in_names = list(K.in_names)
 
     # per base outcome: its row states with their cells, and the cells drawn
@@ -248,7 +265,6 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
         plans.append((ob, row, drawn))
     check_outcome_cap([total], "graft of kernel %r" % K.name)
 
-    omega = []
     weights = {}
     rel = {}
     for ob, row, drawn in plans:
@@ -258,7 +274,6 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
             mass = base.pi[ob]
             for i, oc in pick.items():
                 mass *= cell_sys[i].pi[oc]
-            omega.append(o)
             weights[o] = mass
             joined_row = []
             for qb, i in row:
@@ -267,7 +282,9 @@ def _graft(base: MixedSystem, K: MixedKernel) -> MixedSystem:
                     if joined is not None:
                         joined_row.append(joined)
             rel[o] = joined_row
-    return MixedSystem((omega, weights), vars, rel)
+    # a joined state restricts to the base state and to the kernel state it
+    # came from, so it binds every variable and a row holds no repeats
+    return _system(_prob(tuple(weights), weights), vars, rel)
 
 
 def _fold(base: MixedSystem, kernels):
@@ -564,11 +581,14 @@ def elaborate_dynamic(p: Program):
     targets = {}  # (values of pres, action) -> target system
 
     def build(values, a):
-        pins = [
-            point_system([Var(pre_name(x), _domain(p, p.vars[x]))],
-                         State({pre_name(x): v}))
-            for x, v in zip(pres, values)
-        ]
+        # the provider serves whatever state a caller passes, so its values
+        # are checked before they are pinned
+        pins = []
+        for x, v in zip(pres, values):
+            var = Var(pre_name(x), _domain(p, p.vars[x]))
+            if v not in var.domain:
+                raise MalformedSystem("value %r outside domain of %r" % (v, var.name))
+            pins.append(_pin(var, v))
         base, left = _leaf_system(p, active_leaves(leaves, a), observe_free=True,
                                   pins=pins)
         if left:

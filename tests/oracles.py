@@ -14,10 +14,11 @@ query helpers, which the naive oracles check.
 
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
-from rbmx import Domain, MixedSystem, State, Var
+from rbmx import Domain, MixedSystem, State, Var, core
 from rbmx.automata import MixedAutomaton
 from rbmx.bayes import BayesianNetwork, MixedKernel, Score
 from rbmx.core import all_states, compose, consistency, consistency_weight, outer, sample
@@ -204,6 +205,37 @@ def full_graft(base, K):
                     row.append(joined)
         rel[combo] = row
     return MixedSystem((omega, weights), vars, rel)
+
+
+def recheck_builds(monkeypatch):
+    """Patch core._system, the unchecked builder, in every rbmx module that
+    binds it, so that each result is also rebuilt by the public, checking
+    MixedSystem from the same weights, variables and rows, and must equal
+    it: omega order, weights, variables and every row tuple.  Rows must be
+    free of repeats (score tables rely on that), and so must the rows given
+    without dedupe.  Returns the list of systems built, for the caller to
+    see that the patch was reached."""
+    built = []
+    build = core._system
+
+    def rechecked(prob, vars, rows, dedupe=False):
+        S = build(prob, vars, rows, dedupe)
+        ref = MixedSystem(dict(prob.weights), vars,
+                          [(o, q) for o in prob.omega for q in rows[o]])
+        assert type(S.vars) is tuple and S.vars == ref.vars
+        assert S.omega == ref.omega
+        assert list(S.pi.items()) == list(ref.pi.items())
+        assert list(S.rel.items()) == list(ref.rel.items())
+        assert all(len(set(row)) == len(row) for row in S.rel.values())
+        if not dedupe:
+            assert all(len(set(rows[o])) == len(rows[o]) for o in prob.omega)
+        built.append(S)
+        return S
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "rbmx" and getattr(mod, "_system", None) is build:
+            monkeypatch.setattr(mod, "_system", rechecked)
+    return built
 
 
 def naive_marginal_sig(S, names):

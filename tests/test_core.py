@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from rbmx import (
 )
 from rbmx import core
 from rbmx.automata import MixedAutomaton, ma_compose
-from rbmx.bayes import BayesianNetwork, MixedKernel, kernel_from_system
+from rbmx.bayes import BayesianNetwork, MixedKernel, kernel_from_system, point_system
 from rbmx.core import all_states, format_rat, polarized_from_json, rat, states_compatible
 from rbmx.factorgraph import factor_graph
 from rbmx.rblang.elaborate import _graft
@@ -46,6 +47,7 @@ from rbmx.errors import (
     UnknownVariable,
 )
 
+from .test_acceptance import rand_shared_triple
 from .oracles import (
     equivalent_variant,
     naive_compose_sig,
@@ -57,6 +59,7 @@ from .oracles import (
     rand_domain,
     rand_system,
     rand_system_over,
+    recheck_builds,
     relabeled_copy,
     signature,
     split_copy,
@@ -198,6 +201,8 @@ class TestSystemConstruction:
     def test_value_outside_domain_rejected(self):
         with pytest.raises(MalformedSystem):
             bitsys({"o": Fraction(1)}, {"o": [(7,)]})
+        with pytest.raises(MalformedSystem, match="value 7 outside domain of 'x'"):
+            point_system([("x", BIT)], {"x": 7})
 
     def test_unknown_outcome_rejected(self):
         with pytest.raises(MalformedSystem):
@@ -459,6 +464,35 @@ class TestMarginal:
         S = bitsys({"o": Fraction(1)}, {"o": [(0,)]})
         with pytest.raises(UnknownVariable):
             marginal(S, ["zz"])
+
+
+class TestBuiltUnchecked:
+    """compose, marginal and compress build their results with the unchecked
+    core._system; recheck_builds rebuilds each one with the checking
+    MixedSystem, which must give the very same system."""
+
+    def test_compose_marginal_compress_equal_the_checked_build(self, monkeypatch):
+        built = recheck_builds(monkeypatch)
+        rng = random.Random(1003)
+        for _ in range(100):
+            S1, S2, S3 = rand_shared_triple(rng)
+            for S in (compose(S1, S2), compose(S2, S1), compose(S1, S2, S3),
+                      compose(S1, compose(S2, S3)), compose(nil_system(), S1)):
+                compress(S)
+                for k in range(len(S.vars) + 1):
+                    for names in itertools.combinations(S.var_names, k):
+                        compress(marginal(S, names))
+                if consistency(S)[0]:
+                    pt = conditioned(S)  # renormalized unchecked too
+                    assert pt.weights == DiscreteProb(S.omega, pt.weights).weights
+        assert len(built) > 5000
+
+    def test_compose_keeps_the_domain_name_check(self):
+        S = MixedSystem({"o": 1}, [("x", Domain("D", [0, 1]))], {"o": [State({"x": 0})]})
+        T = MixedSystem({"p": 1}, [("y", Domain("D", [0, 1, 2]))], {"p": [State({"y": 2})]})
+        with pytest.raises(MalformedSystem,
+                           match="domain name 'D' bound to two different value lists"):
+            compose(S, T)
 
 
 class TestSample:

@@ -3,8 +3,10 @@ from the language's tokens either parses or raises RbmxError, and the
 documents of every JSON reader (system, polarized system, automaton, SPA,
 PA, network and factor graph) either load or raise RbmxError."""
 
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbmx.automata import ma_from_json
@@ -13,7 +15,7 @@ from rbmx.core import polarized_from_json, system_from_json
 from rbmx.embeddings import pa_from_json, spa_from_json
 from rbmx.factorgraph import fg_from_json
 from rbmx.errors import RbmxError
-from rbmx.rblang import parse, print_program
+from rbmx.rblang import elaborate, parse, print_program, run_program
 from rbmx.rblang.syntax import (
     IF_FUNC,
     Const,
@@ -31,6 +33,8 @@ from rbmx.rblang.syntax import (
     SPrior,
     VarRef,
 )
+
+from .oracles import recheck_builds
 
 
 BOOLS = (False, True)
@@ -113,6 +117,34 @@ def programs(draw):
 def test_generated_programs_round_trip(p):
     text = print_program(p)
     assert parse(text) == p, text
+
+
+def test_generated_runs_build_what_the_checked_constructor_builds():
+    # grafts, equations, free variables, pins and observation points are
+    # built unchecked; recheck_builds rebuilds each with MixedSystem
+    seen = Counter()
+    graft = elaborate._graft
+
+    def counted(base, K):
+        seen["grafts"] += 1
+        return graft(base, K)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(programs())
+    def run(p):
+        obs = [{"x": v, "y": v, "b": v == p.domains["d"][0]} for v in p.domains["d"][:2]]
+        with pytest.MonkeyPatch.context() as m:
+            built = recheck_builds(m)
+            m.setattr(elaborate, "_graft", counted)
+            try:
+                run_program(p, obs=obs, steps=3)
+                seen["runs"] += 1
+            except RbmxError:
+                seen["typed errors"] += 1
+            seen["builds"] += len(built)
+
+    run()
+    assert all(seen[k] for k in ("grafts", "runs", "typed errors", "builds")), seen
 
 
 HEADER = ("domain bit = { 0, 1 }\nvar x, y : bit\n"

@@ -13,7 +13,7 @@ from rbmx.rblang import elaborate_dynamic, parse, run_program, statements
 from rbmx.rblang import run
 from rbmx.rblang.elaborate import program_parts
 
-from .oracles import whole_run, whole_step
+from .oracles import recheck_builds, whole_run, whole_step
 from .test_cli import CHAINS, CHAINS_OBS, GUARDED, GUARDED_OBS, NOISY
 from .test_rblang import MARKOV
 
@@ -214,6 +214,23 @@ class TestAgainstTheWholeProgram:
                     seen["traces differ"] += r.trace != w.trace
             seen["in order" if in_order else "interleaved"] += 1
         assert all(seen.values()), seen
+
+
+def test_runs_build_what_the_checked_constructor_builds(monkeypatch):
+    # each step's targets, pins and observation points are built unchecked;
+    # recheck_builds rebuilds every one with MixedSystem
+    built = recheck_builds(monkeypatch)
+    rng = random.Random(2202)
+    for _ in range(12):
+        text, observed, _ = rand_program(rng)
+        run_program(parse(text), obs=rand_obs(rng, observed, 5), steps=5,
+                    seed=rng.randrange(1000), resolver=rng.choice(("lex", "uniform")))
+    for k in (2, 5):
+        observed = set(range(0, k, 2))
+        run_program(parse(xor_chains(k, observed)),
+                    obs=chain_obs(rng, observed, 6), steps=6, seed=k)
+    run_program(parse(GUARDED), obs=records(GUARDED_OBS), steps=10, seed=1)
+    assert len(built) > 100
 
 
 def test_many_chains_run_in_linear_space():

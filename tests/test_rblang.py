@@ -55,6 +55,7 @@ from .oracles import (
     outer_bn_score,
     rand_domain,
     rand_system_over,
+    recheck_builds,
     score_outcome,
 )
 
@@ -477,7 +478,8 @@ class TestGraft:
             assert new.delta.keys() == old.delta.keys()
             assert all(equivalent(S, old.delta[key]) for key, S in new.delta.items())
 
-    def test_random_grafts_agree_with_the_full_product(self):
+    def test_random_grafts_agree_with_the_full_product(self, monkeypatch):
+        built = recheck_builds(monkeypatch)  # each graft equals the checked build
         rng = random.Random(8080)
         seen = {"several cells": 0, "empty row": 0, "inconsistent cell": 0, "queried": 0}
         for _ in range(300):
@@ -497,6 +499,7 @@ class TestGraft:
                 for query in (outer, inner, likelihood):
                     assert query(G, A) == query(F, A)
         assert all(seen.values()), seen
+        assert len(built) >= 300
 
     def test_chains_draw_one_cell_per_outcome(self):
         # the full product had 81, 2,187 and 59,049 outcomes
@@ -590,6 +593,18 @@ class TestDynamic:
         M = elaborate_dynamic(parse(COUNTER)).materialize()
         assert M.provider is None
         assert M.materialize(cap=0) is M
+
+    def test_observation_outside_the_domain_raises(self):
+        p = parse("domain bit = { 0, 1 }\nvar x : bit\n|| observe x")
+        with pytest.raises(DomainMismatch, match="observed value 7 outside the domain of 'x'"):
+            elaborate.observe_point(p, "x", {"x": 7})
+        with pytest.raises(DomainMismatch, match="observed value 7"):
+            elaborate_static(p, obs={"x": 7})
+
+    def test_pinning_a_value_outside_the_domain_raises(self):
+        M = elaborate_dynamic(parse(MARKOV))
+        with pytest.raises(MalformedSystem, match="value 7 outside domain of '•z'"):
+            M.transition(State({"z": 7}), State({}))
 
     def test_observe_only_program(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n|| observe x")

@@ -155,3 +155,32 @@ def test_every_reader_is_guarded():
         callers = _owners(lambda node: isinstance(node, ast.Call)
                           and isinstance(node.func, ast.Name) and node.func.id == name)
         assert callers and {c.split(":")[1] for c in callers} <= READERS, (name, callers)
+
+
+UNCHECKED = {"_system", "_prob"}  # core's builders of results valid by construction
+
+
+def _calls_unchecked(node):
+    """A call of one of core's unchecked builders, by name or attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id in UNCHECKED
+            or isinstance(f, ast.Attribute) and f.attr in UNCHECKED)
+
+
+def test_unchecked_builders_stay_inside_the_package():
+    # they trust their parts, so only rbmx's own operations on checked
+    # systems call them; a caller outside goes through MixedSystem
+    assert not UNCHECKED & set(rbmx.__all__)
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    package = repo / "src" / "rbmx"
+    outside = []
+    for path in sorted(repo.rglob("*.py")):
+        if package not in path.parents:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            outside += ["%s:%d" % (path.relative_to(repo), node.lineno)
+                        for node in ast.walk(tree) if _calls_unchecked(node)]
+    assert outside == []
+    assert {c.split(":")[0] for c in _owners(_calls_unchecked)} == {"core.py",
+                                                                  "rblang/elaborate.py"}
