@@ -170,7 +170,7 @@ class Domain:
         self.index = index
 
     def __contains__(self, v):
-        return v in self.index
+        return domain_index(self, v) is not None
 
     def __eq__(self, other):
         return (
@@ -184,6 +184,17 @@ class Domain:
 
     def __repr__(self):
         return "Domain(%r, %r)" % (self.name, list(self.values))
+
+
+def domain_index(domain: Domain, v):
+    """The position of v among domain's values, or None when v is not one of
+    them.  Python's == and hash make True, 1 and 1.0 one dict key, so a hit
+    counts only when the value found has v's own type: 1 is not a boolean
+    value, and True is not a number."""
+    i = domain.index.get(v)
+    if i is None or type(domain.values[i]) is not type(v):
+        return None
+    return i
 
 
 def domains_agree(d1: Domain, d2: Domain) -> bool:
@@ -405,7 +416,7 @@ class MixedSystem:
 
         vars = norm_vars(vars)
         vnames = [v.name for v in vars]
-        indexes = [v.domain.index for v in vars]
+        domains = [v.domain for v in vars]
 
         # normalize rel into {outcome: sorted tuple of states}
         if isinstance(rel, dict):
@@ -430,7 +441,7 @@ class MixedSystem:
                     "state %r does not bind exactly the variables %r" % (q, vnames)
                 )
             # both lists are sorted by name, so the values line up with indexes
-            key = tuple(map(dict.get, indexes, [v for _, v in qp]))
+            key = tuple(map(domain_index, domains, [v for _, v in qp]))
             if None in key:
                 name, val = qp[key.index(None)]
                 raise MalformedSystem("value %r outside domain of %r" % (val, name))

@@ -200,19 +200,26 @@ def _pin(v: Var, val) -> MixedSystem:
     return _certain(v, [State({v.name: val})])
 
 
+def observed_value(v: Var, obs):
+    """The value of the observed variable v in the record obs, a {variable:
+    value} dict, checked to be one of v's domain values."""
+    if obs is not None and not isinstance(obs, dict):
+        raise MalformedSystem("observation record %r is not an object" % (obs,))
+    if obs is None or v.name not in obs:
+        raise MissingObservation("no value supplied for observed variable %r" % v.name)
+    val = obs[v.name]
+    if val not in v.domain:
+        raise DomainMismatch(
+            "observed value %r outside the domain of %r" % (val, v.name)
+        )
+    return val
+
+
 def observe_point(p: Program, name, obs) -> MixedSystem:
     """The point system pinning the observed variable to its value in the
     record obs, a {variable: value} dict."""
-    if obs is not None and not isinstance(obs, dict):
-        raise MalformedSystem("observation record %r is not an object" % (obs,))
-    if obs is None or name not in obs:
-        raise MissingObservation("no value supplied for observed variable %r" % name)
-    val = obs[name]
-    if val not in p.domain_values(name):
-        raise DomainMismatch(
-            "observed value %r outside the domain of %r" % (val, name)
-        )
-    return _pin(_var(p, name), val)
+    v = _var(p, name)
+    return _pin(v, observed_value(v, obs))
 
 
 def prior_kernel(p: Program, leaf: SPrior) -> MixedKernel:
@@ -313,28 +320,27 @@ def _static_only(p: Program):
         )
 
 
-def _leaf_system(p: Program, leaves, obs=None, observe_free=False, pins=()):
+def _leaf(p: Program, s, obs=None, observe_free=False):
+    """The system a leaf statement denotes, or the kernel of a parameterized
+    prior.  An observed variable is pinned to its value in obs, or left free
+    with observe_free."""
+    if isinstance(s, SObserve):
+        return free_system(p, s.var) if observe_free else observe_point(p, s.var, obs)
+    if isinstance(s, SPrior):
+        return prior_kernel(p, s) if _is_parameterized(p, s) else prior_system(p, s)
+    if isinstance(s, SEq):
+        return equation_system(p, s.lhs, s.rhs)
+    raise MalformedSystem("unexpected statement %r" % (s,))
+
+
+def _assemble(pieces, pins=()):
     """Compose the pins and the leaves' systems in order, then graft the
     parameterized priors' kernels; returns the system and the kernels still
-    waiting for inputs.  An observed variable is pinned to its value in obs,
-    or left free with observe_free."""
+    waiting for inputs.  pieces holds what _leaf gives for each leaf."""
     systems = list(pins)
     kernels = []
-    for s in leaves:
-        if isinstance(s, SObserve):
-            if observe_free:
-                systems.append(free_system(p, s.var))
-            else:
-                systems.append(observe_point(p, s.var, obs))
-        elif isinstance(s, SPrior):
-            if _is_parameterized(p, s):
-                kernels.append(prior_kernel(p, s))
-            else:
-                systems.append(prior_system(p, s))
-        elif isinstance(s, SEq):
-            systems.append(equation_system(p, s.lhs, s.rhs))
-        else:
-            raise MalformedSystem("unexpected statement %r" % (s,))
+    for x in pieces:
+        (kernels if isinstance(x, MixedKernel) else systems).append(x)
     if len(systems) > 1:
         base = compose(*systems)
     else:
@@ -348,7 +354,7 @@ def elaborate_static(p: Program, obs=None):
     observed variable."""
     leaves = statements(p.body)
     _static_only(p)
-    base, left = _leaf_system(p, leaves, obs)
+    base, left = _assemble([_leaf(p, s, obs) for s in leaves])
     if not left:
         return base
 
@@ -409,16 +415,17 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
             if x in in_names:
                 raise _DirectRulesFail("equation defines %r from itself" % x)
             in_vars = [_var(p, nm) for nm in in_names]
+            out = _var(p, x)
 
-            def fn(q_in, _rhs=rhs, _x=x):
+            def fn(q_in, _rhs=rhs, _out=out):
                 val = eval_expr(p, _rhs, dict(q_in.items()))
-                if val not in p.domain_values(_x):
+                if val not in _out.domain:
                     raise DomainMismatch(
-                        "equation drives %r to %r outside its domain" % (_x, val)
+                        "equation drives %r to %r outside its domain" % (_out.name, val)
                     )
-                return point_system([_var(p, _x)], State({_x: val}))
+                return point_system([_out], State({_out.name: val}))
 
-            K = MixedKernel(in_vars, [_var(p, x)], fn, name="k[%s]" % x)
+            K = MixedKernel(in_vars, [out], fn, name="k[%s]" % x)
         else:
             raise _DirectRulesFail("statement %r has no directed rule" % (s,))
         if x in producers:
@@ -442,7 +449,7 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
 
 
 def _block_system(p: Program, block, idx) -> MixedSystem:
-    base, left = _leaf_system(p, statements(block), observe_free=True)
+    base, left = _assemble([_leaf(p, s, observe_free=True) for s in statements(block)])
     if left:
         raise NotIncremental(
             "block %d has parameterized priors whose inputs it does not determine"
@@ -556,10 +563,14 @@ def elaborate_dynamic(p: Program):
     always-on statement, and the branch each guard's assigned value selects;
     variables the selected statements leave unconstrained stay free.
 
-    The target reads q only through those pins, so the provider builds it
-    once per (pinned values, action) and hands the same system to every
-    state that agrees on the variables read through pre; a program with no
-    pre builds one target per action.
+    Only the pins depend on q.  Each leaf statement's system (prior,
+    equation, free observe) or kernel (parameterized prior), and each free
+    padding variable's system, is built once, when a target first needs
+    it, and shared by every target of this automaton.  The provider builds
+    a target once per (pinned values, action), composing fresh pins with
+    those shared systems, and hands the same system to every state that
+    agrees on the variables read through pre; a program with no pre builds
+    one target per action.  All of it lives as long as the automaton.
     """
     leaves = statements(p.body)
     pres = sorted(required_inits(p))
@@ -578,26 +589,40 @@ def elaborate_dynamic(p: Program):
         for bits in itertools.product((False, True), repeat=len(labels))
     ]
     initial = State({s.var: s.value for s in leaves if isinstance(s, SInit)})
+    pin_vars = [_var(p, pre_name(x)) for x in pres]
     targets = {}  # (values of pres, action) -> target system
+    pieces = {}  # id of a leaf statement -> its system or kernel
+    pads = {}  # free variable -> its system
+
+    def piece(s):
+        # active_leaves hands back the program's own statement objects
+        got = pieces.get(id(s))
+        if got is None:
+            got = pieces[id(s)] = _leaf(p, s, observe_free=True)
+        return got
+
+    def pad(nm):
+        got = pads.get(nm)
+        if got is None:
+            got = pads[nm] = free_system(p, nm)
+        return got
 
     def build(values, a):
         # the provider serves whatever state a caller passes, so its values
         # are checked before they are pinned
         pins = []
-        for x, v in zip(pres, values):
-            var = Var(pre_name(x), _domain(p, p.vars[x]))
+        for var, v in zip(pin_vars, values):
             if v not in var.domain:
                 raise MalformedSystem("value %r outside domain of %r" % (v, var.name))
             pins.append(_pin(var, v))
-        base, left = _leaf_system(p, active_leaves(leaves, a), observe_free=True,
-                                  pins=pins)
+        base, left = _assemble([piece(s) for s in active_leaves(leaves, a)], pins)
         if left:
             raise NotIncremental(
                 "parameterized priors need inputs the step does not determine"
             )
-        pad = [free_system(p, nm) for nm in sorted(names - set(base.var_names))]
-        if pad:
-            base = compose(base, *pad)
+        free = [pad(nm) for nm in sorted(names - set(base.var_names))]
+        if free:
+            base = compose(base, *free)
         return base
 
     def provider(q, a):

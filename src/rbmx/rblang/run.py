@@ -1,9 +1,10 @@
 """Seeded execution of dynamic programs against observation traces.
 
-A run covers ``steps`` instants numbered 0..steps-1.  Instant 0 is the
-initial state (the init declarations); each later instant is reached by one
-transition, so a run makes steps-1 transitions and consumes steps-1
-observation records — obs[k] constrains the transition into instant k+1.
+A run covers ``steps`` instants, at least one, numbered 0..steps-1.
+Instant 0 is the initial state (the init declarations); each later instant
+is reached by one transition, so a run makes steps-1 transitions and
+consumes steps-1 observation records — obs[k] constrains the transition
+into instant k+1.
 
 The program runs as its independent parts (program_parts), one automaton
 each, in lockstep: the parts touch disjoint variables, so the step's target
@@ -15,18 +16,27 @@ constant is the product of the parts' consistency weights, reported with a
 consistency flag and the parts' outcome-space sizes next to the trace.  One
 core.sample call draws the next joint state from all the parts' targets, as
 it would from their composition.
+
+Nothing of a step is built twice within one call.  Each part's automaton
+builds its leaf systems once and a target once per (pinned values, action)
+(elaborate_dynamic).  An observed target is built once per (part target,
+observed values) and kept with its cached consistency, conditioned weights
+and sampler table; every record is still checked at every step.  Both memos
+live only as long as the call, so run_program keeps no state between calls.
 """
 
 import random
 from typing import NamedTuple
 
 from ..core import State, compose, consistency, consistency_weight, sample, state_join
-from ..errors import InconsistentSystem, MissingObservation, NoTransition
+from ..errors import InconsistentSystem, MalformedSystem, MissingObservation, NoTransition
 from .elaborate import (
+    _pin,
+    _var,
     active_leaves,
     elaborate_dynamic,
     eval_expr,
-    observe_point,
+    observed_value,
     pre_name,
     program_guards,
     program_parts,
@@ -45,7 +55,10 @@ class ProgramRun(NamedTuple):
 def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     """Elaborate and run: trace of visible states, one guard assignment,
     normalization constant, consistency flag and part sizes per transition.
-    obs is a sequence of records, one per transition."""
+    steps, the number of instants, is at least 1; obs is a sequence of
+    records, one per transition."""
+    if steps < 1:
+        raise MalformedSystem("a run covers at least one instant, not %r" % (steps,))
     parts = program_parts(p)
     machines = [elaborate_dynamic(part) for part in parts]
     labels = [[label for label, _ in program_guards(part)] for part in parts]
@@ -55,6 +68,8 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     owner = {v.name: i for i, M in enumerate(machines) for v in M.vars}
     prog_vars = [nm for nm in p.vars if nm in owner]
     rng = random.Random(seed)
+    obs_vars = {}  # observed variable -> its Var
+    observed = {}  # (part target, observed (variable, value) pairs) -> observed target
 
     states = [M.initial for M in machines]
     q = State()
@@ -92,8 +107,16 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
                 )
             points = [[] for _ in machines]
             for x in watched:
-                points[owner[x]].append(observe_point(p, x, rec))
-            targets = [compose(S, *pts) if pts else S for S, pts in zip(targets, points)]
+                v = obs_vars.get(x)
+                if v is None:
+                    v = obs_vars[x] = _var(p, x)
+                points[owner[x]].append((v, observed_value(v, rec)))
+            for i, pts in enumerate(points):
+                if pts:
+                    key = (targets[i], tuple((v.name, val) for v, val in pts))
+                    if key not in observed:
+                        observed[key] = compose(targets[i], *(_pin(v, val) for v, val in pts))
+                    targets[i] = observed[key]
         norm = 1
         for S in targets:
             ok, _ = consistency(S)

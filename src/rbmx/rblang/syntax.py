@@ -33,6 +33,8 @@ parse is the one boundary for programs: elaboration trusts what it returns.
 Beyond the syntax, parse checks that
 * every domain a declaration names is declared;
 * function tables cover their input domains, inside their output domain;
+* a value given for a domain is one of its values of the same type (see
+  core.domain_index): 1 does not stand for T, nor F for 0;
 * distribution tables are exact (core.exact_weights), one per parameter;
 * statements use declared variables and functions with the right arity;
 * inits lie in their domains and agree, and sit at the top level, as
@@ -47,7 +49,7 @@ Beyond the syntax, parse checks that
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import describe_rat, exact_weights, format_rat, number_text_problem
+from ..core import Domain, describe_rat, exact_weights, format_rat, number_text_problem
 from ..errors import (
     DomainMismatch,
     MalformedSystem,
@@ -697,7 +699,17 @@ def required_inits(p: Program):
     return need
 
 
+BOOL = Domain("bool", (False, True))
+
+
+def _same_values(d1: Domain, d2: Domain) -> bool:
+    """Whether two domains hold the same values, each of its own type."""
+    return len(d1.values) == len(d2.values) and all(v in d2 for v in d1.values)
+
+
 def _validate(p: Program):
+    # Domain membership compares types too, so 1 never stands for T
+    doms = {name: Domain(name, vals) for name, vals in p.domains.items()}
     for name, dom in p.vars.items():
         if dom not in p.domains:
             raise UndeclaredVariable(
@@ -721,35 +733,41 @@ def _validate(p: Program):
                 "function %r table mismatch: missing %r, extra %r"
                 % (f.name, missing, extra)
             )
+        # the keys equal the input tuples; each part must also be of its type
+        for k in f.table:
+            parts = (k,) if len(f.in_domains) == 1 else k
+            if not all(v in doms[d] for v, d in zip(parts, f.in_domains)):
+                raise DomainMismatch(
+                    "function %r maps %r, outside its input domains" % (f.name, k)
+                )
         for v in f.table.values():
-            if v not in p.domains[f.out_domain]:
+            if v not in doms[f.out_domain]:
                 raise DomainMismatch(
                     "function %r produces %r outside %r" % (f.name, v, f.out_domain)
                 )
     for d in p.dists.values():
-        doms = [d.target_domain] + ([d.param_domain] if d.param_domain else [])
-        for dd in doms:
+        for dd in [d.target_domain] + ([d.param_domain] if d.param_domain else []):
             if dd not in p.domains:
                 raise UndeclaredVariable(
                     "distribution %r uses undeclared domain %r" % (d.name, dd)
                 )
         tables = {None: d.table} if d.param_domain is None else d.table
         if d.param_domain is not None:
-            want = set(p.domains[d.param_domain])
-            if set(tables) != want:
+            want = doms[d.param_domain]
+            if len(tables) != len(want.values) or not all(c in want for c in tables):
                 raise DomainMismatch(
                     "distribution %r must give a table for every value of %r"
                     % (d.name, d.param_domain)
                 )
         for rows in tables.values():
             for val in rows:
-                if val not in p.domains[d.target_domain]:
+                if val not in doms[d.target_domain]:
                     raise DomainMismatch(
                         "distribution %r weights %r outside %r"
                         % (d.name, val, d.target_domain)
                     )
             exact_weights(rows, rows)
-    _validate_body(p, p.body)
+    _validate_body(p, doms, p.body)
     inits = {s.var for s in statements(p.body) if isinstance(s, SInit)}
     for name in sorted(required_inits(p)):
         if name not in inits:
@@ -778,7 +796,7 @@ def _validate_expr(p, e, where):
                 )
 
 
-def _validate_prior(p, s):
+def _validate_prior(p, doms, s):
     if s.var not in p.vars:
         raise UndeclaredVariable("prior for undeclared variable %r" % s.var)
     where = "prior for %r" % s.var
@@ -786,7 +804,7 @@ def _validate_prior(p, s):
     if s.dist == "Uniform":
         if not isinstance(s.arg, VarRef) or s.arg.name not in p.domains:
             raise DomainMismatch("Uniform takes a domain name, in %s" % where)
-        if set(p.domains[s.arg.name]) != set(p.domains[dom]):
+        if not _same_values(doms[s.arg.name], doms[dom]):
             raise DomainMismatch("Uniform over %r does not match the domain of %r"
                                  % (s.arg.name, s.var))
         return
@@ -801,7 +819,7 @@ def _validate_prior(p, s):
         prob = Fraction(s.arg.value)
         if prob < 0 or prob > 1:
             raise MalformedSystem("Bernoulli parameter %s outside [0,1]" % describe_rat(prob))
-        if set(p.domains[dom]) != {False, True}:
+        if not _same_values(doms[dom], BOOL):
             raise DomainMismatch("Bernoulli needs the boolean domain, %r has %r"
                                  % (s.var, dom))
         return
@@ -817,7 +835,7 @@ def _validate_prior(p, s):
         raise UnknownDistribution("distribution %r takes no parameter, in %s" % (s.dist, where))
 
 
-def _validate_body(p, body):
+def _validate_body(p, doms, body):
     inits = {}
     for s in statements(body):
         if isinstance(s, SObserve):
@@ -826,7 +844,7 @@ def _validate_body(p, body):
         elif isinstance(s, SInit):
             if s.var not in p.vars:
                 raise UndeclaredVariable("init of undeclared variable %r" % s.var)
-            if s.value not in p.domain_values(s.var):
+            if s.value not in doms[p.vars[s.var]]:
                 raise DomainMismatch(
                     "init %s = %r falls outside its domain" % (s.var, s.value)
                 )
@@ -834,7 +852,7 @@ def _validate_body(p, body):
                 raise MalformedSystem("conflicting init values for %r" % s.var)
             inits[s.var] = s.value
         elif isinstance(s, SPrior):
-            _validate_prior(p, s)
+            _validate_prior(p, doms, s)
         elif isinstance(s, SEq):
             _validate_expr(p, s.lhs, "equation")
             _validate_expr(p, s.rhs, "equation")
@@ -848,8 +866,8 @@ def _validate_body(p, body):
                         )
                     if isinstance(leaf, SInit):
                         raise MalformedSystem("init must sit at the top level")
-            _validate_body(p, s.then)
-            _validate_body(p, s.els)
+            _validate_body(p, doms, s.then)
+            _validate_body(p, doms, s.els)
         else:
             raise MalformedSystem("unexpected statement %r" % (s,))
 

@@ -83,6 +83,10 @@ class TestConstruction:
             MixedAutomaton(("a",), [("x", BIT)], {"zz": 0}, {})
         with pytest.raises(VariableSetMismatch):
             MixedAutomaton(("a",), [("x", BIT)], {"x": 7}, {})
+        bools = Domain("bool", (False, True))
+        for dom, val in ((BIT, True), (bools, 1)):
+            with pytest.raises(VariableSetMismatch, match="outside domain of 'x'"):
+                MixedAutomaton(("a",), [("x", dom)], {"x": val}, {})
 
     def test_transition_states_validated(self):
         # a delta key is checked like the initial state; partial keys over

@@ -332,6 +332,26 @@ class TestSample:
         assert "observation record 5 is not an object" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_fewer_than_one_instant_is_exit_2(self, files, capsys, steps):
+        assert cli.main(["sample", files["counter.rb.mx"], "--steps", steps]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "a run covers at least one instant, not %s" % steps in err
+
+    def test_observation_of_another_type_is_exit_2(self, tmp_path, capsys):
+        # a bool variable observed as 1, a { 0, 1 } variable as true
+        bits = "domain d = { 0, 1 }\nvar x : d\n|| init x = 0\n|| x = pre x\n|| observe x\n"
+        cases = ((CHAINS, '{"x1": 1}'), (bits, '{"x": true}'), (bits, '{"x": 0.0}'))
+        for i, (text, rec) in enumerate(cases):
+            prog, obs = tmp_path / ("p%d.rb.mx" % i), tmp_path / ("p%d.jsonl" % i)
+            prog.write_text(text)
+            obs.write_text(rec + "\n")
+            argv = ["sample", str(prog), "--steps", "2", "--obs", str(obs)]
+            assert cli.main(argv) == 2, rec
+            out, err = capsys.readouterr()
+            assert out == "" and "outside the domain of" in err, err
+
     def test_env_seed_is_the_default(self, files):
         a = run_cli("sample", files["counter.rb.mx"], "--steps", "5", seed=9)
         b = run_cli("sample", files["counter.rb.mx"], "--steps", "5", seed=9)

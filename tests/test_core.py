@@ -117,6 +117,15 @@ class TestDomainsAndStates:
         with pytest.raises(MalformedSystem):
             Domain("d", ((1, 2),))
 
+    def test_membership_compares_the_type_of_the_value(self):
+        # True == 1 == 1.0 and they hash alike; a value counts only as itself
+        bools, ints = Domain("bool", (False, True)), Domain("d", (0, 1, 2))
+        assert False in bools and True in bools and 1 in ints
+        for dom, val in ((bools, 0), (bools, 1), (ints, True), (ints, 1.0), (ints, "1")):
+            assert val not in dom
+            assert core.domain_index(dom, val) is None
+        assert core.domain_index(bools, True) == 1 and core.domain_index(ints, 2) == 2
+
     def test_state_is_immutable_and_hashable(self):
         q = State({"b": 1, "a": 0})
         assert q.names == ("a", "b")
@@ -203,6 +212,20 @@ class TestSystemConstruction:
             bitsys({"o": Fraction(1)}, {"o": [(7,)]})
         with pytest.raises(MalformedSystem, match="value 7 outside domain of 'x'"):
             point_system([("x", BIT)], {"x": 7})
+
+    def test_value_of_another_type_rejected(self):
+        bools = Domain("bool", (False, True))
+        for dom, val in ((bools, 1), (bools, 0), (BIT, True), (BIT, 1.0)):
+            with pytest.raises(MalformedSystem, match="value %r outside domain of 'x'" % val):
+                MixedSystem({"o": Fraction(1)}, [("x", dom)], {"o": [State({"x": val})]})
+        # a document binding 1 where the domain says true is refused, not
+        # read back and written out as 1
+        doc = system_to_json(MixedSystem({"o": 1}, [("x", bools)], {"o": [{"x": True}]}))
+        assert doc["rel"] == [["o", {"x": True}]]
+        for val in (1, 1.0):
+            doc["rel"] = [["o", {"x": val}]]
+            with pytest.raises(MalformedSystem, match="outside domain of 'x'"):
+                system_from_json(doc)
 
     def test_unknown_outcome_rejected(self):
         with pytest.raises(MalformedSystem):

@@ -8,9 +8,9 @@ import pytest
 
 from rbmx import core
 from rbmx.core import State, compose, consistency_weight, equivalent
-from rbmx.errors import CapExceeded
+from rbmx.errors import CapExceeded, DomainMismatch, MalformedSystem, MissingObservation
 from rbmx.rblang import elaborate_dynamic, parse, run_program, statements
-from rbmx.rblang import run
+from rbmx.rblang import elaborate, run
 from rbmx.rblang.elaborate import program_parts
 
 from .oracles import recheck_builds, whole_run, whole_step
@@ -244,3 +244,94 @@ def test_many_chains_run_in_linear_space():
     M = elaborate_dynamic(p)
     with pytest.raises(CapExceeded):
         M.transition(M.initial, State())
+
+
+# --- what a run builds once -------------------------------------------------------
+
+
+def counting(monkeypatch, module, *names):
+    """Wrap module's functions of the given names to count their calls."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def same_system(S, T):
+    return (S.vars == T.vars and S.omega == T.omega
+            and list(S.pi.items()) == list(T.pi.items())
+            and list(S.rel.items()) == list(T.rel.items()))
+
+
+class TestBuiltOnce:
+    def test_each_leaf_statement_is_elaborated_once_per_automaton(self, monkeypatch):
+        calls = counting(monkeypatch, elaborate, "equation_system", "prior_system",
+                         "free_system", "prior_kernel")
+        M = elaborate_dynamic(parse(xor_chains(4, {0, 2})))
+        M.materialize(cap=2 ** 12 + 1)
+        assert len(M.delta) == 2 ** 12 + 1  # every total state and the initial
+        # four equations, four priors, two observes left free
+        assert calls == {"equation_system": 4, "prior_system": 4, "free_system": 2,
+                         "prior_kernel": 0}
+
+    def test_a_parameterized_prior_is_one_kernel_applied_once_per_cell(self, monkeypatch):
+        calls = counting(monkeypatch, elaborate, "prior_system", "prior_kernel")
+        elaborate_dynamic(parse(MARKOV)).materialize()
+        assert calls == {"prior_system": 3, "prior_kernel": 1}
+
+    def test_a_run_builds_each_leaf_once_per_part(self, monkeypatch):
+        calls = counting(monkeypatch, elaborate, "equation_system", "prior_system")
+        observed = {0, 2}
+        run_program(parse(xor_chains(4, observed)),
+                    obs=chain_obs(random.Random(4), observed, 30), steps=30, seed=4)
+        assert calls == {"equation_system": 4, "prior_system": 4}
+
+    def test_an_observed_target_is_composed_once_per_observation(self, monkeypatch):
+        composed = []
+        build = run.compose
+
+        def recording(S, *points):
+            composed.append((S, tuple(T.rel["1"][0] for T in points)))
+            return build(S, *points)
+
+        monkeypatch.setattr(run, "compose", recording)
+        observed = {0, 2}
+        r = run_program(parse(xor_chains(4, observed)),
+                        obs=chain_obs(random.Random(4), observed, 30), steps=30, seed=4)
+        assert len(r.trace) == 30
+        keys = [(id(S), states) for S, states in composed]
+        assert len(keys) == len(set(keys))
+        # an observed chain has two targets (pre x = F or T) and two values
+        assert len(keys) <= 2 * 2 * len(observed)
+
+    def test_every_reachable_target_equals_the_one_built_alone(self):
+        # the parts run_program steps, and one whole program of three parts
+        rng = random.Random(2203)
+        programs = [parse(text) for text in (GUARDED, NOISY, MARKOV, CHAINS)]
+        programs += [parse(rand_program(rng)[0]) for _ in range(8)]
+        machines = [part for p in programs for part in program_parts(p)]
+        machines.append(parse(CHAINS))
+        checked = 0
+        for p in machines:
+            M = elaborate_dynamic(p)
+            for q in M.reachable():
+                for a in M.alphabet:
+                    alone = elaborate_dynamic(p).transition(q, a)
+                    assert same_system(M.transition(q, a), alone)
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("fifth, error", [
+        ({}, MissingObservation), ({"x0": 1}, DomainMismatch),
+        ({"x0": "F"}, DomainMismatch), (5, MalformedSystem)])
+    def test_every_record_is_checked_after_memo_hits(self, monkeypatch, fifth, error):
+        # one observed chain that stays at F: steps 2 to 4 reuse the
+        # observed target step 1 composed, and step 5's record still fails
+        drawn = counting(monkeypatch, run, "sample", "compose")
+        obs = [{"x0": False}] * 4 + [fifth]
+        with pytest.raises(error):
+            run_program(parse(xor_chains(1, {0})), obs=obs, steps=7, seed=3)
+        assert drawn == {"sample": 4, "compose": 1}

@@ -139,6 +139,27 @@ BAD_PRIORS = {
                           UnknownDistribution, "needs a parameter"),
     "parameter not taken": (BIT_BOOL + "dist coin : bit { 0 : 1/2, 1 : 1/2 }\n|| x ~ coin(x)",
                             UnknownDistribution, "takes no parameter"),
+    "Bernoulli over 0 and 1": (BIT_BOOL + "|| x ~ Bernoulli(1/3)",
+                               DomainMismatch, "Bernoulli needs the boolean domain"),
+    "Uniform over 0 and 1 for a boolean": (BIT_BOOL + "|| b ~ Uniform(bit)",
+                                           DomainMismatch, "does not match the domain"),
+}
+
+# a value of another type where a domain value is due: 1 is not T, though
+# Python's == says so; parse refuses each with DomainMismatch
+OTHER_TYPE = {
+    "init": (BIT_BOOL + "|| init b = 1\n|| b = pre b", "init b = 1 falls outside"),
+    "function key": (BIT_BOOL + "func f : bool -> bit { 0 -> 0, 1 -> 1 }",
+                     "function 'f' maps 0, outside its input domains"),
+    "function tuple key": (BIT_BOOL + "func f : (bit, bool) -> bit "
+                           "{ (0, 0) -> 0, (0, 1) -> 1, (1, 0) -> 1, (1, 1) -> 0 }",
+                           "function 'f' maps (0, 0), outside"),
+    "function value": (BIT_BOOL + "func f : bit -> bool { 0 -> 1, 1 -> 0 }",
+                       "function 'f' produces 1 outside 'bool'"),
+    "distribution row": (BIT_BOOL + "dist d : bool { 0 : 1/2, 1 : 1/2 }",
+                         "distribution 'd' weights 0 outside 'bool'"),
+    "distribution parameter": (BIT_BOOL + "dist d(bool) : bit { 0 -> { 0 : 1 }, 1 -> { 1 : 1 } }",
+                               "must give a table for every value of 'bool'"),
 }
 
 
@@ -219,6 +240,12 @@ class TestParsePrint:
     def test_bad_prior_is_rejected_at_parse(self, name):
         text, error, words = BAD_PRIORS[name]
         with pytest.raises(error, match=re.escape(words)):
+            parse(text)
+
+    @pytest.mark.parametrize("name", sorted(OTHER_TYPE))
+    def test_a_value_of_another_type_is_rejected_at_parse(self, name):
+        text, words = OTHER_TYPE[name]
+        with pytest.raises(DomainMismatch, match=re.escape(words)):
             parse(text)
 
     def test_decimal_probabilities_are_exact(self):
@@ -601,10 +628,23 @@ class TestDynamic:
         with pytest.raises(DomainMismatch, match="observed value 7"):
             elaborate_static(p, obs={"x": 7})
 
+    def test_observation_of_another_type_raises(self):
+        bits = parse("domain bit = { 0, 1 }\nvar x : bit\n|| observe x")
+        bools = parse("domain bool = { F, T }\nvar x : bool\n|| observe x")
+        for p, val in ((bits, True), (bits, 1.0), (bools, 1), (bools, 0)):
+            with pytest.raises(DomainMismatch, match="outside the domain of 'x'"):
+                elaborate.observe_point(p, "x", {"x": val})
+            with pytest.raises(DomainMismatch, match="outside the domain of 'x'"):
+                elaborate_static(p, obs={"x": val})
+        assert elaborate.observed_value(Var("x", core.Domain("bool", (False, True))),
+                                        {"x": False}) is False
+
     def test_pinning_a_value_outside_the_domain_raises(self):
         M = elaborate_dynamic(parse(MARKOV))
         with pytest.raises(MalformedSystem, match="value 7 outside domain of '•z'"):
             M.transition(State({"z": 7}), State({}))
+        with pytest.raises(MalformedSystem, match="value True outside domain of '•z'"):
+            M.transition(State({"z": True}), State({}))
 
     def test_observe_only_program(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n|| observe x")

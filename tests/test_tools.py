@@ -12,25 +12,39 @@ _spec.loader.exec_module(abtest)
 class TestAbtestSummary:
     def test_wins_follow_the_metric_direction_and_ties_count_for_neither(self):
         parent, change = [10, 10, 10, 10], [12, 10, 9, 11]
-        assert abtest.summarize(parent, change, True)["wins"] == 2
-        assert abtest.summarize(parent, change, False)["wins"] == 1
+        assert abtest.summarize(parent, change, True, 0.1)["wins"] == 2
+        assert abtest.summarize(parent, change, False, 0.1)["wins"] == 1
 
     def test_quartiles_are_per_side(self):
-        s = abtest.summarize([1, 2, 3, 4, 5], [11, 12, 13, 14, 15], True)
+        s = abtest.summarize([1, 2, 3, 4, 5], [11, 12, 13, 14, 15], True, 0.1)
         assert s["parent"] == (2, 3, 4)
         assert s["change"] == (12, 13, 14)
         assert s["pairs"] == 5
 
     def test_a_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_spread(self):
         parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
-        assert abtest.summarize(parent, [p + 20 for p in parent], True)["claimable"]
+        assert abtest.summarize(parent, [p + 20 for p in parent], True, 0.1)["claimable"]
         # every pair won, but by less than the parent's interquartile range
-        assert not abtest.summarize(parent, [p + 1 for p in parent], True)["claimable"]
+        assert not abtest.summarize(parent, [p + 1 for p in parent], True, 0.1)["claimable"]
         # a wide gap, but two pairs lost
         change = [p + 20 for p in parent[:8]] + [0, 0]
-        assert not abtest.summarize(parent, change, True)["claimable"]
+        assert not abtest.summarize(parent, change, True, 0.1)["claimable"]
         # lower is better: the same gap the other way round
-        assert abtest.summarize(parent, [p - 20 for p in parent], False)["claimable"]
+        assert abtest.summarize(parent, [p - 20 for p in parent], False, 0.1)["claimable"]
+
+    def test_a_median_worse_by_more_than_the_bound_is_flagged(self):
+        parent = [100, 100, 100, 100]
+        # higher is better: the median falls by 15% and by 25% of 100
+        assert not abtest.summarize(parent, [85] * 4, True, 0.2)["beyond_bound"]
+        assert abtest.summarize(parent, [75] * 4, True, 0.2)["beyond_bound"]
+        # lower is better: the median rises by 15% and by 25%
+        assert not abtest.summarize(parent, [115] * 4, False, 0.2)["beyond_bound"]
+        assert abtest.summarize(parent, [125] * 4, False, 0.2)["beyond_bound"]
+        # a gain is never a regression, however large
+        assert not abtest.summarize(parent, [300] * 4, True, 0.2)["beyond_bound"]
+        assert not abtest.summarize(parent, [1] * 4, False, 0.2)["beyond_bound"]
+        # only the median counts: one bad pair among good ones is not flagged
+        assert not abtest.summarize(parent, [100, 100, 100, 10], True, 0.2)["beyond_bound"]
 
     def test_one_pair_has_its_value_as_every_quartile(self):
         assert abtest.quartiles([7.5]) == (7.5, 7.5, 7.5)

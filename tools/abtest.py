@@ -10,9 +10,12 @@ metric's better direction is read from the `end_to_end` list there.
 
 For every end-to-end metric the tool prints each side's median and
 quartiles over the pairs, how many pairs the change won (ties count for
-neither side), and whether a gain could be claimed: the change wins at
-least nine pairs in ten and its median is better than the parent's by more
-than the distance between the parent's quartiles.  It reads only what
+neither side), whether a gain could be claimed: the change wins at least
+nine pairs in ten and its median is better than the parent's by more than
+the distance between the parent's quartiles; and whether the change's
+median is worse than the parent's by more than the metric's `bound` in
+BENCHMARK.json, a fraction of the parent's median.  A change worse beyond
+a bound on any workload is to be rejected.  It reads only what
 `bench/run.py` prints, and imports nothing from `bench/`.
 """
 
@@ -45,9 +48,10 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(parent, change, higher_is_better):
+def summarize(parent, change, higher_is_better, bound):
     """The comparison of one metric over pairs: parent[i] and change[i] were
-    measured in pair i."""
+    measured in pair i.  bound is the largest loss of the change's median,
+    as a fraction of the parent's, that is not a regression."""
     sign = 1 if higher_is_better else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
@@ -58,6 +62,7 @@ def summarize(parent, change, higher_is_better):
         "wins": wins,
         "pairs": len(parent),
         "claimable": wins * 10 >= 9 * len(parent) and gain > pq[2] - pq[0],
+        "beyond_bound": -gain > bound * abs(pq[1]),
     }
 
 
@@ -74,6 +79,7 @@ def main(argv=None):
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     values = {side: {name: [] for name in better} for side in sides}
     failed = {side: 0 for side in sides}
@@ -89,16 +95,18 @@ def main(argv=None):
             for n in better)), flush=True)
     print("%s seed %d, %d pairs; failed operations: parent %d, change %d"
           % (args.workload, args.seed, args.pairs, failed["parent"], failed["change"]))
-    print("%-12s %-32s %-32s %-6s %s" % ("metric", "parent median [q1, q3]",
-                                         "change median [q1, q3]", "wins", "claimable"))
+    print("%-12s %-32s %-32s %-6s %-10s %s" % (
+        "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins", "claimable",
+        "worse beyond bound"))
     for name, higher in better.items():
-        s = summarize(values["parent"][name], values["change"][name], higher)
-        print("%-12s %-32s %-32s %-6s %s" % (
+        s = summarize(values["parent"][name], values["change"][name], higher, bounds[name])
+        print("%-12s %-32s %-32s %-6s %-10s %s" % (
             name,
             "%.4g [%.4g, %.4g]" % (s["parent"][1], s["parent"][0], s["parent"][2]),
             "%.4g [%.4g, %.4g]" % (s["change"][1], s["change"][0], s["change"][2]),
             "%d/%d" % (s["wins"], s["pairs"]),
-            "yes" if s["claimable"] else "no"))
+            "yes" if s["claimable"] else "no",
+            "YES (bound %g)" % bounds[name] if s["beyond_bound"] else "no"))
     return 0
 
 
