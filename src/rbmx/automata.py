@@ -8,24 +8,29 @@ pluggable action algebra.
 Every simulation check, here and in the embeddings module, runs one matcher
 over a View of each automaton kind: a pair (q1, q2) survives when every
 move of q1 is answered, on its label, by some target of q2 that it lifts to
-through the candidate relation.  Lifting is an exact coupling, found by
-the one transport search (transport.coupling).  SPA and PA lifts ask
-couple(), which gives the witness as integer masses over a scale, and read
-only whether there is one; for mixed automata lift_check couples the target
-systems' outcome weights through transport.feasible_transport, which gives
-the witness in Fractions.  Each View indexes a state's moves once and
-compiles each target once into transport.Masses (a mixed system keeps its
-own in its cache), so no lift inside the fixpoint compares a Fraction.
-greatest() bounds the candidate relation by core.MAX_OUTCOMES state pairs
-and runs refine(), the one greatest-fixpoint loop.  refine()
-indexes each pair that passes under the pairs of the relation its check
-found there, and after the first round rechecks only the pairs indexed
-under a pair that was just removed.
+through the candidate relation.  greatest() numbers each View's states by
+their position, bounds the candidate relation by core.MAX_OUTCOMES state
+pairs and runs refine(), the one greatest-fixpoint loop, on those numbers:
+R is held as rows of related state numbers, and each check appends the
+pairs it found related, so refine() indexes a passing pair under them by
+pair code and, after the first round, rechecks only the pairs indexed under
+a pair that was just removed.  No State is hashed inside the loop.
+
+Lifting is an exact coupling, found by the one transport search
+(transport.coupling).  Each View compiles each target once into
+transport.Masses.  SPA and PA views key those by state number, build the
+allowed pairs from the rows and call coupling themselves.  For mixed
+automata lift_check couples the target systems' outcome weights (compiled
+once per system, in its cache) through transport.feasible_transport; the
+view numbers its states in a dict keyed by their bindings, and each target
+carries that numbering, so the relation lift_check reads is a lookup of
+both row states' numbers in the rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,7 +64,7 @@ from .errors import (
     NoTransition,
     VariableSetMismatch,
 )
-from .transport import Masses, coupling, feasible_transport
+from .transport import Masses, feasible_transport
 
 
 def action_key(a):
@@ -332,13 +337,6 @@ def _allowed(mu1: Masses, mu2: Masses, ok):
     return [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)]
 
 
-def couple(mu1: Masses, mu2: Masses, ok):
-    """A joint measure with marginals mu1 and mu2, compiled measures, on
-    the pairs that ok admits, as transport.coupling gives it: integer
-    masses and their scale, or None when there is none."""
-    return coupling(mu1, mu2, _allowed(mu1, mu2, ok))
-
-
 def _masses(S: MixedSystem) -> Masses:
     """S's raw outcome weights, compiled once per system."""
     m = S._cache.get("masses")
@@ -348,7 +346,7 @@ def _masses(S: MixedSystem) -> Masses:
 
 
 def _rows_related(S1: MixedSystem, S2: MixedSystem, rel):
-    """ok for couple: outcomes o1 and o2 may be coupled when every state
+    """ok for _allowed: outcomes o1 and o2 may be coupled when every state
     admitted by o1 has some related state admitted by o2."""
     return lambda o1, o2: all(any(rel(q1, q2) for q2 in S2.rel[o2]) for q1 in S1.rel[o1])
 
@@ -385,11 +383,15 @@ def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:
 
 
 class View(NamedTuple):
-    """What the matcher needs from an automaton of one kind: the states the
-    relation ranges over, the initial state, moves(q) giving the (label,
-    target) pairs leaving q, targets(q, label), and lifts(t1, t2, R) saying
-    whether t1 lifts to t2 through R, a relation on states that lifts may
-    read only with ``in``."""
+    """What the matcher needs from an automaton of one kind.  Its states
+    are numbered by their position in ``states``, and everything else reads
+    those numbers: ``initial`` is the initial state itself, moves(i) gives
+    the (label, target) pairs leaving state i, targets(j, label) the targets
+    of state j on a label, and lifts(t1, t2, rows, found) says whether
+    target t1 lifts to t2 through R.  A lift sees R as ``rows``, rows[x]
+    the set of the other side's states related to x, reads it only by
+    membership, and appends each pair (x, y) it found related to the list
+    ``found``."""
 
     states: object
     initial: object
@@ -398,72 +400,66 @@ class View(NamedTuple):
     lifts: object
 
 
-class _Probe:
-    """R as one check sees it: ``pair in probe`` answers membership in R and
-    records each pair it finds there in ``found``.  With ``flip`` the check
-    runs against R⁻¹, so a pair is reversed before it is looked up and
-    recorded as the pair of R it stands for."""
-
-    __slots__ = ("R", "found", "flip")
-
-    def __init__(self, R, found, flip):
-        self.R, self.found, self.flip = R, found, flip
-
-    def __contains__(self, pair):
-        if self.flip:
-            pair = (pair[1], pair[0])
-        if pair in self.R:
-            self.found[pair] = None
-            return True
-        return False
-
-
-def refine(pairs, initial, match, back=None):
-    """The greatest subset R of the sequence ``pairs`` in which every pair
-    (p, q) passes match(p, q, R) and, when ``back`` is given, also
-    back(q, p, R⁻¹); None when R does not hold ``initial``.
+def refine(n1, n2, initial, match, back=None):
+    """The greatest relation R between the states 0..n1-1 and 0..n2-1 in
+    which every pair (i, j) passes match(i, j, rows, found) and, when
+    ``back`` is given, also back(j, i, cols, found); returned as its rows,
+    rows[i] the set of the j related to i, or None when R does not hold the
+    pair ``initial``.
 
     This is the one greatest-fixpoint loop behind every simulation check.
-    Each round checks its pairs against that round's R, then removes the
-    ones that failed; the first round checks every pair.  match and back
-    see R through a _Probe, which records the pairs of R a check found, and
-    a passing pair is indexed under each of them.  Matching reads R only by
-    membership and is monotone in R, so a pair that passed passes again as
-    long as every pair it found is still in R.  A later round therefore
-    rechecks only the surviving pairs indexed under a pair the round before
-    removed: R after each round is the same as if every pair had been
-    rechecked, a dropped pair never comes back, and the loop may stop
-    between rounds once ``initial`` is gone.  Which pairs a round checks
-    follows from what the checks found, not from set iteration order.
+    match sees R as rows; back sees R⁻¹ as cols, cols[j] the set of the i
+    related to j.  Each appends to ``found`` every pair it read as related:
+    match the pairs (x, y) of R, back the pairs (y, x) of R⁻¹.  A pair is
+    coded i * n2 + j.  Each round checks its pairs against that round's R,
+    then removes the ones that failed; the first round checks every pair,
+    in code order.  A passing pair is indexed under the code of each pair
+    of R its checks found.  Matching reads R only by membership and is
+    monotone in R, so a pair that passed passes again as long as every pair
+    it found is still in R.  A later round therefore rechecks only the
+    surviving pairs indexed under a pair the round before removed: R after
+    each round is the same as if every pair had been rechecked, a dropped
+    pair never comes back, and the loop may stop between rounds once
+    ``initial`` is gone.  Which pairs a round checks follows from what the
+    checks found, not from set iteration order.
     """
-    R = set(pairs)
-    users = {}  # pair of R -> the passing pairs whose checks found it
-    todo = pairs
-    while initial in R:
+    rows = [set(range(n2)) for _ in range(n1)]
+    cols = None if back is None else [set(range(n1)) for _ in range(n2)]
+    i0, j0 = initial
+    users = defaultdict(list)  # pair code -> codes of the passing pairs that found it
+    todo = range(n1 * n2)
+    while j0 in rows[i0]:
         removed = []
-        for pair in todo:
-            p, q = pair
-            found = {}
-            if match(p, q, _Probe(R, found, False)) and (
-                    back is None or back(q, p, _Probe(R, found, True))):
-                for d in found:
-                    users.setdefault(d, []).append(pair)
+        for c in todo:
+            i, j = divmod(c, n2)
+            found, flipped = [], []
+            if match(i, j, rows, found) and (back is None or back(j, i, cols, flipped)):
+                for x, y in found:
+                    users[x * n2 + y].append(c)
+                for y, x in flipped:
+                    users[x * n2 + y].append(c)
             else:
-                removed.append(pair)
+                removed.append(c)
         if not removed:
-            return R
-        R.difference_update(removed)
-        todo = dict.fromkeys(c for d in removed for c in users.pop(d, ()) if c in R)
+            return rows
+        for c in removed:
+            i, j = divmod(c, n2)
+            rows[i].remove(j)
+            if cols is not None:
+                cols[j].remove(i)
+        todo = dict.fromkeys(c for d in removed for c in users.pop(d, ())
+                             if c % n2 in rows[c // n2])
     return None
 
 
 def _matcher(V1: View, V2: View):
-    """match for refine: every move of V1 at q1 is answered, on its label,
-    by some target of V2 at q2 that it lifts to through R."""
+    """match for refine: every move of V1 at i is answered, on its label,
+    by some target of V2 at j that it lifts to through R."""
     moves, targets, lifts = V1.moves, V2.targets, V1.lifts
 
-    def match(q1, q2, R):
-        return all(any(lifts(t1, t2, R) for t2 in targets(q2, a)) for a, t1 in moves(q1))
+    def match(i, j, rows, found):
+        return all(any(lifts(t1, t2, rows, found) for t2 in targets(j, a))
+                   for a, t1 in moves(i))
 
     return match
 
@@ -471,50 +467,71 @@ def _matcher(V1: View, V2: View):
 def greatest(V1: View, V2: View, bisim=False):
     """The greatest simulation of V1 by V2 (with ``bisim``, the greatest R
     such that R and R⁻¹ are both simulations) over the product of their
-    state sets, or None when it misses the initial pair.  Raises
-    CapExceeded, before building anything, when that product has more than
-    core.MAX_OUTCOMES pairs."""
-    n = len(V1.states) * len(V2.states)
+    state sets, as a set of state pairs, or None when it misses the initial
+    pair.  refine runs on the states' numbers.  Raises CapExceeded, before
+    building anything, when that product has more than core.MAX_OUTCOMES
+    pairs."""
+    Q1, Q2 = V1.states, V2.states
+    n = len(Q1) * len(Q2)
     if n > core.MAX_OUTCOMES:
         raise CapExceeded("the candidate relation would have %d state pairs, above the "
                           "cap of %d" % (n, core.MAX_OUTCOMES))
-    pairs = [(q1, q2) for q1 in V1.states for q2 in V2.states]
     back = _matcher(V2, V1) if bisim else None
-    return refine(pairs, (V1.initial, V2.initial), _matcher(V1, V2), back)
+    rows = refine(len(Q1), len(Q2), (Q1.index(V1.initial), Q2.index(V2.initial)),
+                  _matcher(V1, V2), back)
+    if rows is None:
+        return None
+    return {(Q1[i], Q2[j]) for i, row in enumerate(rows) for j in row}
+
+
+def _ma_lifts(t1, t2, rows, found):
+    """lifts of a mixed automaton: each target is a (system, numbering)
+    pair, the numbering of its own view, and lift_check reads R through the
+    numbers of the row states on both sides."""
+    (T1, num1), (T2, num2) = t1, t2
+
+    def rho(q1, q2):
+        x, y = num1[q1.pairs], num2[q2.pairs]
+        if y in rows[x]:
+            found.append((x, y))
+            return True
+        return False
+
+    return lift_check(T1, T2, rho) is not None
 
 
 def _ma_view(M: MixedAutomaton) -> View:
-    """Moves are the transitions on each action, indexed once per state
-    when the state is first asked for, and a target lifts when lift_check
-    finds a coupling.  The states are the reachable ones plus the initial
-    state itself: partial initials (program fragments pin only some
-    variables) are states of the refinement too."""
+    """The states are the reachable ones plus the initial state itself:
+    partial initials (program fragments pin only some variables) are states
+    of the refinement too.  They are numbered in a dict keyed by their
+    bindings.  Moves are the transitions on each action, indexed once per
+    state when the state is first asked for; each target carries the view's
+    numbering."""
     Q = M.reachable()
-    if M.initial not in set(Q):
+    num = {q.pairs: i for i, q in enumerate(Q)}
+    if M.initial.pairs not in num:
         Q = [M.initial] + Q
-    index = {}  # q -> ([(action, target)] in alphabet order, {action: (target,)})
+        num = {q.pairs: i for i, q in enumerate(Q)}
+    index = [None] * len(Q)  # i -> ([(action, target)] in alphabet order, {action: (target,)})
 
-    def out(q):
-        got = index.get(q)
+    def out(i):
+        got = index[i]
         if got is None:
             ms = []
             for a in M.alphabet:
-                T = M.transition(q, a)
+                T = M.transition(Q[i], a)
                 if T is not None:
-                    ms.append((a, T))
-            got = index[q] = (ms, {a: (T,) for a, T in ms})
+                    ms.append((a, (T, num)))
+            got = index[i] = (ms, {a: (t,) for a, t in ms})
         return got
 
-    def moves(q):
-        return out(q)[0]
+    def moves(i):
+        return out(i)[0]
 
-    def targets(q, a):
-        return out(q)[1].get(a, ())
+    def targets(j, a):
+        return out(j)[1].get(a, ())
 
-    def lifts(T1, T2, R):
-        return lift_check(T1, T2, lambda q1, q2: (q1, q2) in R) is not None
-
-    return View(Q, M.initial, moves, targets, lifts)
+    return View(Q, M.initial, moves, targets, _ma_lifts)
 
 
 def simulates(M1: MixedAutomaton, M2: MixedAutomaton):

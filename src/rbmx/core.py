@@ -198,8 +198,12 @@ def domain_index(domain: Domain, v):
 
 
 def domains_agree(d1: Domain, d2: Domain) -> bool:
-    """Same carrier set of values; names and declared order may differ."""
-    return set(d1.values) == set(d2.values)
+    """Same carrier set of typed values (domain_index); names and declared
+    order may differ, but False is not 0."""
+    if d1 is d2:
+        return True
+    return len(d1.values) == len(d2.values) and all(
+        domain_index(d2, v) is not None for v in d1.values)
 
 
 class Var(NamedTuple):
@@ -211,7 +215,8 @@ def norm_vars(vars) -> tuple:
     """Vars sorted by name, from Var entries or (name, domain) pairs whose
     domain may be a plain value list (it is then named "D_<name>").  Raises
     MalformedSystem when a name is declared twice or one domain name is
-    bound to two different value lists."""
+    bound to two different value lists (typed values in order, as
+    domain_index reads them)."""
     out = []
     seen = set()
     domain_names = {}
@@ -220,7 +225,9 @@ def norm_vars(vars) -> tuple:
             dom = Domain("D_%s" % name, dom)
         if name in seen:
             raise MalformedSystem("variable %r declared twice" % name)
-        if domain_names.setdefault(dom.name, dom).values != dom.values:
+        first = domain_names.setdefault(dom.name, dom)
+        if first is not dom and (len(first.values) != len(dom.values) or any(
+                domain_index(first, v) != i for i, v in enumerate(dom.values))):
             raise MalformedSystem(
                 "domain name %r bound to two different value lists" % dom.name
             )

@@ -9,9 +9,12 @@ pa_to_ma.
 
 Both kinds carry lifting-based greatest simulations and bisimulations: each
 check hands automata.greatest a View of each side (_spa_view, _pa_view), so
-they share the matcher, the fixpoint and the coupling builder of mixed
-automata.  A View indexes its moves once and compiles each distribution
-once, so the lifts inside the fixpoint compare no Fraction.  The relation
+they share the matcher and the fixpoint of mixed automata.  A View numbers
+the states by their position, indexes its moves once by state number and
+compiles each distribution once into transport.Masses keyed by state
+number (for a PA, by (action, state number)).  A lift builds its allowed
+pairs from the relation's rows and calls transport.coupling, so the lifts
+inside the fixpoint hash no state and compare no Fraction.  The relation
 ranges over the full product of the two state sets, bounded by
 core.MAX_OUTCOMES pairs.  A bisimulation is the greatest R such that both R
 and R⁻¹ are simulations, the same check as automata.bisimilar; it is
@@ -37,7 +40,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .automata import MixedAutomaton, View, action_key, couple, greatest
+from .automata import MixedAutomaton, View, action_key, greatest
 from .core import (
     Domain,
     MixedSystem,
@@ -51,7 +54,7 @@ from .core import (
     value_key,
 )
 from .errors import CapExceeded, MalformedSystem, MissingInit
-from .transport import Masses
+from .transport import Masses, coupling
 
 
 def _dist(d) -> dict:
@@ -202,38 +205,48 @@ def pa_compose(P1: PA, P2: PA, sigma) -> PA:
 # --- simulation -----------------------------------------------------------
 
 
-def _prob_view(P, label, lifts) -> View:
+def _prob_view(P, label, key, lifts) -> View:
     """The View of an SPA or PA: moves and targets indexed once by source
-    state, in transition order, with each distribution compiled once into
-    transport.Masses; label(t) is the label of transition t's move."""
-    moves, targets = {}, {}
+    state number, in transition order, with each distribution compiled once
+    into transport.Masses over key(k, num), num numbering the states;
+    label(t) is the label of transition t's move."""
+    num = {q: i for i, q in enumerate(P.states)}
+    moves = [[] for _ in P.states]
+    targets = [{} for _ in P.states]
     for t in P.transitions:
-        a, m = label(t), Masses(t[-1])
-        moves.setdefault(t[0], []).append((a, m))
-        targets.setdefault((t[0], a), []).append(m)
-    return View(P.states, P.initial, lambda q: moves.get(q, ()),
-                lambda q, a: targets.get((q, a), ()), lifts)
+        i, a = num[t[0]], label(t)
+        m = Masses({key(k, num): w for k, w in t[-1].items()})
+        moves[i].append((a, m))
+        targets[i].setdefault(a, []).append(m)
+    return View(P.states, P.initial, moves.__getitem__,
+                lambda j, a: targets[j].get(a, ()), lifts)
+
+
+def _spa_lifts(d1, d2, rows, found):
+    """Two distributions over state numbers lift when they couple inside
+    R."""
+    allowed = [(x, y) for x in d1.mass for y in d2.mass if y in rows[x]]
+    found += allowed
+    return coupling(d1, d2, allowed) is not None
+
+
+def _pa_lifts(d1, d2, rows, found):
+    """Two distributions over (action, state number) lift when they couple
+    equal actions with related states."""
+    allowed = [(k1, k2) for k1 in d1.mass for k2 in d2.mass
+               if k1[0] == k2[0] and k2[1] in rows[k1[1]]]
+    found += [(k1[1], k2[1]) for k1, k2 in allowed]
+    return coupling(d1, d2, allowed) is not None
 
 
 def _spa_view(P: SPA) -> View:
-    """Moves are (action, distribution) pairs; two distributions lift when
-    they couple inside R."""
-
-    def lifts(d1, d2, R):
-        return couple(d1, d2, lambda s1, s2: (s1, s2) in R) is not None
-
-    return _prob_view(P, lambda t: t[1], lifts)
+    """Moves are (action, distribution) pairs."""
+    return _prob_view(P, lambda t: t[1], lambda s, num: num[s], _spa_lifts)
 
 
 def _pa_view(P: PA) -> View:
-    """Moves carry no label, since the action is drawn with the state; two
-    distributions lift when they couple equal actions with related states."""
-
-    def lifts(d1, d2, R):
-        return couple(d1, d2,
-                      lambda x1, x2: x1[0] == x2[0] and (x1[1], x2[1]) in R) is not None
-
-    return _prob_view(P, lambda t: None, lifts)
+    """Moves carry no label, since the action is drawn with the state."""
+    return _prob_view(P, lambda t: None, lambda k, num: (k[0], num[k[1]]), _pa_lifts)
 
 
 def spa_simulates(P1: SPA, P2: SPA):

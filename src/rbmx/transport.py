@@ -5,10 +5,12 @@ decide whether some nonnegative joint measure supported on the allowed
 pairs has exactly those marginals — and produce one when it exists.
 
 A measure is compiled once into Masses: its positive masses as Python ints
-over one common scale, the least common multiple of their denominators.
-feasible_transport takes either form and compiles a Fraction dict at entry;
-it then brings both sides to the lcm of their two scales, so the search
-never builds a Fraction.  Callers that test one measure against many
+over one common scale, the least common multiple of their denominators,
+and their total over that scale.  feasible_transport takes either form and
+compiles a Fraction dict at entry.  coupling compares the two totals over
+the lcm of the two scales first, and only then brings both sides' masses to
+that lcm (a side already over it is copied unchanged), so the search never
+builds a Fraction.  Callers that test one measure against many
 others compile it once and hand the Masses over each time.
 
 The search works on the measures' own keys: the left keys with supply
@@ -41,14 +43,16 @@ from math import lcm
 class Masses:
     """A measure compiled for transport: ``mass`` maps each key of positive
     mass, in the measure's order, to that mass times ``scale``, the least
-    common multiple of the positive masses' denominators."""
+    common multiple of the positive masses' denominators, and ``total`` is
+    the sum of those scaled masses."""
 
-    __slots__ = ("scale", "mass")
+    __slots__ = ("scale", "mass", "total")
 
     def __init__(self, mu: dict):
         positive = [(k, w) for k, w in mu.items() if w.numerator > 0]
         self.scale = lcm(*[w.denominator for _, w in positive])
         self.mass = {k: w.numerator * (self.scale // w.denominator) for k, w in positive}
+        self.total = sum(self.mass.values())
 
 
 def feasible_transport(mu1, mu2, allowed):
@@ -77,10 +81,10 @@ def coupling(mu1, mu2, allowed):
         mu2 = Masses(mu2)
     scale = lcm(mu1.scale, mu2.scale)
     f1, f2 = scale // mu1.scale, scale // mu2.scale
-    supply = {a: m * f1 for a, m in mu1.mass.items()}
-    room = {b: m * f2 for b, m in mu2.mass.items()}
-    if sum(supply.values()) != sum(room.values()):
+    if mu1.total * f1 != mu2.total * f2:
         return None
+    supply = dict(mu1.mass) if f1 == 1 else {a: m * f1 for a, m in mu1.mass.items()}
+    room = dict(mu2.mass) if f2 == 1 else {b: m * f2 for b, m in mu2.mass.items()}
     # greedy pass: each allowed pair in order takes all it can; keys that
     # run out leave supply or room, so a repeated pair places nothing
     flow = {}

@@ -8,7 +8,7 @@ tautology.  The transport oracle decides feasibility by the cut condition
 neighbours) instead of the flow computation the library uses.
 
 Algorithms the library replaced are kept here as references too
-(full_graft, whole_run, outer_bn_score).  They may call the library's
+(full_graft, whole_run, outer_bn_score, probe_greatest).  They may call the library's
 query helpers, which the naive oracles check.
 """
 
@@ -17,11 +17,20 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 from rbmx import Domain, MixedSystem, State, Var, core
-from rbmx.automata import MixedAutomaton
+from rbmx.automata import MixedAutomaton, lift_check
 from rbmx.bayes import BayesianNetwork, MixedKernel, Score
-from rbmx.core import all_states, compose, consistency, consistency_weight, outer, sample
+from rbmx.core import (
+    all_states,
+    compose,
+    consistency,
+    consistency_weight,
+    norm_vars,
+    outer,
+    sample,
+)
 from rbmx.embeddings import PA, SPA
 from rbmx.errors import (
     InconsistentSystem,
@@ -31,6 +40,7 @@ from rbmx.errors import (
     VariableSetMismatch,
 )
 from rbmx.factorgraph import factor_graph
+from rbmx.transport import Masses, coupling
 from rbmx.rblang.elaborate import (
     active_leaves,
     elaborate_dynamic,
@@ -494,6 +504,168 @@ def pa_ok(P1, P2):
         return True
 
     return ok
+
+
+# --- the State-level simulation engine, kept as a reference ----------------------
+
+
+class _Probe:
+    """R as one check sees it: ``pair in probe`` answers membership in R and
+    records each pair it finds there in ``found``.  With ``flip`` the check
+    runs against R⁻¹, so a pair is reversed before it is looked up and
+    recorded as the pair of R it stands for."""
+
+    __slots__ = ("R", "found", "flip")
+
+    def __init__(self, R, found, flip):
+        self.R, self.found, self.flip = R, found, flip
+
+    def __contains__(self, pair):
+        if self.flip:
+            pair = (pair[1], pair[0])
+        if pair in self.R:
+            self.found[pair] = None
+            return True
+        return False
+
+
+def probe_refine(pairs, initial, match, back=None):
+    """The worklist fixpoint over a set of (state, state) tuples that
+    automata.refine replaced: the greatest subset R of ``pairs`` whose every
+    pair passes match(p, q, R) and, when given, back(q, p, R⁻¹), with R seen
+    through a _Probe; None when R does not hold ``initial``.  Same rounds,
+    same recheck rule and same recheck order as the numbered loop."""
+    R = set(pairs)
+    users = {}
+    todo = pairs
+    while initial in R:
+        removed = []
+        for pair in todo:
+            p, q = pair
+            found = {}
+            if match(p, q, _Probe(R, found, False)) and (
+                    back is None or back(q, p, _Probe(R, found, True))):
+                for d in found:
+                    users.setdefault(d, []).append(pair)
+            else:
+                removed.append(pair)
+        if not removed:
+            return R
+        R.difference_update(removed)
+        todo = dict.fromkeys(c for d in removed for c in users.pop(d, ()) if c in R)
+    return None
+
+
+class ProbeView(NamedTuple):
+    """A View over the states themselves: lifts(t1, t2, R) reads R, a set
+    of state pairs, only with ``in``."""
+
+    states: object
+    initial: object
+    moves: object
+    targets: object
+    lifts: object
+
+
+def _probe_couple(mu1, mu2, ok):
+    return coupling(mu1, mu2, [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)])
+
+
+def probe_ma_view(M):
+    Q = M.reachable()
+    if M.initial not in set(Q):
+        Q = [M.initial] + Q
+    index = {}
+
+    def out(q):
+        got = index.get(q)
+        if got is None:
+            ms = []
+            for a in M.alphabet:
+                T = M.transition(q, a)
+                if T is not None:
+                    ms.append((a, T))
+            got = index[q] = (ms, {a: (T,) for a, T in ms})
+        return got
+
+    def lifts(T1, T2, R):
+        return lift_check(T1, T2, lambda q1, q2: (q1, q2) in R) is not None
+
+    return ProbeView(Q, M.initial, lambda q: out(q)[0],
+                     lambda q, a: out(q)[1].get(a, ()), lifts)
+
+
+def _probe_prob_view(P, label, lifts):
+    moves, targets = {}, {}
+    for t in P.transitions:
+        a, m = label(t), Masses(t[-1])
+        moves.setdefault(t[0], []).append((a, m))
+        targets.setdefault((t[0], a), []).append(m)
+    return ProbeView(P.states, P.initial, lambda q: moves.get(q, ()),
+                     lambda q, a: targets.get((q, a), ()), lifts)
+
+
+def probe_spa_view(P):
+    def lifts(d1, d2, R):
+        return _probe_couple(d1, d2, lambda s1, s2: (s1, s2) in R) is not None
+
+    return _probe_prob_view(P, lambda t: t[1], lifts)
+
+
+def probe_pa_view(P):
+    def lifts(d1, d2, R):
+        return _probe_couple(d1, d2,
+                             lambda x1, x2: x1[0] == x2[0] and (x1[1], x2[1]) in R) is not None
+
+    return _probe_prob_view(P, lambda t: None, lifts)
+
+
+PROBE_VIEWS = {"ma": probe_ma_view, "spa": probe_spa_view, "pa": probe_pa_view}
+
+
+def probe_greatest(kind, X1, X2, bisim=False):
+    """The greatest simulation (bisimulation) of X1 by X2, automata of kind
+    "ma", "spa" or "pa", by the State-level engine the numbered one
+    replaced; returns (R or None, {"match": calls, "lift": calls})."""
+    work = {"match": 0, "lift": 0}
+
+    def counted(key, f):
+        def g(*args):
+            work[key] += 1
+            return f(*args)
+        return g
+
+    V1, V2 = (PROBE_VIEWS[kind](X) for X in (X1, X2))
+    V1, V2 = (V._replace(lifts=counted("lift", V.lifts)) for V in (V1, V2))
+
+    def matcher(A, B):
+        return lambda q1, q2, R: all(any(A.lifts(t1, t2, R) for t2 in B.targets(q2, a))
+                                     for a, t1 in A.moves(q1))
+
+    pairs = [(q1, q2) for q1 in V1.states for q2 in V2.states]
+    back = counted("match", matcher(V2, V1)) if bisim else None
+    R = probe_refine(pairs, (V1.initial, V2.initial), counted("match", matcher(V1, V2)), back)
+    return R, work
+
+
+def rand_ma_fragment(rng):
+    """A mixed automaton over two variables u and v whose initial state
+    pins u alone, with transitions from that partial state and from total
+    states, as program fragments have."""
+    dom = Domain("D", (0, 1))
+    vars = [("u", dom), ("v", dom)]
+    states = [State({"u": 0})] + list(all_states(norm_vars(vars)))
+    delta = {}
+    for q in states:
+        for a in ("a", "b"):
+            if rng.random() < 0.4:
+                continue
+            n = rng.randint(1, 3)
+            weights = rand_dist(rng, list(range(n)), kmax=n)
+            rel = {o: [State({"u": rng.choice((0, 1)), "v": rng.choice((0, 1))})
+                       for _ in range(rng.randint(0, 2))] for o in weights}
+            delta[(q, a)] = MixedSystem(weights, vars, rel)
+    return MixedAutomaton(("a", "b"), vars, {"u": 0}, delta)
 
 
 # --- network scores -------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import rbmx
-from rbmx import Domain, MixedSystem, State, core, equivalent
+from rbmx import Domain, MixedSystem, State, automata, core, embeddings, equivalent
 from rbmx.automata import (
     MixedAutomaton,
     assignment_algebra,
@@ -25,7 +25,7 @@ from rbmx.automata import (
     sync_on_equal,
     verify_weighting,
 )
-from rbmx.embeddings import spa_to_json
+from rbmx.embeddings import spa_to_json, spa_to_ma
 from rbmx.errors import (
     CapExceeded,
     IncompatibleInitials,
@@ -43,7 +43,10 @@ from .oracles import (
     cut_feasible,
     ma_ok,
     naive_greatest,
+    probe_greatest,
     rand_ma,
+    rand_ma_fragment,
+    rand_pa,
     rand_spa,
     rand_system,
     rand_system_over,
@@ -356,12 +359,13 @@ class TestSimulation:
 
 
 # spa_simulates and spa_bisimilar of the two SPA documents on stdin, with
-# the couplings (lifts) and match calls each made, and the relations sorted
+# the couplings (lifts, counted at the SPA view's coupling call) and match
+# calls each made, and the relations sorted
 COUNT_WORK = """
 import json, sys
 from rbmx import automata, embeddings
 
-couple, refine = embeddings.couple, automata.refine
+coupling, refine = embeddings.coupling, automata.refine
 work = {}
 
 def counted(key, f):
@@ -370,10 +374,10 @@ def counted(key, f):
         return f(*args)
     return g
 
-def counted_refine(pairs, initial, match, back=None):
-    return refine(pairs, initial, counted("match", match), back and counted("match", back))
+def counted_refine(n1, n2, initial, match, back=None):
+    return refine(n1, n2, initial, counted("match", match), back and counted("match", back))
 
-embeddings.couple = counted("lift", couple)
+embeddings.coupling = counted("lift", coupling)
 automata.refine = counted_refine
 P1, P2 = (embeddings.spa_from_json(doc) for doc in json.load(sys.stdin))
 out = []
@@ -430,6 +434,11 @@ def run_script(script, docs):
     return json.loads(r.stdout)
 
 
+def related(rows):
+    """The pairs of a relation that refine returns as rows."""
+    return {(i, j) for i, row in enumerate(rows) for j in row}
+
+
 class TestRefinement:
     def test_relations_equal_the_naive_fixpoint(self):
         # the naive fixpoint runs over all states; lifting only consults
@@ -455,41 +464,52 @@ class TestRefinement:
 
 
     def test_a_pair_is_rechecked_only_when_a_pair_it_found_drops(self):
-        # ("p", i) passes while every pair it consults is in R, in order;
-        # ("p", 0) never passes, and the drop travels 0 -> 1 -> 2 -> 5
+        # (0, i) passes while every pair it consults is in R, in order;
+        # (0, 0) never passes, and the drop travels 0 -> 1 -> 2 -> 5
         consults = {0: None, 1: [0], 2: [1], 3: [4], 4: [], 5: [3, 2]}
-        pairs = [("p", i) for i in consults]
 
         def stub():
             calls = dict.fromkeys(consults, 0)
 
-            def match(p, i, R):
+            def match(p, i, rows, found):
                 calls[i] += 1
-                return consults[i] is not None and all((p, j) in R for j in consults[i])
+                if consults[i] is None:
+                    return False
+                for j in consults[i]:
+                    if j not in rows[p]:
+                        return False
+                    found.append((p, j))
+                return True
 
             return calls, match
 
         calls, match = stub()
-        assert refine(pairs, ("p", 3), match) == {("p", 3), ("p", 4)}
+        assert related(refine(1, 6, (0, 3), match)) == {(0, 3), (0, 4)}
         assert calls == {0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 2}
         # the loop stops in the round after the initial pair drops
         calls, match = stub()
-        assert refine(pairs, ("p", 2), match) is None
+        assert refine(1, 6, (0, 2), match) is None
         assert calls == {0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1}
 
     def test_pairs_found_against_the_inverse_index_the_pair_of_r(self):
         # back sees R⁻¹: (1, 2) passes only while (5, 0) is in R⁻¹, so it is
-        # rechecked when (0, 5) drops
+        # rechecked when (0, 5) drops; every pair but (1, 2) and (3, 4),
+        # (0, 5) among them, fails match
         calls = {}
 
-        def match(p, q, R):
-            return (p, q) != (0, 5)
+        def match(p, q, rows, found):
+            return (p, q) in ((1, 2), (3, 4))
 
-        def back(q, p, inverse):
+        def back(q, p, cols, found):
             calls[(p, q)] = calls.get((p, q), 0) + 1
-            return (5, 0) in inverse if (p, q) == (1, 2) else True
+            if (p, q) != (1, 2):
+                return True
+            if 0 in cols[5]:
+                found.append((5, 0))
+                return True
+            return False
 
-        assert refine([(0, 5), (1, 2), (3, 4)], (3, 4), match, back) == {(3, 4)}
+        assert related(refine(4, 6, (3, 4), match, back)) == {(3, 4)}
         assert calls == {(1, 2): 2, (3, 4): 1}
 
     def test_random_dependencies_equal_the_naive_fixpoint(self):
@@ -499,17 +519,37 @@ class TestRefinement:
         for _ in range(200):
             pairs = [(a, b) for a in range(3) for b in range(3)]
 
-            def rand_ok():
-                alts = {pq: [rng.sample(pairs, rng.randint(0, 3))
+            def rand_alts():
+                return {pq: [rng.sample(pairs, rng.randint(0, 3))
                              for _ in range(rng.randint(0, 2))] for pq in pairs}
+
+            def ok(alts):
                 return lambda p, q, R: any(all(x in R for x in alt) for alt in alts[(p, q)])
 
-            ok, ok_back = rand_ok(), rand_ok()
+            def numbered(alts):
+                # the same test against rows (or cols), recording each pair
+                # found related, as a View's lifts do
+                def match(p, q, rows, found):
+                    for alt in alts[(p, q)]:
+                        for x, y in alt:
+                            if y not in rows[x]:
+                                break
+                            found.append((x, y))
+                        else:
+                            return True
+                    return False
+
+                return match
+
+            alts, alts_back = rand_alts(), rand_alts()
             initial = rng.choice(pairs)
-            for args, oracle in (((ok,), ok), ((ok, ok_back), both_ways(ok, ok_back))):
+            for args, oracle in (((numbered(alts),), ok(alts)),
+                                 ((numbered(alts), numbered(alts_back)),
+                                  both_ways(ok(alts), ok(alts_back)))):
                 want = naive_greatest(pairs, oracle)
-                got = refine(pairs, initial, *args)
-                assert got == (want if initial in want else None)
+                got = refine(3, 3, initial, *args)
+                assert (None if got is None else related(got)) == (
+                    want if initial in want else None)
 
     def test_work_does_not_depend_on_the_hash_seed(self):
         # state names are strings, whose hashes change with PYTHONHASHSEED
@@ -543,6 +583,70 @@ class TestRefinement:
         assert spa[2] == pa[2] == 20 and ma[2] == 41
         # a mixed system keeps its compiled weights: asking again builds none
         assert ma_again[0] == 0 and ma_again[2] == ma[2]
+
+
+class TestProbeOracle:
+    """The numbered engine asks the same matches and lifts as the State-level
+    engine it replaced, kept as oracles.probe_greatest, and finds the same
+    relation."""
+
+    CHECKS = {
+        "spa": (embeddings.spa_simulates, embeddings.spa_bisimilar),
+        "pa": (embeddings.pa_simulates, embeddings.pa_bisimilar),
+        "ma": (simulates, bisimilar),
+    }
+
+    @staticmethod
+    def numbered(kind, X1, X2, bisim):
+        work = {"match": 0, "lift": 0}
+
+        def counted(key, f):
+            def g(*args):
+                work[key] += 1
+                return f(*args)
+            return g
+
+        refine = automata.refine
+
+        def counted_refine(n1, n2, initial, match, back=None):
+            return refine(n1, n2, initial, counted("match", match),
+                          back and counted("match", back))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "refine", counted_refine)
+            mp.setattr(embeddings, "coupling", counted("lift", embeddings.coupling))
+            mp.setattr(automata, "lift_check", counted("lift", automata.lift_check))
+            R = TestProbeOracle.CHECKS[kind][bisim](X1, X2)
+        return R, work
+
+    def pairs(self):
+        rng = random.Random(1807)
+        for _ in range(25):
+            P1, P2 = rand_spa(rng, nq=4), rand_spa(rng, nq=4)
+            yield "spa", P1, P2
+            yield "spa", P1, P1
+            A1, A2 = rand_pa(rng, nq=4), rand_pa(rng, nq=4)
+            yield "pa", A1, A2
+            yield "pa", A1, A1
+            yield "ma", rand_ma(rng, "u"), rand_ma(rng, "u")
+            yield "ma", spa_to_ma(P1), spa_to_ma(P2)
+            F1, F2 = rand_ma_fragment(rng), rand_ma_fragment(rng)
+            yield "ma", F1, F2
+            yield "ma", F1, F1
+
+    def test_relations_and_work_equal_the_probe_engine(self):
+        verdicts, partial = set(), 0
+        for kind, X1, X2 in self.pairs():
+            for bisim in (False, True):
+                want, want_work = probe_greatest(kind, X1, X2, bisim)
+                got, got_work = self.numbered(kind, X1, X2, bisim)
+                assert got == want and got_work == want_work, (kind, bisim)
+                verdicts.add((kind, bisim, got is not None))
+                if kind == "ma" and got is not None and not X1.is_total_state(X1.initial):
+                    partial += 1
+        assert verdicts == {(k, b, v) for k in self.CHECKS for b in (False, True)
+                            for v in (False, True)}
+        assert partial > 0  # fragments whose partial initial states are related
 
 
 class TestJson:

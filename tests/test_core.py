@@ -34,7 +34,13 @@ from rbmx import (
 )
 from rbmx import core
 from rbmx.automata import MixedAutomaton, ma_compose
-from rbmx.bayes import BayesianNetwork, MixedKernel, kernel_from_system, point_system
+from rbmx.bayes import (
+    BayesianNetwork,
+    MixedKernel,
+    bn_equivalent_p,
+    kernel_from_system,
+    point_system,
+)
 from rbmx.core import all_states, format_rat, polarized_from_json, rat, states_compatible
 from rbmx.factorgraph import factor_graph
 from rbmx.rblang.elaborate import _graft
@@ -45,6 +51,7 @@ from rbmx.errors import (
     InconsistentSystem,
     MalformedSystem,
     UnknownVariable,
+    VariableSetMismatch,
 )
 
 from .test_acceptance import rand_shared_triple
@@ -425,6 +432,30 @@ class TestCompose:
         }[site]
         with pytest.raises(DomainMismatch, match="'x' has different domains"):
             merge()
+
+    def test_booleans_and_numbers_are_different_domains(self):
+        # False == 0 and True == 1, but a domain's values are typed
+        bools, ints = Domain("B", (False, True)), Domain("I", (0, 1))
+        S = MixedSystem({"o": 1}, [("x", bools)], {"o": [State({"x": True})]})
+        T = MixedSystem({"p": 1}, [("x", ints)], {"p": [State({"x": 1})]})
+        assert not core.domains_agree(bools, ints) and not core.domains_agree(ints, bools)
+        assert core.domains_agree(bools, Domain("B2", (True, False)))
+        with pytest.raises(DomainMismatch, match="'x' has different domains"):
+            core.merge_vars(S.vars, T.vars)
+        with pytest.raises(DomainMismatch):
+            compose(S, T)
+        assert not equivalent(S, T)
+        with pytest.raises(VariableSetMismatch, match="'x' has different domains"):
+            bn_equivalent_p(BayesianNetwork([kernel_from_system(S, "k")]),
+                            BayesianNetwork([kernel_from_system(T, "k")]))
+
+    def test_one_domain_name_cannot_name_booleans_and_numbers(self):
+        with pytest.raises(MalformedSystem,
+                           match="domain name 'D' bound to two different value lists"):
+            core.norm_vars([("x", Domain("D", (False, True))), ("y", Domain("D", (0, 1)))])
+        # the same typed values in the same order are one domain
+        two = core.norm_vars([("x", Domain("D", (0, True))), ("y", Domain("D", (0, True)))])
+        assert [v.name for v in two] == ["x", "y"]
 
     def test_variadic_left_fold(self):
         S = bitsys({"o": Fraction(1)}, {"o": [(0,)]})

@@ -1,12 +1,21 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-ABTEST = pathlib.Path(__file__).resolve().parent.parent / "tools" / "abtest.py"
-_spec = importlib.util.spec_from_file_location("abtest", ABTEST)
-abtest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(abtest)
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+abtest = load_tool("abtest")
+ring = load_tool("ring")
 
 
 class TestAbtestSummary:
@@ -52,3 +61,23 @@ class TestAbtestSummary:
     def test_a_bad_pair_count_is_refused(self):
         with pytest.raises(SystemExit):
             abtest.main(["a", "b", "--workload", "score_chains", "--pairs", "0"])
+
+
+class TestRing:
+    def test_each_size_prints_one_line_from_its_own_process(self, capsys):
+        assert ring.main(["--states", "9,11"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert [(d["states"], d["check"], d["pairs"]) for d in lines] == [
+            (9, "simulation", 81), (11, "simulation", 121)]
+        for d in lines:
+            assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
+
+    def test_bisimulation_keeps_every_pair_too(self, capsys):
+        assert ring.main(["--states", "10", "--bisim"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert (d["states"], d["check"], d["pairs"]) == (10, "bisimulation", 100)
+
+    def test_a_bad_size_list_is_refused(self):
+        for bad in ("0", "ten", "3,,4"):
+            with pytest.raises(SystemExit):
+                ring.main(["--states", bad])

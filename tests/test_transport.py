@@ -107,7 +107,8 @@ def test_compiled_masses_are_positive_ints_over_one_scale():
     m = Masses({"a": Fraction(1, 6), "z": Fraction(0), "b": Fraction(3, 4), "c": Fraction(1, 12)})
     assert m.scale == 12
     assert list(m.mass.items()) == [("a", 2), ("b", 9), ("c", 1)]
-    assert Masses({}).mass == {} and Masses({}).scale == 1
+    assert m.total == 12
+    assert Masses({}).mass == {} and Masses({}).scale == 1 and Masses({}).total == 0
 
 
 def northwest_corner(mu1, mu2):
