@@ -88,7 +88,7 @@ class MixedAutomaton:
     as a whole calls it first.
     """
 
-    __slots__ = ("alphabet", "vars", "initial", "delta", "provider")
+    __slots__ = ("alphabet", "vars", "initial", "delta", "provider", "_doms")
 
     def __init__(self, alphabet, vars, initial, delta=None, provider=None):
         self.alphabet = tuple(sorted(set(alphabet), key=action_key))
@@ -97,7 +97,7 @@ class MixedAutomaton:
             initial = State()
         elif not isinstance(initial, State):
             initial = State(initial)
-        doms = {v.name: v.domain for v in self.vars}
+        self._doms = doms = {v.name: v.domain for v in self.vars}
         _check_state(doms, initial, "initial")
         self.initial = initial
         self.delta = {}
@@ -118,9 +118,14 @@ class MixedAutomaton:
         return S
 
     def transition(self, q, a):
-        """The target system at (q, a), or None when no transition exists."""
+        """The target system at (q, a), or None when no transition exists.
+        q is checked first as the states of delta are: delta and the
+        provider's memos compare states with ==, which takes True for 1, so
+        a value outside its variable's typed domain raises
+        VariableSetMismatch before any lookup."""
         if not isinstance(q, State):
             q = State(q)
+        _check_state(self._doms, q, "transition state")
         S = self.delta.get((q, a))
         if S is None and self.provider is not None:
             S = self.provider(q, a)

@@ -8,15 +8,17 @@ variables.  Sampling walks the network in dependency order; scoring takes,
 per kernel, the outer probability of the state's out-part given its
 in-part, and multiplies.
 
-Scoring reads compiled tables through compiled keys.  The first time a
+Scoring reads compiled entries through compiled keys.  The first time a
 kernel is scored at an input, MixedKernel.score_table turns the output
 system into an exact table {output value tuple: (outer mass, its
 numerator, its denominator)} in one pass over its rows (or None when the
-system is inconsistent) and keeps it.  A
-BayesianNetwork compiles, once, two key getters per kernel over a full
-state's values: one for the kernel's input tuple and one for its output
-tuple, each in the kernel's own name order.  Every later score at that
-input is then two getter calls and two dict lookups per kernel.
+system is inconsistent) and keeps it in the kernel's table store, which
+kernels may share.  A BayesianNetwork
+compiles, once, one key getter per kernel over a full state's values: the
+kernel's input values followed by its output values, each part in the
+kernel's own name order.  The network keeps, per kernel, the factor entry
+of each key met so far, so every later score of that key is one getter
+call and one dict lookup per kernel.
 
 Conditioning convention: the conditional of a system on Y is the kernel
 that pins Y to the given input, conditions the system on that, and exposes
@@ -35,6 +37,7 @@ from typing import NamedTuple
 
 from .core import (
     EMPTY_STATE,
+    Domain,
     MixedSystem,
     State,
     all_states,
@@ -73,11 +76,13 @@ class MixedKernel:
     are evaluated on demand and cached, and every analysis operation may
     enumerate the full (finite) input space.  in_vars and out_vars must be
     disjoint, and every produced system must have exactly the out variables.
+    ``_scores``, internal, is the dict score_table keeps its tables in, a
+    new one when not given.
     """
 
     __slots__ = ("name", "in_vars", "out_vars", "_table", "_fn", "_scores")
 
-    def __init__(self, in_vars, out_vars, mapping, name=None):
+    def __init__(self, in_vars, out_vars, mapping, name=None, *, _scores=None):
         self.in_vars = norm_vars(in_vars)
         self.out_vars = norm_vars(out_vars)
         overlap = {v.name for v in self.in_vars} & {v.name for v in self.out_vars}
@@ -92,7 +97,7 @@ class MixedKernel:
             self._table = {State(k) if not isinstance(k, State) else k: v
                            for k, v in mapping.items()}
             self._fn = None
-        self._scores = {}
+        self._scores = {} if _scores is None else _scores
         self.name = name
 
     @property
@@ -137,7 +142,13 @@ class MixedKernel:
         apply's system, in one pass over its rows: each outcome adds its
         conditioned weight once to every state of its row, which
         MixedSystem has deduped.  Output tuples no row admits are absent,
-        so their mass is 0."""
+        so their mass is 0.
+
+        The tables are kept by in_values in the kernel's store, _scores,
+        which kernels whose tables depend only on in_values may share; each
+        table is then built once, by the first kernel that needs it.  An
+        input whose apply raises keeps nothing, so it raises every time.
+        This is the one builder of score tables."""
         try:
             return self._scores[in_values]
         except KeyError:
@@ -236,9 +247,15 @@ class BayesianNetwork:
     time; ``sources`` optionally flags some of them as observation feeds.
     A variable carrying different domains across the kernels and
     ``variables`` raises DomainMismatch.
+
+    For bn_score the network compiles, per kernel, the getter of its key
+    (input values, then output values) from a full state's values, and
+    owns a dict from key to factor entry, filled as scores meet keys.  A
+    kernel in two networks has one entry dict in each, and one table store
+    behind both.
     """
 
-    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_keys")
+    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_entries")
 
     def __init__(self, kernels, extra_in=None, sources=(), variables=()):
         ks = list(kernels)
@@ -255,12 +272,14 @@ class BayesianNetwork:
         merged = merge_vars(*(K.in_vars + K.out_vars for K in ks), norm_vars(variables))
         self.vars = tuple(sorted(merged, key=lambda v: v.name))
         self.var_names = tuple(v.name for v in self.vars)
-        # per kernel, the getters of its input and output keys from a full
-        # state's values, which follow var_names
+        # per kernel: the getter of its key, its input values then its
+        # output values, from a full state's values (which follow
+        # var_names); its number of inputs; its output domains; and this
+        # network's factor entries by key, filled as bn_score meets them
         at = {n: i for i, n in enumerate(self.var_names)}
-        self._keys = tuple(
-            (K, _key_getter([at[n] for n in K.in_names]),
-             _key_getter([at[n] for n in K.out_names]))
+        self._entries = tuple(
+            (K, _key_getter([at[n] for n in K.in_names + K.out_names]), len(K.in_vars),
+             tuple(v.domain for v in K.out_vars), {})
             for K in ks)
 
     def in_set(self, K) -> frozenset:
@@ -393,14 +412,16 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     contribute no factor; that is only tolerated when another factor is
     zero, otherwise InconsistentSystem propagates.
 
-    The network's compiled getters take each kernel's input and output keys
-    from the state's values.  The input key is looked up in the kernel's
-    compiled tables, and MixedKernel.score_table builds the table only for
-    an input not seen before; apply's checks and errors meet a bad input
-    then, and again each time, since nothing is kept for it.  The factor is
-    the table's entry for the output key, 0 when absent.  The product is
-    taken over the entries' integer numerators and denominators, with one
-    Fraction at the end."""
+    Each kernel's compiled getter takes its key, input values then output
+    values, from the state's values, and the key is looked up once in the
+    network's entries for that kernel.  A key not met before gets its
+    entry from MixedKernel.score_table at the input values: the table's
+    entry for the output values, ABSENT (mass 0) when no row admits them,
+    or None when the kernel is inconsistent at that input.  apply's checks
+    and errors meet a bad input then, and again each time, since nothing
+    is kept for it; nor is an ABSENT entry kept for output values outside
+    their domains, so scoring off-domain states does not grow the entries.  The product is taken over the entries' integer
+    numerators and denominators, with one Fraction at the end."""
     if not isinstance(q, State):
         q = State(q)
     pairs = q.pairs
@@ -413,18 +434,21 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     factors = []
     bad = None
     num = den = 1
-    for K, in_key, out_key in N._keys:
-        key = in_key(values)
+    for K, key_of, n_in, out_domains, entries in N._entries:
+        key = key_of(values)
         try:
-            table = K._scores[key]
+            entry = entries[key]
         except KeyError:
-            table = K.score_table(key)
-        if table is None:
+            table = K.score_table(key[:n_in])
+            entry = None if table is None else table.get(key[n_in:], ABSENT)
+            if entry is not ABSENT or all(map(Domain.__contains__, out_domains, key[n_in:])):
+                entries[key] = entry
+        if entry is None:
             factors.append((K.name, None))
             if bad is None:
                 bad = K
             continue
-        f, n, d = table.get(out_key(values), ABSENT)
+        f, n, d = entry
         factors.append((K.name, f))
         num *= n
         den *= d

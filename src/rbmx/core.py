@@ -212,15 +212,16 @@ class Var(NamedTuple):
 
 
 def norm_vars(vars) -> tuple:
-    """Vars sorted by name, from Var entries or (name, domain) pairs whose
-    domain may be a plain value list (it is then named "D_<name>").  Raises
-    MalformedSystem when a name is declared twice or one domain name is
-    bound to two different value lists (typed values in order, as
-    domain_index reads them)."""
+    """Vars sorted by name, from Var entries, kept as they are, or (name,
+    domain) pairs whose domain may be a plain value list (it is then named
+    "D_<name>").  Raises MalformedSystem when a name is declared twice or
+    one domain name is bound to two different value lists (typed values in
+    order, as domain_index reads them)."""
     out = []
     seen = set()
     domain_names = {}
-    for name, dom in vars:
+    for v in vars:
+        name, dom = v
         if not isinstance(dom, Domain):
             dom = Domain("D_%s" % name, dom)
         if name in seen:
@@ -232,7 +233,7 @@ def norm_vars(vars) -> tuple:
                 "domain name %r bound to two different value lists" % dom.name
             )
         seen.add(name)
-        out.append(Var(name, dom))
+        out.append(v if type(v) is Var and v.domain is dom else Var(name, dom))
     out.sort(key=lambda v: v.name)
     return tuple(out)
 

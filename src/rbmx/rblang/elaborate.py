@@ -18,8 +18,19 @@ Three targets, at increasing expressiveness:
 Each target trusts a Program from syntax.parse, which checked its
 declarations, statements and priors; only what depends on the values and
 dependencies met while elaborating is checked here.
+
+What a Program declares is compiled once and kept on it, shared with its
+parts (program_parts): parse keeps each declared domain's typed Domain,
+_var makes one Var per variable and •x companion over it, and
+prior_kernel ties the kernels of priors such as z2 ~ step(z1) to one
+store of score tables per distribution.  So every system, kernel, network
+and automaton elaborated from one Program holds the same Domain and Var
+objects, and a chain's one transition law is compiled once per input
+value, not once per step.  Equations compare values by type as well as
+by value, as domains do: 1 is not T.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -95,11 +106,34 @@ def base_name(x):
 
 
 def _domain(p: Program, name) -> Domain:
-    return Domain(name, p.domains[name])
+    """The typed Domain of the declared domain name, the one that parse
+    kept on p (built here once for a Program made without parse)."""
+    d = p.typed_domains.get(name)
+    if d is None:
+        d = p.typed_domains[name] = Domain(name, p.domains[name])
+    return d
 
 
 def _var(p: Program, name) -> Var:
-    return Var(name, _domain(p, p.vars[base_name(name)]))
+    """The one Var of variable name, or of the •x companion name, in p and
+    its parts: made on first use over its declared domain's typed Domain
+    and kept in p.typed_vars, so every system, kernel, network and
+    automaton elaborated from p holds the same Var and Domain objects, and
+    merge_vars, domains_agree and norm_vars meet them by identity."""
+    v = p.typed_vars.get(name)
+    if v is None:
+        v = p.typed_vars[name] = Var(name, _domain(p, p.vars[base_name(name)]))
+    return v
+
+
+def _same_value(a, b) -> bool:
+    """a == b with each value of its own type, item by item for pairs:
+    1 is not T, as in core.domain_index."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return a == b
 
 
 def eval_expr(p: Program, e, env):
@@ -149,7 +183,7 @@ def _dist_rows(p: Program, leaf: SPrior, env=None):
         return decl.table
     c = eval_expr(p, leaf.arg, env)
     rows = decl.table.get(c)
-    if rows is None:
+    if rows is None or c not in _domain(p, decl.param_domain):
         raise DomainMismatch(
             "distribution %r has no case for parameter %r" % (leaf.dist, c)
         )
@@ -184,7 +218,7 @@ def equation_system(p: Program, lhs, rhs) -> MixedSystem:
     sols = []
     for q in all_states(vars):
         env = dict(q.items())
-        if eval_expr(p, lhs, env) == eval_expr(p, rhs, env):
+        if _same_value(eval_expr(p, lhs, env), eval_expr(p, rhs, env)):
             sols.append(q)
     return _system(_prob(("e",), {"e": Fraction(1)}), tuple(vars), {"e": sols})
 
@@ -224,13 +258,24 @@ def observe_point(p: Program, name, obs) -> MixedSystem:
 
 def prior_kernel(p: Program, leaf: SPrior) -> MixedKernel:
     """A parameterized prior as a kernel from the parameter expression's
-    variables to the declared variable."""
+    variables to the declared variable.
+
+    A prior whose parameter is a bare variable of the distribution's
+    parameter domain, such as z2 ~ step(z1), is tied to its distribution:
+    its score table at input c is the distribution's row for c, the same
+    for every such prior of the distribution in p, so all of them share
+    one table store, kept in p.tied_laws, and each (distribution, c) table
+    is compiled once, by MixedKernel.score_table, for whichever kernel
+    needs it first.  A parameter that is an expression, such as
+    step(inc(z)), keeps the kernel's own store."""
     in_vars = [_var(p, nm) for nm in expr_vars(leaf.arg, pre_name)]
 
     def fn(q_in, _leaf=leaf):
         return prior_system(p, _leaf, env=dict(q_in.items()))
 
-    return MixedKernel(in_vars, [_var(p, leaf.var)], fn, name="k[%s]" % leaf.var)
+    tied = isinstance(leaf.arg, VarRef) and p.vars[leaf.arg.name] == p.dists[leaf.dist].param_domain
+    return MixedKernel(in_vars, [_var(p, leaf.var)], fn, name="k[%s]" % leaf.var,
+                       _scores=p.tied_laws.setdefault(leaf.dist, {}) if tied else None)
 
 
 def _is_parameterized(p: Program, leaf: SPrior) -> bool:
@@ -500,7 +545,7 @@ def program_guards(p: Program):
 def _check_guards_boolean(p: Program, guards):
     for label, g in guards:
         names = sorted(pre_vars(g))
-        vars = [Var(nm, _domain(p, p.vars[nm])) for nm in names]
+        vars = [_var(p, nm) for nm in names]
         for q in all_states(vars):
             val = eval_expr(p, g, {pre_name(k): v for k, v in q.items()})
             if not isinstance(val, bool):
@@ -522,8 +567,9 @@ def program_parts(p: Program):
     parts: two statements share a part when they touch a common base
     variable, where reading pre x, init x and a guard reading x all touch
     x, so x and •x stay in one part.  Each part is a Program with p's
-    declarations; parts keep the order of their first statements, and
-    statements keep theirs.  A program with one part gives (p,)."""
+    declarations and its compiled Domains, Vars and tied score tables;
+    parts keep the order of their first statements, and statements keep
+    theirs.  A program with one part gives (p,)."""
     leaves = statements(p.body)
     adj = {("s", i): {("v", base_name(x)) for x in _leaf_vars(s)}
            for i, s in enumerate(leaves)}
@@ -533,8 +579,7 @@ def program_parts(p: Program):
     groups = [sorted(i for kind, i in comp if kind == "s") for comp in _components(adj)]
     if len(groups) <= 1:
         return (p,)
-    return tuple(Program(p.domains, p.vars, p.funcs, p.dists,
-                         SPar(tuple(leaves[i] for i in group)))
+    return tuple(dataclasses.replace(p, body=SPar(tuple(leaves[i] for i in group)))
                  for group in groups)
 
 

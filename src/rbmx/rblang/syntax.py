@@ -34,7 +34,12 @@ Beyond the syntax, parse checks that
 * every domain a declaration names is declared;
 * function tables cover their input domains, inside their output domain;
 * a value given for a domain is one of its values of the same type (see
-  core.domain_index): 1 does not stand for T, nor F for 0;
+  core.domain_index): 1 does not stand for T, nor F for 0.  That holds for
+  declarations and inits, and for each constant of an expression against
+  the typed domain it meets: an equation side's constants against the
+  domain the other side shows (a variable's, a function's output), a
+  function argument against its input domain, an if-condition against
+  { F, T }, and a distribution parameter against its parameter domain;
 * distribution tables are exact (core.exact_weights), one per parameter;
 * statements use declared variables and functions with the right arity;
 * inits lie in their domains and agree, and sit at the top level, as
@@ -46,7 +51,7 @@ Beyond the syntax, parse checks that
 * whatever pre or a guard reads has an init.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..core import Domain, describe_rat, exact_weights, format_rat, number_text_problem
@@ -155,11 +160,26 @@ class DistDecl:
 
 @dataclass
 class Program:
+    """A parsed program: its declarations and its body.
+
+    The last three fields are compiled from the declarations, each entry
+    once, and are not part of the program's value (==, repr).  parse fills
+    typed_domains with the typed Domain of every declared domain;
+    elaboration fills typed_vars with the one Var of each variable and •x
+    companion it meets, over those Domain objects, and tied_laws with the
+    score tables that a distribution's tied kernels share
+    (elaborate.prior_kernel).  The parts of a program (program_parts) share
+    its three dicts, so everything elaborated from one program holds the
+    same Domain and Var objects."""
+
     domains: dict  # name -> tuple of values
     vars: dict  # name -> domain name
     funcs: dict  # name -> FuncDecl
     dists: dict  # name -> DistDecl
     body: object  # Stmt or None
+    typed_domains: dict = field(default_factory=dict, compare=False, repr=False)
+    typed_vars: dict = field(default_factory=dict, compare=False, repr=False)
+    tied_laws: dict = field(default_factory=dict, compare=False, repr=False)
 
     def domain_values(self, var):
         return self.domains[self.vars[var]]
@@ -709,7 +729,7 @@ def _same_values(d1: Domain, d2: Domain) -> bool:
 
 def _validate(p: Program):
     # Domain membership compares types too, so 1 never stands for T
-    doms = {name: Domain(name, vals) for name, vals in p.domains.items()}
+    p.typed_domains = doms = {name: Domain(name, vals) for name, vals in p.domains.items()}
     for name, dom in p.vars.items():
         if dom not in p.domains:
             raise UndeclaredVariable(
@@ -776,7 +796,7 @@ def _validate(p: Program):
             )
 
 
-def _validate_expr(p, e, where):
+def _validate_expr(p, doms, e, where):
     for x in nodes(e):
         if isinstance(x, (VarRef, Pre)) and x.name not in p.vars:
             raise UndeclaredVariable("undeclared variable %r in %s" % (x.name, where))
@@ -794,6 +814,55 @@ def _validate_expr(p, e, where):
                     "function %r takes %d arguments, got %d in %s"
                     % (x.name, len(decl.in_domains), len(x.args), where)
                 )
+    # every name is declared now; constants meet the domains they are passed to
+    for x in nodes(e):
+        if isinstance(x, Func) and x.name == IF_FUNC:
+            _check_consts(p, doms, x.args[0], BOOL, where)
+        elif isinstance(x, Func):
+            for arg, d in zip(x.args, p.funcs[x.name].in_domains):
+                _check_consts(p, doms, arg, doms[d], where)
+
+
+def _expr_domain(p, doms, e):
+    """The typed domain of e's values as e shows it: a variable's, a
+    function's output domain, an if's from its first branch that shows one,
+    and for a pair the tuple of its items' (None for an item that shows
+    none); None for a constant, and for a pair whose items show none."""
+    if isinstance(e, (VarRef, Pre)):
+        return doms[p.vars[e.name]]
+    if isinstance(e, Pair):
+        ds = tuple(_expr_domain(p, doms, x) for x in e.items)
+        return None if ds.count(None) == len(ds) else ds
+    if isinstance(e, Func) and e.name == IF_FUNC:
+        d = _expr_domain(p, doms, e.args[1])
+        return d if d is not None else _expr_domain(p, doms, e.args[2])
+    if isinstance(e, Func):
+        return doms[p.funcs[e.name].out_domain]
+    return None
+
+
+def _check_consts(p, doms, e, dom, where):
+    """Raise DomainMismatch when a constant that e evaluates to, itself, as
+    a branch of an if or as a pair item, is not a value of dom, the typed
+    domain it meets.  Pair items meet the items of a tuple of domains; an
+    if meeting no domain (None) gives its branches the domain it shows
+    itself, so in (if c then 1 else b) = T the 1 meets b's domain.  1 is
+    not a value of { F, T }, nor T of { 0, 1 }."""
+    stack = [(e, dom)]
+    while stack:
+        x, d = stack.pop()
+        if isinstance(x, Const):
+            if isinstance(d, Domain) and x.value not in d:
+                raise DomainMismatch("constant %s in %s is not a value of %r"
+                                     % (print_value(x.value), where, d.name))
+        elif isinstance(x, Func) and x.name == IF_FUNC:
+            if d is None:
+                d = _expr_domain(p, doms, x)
+            stack += ((x.args[1], d), (x.args[2], d))
+        elif isinstance(x, Pair):
+            if not (isinstance(d, tuple) and len(d) == len(x.items)):
+                d = (None,) * len(x.items)
+            stack += zip(x.items, d)
 
 
 def _validate_prior(p, doms, s):
@@ -809,7 +878,7 @@ def _validate_prior(p, doms, s):
                                  % (s.arg.name, s.var))
         return
     if s.arg is not None:
-        _validate_expr(p, s.arg, where)
+        _validate_expr(p, doms, s.arg, where)
     if s.dist == "Bernoulli":
         # a number literal parses to an int or a Fraction; the exact type
         # test turns away T and F (bools) and quoted strings like "1/3"
@@ -833,6 +902,8 @@ def _validate_prior(p, doms, s):
         raise UnknownDistribution("distribution %r needs a parameter, in %s" % (s.dist, where))
     if decl.param_domain is None and s.arg is not None:
         raise UnknownDistribution("distribution %r takes no parameter, in %s" % (s.dist, where))
+    if decl.param_domain is not None:
+        _check_consts(p, doms, s.arg, doms[decl.param_domain], where)
 
 
 def _validate_body(p, doms, body):
@@ -854,10 +925,12 @@ def _validate_body(p, doms, body):
         elif isinstance(s, SPrior):
             _validate_prior(p, doms, s)
         elif isinstance(s, SEq):
-            _validate_expr(p, s.lhs, "equation")
-            _validate_expr(p, s.rhs, "equation")
+            _validate_expr(p, doms, s.lhs, "equation")
+            _validate_expr(p, doms, s.rhs, "equation")
+            _check_consts(p, doms, s.lhs, _expr_domain(p, doms, s.rhs), "equation")
+            _check_consts(p, doms, s.rhs, _expr_domain(p, doms, s.lhs), "equation")
         elif isinstance(s, SOn):
-            _validate_expr(p, s.guard, "guard")
+            _validate_expr(p, doms, s.guard, "guard")
             for branch in (s.then, s.els):
                 for leaf in statements(branch):
                     if isinstance(leaf, SOn):

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from rbmx import Domain, MixedSystem, State, compose, nil_system
+from rbmx import Domain, MixedSystem, State, Var, compose, nil_system
 from rbmx.bayes import (
     BayesianNetwork,
     MixedKernel,
@@ -45,6 +46,41 @@ from .oracles import (
 )
 
 BIT = Domain("bit", (0, 1))
+
+
+def tied_program(rng):
+    """A seeded static chain over one domain t: z0 ~ init0, then each z_i
+    drawn from step or hop, two parameterized distributions over t, at an
+    earlier z_j: mostly bare (a tied kernel), sometimes through inc (the
+    kernel's own tables), and sometimes at y, a variable of domain u with
+    t's values under another name (not tied); w = f(z_last).  Rows may
+    weigh some values 0."""
+    size = rng.randint(2, 3)
+    vals = range(size)
+
+    def dist():
+        w = [rng.randint(0, 3) for _ in vals]
+        w[rng.randrange(size)] += 1
+        return "{ %s }" % ", ".join("%d : %d/%d" % (v, x, sum(w)) for v, x in zip(vals, w))
+
+    k = rng.randint(2, 4)
+    names = ["z%d" % i for i in range(k)]
+    values = ", ".join(map(str, vals))
+    lines = ["domain t = { %s }" % values, "domain u = { %s }" % values,
+             "domain bool = { F, T }", "var %s : t" % ", ".join(names), "var y : u",
+             "var w : bool", "dist init0 : t " + dist()]
+    lines += ["dist %s(t) : t { %s }" % (d, ", ".join("%d -> %s" % (c, dist()) for c in vals))
+              for d in ("step", "hop")]
+    lines += ["func inc : t -> t { %s }" % ", ".join("%d -> %d" % (c, (c + 1) % size)
+                                                     for c in vals),
+              "func f : t -> bool { %s }" % ", ".join("%d -> %s" % (c, rng.choice("FT"))
+                                                      for c in vals),
+              "|| z0 ~ init0", "|| y ~ Uniform(u)"]
+    for i in range(1, k):
+        arg = rng.choice(["z%d" % rng.randrange(i)] * 4 + ["inc(z%d)" % rng.randrange(i), "y"])
+        lines.append("|| z%d ~ %s(%s)" % (i, rng.choice(("step", "hop")), arg))
+    lines.append("|| w = f(z%d)" % (k - 1))
+    return "\n".join(lines) + "\n"
 
 
 def coin_system(p=Fraction(1, 2)):
@@ -397,12 +433,27 @@ class TestCompiledScores:
                 bn_score(N, State({"x": 1, "y": 0}))
         self.assert_agree(N, all_states(N.vars))
 
+    def test_off_domain_outputs_keep_no_entry(self):
+        # an output value outside its domain scores 0 and leaves the
+        # network's entries as they were, however many of them are scored
+        N = seq_compose(kernel_from_system(coin_system(), name="prior"), neg_kernel())
+        states = list(all_states(N.vars))
+        for q in states:
+            bn_score(N, q)
+        sizes = [len(entries) for *_, entries in N._entries]
+        for i in range(50):
+            assert bn_score(N, State({"x": 0, "y": "off%d" % i})).value == 0
+        assert [len(entries) for *_, entries in N._entries] == sizes == [2, len(states)]
+
     def test_a_chain_compiles_each_input_once(self, monkeypatch):
+        # z1..z4 ~ step(z_i-1) are tied to step: one table per input value
+        # of step, whichever kernel meets it first
         seen = []
         score_table = MixedKernel.score_table
 
         def counted(K, in_values):
-            seen.append((K.name, in_values))
+            if in_values not in K._scores:
+                seen.append((K.name, in_values))
             return score_table(K, in_values)
 
         monkeypatch.setattr(MixedKernel, "score_table", counted)
@@ -411,11 +462,37 @@ class TestCompiledScores:
         assert len(states) == 3 ** 5 * 2
         total = sum(bn_score(N, q).value for q in states)
         assert total == 1
-        want = {(K.name, tuple(v for _, v in q.pairs)) for K in N.kernels for q in K.inputs()}
-        assert sorted(seen) == sorted(want)
+        inputs = [(0,), (1,), (2,)]
+        assert [v for name, v in seen if name == "k[z0]"] == [()]
+        assert sorted(v for name, v in seen if name == "k[w]") == inputs
+        assert sorted(v for name, v in seen if name not in ("k[z0]", "k[w]")) == inputs
+        assert len(seen) == 7
         for q in states:
             bn_score(N, q)
-        assert len(seen) == len(want)
+        assert len(seen) == 7
+
+    def test_tied_laws_score_as_the_outer_oracle(self):
+        # every kernel of N also sits in N2, at other positions, and tied
+        # kernels share their law's tables across both networks
+        rng = random.Random(1901)
+        seen = Counter()
+        for _ in range(30):
+            p = parse(tied_program(rng))
+            N = elaborate_graph(p)
+            N2 = BayesianNetwork(N.kernels, variables=[Var("a", BIT)])
+            for net in (N, N2, N):
+                self.assert_agree(net, list(all_states(net.vars)) + list(off_domain_states(net)))
+            stores = Counter(id(K._scores) for K in N.kernels)
+            laws = {id(store): store for store in p.tied_laws.values()}
+            for K in N.kernels:
+                if K.in_names:
+                    seen["tied" if id(K._scores) in laws else "own"] += 1
+                    seen["shared"] += id(K._scores) in laws and stores[id(K._scores)] > 1
+            seen["two laws"] += len(p.tied_laws) == 2
+            seen["zero entries"] += any(
+                f == 0 for store in laws.values() for table in store.values()
+                for f, _, _ in table.values())
+        assert all(seen[k] for k in ("tied", "own", "shared", "two laws", "zero entries")), seen
 
     def test_conditioned_is_the_raw_prob_exactly_at_consistent_weight_one(self):
         rng = random.Random(1505)

@@ -24,7 +24,7 @@ from rbmx.rblang import parse
 from rbmx.rblang.syntax import MAX_NESTING
 
 from .oracles import sim_equivalent_not_bisimilar
-from .test_rblang import BAD_PRIORS, HOSTILE, OFF_TABLE
+from .test_rblang import BAD_PRIORS, HOSTILE, OFF_TABLE, TYPED_CONSTANTS
 
 CLI = [sys.executable, "-m", "rbmx.cli"]
 
@@ -224,6 +224,16 @@ class TestParseElaborate:
     def test_bernoulli_parameter_must_be_a_number(self, name, tmp_path, capsys):
         text, _, words = BAD_PRIORS[name]
         prog = tmp_path / "bern.rb.mx"
+        prog.write_text(text)
+        for argv in (["parse", str(prog)], ["elaborate", str(prog), "--mode", "static"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and words in err
+
+    @pytest.mark.parametrize("name", sorted(TYPED_CONSTANTS))
+    def test_a_constant_of_another_type_is_exit_2(self, name, tmp_path, capsys):
+        text, words = TYPED_CONSTANTS[name]
+        prog = tmp_path / "typed.rb.mx"
         prog.write_text(text)
         for argv in (["parse", str(prog)], ["elaborate", str(prog), "--mode", "static"]):
             assert cli.main(argv) == 2

@@ -87,6 +87,59 @@ def stmts(vals, depth, top):
     return st.one_of(*options)
 
 
+# the domain of each variable, and the input domains of each function
+VAR_DOMAINS = {"x": "d", "y": "d", "b": "bool"}
+FUNC_DOMAINS = {"f1": ("d",), "f2": ("d", "bool")}
+
+
+def shown(e):
+    """The domain e's values show, as parse reads it: a variable's, "d" for
+    a function's, an if's first branch that shows one, and a pair's items'
+    unless none shows one; None for a constant."""
+    if isinstance(e, (VarRef, Pre)):
+        return VAR_DOMAINS[e.name]
+    if isinstance(e, Pair):
+        ds = tuple(map(shown, e.items))
+        return ds if any(ds) else None
+    if isinstance(e, Func) and e.name == IF_FUNC:
+        return shown(e.args[1]) or shown(e.args[2])
+    return "d" if isinstance(e, Func) else None
+
+
+def fit(e, dom, vals):
+    """e with each constant that is not a value of dom, the domain it meets,
+    swapped for one that is, so that parse accepts it.  Variables are left
+    as they are, so x = b and f1(b) stay."""
+    if isinstance(e, Const):
+        values = {"d": vals, "bool": BOOLS}.get(dom)
+        if values is None or any(type(v) is type(e.value) and v == e.value for v in values):
+            return e
+        return Const(values[len(repr(e.value)) % len(values)])
+    if isinstance(e, Func) and e.name == IF_FUNC:
+        c, a, b = e.args
+        branches = shown(e) if dom is None else dom
+        return Func(IF_FUNC, (fit(c, "bool", vals), fit(a, branches, vals), fit(b, branches, vals)))
+    if isinstance(e, Func):
+        return Func(e.name, tuple(fit(a, d, vals) for a, d in zip(e.args, FUNC_DOMAINS[e.name])))
+    if isinstance(e, Pair):
+        ds = dom if isinstance(dom, tuple) and len(dom) == len(e.items) else (None,) * len(e.items)
+        return Pair(tuple(fit(x, d, vals) for x, d in zip(e.items, ds)))
+    return e
+
+
+def fit_stmt(s, vals):
+    """s with the constants of its expressions fitted to their domains."""
+    if isinstance(s, SEq):
+        return SEq(fit(s.lhs, shown(s.rhs), vals), fit(s.rhs, shown(s.lhs), vals))
+    if isinstance(s, SPrior) and s.dist == "step":
+        return SPrior(s.var, s.dist, fit(s.arg, "bool", vals))
+    if isinstance(s, SOn):
+        return SOn(fit(s.guard, None, vals), fit_stmt(s.then, vals), fit_stmt(s.els, vals))
+    if isinstance(s, SPar):
+        return SPar(tuple(fit_stmt(x, vals) for x in s.items))
+    return s
+
+
 def weights(draw, vals):
     raw = draw(st.lists(st.integers(0, 5), min_size=len(vals), max_size=len(vals))
                .filter(lambda ws: sum(ws) > 0))
@@ -100,7 +153,7 @@ def programs(draw):
     f1 = {v: draw(out) for v in vals}
     f2 = {(v, c): draw(out) for v in vals for c in BOOLS}
     body = [SInit(nm, draw(st.sampled_from(BOOLS if nm == "b" else vals))) for nm in NAMES]
-    body += draw(st.lists(stmts(vals, 2, True), min_size=1, max_size=4))
+    body += [fit_stmt(s, vals) for s in draw(st.lists(stmts(vals, 2, True), min_size=1, max_size=4))]
     return Program(
         {"d": vals, "bool": BOOLS},
         {"x": "d", "y": "d", "b": "bool"},

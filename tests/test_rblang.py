@@ -33,6 +33,7 @@ from rbmx.errors import (
     RbSyntaxError,
     UndeclaredVariable,
     UnknownDistribution,
+    VariableSetMismatch,
 )
 from rbmx.rblang import (
     elaborate_dynamic,
@@ -44,6 +45,7 @@ from rbmx.rblang import (
     program_factor_graph,
     run_program,
 )
+import rbmx.rblang.run as rblang_run
 from rbmx.rblang import elaborate
 from rbmx.rblang.elaborate import _graft
 from rbmx.rblang.syntax import MAX_NESTING
@@ -162,6 +164,27 @@ OTHER_TYPE = {
                                "must give a table for every value of 'bool'"),
 }
 
+# constants that parse must reject as values of another type than the
+# domain they meet, each with a piece of the message
+TYPED_CONSTANTS = {
+    "equation side": (BIT_BOOL + "|| b = 1", "constant 1 in equation is not a value of 'bool'"),
+    "left equation side": (BIT_BOOL + "|| T = x", "constant T in equation is not a value of 'bit'"),
+    "function argument": (BIT_BOOL + "func neg : bool -> bool { F -> T, T -> F }\n|| c = neg(1)",
+                          "constant 1 in equation is not a value of 'bool'"),
+    "if branch": (BIT_BOOL + "|| b = if c then T else 0",
+                  "constant 0 in equation is not a value of 'bool'"),
+    "if condition": (BIT_BOOL + "|| x = if 1 then 0 else 1",
+                     "constant 1 in equation is not a value of 'bool'"),
+    "pair item": (BIT_BOOL + "|| (x, b) = (0, 1)", "constant 1 in equation is not a value of 'bool'"),
+    "if branch against the if's own domain": (BIT_BOOL + "|| (if c then 1 else b) = T",
+                                              "constant 1 in equation is not a value of 'bool'"),
+    "pair of constants as an if branch": (BIT_BOOL + "|| (if c then (0, 1) else (b, x)) = (T, 0)",
+                                          "constant 0 in equation is not a value of 'bool'"),
+    "distribution parameter": (BIT_BOOL + "dist flip(bool) : bit { F -> { 0 : 1 }, T -> { 1 : 1 } }"
+                               "\n|| x ~ flip(1)",
+                               "constant 1 in prior for 'x' is not a value of 'bool'"),
+}
+
 
 # the parameterized priors: y ~ flip(x) with x free, then with x drawn first
 FLIP_KERNEL = """
@@ -247,6 +270,18 @@ class TestParsePrint:
         text, words = OTHER_TYPE[name]
         with pytest.raises(DomainMismatch, match=re.escape(words)):
             parse(text)
+
+    @pytest.mark.parametrize("name", sorted(TYPED_CONSTANTS))
+    def test_a_constant_of_another_type_is_rejected_at_parse(self, name):
+        text, words = TYPED_CONSTANTS[name]
+        with pytest.raises(DomainMismatch, match=re.escape(words)):
+            parse(text)
+
+    def test_constants_of_the_domain_they_meet_parse(self):
+        p = parse(BIT_BOOL + "func neg : bool -> bool { F -> T, T -> F }\n"
+                  "dist flip(bool) : bit { F -> { 0 : 1 }, T -> { 1 : 1 } }\n"
+                  "|| b = neg(T) || (x, c) = (1, if b then F else T) || x ~ flip(F)")
+        assert parse(print_program(p)) == p
 
     def test_decimal_probabilities_are_exact(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n"
@@ -349,6 +384,23 @@ dist coin : bit { 0 : 1/2, 1 : 1/2 }
 
 
 class TestStatic:
+    def test_an_equation_compares_values_by_type(self):
+        # b : { F, T } and x : { 0, 1 } share no value, though T == 1
+        S = elaborate_static(parse(BIT_BOOL + "|| b = x"))
+        assert [v.name for v in S.vars] == ["b", "x"]
+        assert all(row == () for row in S.rel.values())
+        S = elaborate_static(parse(BIT_BOOL + "|| (x, b) = (x, c)"))
+        assert sorted((q["x"], q["b"]) for q in S.rel["e"]) == [
+            (0, False), (0, True), (1, False), (1, True)]
+        assert all(q["b"] is q["c"] for q in S.rel["e"])
+
+    def test_a_parameter_of_another_type_has_no_case(self):
+        p = parse(BIT_BOOL + "var y : bit\n"
+                  "dist flip(bool) : bit { F -> { 0 : 1 }, T -> { 1 : 1 } }\n"
+                  "|| y ~ Uniform(bit) || x ~ flip(y)")
+        with pytest.raises(DomainMismatch, match="distribution 'flip' has no case for parameter 0"):
+            elaborate_static(p)
+
     def test_joint_law(self):
         S = elaborate_static(parse(STATIC))
         assert outer(S, lambda q: q["x"] == 0 and q["y"] == 1) == Fraction(1, 2)
@@ -640,11 +692,28 @@ class TestDynamic:
                                         {"x": False}) is False
 
     def test_pinning_a_value_outside_the_domain_raises(self):
+        # the provider checks the values it pins; transition checks the
+        # state before any lookup, so True is not served z = 1's target
         M = elaborate_dynamic(parse(MARKOV))
-        with pytest.raises(MalformedSystem, match="value 7 outside domain of '•z'"):
-            M.transition(State({"z": 7}), State({}))
-        with pytest.raises(MalformedSystem, match="value True outside domain of '•z'"):
-            M.transition(State({"z": True}), State({}))
+        for bad in (7, True):
+            with pytest.raises(MalformedSystem, match="value %r outside domain of '•z'" % bad):
+                M.provider(State({"z": bad}), State({}))
+        served = M.transition(State({"z": 1}), State({}))
+        for bad in (7, True):
+            with pytest.raises(VariableSetMismatch,
+                               match="value %r outside domain of 'z'" % bad):
+                M.transition(State({"z": bad}), State({}))
+        assert M.transition(State({"z": 1}), State({})) is served
+
+    def test_a_value_of_another_type_is_not_served_the_target_of_its_equal(self):
+        M = elaborate_dynamic(parse("domain t3 = { 0, 1, 2 }\nvar z : t3\n"
+                                    "|| init z = 0\n|| z = pre z"))
+        a = M.alphabet[0]
+        assert M.transition(State({"z": 1, "•z": 0}), a) is not None
+        with pytest.raises(VariableSetMismatch, match="value True outside domain of 'z'"):
+            M.transition(State({"z": True, "•z": 0}), a)
+        with pytest.raises(VariableSetMismatch, match="unknown variable 'q'"):
+            M.transition(State({"z": 1, "q": 0}), a)
 
     def test_observe_only_program(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n|| observe x")
@@ -674,3 +743,74 @@ class TestDynamic:
         M = elaborate_dynamic(parse(chain(4))).materialize()
         assert len(M.delta) == 3 ** 4 * 2 + 1  # every total state and the empty initial
         assert {len(S.omega) for S in M.delta.values()} == {81}
+
+
+# two parts, {z, b, u} and {o}: a prior read through pre, a guard, an
+# observation
+PARTS = """
+domain t3 = { 0, 1, 2 }
+domain bool = { F, T }
+var z, u : t3
+var b, o : bool
+dist step(t3) : t3 { 0 -> { 0 : 1/2, 1 : 1/2 }, 1 -> { 1 : 1/3, 2 : 2/3 }, 2 -> { 0 : 1/4, 2 : 3/4 } }
+func big : t3 -> bool { 0 -> F, 1 -> F, 2 -> T }
+
+|| init z = 0
+|| z ~ step(pre z)
+|| init b = F
+|| b = big(z)
+|| on b then { u = z } else { u = 0 }
+|| o ~ Bernoulli(1/2)
+|| observe o
+"""
+
+
+class TestCompiledDeclarations:
+    """Everything elaborated from one Program holds its one Var per name,
+    over the typed Domain that parse kept."""
+
+    def assert_own(self, p, vars):
+        for v in vars:
+            assert v is p.typed_vars[v.name], v
+            assert v.domain is p.typed_domains[p.vars[elaborate.base_name(v.name)]], v
+
+    def assert_kernel_own(self, p, K):
+        self.assert_own(p, K.in_vars + K.out_vars)
+        for q in K.inputs():
+            self.assert_own(p, K.apply(q).vars)
+
+    @pytest.mark.parametrize("text", [STATIC, TREE_REWRITE, FLIP_KERNEL, FLIP_COVERED, chain(4)],
+                             ids=["static", "tree rewrite", "flip kernel", "flip covered",
+                                  "chain"])
+    def test_static_and_graph(self, text):
+        p = parse(text)
+        S = elaborate_static(p, obs={"y": 0})
+        if isinstance(S, MixedKernel):
+            self.assert_kernel_own(p, S)
+        else:
+            self.assert_own(p, S.vars)
+        N = elaborate_graph(p)
+        self.assert_own(p, N.vars)
+        for K in N.kernels:
+            self.assert_kernel_own(p, K)
+
+    def test_dynamic_parts_and_run(self, monkeypatch):
+        p = parse(PARTS)
+        M = elaborate_dynamic(p)
+        assert {"•z", "•b"} <= {v.name for v in M.vars}
+        self.assert_own(p, M.vars)
+        for a in M.alphabet:
+            self.assert_own(p, M.transition(M.initial, a).vars)
+        assert len(elaborate.program_parts(p)) == 2
+        targets = []
+        sample = rblang_run.sample
+
+        def recorded(systems, rng, resolver):
+            targets.extend(systems)
+            return sample(systems, rng, resolver)
+
+        monkeypatch.setattr(rblang_run, "sample", recorded)
+        run = run_program(p, obs=[{"o": True}] * 4, steps=5, seed=3)
+        assert len(run.trace) == 5 and len(targets) == 2 * 4
+        for S in targets:
+            self.assert_own(p, S.vars)

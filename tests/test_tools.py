@@ -15,7 +15,9 @@ def load_tool(name):
 
 
 abtest = load_tool("abtest")
+outputs = load_tool("outputs")
 ring = load_tool("ring")
+ROOT = TOOLS.parent
 
 
 class TestAbtestSummary:
@@ -81,3 +83,23 @@ class TestRing:
         for bad in ("0", "ten", "3,,4"):
             with pytest.raises(SystemExit):
                 ring.main(["--states", bad])
+
+
+class TestOutputs:
+    def test_a_checkout_against_itself_prints_one_digest_twice(self, capsys):
+        assert outputs.main([str(ROOT), str(ROOT), "--workload", "score_chains", "--seed", "3"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 2 and lines[0] == lines[1]
+        # the four warm-up operations and seven cycles of twenty
+        assert lines[0]["operations"] == 4 + 7 * 20
+        assert len(lines[0]["sha256"]) == 64
+
+    def test_different_digests_exit_1(self, monkeypatch, capsys):
+        fake = iter([{"operations": 2, "sha256": "a"}, {"operations": 2, "sha256": "b"}])
+        monkeypatch.setattr(outputs, "digest", lambda *args: next(fake))
+        assert outputs.main(["a", "b", "--workload", "score_chains"]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_three_checkouts_are_refused(self):
+        with pytest.raises(SystemExit):
+            outputs.main(["a", "b", "c", "--workload", "score_chains"])
