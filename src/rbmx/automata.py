@@ -83,9 +83,10 @@ class MixedAutomaton:
     fragments pin only some variables), but may bind only known variables to
     values of their domains; running requires a total initial state.  A
     ``provider`` callable (state, action) -> system-or-None serves
-    transitions lazily; results are cached into delta.  materialize() forces
-    the whole table and drops the provider; every consumer that reads delta
-    as a whole calls it first.
+    transitions lazily, called by transition only with a state it has
+    checked; results are cached into delta.  materialize() forces the whole
+    table and drops the provider; every consumer that reads delta as a
+    whole calls it first.
     """
 
     __slots__ = ("alphabet", "vars", "initial", "delta", "provider", "_doms")
@@ -607,6 +608,8 @@ def ma_from_json(doc: dict) -> MixedAutomaton:
     delta = {}
     for e in doc["delta"]:
         key = (_state_from_json("state", e["state"]), _action_from_json(e["action"]))
+        if key in delta:
+            raise ValueError("delta gives state %r under action %r twice" % key)
         delta[key] = system_from_json(e["system"])
     alphabet = [_action_from_json(a) for a in doc["alphabet"]]
     initial = _state_from_json("initial", doc["initial"])

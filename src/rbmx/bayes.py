@@ -559,7 +559,16 @@ def bn_from_json(doc: dict) -> BayesianNetwork:
             raise ValueError("kernel name %s is not a string" % reprlib.repr(name))
         ins = lookup(name, _names_from_json("the 'in' of kernel %r" % name, kd["in"]))
         outs = lookup(name, _names_from_json("the 'out' of kernel %r" % name, kd["out"]))
-        table = {State(binding): system_from_json(sdoc) for binding, sdoc in kd["table"]}
+        doms = {v.name: v.domain for v in ins}
+        table = {}
+        for binding, sdoc in kd["table"]:
+            q = State(binding)
+            if q.names != tuple(sorted(doms)) or not all(x in doms[n] for n, x in q.items()):
+                raise ValueError("kernel %r has a table entry for %s, not an input over %r"
+                                 % (name, reprlib.repr(binding), sorted(doms)))
+            if q in table:
+                raise ValueError("kernel %r gives input %r twice" % (name, q))
+            table[q] = system_from_json(sdoc)
         kernels.append(MixedKernel(ins, outs, table, name=name))
     sources = _names_from_json("'sources'", doc.get("sources", []))
     return BayesianNetwork(kernels, sources=sources, variables=list(vbyname.values()))

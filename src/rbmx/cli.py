@@ -176,7 +176,9 @@ def _parse_scalar(text):
 
 
 def _parse_query(text):
-    """'x=1,y=b' -> conjunction of equalities over a state."""
+    """'x=1,y=b' -> conjunction of equalities over a state.  A value matches
+    only one of its own type, as in core.domain_index: x=1 does not hold
+    at x = T."""
     clauses = []
     for part in text.split(","):
         part = part.strip()
@@ -191,7 +193,7 @@ def _parse_query(text):
 
     def pred(q):
         d = q.as_dict()
-        return all(n in d and d[n] == v for n, v in clauses)
+        return all(n in d and type(d[n]) is type(v) and d[n] == v for n, v in clauses)
 
     return pred, [n for n, _ in clauses]
 
@@ -203,7 +205,7 @@ def cmd_parse(args):
     p = _read_program(args.file)
     _emit(
         {
-            "domains": {name: list(vals) for name, vals in p.domains.items()},
+            "domains": {name: list(d.values) for name, d in p.domains.items()},
             "vars": dict(p.vars),
             "funcs": sorted(p.funcs),
             "dists": sorted(p.dists),

@@ -480,9 +480,6 @@ class MixedSystem:
                 return v.domain
         raise UnknownVariable("no variable %r in %r" % (name, list(self.var_names)))
 
-    def row(self, o):
-        return self.rel[o]
-
     def rowset(self, o) -> frozenset:
         sets = self._cache.get("rowsets")
         if sets is None:
@@ -502,11 +499,7 @@ def _system(prob: DiscreteProb, vars: tuple, rows, dedupe=False) -> MixedSystem:
     vars to values of their domains.  Each row is sorted by domain indices,
     as MixedSystem sorts it, after dropping repeated states when dedupe is
     set; without it the rows must hold none."""
-    indexes = [v.domain.index for v in vars]
-
-    def key(q):
-        return tuple(map(dict.__getitem__, indexes, [v for _, v in q.pairs]))
-
+    key = _row_key(vars)
     rel = {}
     for o in prob.omega:
         row = rows[o]
@@ -521,6 +514,13 @@ def _system(prob: DiscreteProb, vars: tuple, rows, dedupe=False) -> MixedSystem:
     S.rel = rel
     S._cache = {}
     return S
+
+
+def _row_key(vars):
+    """The order MixedSystem keeps a row in, as a sort key of States that
+    bind exactly vars, sorted by name: each value's index in its domain."""
+    indexes = [v.domain.index for v in vars]
+    return lambda q: tuple(map(dict.__getitem__, indexes, [v for _, v in q.pairs]))
 
 
 def new_system(prob, vars, rel) -> MixedSystem:
@@ -680,10 +680,8 @@ def _joined_row(systems, drawn):
         q.pairs for q in combo), key=itemgetter(0))))
               for combo in itertools.product(*rows)]
     if len(joined) > 1:
-        indexes = [v.domain.index for v in sorted(
-            (v for T in systems for v in T.vars), key=itemgetter(0))]
-        joined.sort(key=lambda q: tuple(map(dict.__getitem__, indexes,
-                                            [v for _, v in q.pairs])))
+        joined.sort(key=_row_key(sorted((v for T in systems for v in T.vars),
+                                        key=itemgetter(0))))
     return tuple(joined)
 
 

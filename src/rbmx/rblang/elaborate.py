@@ -20,7 +20,8 @@ declarations, statements and priors; only what depends on the values and
 dependencies met while elaborating is checked here.
 
 What a Program declares is compiled once and kept on it, shared with its
-parts (program_parts): parse keeps each declared domain's typed Domain,
+parts (program_parts): parse keeps each declared domain as its typed
+Domain in p.domains, the only form of a domain that elaboration reads;
 _var makes one Var per variable and •x companion over it, and
 prior_kernel ties the kernels of priors such as z2 ~ step(z1) to one
 store of score tables per distribution.  So every system, kernel, network
@@ -43,7 +44,6 @@ from ..bayes import (
     point_system,
 )
 from ..core import (
-    Domain,
     MixedSystem,
     State,
     Var,
@@ -105,15 +105,6 @@ def base_name(x):
 # --- expressions --------------------------------------------------------------
 
 
-def _domain(p: Program, name) -> Domain:
-    """The typed Domain of the declared domain name, the one that parse
-    kept on p (built here once for a Program made without parse)."""
-    d = p.typed_domains.get(name)
-    if d is None:
-        d = p.typed_domains[name] = Domain(name, p.domains[name])
-    return d
-
-
 def _var(p: Program, name) -> Var:
     """The one Var of variable name, or of the •x companion name, in p and
     its parts: made on first use over its declared domain's typed Domain
@@ -122,7 +113,7 @@ def _var(p: Program, name) -> Var:
     merge_vars, domains_agree and norm_vars meet them by identity."""
     v = p.typed_vars.get(name)
     if v is None:
-        v = p.typed_vars[name] = Var(name, _domain(p, p.vars[base_name(name)]))
+        v = p.typed_vars[name] = Var(name, p.domains[p.vars[base_name(name)]])
     return v
 
 
@@ -175,7 +166,7 @@ def _dist_rows(p: Program, leaf: SPrior, env=None):
         prob = Fraction(leaf.arg.value)
         return {False: 1 - prob, True: prob}
     if leaf.dist == "Uniform":
-        vals = p.domains[leaf.arg.name]
+        vals = p.domains[leaf.arg.name].values
         share = Fraction(1, len(vals))
         return {v: share for v in vals}
     decl = p.dists[leaf.dist]
@@ -183,7 +174,7 @@ def _dist_rows(p: Program, leaf: SPrior, env=None):
         return decl.table
     c = eval_expr(p, leaf.arg, env)
     rows = decl.table.get(c)
-    if rows is None or c not in _domain(p, decl.param_domain):
+    if rows is None or c not in p.domains[decl.param_domain]:
         raise DomainMismatch(
             "distribution %r has no case for parameter %r" % (leaf.dist, c)
         )
@@ -194,9 +185,10 @@ def prior_system(p: Program, leaf: SPrior, env=None) -> MixedSystem:
     """A private copy of the variable's domain, weighted by the distribution,
     exposed through the equation x = outcome."""
     rows = _dist_rows(p, leaf, env)
-    order = [v for v in p.domain_values(leaf.var) if v in rows]
+    var = _var(p, leaf.var)
+    order = [v for v in var.domain.values if v in rows]
     rel = {v: [State({leaf.var: v})] for v in order}
-    return MixedSystem((order, rows), [_var(p, leaf.var)], rel)
+    return MixedSystem((order, rows), [var], rel)
 
 
 # The systems below follow from a parsed Program: its variables' domains
@@ -653,13 +645,8 @@ def elaborate_dynamic(p: Program):
         return got
 
     def build(values, a):
-        # the provider serves whatever state a caller passes, so its values
-        # are checked before they are pinned
-        pins = []
-        for var, v in zip(pin_vars, values):
-            if v not in var.domain:
-                raise MalformedSystem("value %r outside domain of %r" % (v, var.name))
-            pins.append(_pin(var, v))
+        # transition checked the state these values come from
+        pins = [_pin(var, v) for var, v in zip(pin_vars, values)]
         base, left = _assemble([piece(s) for s in active_leaves(leaves, a)], pins)
         if left:
             raise NotIncremental(

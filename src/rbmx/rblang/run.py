@@ -68,7 +68,6 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     owner = {v.name: i for i, M in enumerate(machines) for v in M.vars}
     prog_vars = [nm for nm in p.vars if nm in owner]
     rng = random.Random(seed)
-    obs_vars = {}  # observed variable -> its Var
     observed = {}  # (part target, observed (variable, value) pairs) -> observed target
 
     states = [M.initial for M in machines]
@@ -107,9 +106,7 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
                 )
             points = [[] for _ in machines]
             for x in watched:
-                v = obs_vars.get(x)
-                if v is None:
-                    v = obs_vars[x] = _var(p, x)
+                v = _var(p, x)
                 points[owner[x]].append((v, observed_value(v, rec)))
             for i, pts in enumerate(points):
                 if pts:

@@ -29,8 +29,9 @@ parenthesis or brace adds a level of its own.  Deeper programs are rejected
 with RbSyntaxError, so every recursive pass over a parsed program stays far
 below Python's recursion limit.
 
-parse is the one boundary for programs: elaboration trusts what it returns.
-Beyond the syntax, parse checks that
+parse is the one boundary for programs: elaboration trusts what it returns,
+and reads each declared domain as the one typed core.Domain that parse
+built for it (Program.domains).  Beyond the syntax, parse checks that
 * every domain a declaration names is declared;
 * function tables cover their input domains, inside their output domain;
 * a value given for a domain is one of its values of the same type (see
@@ -54,7 +55,8 @@ Beyond the syntax, parse checks that
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..core import Domain, describe_rat, exact_weights, format_rat, number_text_problem
+from ..core import (Domain, describe_rat, domains_agree, exact_weights, format_rat,
+                    number_text_problem)
 from ..errors import (
     DomainMismatch,
     MalformedSystem,
@@ -162,27 +164,23 @@ class DistDecl:
 class Program:
     """A parsed program: its declarations and its body.
 
-    The last three fields are compiled from the declarations, each entry
-    once, and are not part of the program's value (==, repr).  parse fills
-    typed_domains with the typed Domain of every declared domain;
-    elaboration fills typed_vars with the one Var of each variable and •x
-    companion it meets, over those Domain objects, and tied_laws with the
-    score tables that a distribution's tied kernels share
-    (elaborate.prior_kernel).  The parts of a program (program_parts) share
-    its three dicts, so everything elaborated from one program holds the
+    domains maps each declared domain's name to its typed core.Domain,
+    built once by parse.  The last two fields are compiled from the
+    declarations, each entry once, and are not part of the program's value
+    (==, repr): elaboration fills typed_vars with the one Var of each
+    variable and •x companion it meets, over those Domain objects, and
+    tied_laws with the score tables that a distribution's tied kernels
+    share (elaborate.prior_kernel).  The parts of a program (program_parts)
+    share its dicts, so everything elaborated from one program holds the
     same Domain and Var objects."""
 
-    domains: dict  # name -> tuple of values
+    domains: dict  # name -> Domain
     vars: dict  # name -> domain name
     funcs: dict  # name -> FuncDecl
     dists: dict  # name -> DistDecl
     body: object  # Stmt or None
-    typed_domains: dict = field(default_factory=dict, compare=False, repr=False)
     typed_vars: dict = field(default_factory=dict, compare=False, repr=False)
     tied_laws: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def domain_values(self, var):
-        return self.domains[self.vars[var]]
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -429,7 +427,7 @@ class _Parser:
         self.expect("}")
         if len(set(vals)) != len(vals):
             self.fail("domain %r repeats a value" % name)
-        p.domains[name] = tuple(vals)
+        p.domains[name] = Domain(name, vals)
 
     def decl_var(self, p):
         self.expect("var")
@@ -722,14 +720,8 @@ def required_inits(p: Program):
 BOOL = Domain("bool", (False, True))
 
 
-def _same_values(d1: Domain, d2: Domain) -> bool:
-    """Whether two domains hold the same values, each of its own type."""
-    return len(d1.values) == len(d2.values) and all(v in d2 for v in d1.values)
-
-
 def _validate(p: Program):
     # Domain membership compares types too, so 1 never stands for T
-    p.typed_domains = doms = {name: Domain(name, vals) for name, vals in p.domains.items()}
     for name, dom in p.vars.items():
         if dom not in p.domains:
             raise UndeclaredVariable(
@@ -741,9 +733,9 @@ def _validate(p: Program):
                 raise UndeclaredVariable(
                     "function %r uses undeclared domain %r" % (f.name, d)
                 )
-        full = [(v,) for v in p.domains[f.in_domains[0]]]
+        full = [(v,) for v in p.domains[f.in_domains[0]].values]
         for d in f.in_domains[1:]:
-            full = [k + (v,) for k in full for v in p.domains[d]]
+            full = [k + (v,) for k in full for v in p.domains[d].values]
         keys = {k[0] if len(k) == 1 else k for k in full}
         have = set(f.table)
         if have != keys:
@@ -756,12 +748,12 @@ def _validate(p: Program):
         # the keys equal the input tuples; each part must also be of its type
         for k in f.table:
             parts = (k,) if len(f.in_domains) == 1 else k
-            if not all(v in doms[d] for v, d in zip(parts, f.in_domains)):
+            if not all(v in p.domains[d] for v, d in zip(parts, f.in_domains)):
                 raise DomainMismatch(
                     "function %r maps %r, outside its input domains" % (f.name, k)
                 )
         for v in f.table.values():
-            if v not in doms[f.out_domain]:
+            if v not in p.domains[f.out_domain]:
                 raise DomainMismatch(
                     "function %r produces %r outside %r" % (f.name, v, f.out_domain)
                 )
@@ -773,7 +765,7 @@ def _validate(p: Program):
                 )
         tables = {None: d.table} if d.param_domain is None else d.table
         if d.param_domain is not None:
-            want = doms[d.param_domain]
+            want = p.domains[d.param_domain]
             if len(tables) != len(want.values) or not all(c in want for c in tables):
                 raise DomainMismatch(
                     "distribution %r must give a table for every value of %r"
@@ -781,13 +773,13 @@ def _validate(p: Program):
                 )
         for rows in tables.values():
             for val in rows:
-                if val not in doms[d.target_domain]:
+                if val not in p.domains[d.target_domain]:
                     raise DomainMismatch(
                         "distribution %r weights %r outside %r"
                         % (d.name, val, d.target_domain)
                     )
             exact_weights(rows, rows)
-    _validate_body(p, doms, p.body)
+    _validate_body(p, p.body)
     inits = {s.var for s in statements(p.body) if isinstance(s, SInit)}
     for name in sorted(required_inits(p)):
         if name not in inits:
@@ -796,7 +788,7 @@ def _validate(p: Program):
             )
 
 
-def _validate_expr(p, doms, e, where):
+def _validate_expr(p, e, where):
     for x in nodes(e):
         if isinstance(x, (VarRef, Pre)) and x.name not in p.vars:
             raise UndeclaredVariable("undeclared variable %r in %s" % (x.name, where))
@@ -817,31 +809,31 @@ def _validate_expr(p, doms, e, where):
     # every name is declared now; constants meet the domains they are passed to
     for x in nodes(e):
         if isinstance(x, Func) and x.name == IF_FUNC:
-            _check_consts(p, doms, x.args[0], BOOL, where)
+            _check_consts(p, x.args[0], BOOL, where)
         elif isinstance(x, Func):
             for arg, d in zip(x.args, p.funcs[x.name].in_domains):
-                _check_consts(p, doms, arg, doms[d], where)
+                _check_consts(p, arg, p.domains[d], where)
 
 
-def _expr_domain(p, doms, e):
+def _expr_domain(p, e):
     """The typed domain of e's values as e shows it: a variable's, a
     function's output domain, an if's from its first branch that shows one,
     and for a pair the tuple of its items' (None for an item that shows
     none); None for a constant, and for a pair whose items show none."""
     if isinstance(e, (VarRef, Pre)):
-        return doms[p.vars[e.name]]
+        return p.domains[p.vars[e.name]]
     if isinstance(e, Pair):
-        ds = tuple(_expr_domain(p, doms, x) for x in e.items)
+        ds = tuple(_expr_domain(p, x) for x in e.items)
         return None if ds.count(None) == len(ds) else ds
     if isinstance(e, Func) and e.name == IF_FUNC:
-        d = _expr_domain(p, doms, e.args[1])
-        return d if d is not None else _expr_domain(p, doms, e.args[2])
+        d = _expr_domain(p, e.args[1])
+        return d if d is not None else _expr_domain(p, e.args[2])
     if isinstance(e, Func):
-        return doms[p.funcs[e.name].out_domain]
+        return p.domains[p.funcs[e.name].out_domain]
     return None
 
 
-def _check_consts(p, doms, e, dom, where):
+def _check_consts(p, e, dom, where):
     """Raise DomainMismatch when a constant that e evaluates to, itself, as
     a branch of an if or as a pair item, is not a value of dom, the typed
     domain it meets.  Pair items meet the items of a tuple of domains; an
@@ -857,7 +849,7 @@ def _check_consts(p, doms, e, dom, where):
                                      % (print_value(x.value), where, d.name))
         elif isinstance(x, Func) and x.name == IF_FUNC:
             if d is None:
-                d = _expr_domain(p, doms, x)
+                d = _expr_domain(p, x)
             stack += ((x.args[1], d), (x.args[2], d))
         elif isinstance(x, Pair):
             if not (isinstance(d, tuple) and len(d) == len(x.items)):
@@ -865,7 +857,7 @@ def _check_consts(p, doms, e, dom, where):
             stack += zip(x.items, d)
 
 
-def _validate_prior(p, doms, s):
+def _validate_prior(p, s):
     if s.var not in p.vars:
         raise UndeclaredVariable("prior for undeclared variable %r" % s.var)
     where = "prior for %r" % s.var
@@ -873,12 +865,12 @@ def _validate_prior(p, doms, s):
     if s.dist == "Uniform":
         if not isinstance(s.arg, VarRef) or s.arg.name not in p.domains:
             raise DomainMismatch("Uniform takes a domain name, in %s" % where)
-        if not _same_values(doms[s.arg.name], doms[dom]):
+        if not domains_agree(p.domains[s.arg.name], p.domains[dom]):
             raise DomainMismatch("Uniform over %r does not match the domain of %r"
                                  % (s.arg.name, s.var))
         return
     if s.arg is not None:
-        _validate_expr(p, doms, s.arg, where)
+        _validate_expr(p, s.arg, where)
     if s.dist == "Bernoulli":
         # a number literal parses to an int or a Fraction; the exact type
         # test turns away T and F (bools) and quoted strings like "1/3"
@@ -888,7 +880,7 @@ def _validate_prior(p, doms, s):
         prob = Fraction(s.arg.value)
         if prob < 0 or prob > 1:
             raise MalformedSystem("Bernoulli parameter %s outside [0,1]" % describe_rat(prob))
-        if not _same_values(doms[dom], BOOL):
+        if not domains_agree(p.domains[dom], BOOL):
             raise DomainMismatch("Bernoulli needs the boolean domain, %r has %r"
                                  % (s.var, dom))
         return
@@ -903,10 +895,10 @@ def _validate_prior(p, doms, s):
     if decl.param_domain is None and s.arg is not None:
         raise UnknownDistribution("distribution %r takes no parameter, in %s" % (s.dist, where))
     if decl.param_domain is not None:
-        _check_consts(p, doms, s.arg, doms[decl.param_domain], where)
+        _check_consts(p, s.arg, p.domains[decl.param_domain], where)
 
 
-def _validate_body(p, doms, body):
+def _validate_body(p, body):
     inits = {}
     for s in statements(body):
         if isinstance(s, SObserve):
@@ -915,7 +907,7 @@ def _validate_body(p, doms, body):
         elif isinstance(s, SInit):
             if s.var not in p.vars:
                 raise UndeclaredVariable("init of undeclared variable %r" % s.var)
-            if s.value not in doms[p.vars[s.var]]:
+            if s.value not in p.domains[p.vars[s.var]]:
                 raise DomainMismatch(
                     "init %s = %r falls outside its domain" % (s.var, s.value)
                 )
@@ -923,14 +915,14 @@ def _validate_body(p, doms, body):
                 raise MalformedSystem("conflicting init values for %r" % s.var)
             inits[s.var] = s.value
         elif isinstance(s, SPrior):
-            _validate_prior(p, doms, s)
+            _validate_prior(p, s)
         elif isinstance(s, SEq):
-            _validate_expr(p, doms, s.lhs, "equation")
-            _validate_expr(p, doms, s.rhs, "equation")
-            _check_consts(p, doms, s.lhs, _expr_domain(p, doms, s.rhs), "equation")
-            _check_consts(p, doms, s.rhs, _expr_domain(p, doms, s.lhs), "equation")
+            _validate_expr(p, s.lhs, "equation")
+            _validate_expr(p, s.rhs, "equation")
+            _check_consts(p, s.lhs, _expr_domain(p, s.rhs), "equation")
+            _check_consts(p, s.rhs, _expr_domain(p, s.lhs), "equation")
         elif isinstance(s, SOn):
-            _validate_expr(p, doms, s.guard, "guard")
+            _validate_expr(p, s.guard, "guard")
             for branch in (s.then, s.els):
                 for leaf in statements(branch):
                     if isinstance(leaf, SOn):
@@ -939,8 +931,8 @@ def _validate_body(p, doms, body):
                         )
                     if isinstance(leaf, SInit):
                         raise MalformedSystem("init must sit at the top level")
-            _validate_body(p, doms, s.then)
-            _validate_body(p, doms, s.els)
+            _validate_body(p, s.then)
+            _validate_body(p, s.els)
         else:
             raise MalformedSystem("unexpected statement %r" % (s,))
 
@@ -1019,8 +1011,8 @@ def _print_rows(rows):
 
 def print_program(p: Program) -> str:
     lines = []
-    for name, vals in p.domains.items():
-        lines.append("domain %s = { %s }" % (name, ", ".join(print_value(v) for v in vals)))
+    for name, d in p.domains.items():
+        lines.append("domain %s = { %s }" % (name, ", ".join(print_value(v) for v in d.values)))
     for name, dom in p.vars.items():
         lines.append("var %s : %s" % (name, dom))
     for f in p.funcs.values():

@@ -680,6 +680,15 @@ class TestJson:
         with pytest.raises(MalformedSystem, match="var name \\['x'\\] is not a string"):
             ma_from_json(doc)
 
+    def test_each_state_and_action_is_given_once(self):
+        doc = ma_to_json(walker())
+        first = doc["delta"][0]
+        again = next(e for e in doc["delta"][1:] if e["system"] != first["system"])
+        doc["delta"].append(dict(first, system=again["system"]))
+        with pytest.raises(MalformedSystem, match="bad automaton document: delta gives "
+                                                  "state State\\(x=0\\) under action '.*' twice"):
+            ma_from_json(doc)
+
     def test_action_state_values_must_be_labels(self):
         doc = dict(ma_to_json(walker()), alphabet=[{"state": {"g": [1]}}])
         with pytest.raises(MalformedSystem,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from rbmx.bayes import (
     point_system,
     seq_compose,
 )
-from rbmx.core import EMPTY_STATE, all_states, conditioned, consistency_weight, norm_vars, outer
+from rbmx.core import (EMPTY_STATE, all_states, conditioned, consistency_weight, norm_vars, outer,
+                       system_to_json)
 from rbmx.errors import (
     InconsistentSystem,
     MalformedSystem,
@@ -559,6 +561,29 @@ class TestBnJson:
             bn_from_json({k: v for k, v in doc.items() if k != "kernels"})
         doc["kernels"][0]["out"] = ["nosuch"]
         with pytest.raises(MalformedSystem, match="nosuch"):
+            bn_from_json(doc)
+
+    @pytest.mark.parametrize("table, words", [
+        ([({"x": 1}, True), ({"x": True}, False)], "has a table entry for {'x': 1}"),
+        ([({"x": False}, True), ({"x": True}, False), ({"z": "junk"}, False)],
+         "has a table entry for {'z': 'junk'}"),
+        ([({"x": False, "z": 0}, True)], "has a table entry for {'x': False, 'z': 0}"),
+        ([({}, True)], "has a table entry for {}"),
+        ([({"x": False}, True), ({"x": True}, False), ({"x": True}, True)],
+         "gives input State(x=True) twice"),
+    ], ids=["an int for a boolean", "an unknown input", "an extra input", "no input",
+            "an input twice"])
+    def test_a_kernel_table_binds_each_input_once_to_a_value_of_its_type(self, table, words):
+        B = Domain("bool", (False, True))
+        prior = kernel_from_system(point_system([("x", B)], State({"x": True})), name="px")
+        copy = MixedKernel([("x", B)], [("y", B)],
+                           lambda q: point_system([("y", B)], State({"y": q["x"]})), name="k")
+        doc = bn_to_json(BayesianNetwork([prior, copy]))
+        kd = next(kd for kd in doc["kernels"] if kd["name"] == "k")
+        kd["table"] = [[q, system_to_json(point_system([("y", B)], State({"y": y})))]
+                       for q, y in table]
+        with pytest.raises(MalformedSystem,
+                           match=re.escape("bad network document: kernel 'k' " + words)):
             bn_from_json(doc)
 
     @pytest.mark.parametrize("kernel, field, junk", [

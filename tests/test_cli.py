@@ -402,6 +402,26 @@ class TestEval:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["value"] == "1/3"
 
+    @pytest.mark.parametrize("mode", ["outer", "inner", "likelihood", "polarized"])
+    def test_a_query_value_matches_only_its_own_type(self, mode, tmp_path, capsys):
+        # x = F in outcome a (1/4), x = T in outcome b (3/4)
+        doc = {"domains": {"bool": [False, True]}, "vars": [{"name": "x", "domain": "bool"}],
+               "omega": ["a", "b"], "pi": {"a": "1/4", "b": "3/4"},
+               "rel": [["a", {"x": False}], ["b", {"x": True}]],
+               "blocks": [{"outcomes": ["a"], "polarity": "demon"},
+                          {"outcomes": ["b"], "polarity": "angel"}]}
+        f = tmp_path / "boolx.json"
+        f.write_text(json.dumps(doc))
+
+        def value(query):
+            assert cli.main(["eval", str(f), "--query", query, "--mode", mode]) == 0
+            return json.loads(capsys.readouterr().out)["value"]
+
+        assert (value("x=T"), value("x=F")) == ("3/4", "1/4")
+        # 1 and 0 are no boolean values, like 5; inner holds vacuously for them
+        none = "1/1" if mode == "inner" else "0/1"
+        assert value("x=1") == value("x=0") == value("x=5") == none
+
     def test_bad_query_is_exit_2(self, files):
         r = run_cli("eval", files["sab.json"], "--query", "zz=1",
                     "--mode", "outer")
@@ -681,6 +701,18 @@ class TestErrorsNameTheFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: %s: %s\n" % (f, message)
+
+    def test_a_repeated_automaton_transition_is_exit_2(self, tmp_path, capsys):
+        doc = ma_to_json(spa_to_ma(spa_from_json(SPA_DOC)))
+        first, other = doc["delta"]
+        doc["delta"].append(dict(first, system=other["system"]))
+        f = tmp_path / "twice.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["simcheck", str(f), str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: %s: bad automaton document: delta gives state "
+                       "State(xi='q0') under action 'a' twice\n" % f)
 
     def test_observation_errors_name_the_file_and_line(self, files, tmp_path, capsys):
         # the third line is the second record; its object is not closed

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbmx.automata import ma_from_json
 from rbmx.bayes import bn_from_json
-from rbmx.core import polarized_from_json, system_from_json
+from rbmx.core import Domain, polarized_from_json, system_from_json
 from rbmx.embeddings import pa_from_json, spa_from_json
 from rbmx.factorgraph import fg_from_json
 from rbmx.errors import RbmxError
@@ -155,7 +155,7 @@ def programs(draw):
     body = [SInit(nm, draw(st.sampled_from(BOOLS if nm == "b" else vals))) for nm in NAMES]
     body += [fit_stmt(s, vals) for s in draw(st.lists(stmts(vals, 2, True), min_size=1, max_size=4))]
     return Program(
-        {"d": vals, "bool": BOOLS},
+        {"d": Domain("d", vals), "bool": Domain("bool", BOOLS)},
         {"x": "d", "y": "d", "b": "bool"},
         {"f1": FuncDecl("f1", draw(st.sampled_from(("func", "op"))), ("d",), "d", f1),
          "f2": FuncDecl("f2", "func", ("d", "bool"), "d", f2)},
@@ -185,7 +185,8 @@ def test_generated_runs_build_what_the_checked_constructor_builds():
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(programs())
     def run(p):
-        obs = [{"x": v, "y": v, "b": v == p.domains["d"][0]} for v in p.domains["d"][:2]]
+        vals = p.domains["d"].values
+        obs = [{"x": v, "y": v, "b": v == vals[0]} for v in vals[:2]]
         with pytest.MonkeyPatch.context() as m:
             built = recheck_builds(m)
             m.setattr(elaborate, "_graft", counted)

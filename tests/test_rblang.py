@@ -692,12 +692,9 @@ class TestDynamic:
                                         {"x": False}) is False
 
     def test_pinning_a_value_outside_the_domain_raises(self):
-        # the provider checks the values it pins; transition checks the
-        # state before any lookup, so True is not served z = 1's target
+        # transition checks the state before any lookup or provider call,
+        # so True is not served z = 1's target
         M = elaborate_dynamic(parse(MARKOV))
-        for bad in (7, True):
-            with pytest.raises(MalformedSystem, match="value %r outside domain of '•z'" % bad):
-                M.provider(State({"z": bad}), State({}))
         served = M.transition(State({"z": 1}), State({}))
         for bad in (7, True):
             with pytest.raises(VariableSetMismatch,
@@ -772,7 +769,7 @@ class TestCompiledDeclarations:
     def assert_own(self, p, vars):
         for v in vars:
             assert v is p.typed_vars[v.name], v
-            assert v.domain is p.typed_domains[p.vars[elaborate.base_name(v.name)]], v
+            assert v.domain is p.domains[p.vars[elaborate.base_name(v.name)]], v
 
     def assert_kernel_own(self, p, K):
         self.assert_own(p, K.in_vars + K.out_vars)

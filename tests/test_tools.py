@@ -4,6 +4,9 @@ import pathlib
 
 import pytest
 
+from .test_cli import NOISY
+from .test_rblang import TYPED_CONSTANTS
+
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -16,6 +19,7 @@ def load_tool(name):
 
 abtest = load_tool("abtest")
 outputs = load_tool("outputs")
+programs = load_tool("programs")
 ring = load_tool("ring")
 ROOT = TOOLS.parent
 
@@ -103,3 +107,31 @@ class TestOutputs:
     def test_three_checkouts_are_refused(self):
         with pytest.raises(SystemExit):
             outputs.main(["a", "b", "c", "--workload", "score_chains"])
+
+
+class TestPrograms:
+    def test_a_checkout_against_itself_prints_one_digest_twice(self, capsys):
+        assert programs.main([str(ROOT), str(ROOT), "--mutations", "1"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0]["programs"] == len(programs.corpus(ROOT, 1, 1))
+        assert len(lines[0]["sha256"]) == 64
+
+    def test_the_corpus_holds_literals_sums_and_seeded_mutations(self):
+        found = programs.literals(ROOT)
+        # a literal, and a module constant plus a literal
+        assert NOISY in found
+        assert TYPED_CONSTANTS["equation side"][0] in found
+        texts = programs.corpus(ROOT, 2, 5)
+        assert texts == programs.corpus(ROOT, 2, 5)
+        assert set(found) < set(texts) and len(texts) == len(set(texts))
+
+    def test_different_digests_exit_1(self, monkeypatch, capsys):
+        fake = iter([{"programs": 2, "sha256": "a"}, {"programs": 2, "sha256": "b"}])
+        monkeypatch.setattr(programs, "digest", lambda *args: next(fake))
+        assert programs.main([str(ROOT), str(ROOT)]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_three_checkouts_are_refused(self):
+        with pytest.raises(SystemExit):
+            programs.main(["a", "b", "c"])
