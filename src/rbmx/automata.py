@@ -20,11 +20,16 @@ Lifting is an exact coupling, found by the one transport search
 (transport.coupling).  Each View compiles each target once into
 transport.Masses.  SPA and PA views key those by state number, build the
 allowed pairs from the rows and call coupling themselves.  For mixed
-automata lift_check couples the target systems' outcome weights (compiled
-once per system, in its cache) through transport.feasible_transport; the
-view numbers its states in a dict keyed by their bindings, and each target
-carries that numbering, so the relation lift_check reads is a lookup of
-both row states' numbers in the rows.
+automata lift_check couples the target systems' outcome weights through
+transport.feasible_transport.  Each system's weights (Masses) and its
+positive-mass rows are compiled once, into the system's own cache, so a
+target met again in later rounds, or in a second check, compiles nothing.
+The allowed outcome pairs are then listed with plain loops that ask the
+relation exactly what all(any(...)) over the rows would ask, so the pairs
+each lift finds, and refine's index of them, do not depend on how the rows
+are compiled.  The view numbers its states in a dict keyed by their
+bindings, and each target carries that numbering, so the relation
+lift_check reads is a lookup of both row states' numbers in the rows.
 """
 
 from __future__ import annotations
@@ -337,12 +342,6 @@ def _as_relation(rho):
     return lambda a, b: (a, b) in pairs
 
 
-def _allowed(mu1: Masses, mu2: Masses, ok):
-    """The key pairs (x, y) of positive mass that ok(x, y) admits, each
-    left key's pairs together, as the transport's greedy pass wants."""
-    return [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)]
-
-
 def _masses(S: MixedSystem) -> Masses:
     """S's raw outcome weights, compiled once per system."""
     m = S._cache.get("masses")
@@ -351,9 +350,19 @@ def _masses(S: MixedSystem) -> Masses:
     return m
 
 
+def _rows(S: MixedSystem) -> list:
+    """S's positive-mass outcomes with their rows, as (outcome, row) pairs
+    in Masses order, compiled once per system."""
+    rows = S._cache.get("rows")
+    if rows is None:
+        rows = S._cache["rows"] = [(o, S.rel[o]) for o in _masses(S).mass]
+    return rows
+
+
 def _rows_related(S1: MixedSystem, S2: MixedSystem, rel):
-    """ok for _allowed: outcomes o1 and o2 may be coupled when every state
-    admitted by o1 has some related state admitted by o2."""
+    """Whether outcomes o1 and o2 may be coupled: every state admitted by
+    o1 has some related state admitted by o2.  verify_weighting's own
+    reading of the rule, kept apart from lift_check's compiled loops."""
     return lambda o1, o2: all(any(rel(q1, q2) for q2 in S2.rel[o2]) for q1 in S1.rel[o1])
 
 
@@ -363,9 +372,28 @@ def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
     The raw (unconditioned) weights of the positive-mass outcomes must
     transport exactly across the outcome pairs whose rows are related; the
     witness weighting is returned, or None when infeasible.
+
+    The allowed pairs are listed left outcome by left outcome, in Masses
+    order, from each system's rows as _rows compiles them once.  A pair is
+    allowed when every state of the left row has a related state in the
+    right row.  rho is asked about each left state's candidates in row
+    order up to the first related one, and about no further left state
+    once one has none: the calls of all(any(...)) over the two rows.
     """
-    m1, m2 = _masses(S1), _masses(S2)
-    return feasible_transport(m1, m2, _allowed(m1, m2, _rows_related(S1, S2, _as_relation(rho))))
+    rel = _as_relation(rho)
+    rows2 = _rows(S2)
+    allowed = []
+    for o1, row1 in _rows(S1):
+        for o2, row2 in rows2:
+            for q1 in row1:
+                for q2 in row2:
+                    if rel(q1, q2):
+                        break
+                else:
+                    break
+            else:
+                allowed.append((o1, o2))
+    return feasible_transport(_masses(S1), _masses(S2), allowed)
 
 
 def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:

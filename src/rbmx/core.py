@@ -69,6 +69,12 @@ def rat(x) -> Fraction:
     Floats are refused: they would silently poison exact comparisons
     downstream.  So are booleans, which a JSON document spells true and
     false, not 1 and 0.
+
+    The text format_rat writes, n or n/d in ASCII decimal digits, is read
+    with int(), which needs no exponent check; every other text goes
+    through number_text_problem and Fraction's own parser.  Both paths give
+    the same value, or the same error: int() and Fraction raise alike on a
+    zero denominator and on digits past CPython's limit for integer text.
     """
     if isinstance(x, Fraction):
         return x
@@ -78,12 +84,21 @@ def rat(x) -> Fraction:
         )
     if isinstance(x, bool):
         raise MalformedSystem("refusing boolean %r as a number" % x)
+    ratio = None
     if isinstance(x, str):
-        for number in x.split("/"):
-            problem = number_text_problem(number)
-            if problem is not None:
-                raise MalformedSystem("not a rational: %s (%s)" % (reprlib.repr(x), problem))
+        num, slash, den = x.partition("/")
+        if num.isdigit() and num.isascii() and (
+                not slash or den.isdigit() and den.isascii()):
+            ratio = (num, den) if slash else (num,)
+        else:
+            for number in x.split("/"):
+                problem = number_text_problem(number)
+                if problem is not None:
+                    raise MalformedSystem("not a rational: %s (%s)"
+                                          % (reprlib.repr(x), problem))
     try:
+        if ratio is not None:
+            return Fraction(*map(int, ratio))
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedSystem("not a rational: %s (%s)" % (reprlib.repr(x), exc))
@@ -114,22 +129,25 @@ def describe_rat(f: Fraction) -> str:
 def exact_weights(keys, weights) -> dict:
     """{k: rat(weights[k]) for k in keys}, the one check of an exact
     distribution: weights has exactly the keys, none negative, summing to
-    exactly 1; else MalformedSystem, naming long numbers by describe_rat."""
+    exactly 1; else MalformedSystem, naming long numbers by describe_rat.
+    The total is checked in integers, each weight brought to the lcm of
+    their denominators; the Fraction total is built only for the message."""
     w = {}
     for k in keys:
         if k not in weights:
             raise MalformedSystem("missing weight for outcome %r" % (k,))
         f = rat(weights[k])
-        if f < 0:
+        if f.numerator < 0:
             raise MalformedSystem("negative weight %s for outcome %r"
                                   % (describe_rat(f), k))
         w[k] = f
     for k in weights:
         if k not in w:
             raise MalformedSystem("weight for unknown outcome %r" % (k,))
-    total = sum(w.values(), Fraction(0))
-    if total != 1:
-        raise MalformedSystem("weights sum to %s, not 1" % describe_rat(total))
+    scale = lcm(*[f.denominator for f in w.values()])
+    total = sum([f.numerator * (scale // f.denominator) for f in w.values()])
+    if total != scale:
+        raise MalformedSystem("weights sum to %s, not 1" % describe_rat(Fraction(total, scale)))
     return w
 
 
@@ -173,10 +191,14 @@ class Domain:
         return domain_index(self, v) is not None
 
     def __eq__(self, other):
+        """Same name and same typed values in order: Python's == takes
+        True for 1, so each value's type is compared too, as domain_index
+        does."""
         return (
             isinstance(other, Domain)
             and self.name == other.name
             and self.values == other.values
+            and all(type(a) is type(b) for a, b in zip(self.values, other.values))
         )
 
     def __hash__(self):

@@ -8,12 +8,14 @@ tautology.  The transport oracle decides feasibility by the cut condition
 neighbours) instead of the flow computation the library uses.
 
 Algorithms the library replaced are kept here as references too
-(full_graft, whole_run, outer_bn_score, probe_greatest).  They may call the library's
+(full_graft, whole_run, outer_bn_score, probe_greatest, allowed_pairs,
+text_rat, fraction_exact_weights).  They may call the library's
 query helpers, which the naive oracles check.
 """
 
 import itertools
 import random
+import reprlib
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +36,7 @@ from rbmx.core import (
 from rbmx.embeddings import PA, SPA
 from rbmx.errors import (
     InconsistentSystem,
+    MalformedSystem,
     MissingObservation,
     NoTransition,
     RbmxError,
@@ -311,12 +314,54 @@ def equivalent_variant(S, rng):
     return S2
 
 
+# --- exact weights through Fraction's parser and Fraction sums ----------------
+
+
+def text_rat(x):
+    """core.rat's general path for any text: number_text_problem on each
+    side of a "/", then Fraction's own parser.  The reference for rat's
+    integer path."""
+    for number in x.split("/"):
+        problem = core.number_text_problem(number)
+        if problem is not None:
+            raise MalformedSystem("not a rational: %s (%s)" % (reprlib.repr(x), problem))
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise MalformedSystem("not a rational: %s (%s)" % (reprlib.repr(x), exc))
+
+
+def fraction_exact_weights(keys, weights):
+    """core.exact_weights with its checks in Fractions and its total summed
+    as one: the reference for its integer total."""
+    w = {}
+    for k in keys:
+        if k not in weights:
+            raise MalformedSystem("missing weight for outcome %r" % (k,))
+        f = core.rat(weights[k])
+        if f < 0:
+            raise MalformedSystem("negative weight %s for outcome %r"
+                                  % (core.describe_rat(f), k))
+        w[k] = f
+    for k in weights:
+        if k not in w:
+            raise MalformedSystem("weight for unknown outcome %r" % (k,))
+    total = sum(w.values(), Fraction(0))
+    if total != 1:
+        raise MalformedSystem("weights sum to %s, not 1" % core.describe_rat(total))
+    return w
+
+
 # --- transport feasibility by the cut condition --------------------------------
 
 
 def allowed_pairs(S1, S2, rel):
     """Outcome pairs a weighting may couple: every state of the left row has
-    a related state in the right row.  Mirrors the lifting definition."""
+    a related state in the right row.  Mirrors the lifting definition, with
+    all(any(...)) over the rows of the positive-mass outcomes in outcome
+    order: the rule lift_check followed before it compiled each system's
+    rows, kept as the reference for its allowed set and for the order of
+    its calls to rel."""
     out = []
     for o1 in S1.omega:
         if S1.pi[o1] <= 0:

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import rbmx
-from rbmx import Domain, MixedSystem, State, automata, core, embeddings, equivalent
+from rbmx import Domain, MixedSystem, State, Var, automata, core, embeddings, equivalent
+from rbmx.core import all_states
 from rbmx.automata import (
     MixedAutomaton,
     assignment_algebra,
@@ -44,6 +45,7 @@ from .oracles import (
     ma_ok,
     naive_greatest,
     probe_greatest,
+    rand_domain,
     rand_ma,
     rand_ma_fragment,
     rand_pa,
@@ -263,6 +265,66 @@ class TestLifting:
                 assert verify_weighting(S1, S2, same, w)
                 checked += 1
         assert checked > 10
+
+    def test_compiled_rows_allow_and_ask_what_the_old_rule_did(self):
+        # the old rule is oracles.allowed_pairs: all(any(...)) over the rows
+        rng = random.Random(2107)
+        seen = {"feasible": 0, "infeasible": 0, "multi": 0, "empty": 0, "zero": 0}
+        for _ in range(250):
+            pool = [Var("x%d" % i, rand_domain(rng, "D%d" % i)) for i in range(rng.randint(1, 2))]
+            S1 = rand_system_over(rng, pool, max_omega=5)
+            S2 = rand_system_over(rng, pool, max_omega=5)
+            for S in (S1, S2):
+                rows = [S.rel[o] for o in S.omega]
+                seen["multi"] += any(len(r) > 1 for r in rows)
+                seen["empty"] += any(not r for r in rows)
+                seen["zero"] += any(S.pi[o] == 0 for o in S.omega)
+            states = list(all_states(pool))
+            pairs = {(a, b) for a in states for b in states if rng.random() < 0.5}
+            calls, old_calls = [], []
+
+            def rho(a, b):
+                calls.append((a, b))
+                return (a, b) in pairs
+
+            def old_rho(a, b):
+                old_calls.append((a, b))
+                return (a, b) in pairs
+
+            w = lift_check(S1, S2, rho)
+            allowed = allowed_pairs(S1, S2, old_rho)
+            assert calls == old_calls
+            feasible = cut_feasible(dict(S1.pi), dict(S2.pi), allowed)
+            assert (w is not None) == feasible
+            if w is not None:
+                assert verify_weighting(S1, S2, rho, w)
+                assert set(w) <= set(allowed)
+            seen["feasible" if feasible else "infeasible"] += 1
+            as_list = [(a.as_dict(), b.as_dict()) for a, b in pairs]
+            assert lift_check(S1, S2, pairs) == w
+            assert lift_check(S1, S2, as_list) == w
+        assert min(seen.values()) > 20, seen
+
+    def test_a_second_check_compiles_no_rows(self):
+        rng = random.Random(2108)
+        compiled = 0
+        for _ in range(25):
+            M1, M2 = rand_ma(rng, "u"), rand_ma(rng, "u")
+            first = simulates(M1, M2), bisimilar(M1, M2)
+            written = []
+
+            class Recording(dict):
+                def __setitem__(self, key, value):
+                    written.append(key)
+                    super().__setitem__(key, value)
+
+            for M in (M1, M2):
+                for S in M.delta.values():
+                    compiled += "rows" in S._cache
+                    S._cache = Recording(S._cache)
+            assert (simulates(M1, M2), bisimilar(M1, M2)) == first
+            assert written == []
+        assert compiled > 20
 
     def test_identity_lifts_to_itself(self):
         rng = random.Random(72)

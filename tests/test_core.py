@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import reprlib
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,7 @@ from rbmx.errors import (
 from .test_acceptance import rand_shared_triple
 from .oracles import (
     equivalent_variant,
+    fraction_exact_weights,
     naive_compose_sig,
     naive_conditioned,
     naive_inner,
@@ -70,9 +72,18 @@ from .oracles import (
     relabeled_copy,
     signature,
     split_copy,
+    text_rat,
 )
 
 BIT = Domain("bit", (0, 1))
+
+
+def read_as(f, *args):
+    """("value", f(*args)), or ("error", its error's type and message)."""
+    try:
+        return "value", f(*args)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
 
 
 def bitsys(pi, rows, names=("x",)):
@@ -110,6 +121,55 @@ class TestRat:
         assert rat("9" * 1000) == int("9" * 1000)
         assert rat("1/" + "3" * 1000) == Fraction(1, int("3" * 1000))
 
+    # integer ratios, as format_rat writes them, and their near misses
+    RAT_TEXTS = ("3/6", "0/0", "1/0", "\u0663/4", " 1/2", "-1/2", "1/2/3", "1/", "1e3",
+                 "0.25", "9" * 5000, "1/" + "9" * 5000, "7", "007/010", "0", "00/000",
+                 "", "/", "/2", "1//2", "12/35", "2/1", "\u00b2/3", "1_0/3", "1/2 ",
+                 "+1/2", "9" * 4300 + "/" + "9" * 4300, "1" + "0" * 4299 + "/1")
+
+    def test_integer_ratios_read_as_the_general_path_reads_them(self):
+        rng = random.Random(2201)
+        digits = ["".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+                  for _ in range(200)]
+        texts = list(self.RAT_TEXTS) + digits + [
+            "%s/%s" % (rng.choice(digits), rng.choice(digits + ["0", "000"]))
+            for _ in range(300)]
+        for text in texts:
+            got, want = read_as(rat, text), read_as(text_rat, text)
+            assert got == want, reprlib.repr(text)
+            if got[0] == "value":
+                assert type(got[1]) is Fraction
+        assert read_as(rat, "3/6") == ("value", Fraction(1, 2))
+        assert read_as(rat, "\u0663/4") == ("value", Fraction(3, 4))
+        assert read_as(rat, "0/0")[1] is MalformedSystem
+
+    def test_exact_weights_refuses_what_fraction_sums_refuse(self):
+        rng = random.Random(2202)
+        big = 10 ** 3000 + 7  # a 3001-digit denominator
+        seen = {"value": 0, "error": 0}
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            d = rng.choice([2, 3, 6, 12, big])
+            parts = [rng.randint(0, d) for _ in range(n - 1)]
+            parts.append(d - sum(parts) + rng.choice([0, 0, 0, 1, -1]))
+            weights = {}
+            for k, m in enumerate(parts):
+                scale = rng.choice([1, 1, 2, 3])  # unreduced texts
+                f = Fraction(m, d)
+                weights["o%d" % k] = rng.choice([
+                    f, "%d/%d" % (m * scale, d * scale),
+                    "%d/%d" % (f.numerator, f.denominator)])
+            keys = list(weights)
+            roll = rng.random()
+            if roll < 0.05:
+                keys.append("o9")  # missing weight
+            elif roll < 0.1:
+                keys.pop()  # unknown outcome
+            got = read_as(core.exact_weights, keys, weights)
+            assert got == read_as(fraction_exact_weights, keys, weights), weights
+            seen[got[0]] += 1
+        assert min(seen.values()) > 50
+
     def test_format(self):
         assert format_rat(Fraction(3, 5)) == "3/5"
         assert format_rat(Fraction(2)) == "2/1"
@@ -132,6 +192,14 @@ class TestDomainsAndStates:
             assert val not in dom
             assert core.domain_index(dom, val) is None
         assert core.domain_index(bools, True) == 1 and core.domain_index(ints, 2) == 2
+
+    def test_equal_domains_have_values_of_the_same_types(self):
+        assert Domain("d", (0, 1)) != Domain("d", (False, True))
+        assert Domain("d", (0, 1)) == Domain("d", (0, 1))
+        assert Domain("d", (0, 1)) != Domain("d", (1, 0))
+        assert Domain("d", (0, 1)) != Domain("e", (0, 1))
+        # the hash still reads the values alone; equal domains hash alike
+        assert hash(Domain("d", (0, 1))) == hash(Domain("d", (0, 1)))
 
     def test_state_is_immutable_and_hashable(self):
         q = State({"b": 1, "a": 0})

@@ -283,6 +283,12 @@ class TestParsePrint:
                   "|| b = neg(T) || (x, c) = (1, if b then F else T) || x ~ flip(F)")
         assert parse(print_program(p)) == p
 
+    def test_programs_whose_values_differ_in_type_differ(self):
+        ints = parse("domain d = { 0, 1 }\nvar x : d\n|| x = 1")
+        bools = parse("domain d = { F, T }\nvar x : d\n|| x = T")
+        assert ints != bools
+        assert ints == parse(print_program(ints))
+
     def test_decimal_probabilities_are_exact(self):
         p = parse("domain bit = { 0, 1 }\nvar x : bit\n"
                   "dist d : bit { 0 : 0.5, 1 : 0.5 }\n|| x ~ d")

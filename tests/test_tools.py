@@ -83,6 +83,15 @@ class TestRing:
         d = json.loads(capsys.readouterr().out)
         assert (d["states"], d["check"], d["pairs"]) == (10, "bisimulation", 100)
 
+    def test_the_mixed_automaton_image_relates_ring_states_and_tokens(self, capsys):
+        assert ring.main(["--states", "6", "--ma"]) == 0
+        assert ring.main(["--states", "5", "--ma", "--bisim"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert [(d["automaton"], d["states"], d["check"], d["pairs"]) for d in lines] == [
+            ("ma", 6, "simulation", 72), ("ma", 5, "bisimulation", 50)]
+        for d in lines:
+            assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
+
     def test_a_bad_size_list_is_refused(self):
         for bad in ("0", "ten", "3,,4"):
             with pytest.raises(SystemExit):

@@ -1,15 +1,23 @@
-"""Time the simulation check of a Dirac ring SPA against itself.
+"""Time the simulation check of a Dirac ring SPA, or of its mixed automaton
+image, against itself.
 
-    python3 tools/ring.py --states 150,300,600 [--bisim]
+    python3 tools/ring.py --states 150,300,600 [--bisim] [--ma]
 
 The ring has states q0 .. q(n-1) and one action, a, whose one transition
 from each state moves all of its mass to the next state of the ring.  Every
 state simulates every other, so the check keeps all n * n pairs.  For each
 size a fresh Python process builds the ring, runs `spa_simulates(P, P)`
 (with --bisim, `spa_bisimilar(P, P)`) once and prints one JSON line: the
-size, the check, the number of related pairs, the seconds the check took
-and the process's peak resident set size from getrusage.  The rbmx it runs
-is the one under this checkout's src/.
+automaton kind, the size, the check, the number of related pairs, the
+seconds the check took and the process's peak resident set size from
+getrusage.
+
+With --ma the check is `automata.simulates(M, M)` (with --bisim,
+`automata.bisimilar(M, M)`) on M = `spa_to_ma(P)`, built before the clock
+starts.  M has 2n states, the ring's and one commitment token per ring
+state.  Every ring state is related to every ring state and every token to
+every token: 2 * n * n pairs.  The rbmx it runs is the one under this
+checkout's src/.
 """
 
 import argparse
@@ -21,17 +29,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = """
 import json, resource, sys, time
-from rbmx.embeddings import SPA, spa_bisimilar, spa_simulates
+from rbmx import automata
+from rbmx.embeddings import SPA, spa_bisimilar, spa_simulates, spa_to_ma
 
-n, bisim = int(sys.argv[1]), sys.argv[2] == "bisim"
+n, bisim, kind = int(sys.argv[1]), sys.argv[2] == "bisim", sys.argv[3]
 states = ["q%d" % i for i in range(n)]
-P = SPA(("a",), states, states[0],
+X = SPA(("a",), states, states[0],
         [(q, "a", {states[(i + 1) % n]: 1}) for i, q in enumerate(states)])
+if kind == "ma":
+    X = spa_to_ma(X)
+    check = automata.bisimilar if bisim else automata.simulates
+else:
+    check = spa_bisimilar if bisim else spa_simulates
 t0 = time.perf_counter()
-R = (spa_bisimilar if bisim else spa_simulates)(P, P)
+R = check(X, X)
 seconds = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"states": n, "check": "bisimulation" if bisim else "simulation",
+print(json.dumps({"automaton": kind, "states": n,
+                  "check": "bisimulation" if bisim else "simulation",
                   "pairs": None if R is None else len(R), "seconds": round(seconds, 3),
                   "peak_rss_mb": round(peak, 1)}))
 """
@@ -52,13 +67,16 @@ def main(argv=None):
     ap.add_argument("--states", type=sizes, default=[150, 300, 600],
                     help="comma-separated ring sizes (default 150,300,600)")
     ap.add_argument("--bisim", action="store_true",
-                    help="time spa_bisimilar instead of spa_simulates")
+                    help="time the bisimulation check instead of the simulation check")
+    ap.add_argument("--ma", action="store_true",
+                    help="check the ring's spa_to_ma image with automata.simulates "
+                         "(automata.bisimilar with --bisim)")
     args = ap.parse_args(argv)
     path = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=path + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for n in args.states:
         r = subprocess.run([sys.executable, "-c", CHILD, str(n),
-                            "bisim" if args.bisim else "sim"],
+                            "bisim" if args.bisim else "sim", "ma" if args.ma else "spa"],
                            env=env, capture_output=True, text=True)
         if r.returncode != 0:
             raise SystemExit("ring of %d states failed:\n%s" % (n, r.stderr))
