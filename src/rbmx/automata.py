@@ -16,20 +16,34 @@ pairs it found related, so refine() indexes a passing pair under them by
 pair code and, after the first round, rechecks only the pairs indexed under
 a pair that was just removed.  No State is hashed inside the loop.
 
-Lifting is an exact coupling, found by the one transport search
-(transport.coupling).  Each View compiles each target once into
-transport.Masses.  SPA and PA views key those by state number, build the
-allowed pairs from the rows and call coupling themselves.  For mixed
-automata lift_check couples the target systems' outcome weights through
-transport.feasible_transport.  Each system's weights (Masses) and its
-positive-mass rows are compiled once, into the system's own cache, so a
+Lifting is an exact coupling of the targets' masses inside R (Jonsson &
+Larsen, LICS 1991; Segala, MIT 1995), and refine reaches it in two stages
+that share one index.  A coupling can exist only if every positive-mass key
+of either target has an R-related partner on the other side, so the
+greatest relation that passes this cover test, which needs no flow, holds
+the greatest simulation.  The cover stage refines to that relation, R0;
+when R0 misses the initial pair, the answer is None.  The exact stage then
+lifts by couplings from R0 on.  The cover test is exact when either target
+has a single positive-mass key (a point), so that stage first rechecks only
+the pairs of R0 with a move whose target is not a point against a state
+with a target that is not a point on its label, and the pairs whose checks
+found a pair it removed.  Point lifts are decided by the cover test there
+too; only the others build a flow.
+
+Each View compiles each target once into transport.Masses.  SPA and PA
+views key those by state number, build the allowed pairs from the rows and
+call transport.covers or transport.coupling themselves.  For mixed
+automata the allowed outcome pairs come from _allowed, which reads each
+system's positive-mass rows compiled once into the system's own cache, so a
 target met again in later rounds, or in a second check, compiles nothing.
-The allowed outcome pairs are then listed with plain loops that ask the
-relation exactly what all(any(...)) over the rows would ask, so the pairs
-each lift finds, and refine's index of them, do not depend on how the rows
-are compiled.  The view numbers its states in a dict keyed by their
-bindings, and each target carries that numbering, so the relation
-lift_check reads is a lookup of both row states' numbers in the rows.
+It lists them with plain loops that ask the relation exactly what
+all(any(...)) over the rows would ask, so the pairs each lift finds, and
+refine's index of them, do not depend on how the rows are compiled.  The
+cover test reads those pairs through transport.covers; an exact lift goes
+through lift_check, which couples the target systems' outcome weights
+through transport.feasible_transport.  The view numbers its states in a
+dict keyed by their bindings, and each target carries that numbering, so
+the relation both read is a lookup of both row states' numbers in the rows.
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ from .errors import (
     NoTransition,
     VariableSetMismatch,
 )
-from .transport import Masses, feasible_transport
+from .transport import Masses, covers, feasible_transport
 
 
 def action_key(a):
@@ -366,21 +380,14 @@ def _rows_related(S1: MixedSystem, S2: MixedSystem, rel):
     return lambda o1, o2: all(any(rel(q1, q2) for q2 in S2.rel[o2]) for q1 in S1.rel[o1])
 
 
-def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
-    """Decide whether the relation lifts between the two systems' weights.
-
-    The raw (unconditioned) weights of the positive-mass outcomes must
-    transport exactly across the outcome pairs whose rows are related; the
-    witness weighting is returned, or None when infeasible.
-
-    The allowed pairs are listed left outcome by left outcome, in Masses
-    order, from each system's rows as _rows compiles them once.  A pair is
-    allowed when every state of the left row has a related state in the
-    right row.  rho is asked about each left state's candidates in row
-    order up to the first related one, and about no further left state
-    once one has none: the calls of all(any(...)) over the two rows.
-    """
-    rel = _as_relation(rho)
+def _allowed(S1: MixedSystem, S2: MixedSystem, rel) -> list:
+    """The outcome pairs a weighting may couple, listed left outcome by left
+    outcome, in Masses order, from each system's rows as _rows compiles
+    them once.  A pair is allowed when every state of the left row has a
+    related state in the right row.  rel is asked about each left state's
+    candidates in row order up to the first related one, and about no
+    further left state once one has none: the calls of all(any(...)) over
+    the two rows."""
     rows2 = _rows(S2)
     allowed = []
     for o1, row1 in _rows(S1):
@@ -393,7 +400,17 @@ def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
                     break
             else:
                 allowed.append((o1, o2))
-    return feasible_transport(_masses(S1), _masses(S2), allowed)
+    return allowed
+
+
+def lift_check(S1: MixedSystem, S2: MixedSystem, rho):
+    """Decide whether the relation lifts between the two systems' weights.
+
+    The raw (unconditioned) weights of the positive-mass outcomes must
+    transport exactly across the outcome pairs whose rows are related
+    (_allowed); the witness weighting is returned, or None when infeasible.
+    """
+    return feasible_transport(_masses(S1), _masses(S2), _allowed(S1, S2, _as_relation(rho)))
 
 
 def verify_weighting(S1: MixedSystem, S2: MixedSystem, rho, w) -> bool:
@@ -420,21 +437,32 @@ class View(NamedTuple):
     """What the matcher needs from an automaton of one kind.  Its states
     are numbered by their position in ``states``, and everything else reads
     those numbers: ``initial`` is the initial state itself, moves(i) gives
-    the (label, target) pairs leaving state i, targets(j, label) the targets
-    of state j on a label, and lifts(t1, t2, rows, found) says whether
-    target t1 lifts to t2 through R.  A lift sees R as ``rows``, rows[x]
-    the set of the other side's states related to x, reads it only by
-    membership, and appends each pair (x, y) it found related to the list
-    ``found``."""
+    the (label, target) pairs leaving state i and targets(j, label) the
+    targets of state j on a label.
+
+    Two lift tests say whether target t1 lifts to t2 through R.
+    lifts(t1, t2, rows, found) asks for an exact coupling of their masses
+    inside R.  covers(t1, t2, rows, found) asks only that the totals agree
+    and that every positive-mass key of each side has an allowed partner on
+    the other (transport.covers); it builds no flow.  Both allow the same
+    key pairs, read from the rows compiled once per target.  A coupling
+    covers, so covers passes whenever lifts does, and point(t), true when t
+    has at most one positive-mass key, marks the targets on which the two
+    agree: covers is exact when either side is a point.  A lift sees R as
+    ``rows``, rows[x] the set of the other side's states related to x,
+    reads it only by membership, and appends each pair (x, y) it found
+    related to the list ``found``."""
 
     states: object
     initial: object
     moves: object
     targets: object
     lifts: object
+    covers: object
+    point: object
 
 
-def refine(n1, n2, initial, match, back=None):
+def refine(n1, n2, initial, match, back=None, exact=None):
     """The greatest relation R between the states 0..n1-1 and 0..n2-1 in
     which every pair (i, j) passes match(i, j, rows, found) and, when
     ``back`` is given, also back(j, i, cols, found); returned as its rows,
@@ -456,6 +484,17 @@ def refine(n1, n2, initial, match, back=None):
     pair never comes back, and the loop may stop between rounds once
     ``initial`` is gone.  Which pairs a round checks follows from what the
     checks found, not from set iteration order.
+
+    ``exact``, when given, is a second stage (match, back, inexact) run from
+    the first stage's fixpoint R0, with back given exactly when the first
+    stage has one.  Its checks must imply the first stage's: then the
+    greatest relation they allow lies inside R0, and refining on from R0
+    reaches it.  Its first round rechecks, in code order, the pairs (i, j)
+    of R0 with j in inexact(i, rows[i]): the pairs whose second-stage check
+    may fail where the first stage's passed.  Every other pair of R0 passes
+    the second stage's check as long as the pairs its first-stage check
+    found stay in R, so both stages share one index, and a pair is rechecked
+    by the second stage's check once a pair it found is removed.
     """
     rows = [set(range(n2)) for _ in range(n1)]
     cols = None if back is None else [set(range(n1)) for _ in range(n2)]
@@ -475,7 +514,12 @@ def refine(n1, n2, initial, match, back=None):
             else:
                 removed.append(c)
         if not removed:
-            return rows
+            if exact is None:
+                return rows
+            match, back, inexact = exact
+            exact = None
+            todo = [i * n2 + j for i, row in enumerate(rows) for j in sorted(inexact(i, row))]
+            continue
         for c in removed:
             i, j = divmod(c, n2)
             rows[i].remove(j)
@@ -486,42 +530,94 @@ def refine(n1, n2, initial, match, back=None):
     return None
 
 
-def _matcher(V1: View, V2: View):
+def _matcher(V1: View, V2: View, lift):
     """match for refine: every move of V1 at i is answered, on its label,
-    by some target of V2 at j that it lifts to through R."""
-    moves, targets, lifts = V1.moves, V2.targets, V1.lifts
+    by some target of V2 at j that it lifts to through R, by ``lift``."""
+    moves, targets = V1.moves, V2.targets
 
     def match(i, j, rows, found):
-        return all(any(lifts(t1, t2, rows, found) for t2 in targets(j, a))
-                   for a, t1 in moves(i))
+        for a, t1 in moves(i):
+            for t2 in targets(j, a):
+                if lift(t1, t2, rows, found):
+                    break
+            else:
+                return False
+        return True
 
     return match
+
+
+def _exact_lift(V: View):
+    """V's exact lift test: covers where either target is a point, where it
+    is exact, and lifts everywhere else."""
+    lifts, covers, point = V.lifts, V.covers, V.point
+
+    def lift(t1, t2, rows, found):
+        if point(t1) or point(t2):
+            return covers(t1, t2, rows, found)
+        return lifts(t1, t2, rows, found)
+
+    return lift
+
+
+def _spread(V: View):
+    """spread(i): the labels on which state i of V has a move to a target
+    that is not a point, found once per state when first asked for."""
+    memo = {}
+
+    def spread(i):
+        got = memo.get(i)
+        if got is None:
+            got = memo[i] = {a for a, t in V.moves(i) if not V.point(t)}
+        return got
+
+    return spread
 
 
 def greatest(V1: View, V2: View, bisim=False):
     """The greatest simulation of V1 by V2 (with ``bisim``, the greatest R
     such that R and R⁻¹ are both simulations) over the product of their
     state sets, as a set of state pairs, or None when it misses the initial
-    pair.  refine runs on the states' numbers.  Raises CapExceeded, before
-    building anything, when that product has more than core.MAX_OUTCOMES
-    pairs."""
+    pair.  refine runs on the states' numbers, in two stages.  Raises
+    CapExceeded, before building anything, when that product has more than
+    core.MAX_OUTCOMES pairs.
+
+    The cover stage matches with the views' covers.  A coupling inside R
+    covers, so every simulation passes it, and its fixpoint R0 holds the
+    greatest simulation: when R0 misses the initial pair, so does the
+    answer.  The exact stage then lifts by exact couplings.  covers is exact
+    where either target is a point, so a move of i is inexact against j only
+    when its target is not a point and j has a target that is not a point
+    on its label, and the exact stage first rechecks only the pairs of R0
+    with an inexact move, either way for ``bisim``.  Its lifts go to covers
+    where either target is a point, and to lifts only where neither is.
+    """
     Q1, Q2 = V1.states, V2.states
     n = len(Q1) * len(Q2)
     if n > core.MAX_OUTCOMES:
         raise CapExceeded("the candidate relation would have %d state pairs, above the "
                           "cap of %d" % (n, core.MAX_OUTCOMES))
-    back = _matcher(V2, V1) if bisim else None
+    spread1, spread2 = _spread(V1), _spread(V2)
+
+    def inexact(i, js):
+        labels = spread1(i)
+        return [j for j in js if not labels.isdisjoint(spread2(j))] if labels else ()
+
+    cover, cover_back = _matcher(V1, V2, V1.covers), None
+    match, back = _matcher(V1, V2, _exact_lift(V1)), None
+    if bisim:
+        cover_back, back = _matcher(V2, V1, V2.covers), _matcher(V2, V1, _exact_lift(V2))
     rows = refine(len(Q1), len(Q2), (Q1.index(V1.initial), Q2.index(V2.initial)),
-                  _matcher(V1, V2), back)
+                  cover, cover_back, (match, back, inexact))
     if rows is None:
         return None
     return {(Q1[i], Q2[j]) for i, row in enumerate(rows) for j in row}
 
 
-def _ma_lifts(t1, t2, rows, found):
-    """lifts of a mixed automaton: each target is a (system, numbering)
-    pair, the numbering of its own view, and lift_check reads R through the
-    numbers of the row states on both sides."""
+def _ma_relation(t1, t2, rows, found):
+    """The two targets' systems, each of a (system, numbering) pair with
+    the numbering of its own view, and the relation that reads R through
+    the numbers of the row states on both sides, recording what it found."""
     (T1, num1), (T2, num2) = t1, t2
 
     def rho(q1, q2):
@@ -531,7 +627,24 @@ def _ma_lifts(t1, t2, rows, found):
             return True
         return False
 
+    return T1, T2, rho
+
+
+def _ma_lifts(t1, t2, rows, found):
+    """lifts of a mixed automaton, by lift_check."""
+    T1, T2, rho = _ma_relation(t1, t2, rows, found)
     return lift_check(T1, T2, rho) is not None
+
+
+def _ma_covers(t1, t2, rows, found):
+    """covers of a mixed automaton, over the outcome pairs lift_check
+    allows."""
+    T1, T2, rho = _ma_relation(t1, t2, rows, found)
+    return covers(_masses(T1), _masses(T2), _allowed(T1, T2, rho))
+
+
+def _ma_point(t):
+    return len(_masses(t[0]).mass) <= 1
 
 
 def _ma_view(M: MixedAutomaton) -> View:
@@ -565,7 +678,7 @@ def _ma_view(M: MixedAutomaton) -> View:
     def targets(j, a):
         return out(j)[1].get(a, ())
 
-    return View(Q, M.initial, moves, targets, _ma_lifts)
+    return View(Q, M.initial, moves, targets, _ma_lifts, _ma_covers, _ma_point)
 
 
 def simulates(M1: MixedAutomaton, M2: MixedAutomaton):

@@ -75,6 +75,9 @@ def rat(x) -> Fraction:
     through number_text_problem and Fraction's own parser.  Both paths give
     the same value, or the same error: int() and Fraction raise alike on a
     zero denominator and on digits past CPython's limit for integer text.
+    Text that Fraction's parser would take but no writer produces is
+    refused first: non-ASCII characters (other scripts' digits), "_" digit
+    separators, and surrounding whitespace.
     """
     if isinstance(x, Fraction):
         return x
@@ -91,6 +94,9 @@ def rat(x) -> Fraction:
                 not slash or den.isdigit() and den.isascii()):
             ratio = (num, den) if slash else (num,)
         else:
+            if not x.isascii() or "_" in x or x != x.strip():
+                raise MalformedSystem("not a rational: %s (only ASCII text with no '_' and "
+                                      "no surrounding space is read)" % reprlib.repr(x))
             for number in x.split("/"):
                 problem = number_text_problem(number)
                 if problem is not None:

@@ -9,16 +9,20 @@ pa_to_ma.
 
 Both kinds carry lifting-based greatest simulations and bisimulations: each
 check hands automata.greatest a View of each side (_spa_view, _pa_view), so
-they share the matcher and the fixpoint of mixed automata.  A View numbers
-the states by their position, indexes its moves once by state number and
-compiles each distribution once into transport.Masses keyed by state
-number (for a PA, by (action, state number)).  A lift builds its allowed
-pairs from the relation's rows and calls transport.coupling, so the lifts
-inside the fixpoint hash no state and compare no Fraction.  The relation
-ranges over the full product of the two state sets, bounded by
-core.MAX_OUTCOMES pairs.  A bisimulation is the greatest R such that both R
-and R⁻¹ are simulations, the same check as automata.bisimilar; it is
-stronger than mutual simulation (spa_sim_equivalent).
+they share the matcher and the two-stage fixpoint of mixed automata.  A
+View numbers the states by their position, indexes its moves once by state
+number and compiles each distribution once into transport.Masses keyed by
+state number (for a PA, by (action, state number)).  Both lift tests build
+their allowed pairs from the relation's rows: the cover test, which
+greatest's cover stage runs and which decides every lift of a point mass,
+calls transport.covers, and an exact lift calls transport.coupling, so the
+lifts inside the fixpoint hash no state and compare no Fraction.  A Dirac
+distribution is a point, so a check between automata whose distributions
+are all Dirac builds no flow at all.  The relation ranges over the full
+product of the two state sets, bounded by core.MAX_OUTCOMES pairs.  A
+bisimulation is the greatest R such that both R and R⁻¹ are simulations,
+the same check as automata.bisimilar; it is stronger than mutual
+simulation (spa_sim_equivalent).
 
 The translations are constructive:
 
@@ -54,7 +58,7 @@ from .core import (
     value_key,
 )
 from .errors import CapExceeded, MalformedSystem, MissingInit
-from .transport import Masses, coupling
+from .transport import Masses, coupling, covers
 
 
 def _dist(d) -> dict:
@@ -205,11 +209,14 @@ def pa_compose(P1: PA, P2: PA, sigma) -> PA:
 # --- simulation -----------------------------------------------------------
 
 
-def _prob_view(P, label, key, lifts) -> View:
+def _prob_view(P, label, key, allowed) -> View:
     """The View of an SPA or PA: moves and targets indexed once by source
     state number, in transition order, with each distribution compiled once
     into transport.Masses over key(k, num), num numbering the states;
-    label(t) is the label of transition t's move."""
+    label(t) is the label of transition t's move.  allowed(d1, d2, rows,
+    found) lists the key pairs a coupling inside R may use, and both lift
+    tests read them: lifts through transport.coupling, covers through
+    transport.covers."""
     num = {q: i for i, q in enumerate(P.states)}
     moves = [[] for _ in P.states]
     targets = [{} for _ in P.states]
@@ -218,35 +225,45 @@ def _prob_view(P, label, key, lifts) -> View:
         m = Masses({key(k, num): w for k, w in t[-1].items()})
         moves[i].append((a, m))
         targets[i].setdefault(a, []).append(m)
+
+    def lifts(d1, d2, rows, found):
+        return coupling(d1, d2, allowed(d1, d2, rows, found)) is not None
+
+    def covers_(d1, d2, rows, found):
+        return covers(d1, d2, allowed(d1, d2, rows, found))
+
     return View(P.states, P.initial, moves.__getitem__,
-                lambda j, a: targets[j].get(a, ()), lifts)
+                lambda j, a: targets[j].get(a, ()), lifts, covers_, _point)
 
 
-def _spa_lifts(d1, d2, rows, found):
-    """Two distributions over state numbers lift when they couple inside
-    R."""
+def _point(d) -> bool:
+    return len(d.mass) <= 1
+
+
+def _spa_allowed(d1, d2, rows, found):
+    """Two distributions over state numbers may couple related states."""
     allowed = [(x, y) for x in d1.mass for y in d2.mass if y in rows[x]]
     found += allowed
-    return coupling(d1, d2, allowed) is not None
+    return allowed
 
 
-def _pa_lifts(d1, d2, rows, found):
-    """Two distributions over (action, state number) lift when they couple
-    equal actions with related states."""
+def _pa_allowed(d1, d2, rows, found):
+    """Two distributions over (action, state number) may couple equal
+    actions with related states."""
     allowed = [(k1, k2) for k1 in d1.mass for k2 in d2.mass
                if k1[0] == k2[0] and k2[1] in rows[k1[1]]]
     found += [(k1[1], k2[1]) for k1, k2 in allowed]
-    return coupling(d1, d2, allowed) is not None
+    return allowed
 
 
 def _spa_view(P: SPA) -> View:
     """Moves are (action, distribution) pairs."""
-    return _prob_view(P, lambda t: t[1], lambda s, num: num[s], _spa_lifts)
+    return _prob_view(P, lambda t: t[1], lambda s, num: num[s], _spa_allowed)
 
 
 def _pa_view(P: PA) -> View:
     """Moves carry no label, since the action is drawn with the state."""
-    return _prob_view(P, lambda t: None, lambda k, num: (k[0], num[k[1]]), _pa_lifts)
+    return _prob_view(P, lambda t: None, lambda k, num: (k[0], num[k[1]]), _pa_allowed)
 
 
 def spa_simulates(P1: SPA, P2: SPA):

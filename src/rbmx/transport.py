@@ -31,6 +31,13 @@ coupling's result and build no Fraction.  When several couplings exist
 the witness is one of them, fixed by the order of the keys and of the
 allowed pairs: callers may rely on it being an exact coupling, not on
 which one it is.
+
+covers asks only what every coupling needs and builds no flow: equal
+totals, and an allowed pair at every key of either side, since each key's
+mass has to travel along one.  When either side has at most one key that
+is also enough: the one key sends each key of the other side its own mass.
+So covers decides the lift of a point mass exactly, and bounds every other
+lift from above.
 """
 
 from __future__ import annotations
@@ -53,6 +60,19 @@ class Masses:
         self.scale = lcm(*[w.denominator for _, w in positive])
         self.mass = {k: w.numerator * (self.scale // w.denominator) for k, w in positive}
         self.total = sum(self.mass.values())
+
+
+def covers(mu1, mu2, allowed):
+    """Whether the Masses mu1 and mu2 have equal totals and every key of
+    either lies on some pair of ``allowed``, distinct pairs of their keys.
+    A coupling on ``allowed`` exists only if they do, and whenever they do
+    and either side has at most one key."""
+    if mu1.total * mu2.scale != mu2.total * mu1.scale:
+        return False
+    n1, n2 = len(mu1.mass), len(mu2.mass)
+    if len(allowed) == n1 * n2:  # every pair is allowed
+        return True
+    return len({a for a, _ in allowed}) == n1 and len({b for _, b in allowed}) == n2
 
 
 def feasible_transport(mu1, mu2, allowed):

@@ -318,9 +318,13 @@ def equivalent_variant(S, rng):
 
 
 def text_rat(x):
-    """core.rat's general path for any text: number_text_problem on each
+    """core.rat's general path for any text: a refusal of code points past
+    127, of "_" and of surrounding whitespace, number_text_problem on each
     side of a "/", then Fraction's own parser.  The reference for rat's
     integer path."""
+    if any(ord(c) > 127 for c in x) or "_" in x or x != x.strip():
+        raise MalformedSystem("not a rational: %s (only ASCII text with no '_' and "
+                              "no surrounding space is read)" % reprlib.repr(x))
     for number in x.split("/"):
         problem = core.number_text_problem(number)
         if problem is not None:
@@ -574,12 +578,16 @@ class _Probe:
         return False
 
 
-def probe_refine(pairs, initial, match, back=None):
+def probe_refine(pairs, initial, match, back=None, exact=None):
     """The worklist fixpoint over a set of (state, state) tuples that
     automata.refine replaced: the greatest subset R of ``pairs`` whose every
     pair passes match(p, q, R) and, when given, back(q, p, R⁻¹), with R seen
-    through a _Probe; None when R does not hold ``initial``.  Same rounds,
-    same recheck rule and same recheck order as the numbered loop."""
+    through a _Probe; None when R does not hold ``initial``.  With
+    ``exact`` = (match, back, inexact), a second stage runs from the first
+    stage's fixpoint: it rechecks the pairs for which inexact(p, q) holds,
+    in the order of ``pairs``, then refines on through the same index.
+    Same rounds, same recheck rule and same recheck order as the numbered
+    loop."""
     R = set(pairs)
     users = {}
     todo = pairs
@@ -595,25 +603,48 @@ def probe_refine(pairs, initial, match, back=None):
             else:
                 removed.append(pair)
         if not removed:
-            return R
+            if exact is None:
+                return R
+            match, back, inexact = exact
+            exact = None
+            todo = [pair for pair in pairs if pair in R and inexact(*pair)]
+            continue
         R.difference_update(removed)
         todo = dict.fromkeys(c for d in removed for c in users.pop(d, ()) if c in R)
     return None
 
 
 class ProbeView(NamedTuple):
-    """A View over the states themselves: lifts(t1, t2, R) reads R, a set
-    of state pairs, only with ``in``."""
+    """A View over the states themselves: lifts(t1, t2, R) and covers(t1,
+    t2, R) read R, a set of state pairs, only with ``in``; point(t) says
+    whether target t has at most one key of positive mass."""
 
     states: object
     initial: object
     moves: object
     targets: object
     lifts: object
+    covers: object
+    point: object
 
 
 def _probe_couple(mu1, mu2, ok):
     return coupling(mu1, mu2, [(x, y) for x in mu1.mass for y in mu2.mass if ok(x, y)])
+
+
+def probe_covered(mu1, mu2, allowed):
+    """The cover condition on two {key: Fraction} measures, in Fractions and
+    sets: equal totals, and every positive key of either side on a pair of
+    ``allowed``."""
+    left = {a for a, w in mu1.items() if w > 0}
+    right = {b for b, w in mu2.items() if w > 0}
+    return (sum(mu1.values(), Fraction(0)) == sum(mu2.values(), Fraction(0))
+            and left <= {a for a, b in allowed if b in right}
+            and right <= {b for a, b in allowed if a in left})
+
+
+def _probe_fractions(m):
+    return {k: Fraction(w, m.scale) for k, w in m.mass.items()}
 
 
 def probe_ma_view(M):
@@ -636,33 +667,43 @@ def probe_ma_view(M):
     def lifts(T1, T2, R):
         return lift_check(T1, T2, lambda q1, q2: (q1, q2) in R) is not None
 
+    def covers(T1, T2, R):
+        allowed = allowed_pairs(T1, T2, lambda q1, q2: (q1, q2) in R)
+        return probe_covered(dict(T1.pi), dict(T2.pi), allowed)
+
+    def point(T):
+        return sum(1 for o in T.omega if T.pi[o] > 0) <= 1
+
     return ProbeView(Q, M.initial, lambda q: out(q)[0],
-                     lambda q, a: out(q)[1].get(a, ()), lifts)
+                     lambda q, a: out(q)[1].get(a, ()), lifts, covers, point)
 
 
-def _probe_prob_view(P, label, lifts):
+def _probe_prob_view(P, label, ok):
     moves, targets = {}, {}
     for t in P.transitions:
         a, m = label(t), Masses(t[-1])
         moves.setdefault(t[0], []).append((a, m))
         targets.setdefault((t[0], a), []).append(m)
+
+    def lifts(d1, d2, R):
+        return _probe_couple(d1, d2, lambda x1, x2: ok(x1, x2, R)) is not None
+
+    def covers(d1, d2, R):
+        allowed = [(x1, x2) for x1 in d1.mass for x2 in d2.mass if ok(x1, x2, R)]
+        return probe_covered(_probe_fractions(d1), _probe_fractions(d2), allowed)
+
     return ProbeView(P.states, P.initial, lambda q: moves.get(q, ()),
-                     lambda q, a: targets.get((q, a), ()), lifts)
+                     lambda q, a: targets.get((q, a), ()), lifts, covers,
+                     lambda d: len(d.mass) <= 1)
 
 
 def probe_spa_view(P):
-    def lifts(d1, d2, R):
-        return _probe_couple(d1, d2, lambda s1, s2: (s1, s2) in R) is not None
-
-    return _probe_prob_view(P, lambda t: t[1], lifts)
+    return _probe_prob_view(P, lambda t: t[1], lambda s1, s2, R: (s1, s2) in R)
 
 
 def probe_pa_view(P):
-    def lifts(d1, d2, R):
-        return _probe_couple(d1, d2,
-                             lambda x1, x2: x1[0] == x2[0] and (x1[1], x2[1]) in R) is not None
-
-    return _probe_prob_view(P, lambda t: None, lifts)
+    return _probe_prob_view(P, lambda t: None,
+                            lambda x1, x2, R: x1[0] == x2[0] and (x1[1], x2[1]) in R)
 
 
 PROBE_VIEWS = {"ma": probe_ma_view, "spa": probe_spa_view, "pa": probe_pa_view}
@@ -671,8 +712,12 @@ PROBE_VIEWS = {"ma": probe_ma_view, "spa": probe_spa_view, "pa": probe_pa_view}
 def probe_greatest(kind, X1, X2, bisim=False):
     """The greatest simulation (bisimulation) of X1 by X2, automata of kind
     "ma", "spa" or "pa", by the State-level engine the numbered one
-    replaced; returns (R or None, {"match": calls, "lift": calls})."""
-    work = {"match": 0, "lift": 0}
+    replaced, in automata.greatest's two stages: cover matching to its
+    fixpoint, then exact matching from the pairs with a move whose target
+    is not a point against a state with a target that is not a point on
+    its label; returns (R or None, {"match": calls, "lift": calls, "cover":
+    calls})."""
+    work = {"match": 0, "lift": 0, "cover": 0}
 
     def counted(key, f):
         def g(*args):
@@ -681,15 +726,28 @@ def probe_greatest(kind, X1, X2, bisim=False):
         return g
 
     V1, V2 = (PROBE_VIEWS[kind](X) for X in (X1, X2))
-    V1, V2 = (V._replace(lifts=counted("lift", V.lifts)) for V in (V1, V2))
+    V1, V2 = (V._replace(lifts=counted("lift", V.lifts), covers=counted("cover", V.covers))
+              for V in (V1, V2))
 
-    def matcher(A, B):
-        return lambda q1, q2, R: all(any(A.lifts(t1, t2, R) for t2 in B.targets(q2, a))
-                                     for a, t1 in A.moves(q1))
+    def exact(V):
+        return lambda t1, t2, R: (V.covers(t1, t2, R) if V.point(t1) or V.point(t2)
+                                  else V.lifts(t1, t2, R))
+
+    def matcher(A, B, lift):
+        return counted("match", lambda q1, q2, R: all(
+            any(lift(t1, t2, R) for t2 in B.targets(q2, a)) for a, t1 in A.moves(q1)))
+
+    def spread(V, q):
+        return {a for a, t in V.moves(q) if not V.point(t)}
+
+    def inexact(q1, q2):
+        return bool(spread(V1, q1) & spread(V2, q2))
 
     pairs = [(q1, q2) for q1 in V1.states for q2 in V2.states]
-    back = counted("match", matcher(V2, V1)) if bisim else None
-    R = probe_refine(pairs, (V1.initial, V2.initial), counted("match", matcher(V1, V2)), back)
+    cover_back = matcher(V2, V1, V2.covers) if bisim else None
+    back = matcher(V2, V1, exact(V2)) if bisim else None
+    R = probe_refine(pairs, (V1.initial, V2.initial), matcher(V1, V2, V1.covers), cover_back,
+                     (matcher(V1, V2, exact(V1)), back, inexact))
     return R, work
 
 

@@ -26,7 +26,7 @@ from rbmx.automata import (
     sync_on_equal,
     verify_weighting,
 )
-from rbmx.embeddings import spa_to_json, spa_to_ma
+from rbmx.embeddings import SPA, spa_to_json, spa_to_ma
 from rbmx.errors import (
     CapExceeded,
     IncompatibleInitials,
@@ -36,7 +36,7 @@ from rbmx.errors import (
     NondeterministicJoin,
     VariableSetMismatch,
 )
-from rbmx.transport import feasible_transport
+from rbmx.transport import Masses, coupling, covers, feasible_transport
 
 from .oracles import (
     allowed_pairs,
@@ -44,6 +44,7 @@ from .oracles import (
     cut_feasible,
     ma_ok,
     naive_greatest,
+    pa_ok,
     probe_greatest,
     rand_domain,
     rand_ma,
@@ -52,6 +53,7 @@ from .oracles import (
     rand_spa,
     rand_system,
     rand_system_over,
+    spa_ok,
 )
 
 BIT = Domain("bit", (0, 1))
@@ -421,13 +423,14 @@ class TestSimulation:
 
 
 # spa_simulates and spa_bisimilar of the two SPA documents on stdin, with
-# the couplings (lifts, counted at the SPA view's coupling call) and match
-# calls each made, and the relations sorted
+# the couplings (lifts, counted at the SPA view's coupling call), the cover
+# tests (counted at its covers call) and the match calls of both stages
+# each made, and the relations sorted
 COUNT_WORK = """
 import json, sys
 from rbmx import automata, embeddings
 
-coupling, refine = embeddings.coupling, automata.refine
+coupling, covers, refine = embeddings.coupling, embeddings.covers, automata.refine
 work = {}
 
 def counted(key, f):
@@ -436,15 +439,20 @@ def counted(key, f):
         return f(*args)
     return g
 
-def counted_refine(n1, n2, initial, match, back=None):
-    return refine(n1, n2, initial, counted("match", match), back and counted("match", back))
+def counted_refine(n1, n2, initial, match, back=None, exact=None):
+    if exact is not None:
+        match2, back2, inexact = exact
+        exact = (counted("match", match2), back2 and counted("match", back2), inexact)
+    return refine(n1, n2, initial, counted("match", match), back and counted("match", back),
+                  exact)
 
 embeddings.coupling = counted("lift", coupling)
+embeddings.covers = counted("cover", covers)
 automata.refine = counted_refine
 P1, P2 = (embeddings.spa_from_json(doc) for doc in json.load(sys.stdin))
 out = []
 for check in (embeddings.spa_simulates, embeddings.spa_bisimilar):
-    work.update(lift=0, match=0)
+    work.update(lift=0, cover=0, match=0)
     R = check(P1, P2)
     out.append([dict(work), None if R is None else sorted(R)])
 print(json.dumps(out))
@@ -631,11 +639,15 @@ class TestRefinement:
         assert sim_work["match"] > 36 and bisim_work["match"] > 36  # more than one round
 
     def test_work_counts_are_pinned(self):
-        # compiled measures and the greedy transport pass change how a lift
-        # is decided, not which lifts and matches the fixpoint asks for
+        # seed 15: the cover stage settles both checks, and no pair of its
+        # fixpoint has a move that needs a coupling
         (sim_work, sim), (bisim_work, bisim) = run_script(COUNT_WORK, spa_docs(15))
-        assert sim_work == {"lift": 87, "match": 55} and len(sim) == 6
-        assert bisim_work == {"lift": 109, "match": 70} and len(bisim) == 1
+        assert sim_work == {"lift": 0, "cover": 93, "match": 56} and len(sim) == 6
+        assert bisim_work == {"lift": 0, "cover": 111, "match": 71} and len(bisim) == 1
+        # seed 30: the simulation's initial pair falls in the exact stage
+        (sim_work, sim), (bisim_work, bisim) = run_script(COUNT_WORK, spa_docs(30))
+        assert sim_work == {"lift": 28, "cover": 89, "match": 73} and sim is None
+        assert bisim_work == {"lift": 0, "cover": 74, "match": 72} and bisim is None
 
     def test_each_target_is_compiled_once(self):
         # seed 26: every check keeps its initial pair after lifting targets
@@ -647,9 +659,174 @@ class TestRefinement:
         assert ma_again[0] == 0 and ma_again[2] == ma[2]
 
 
+def spy_refine(monkeypatch):
+    """Run every refine also without its exact stage.  Returns the list to
+    which each call appends (R0, first, R): the cover stage's fixpoint and
+    the final relation as pair sets (None when the initial pair is gone),
+    and the pairs of R0 the exact stage first rechecks."""
+    calls, real = [], automata.refine
+
+    def pairs(rows):
+        return None if rows is None else related(rows)
+
+    def spy(n1, n2, initial, match, back=None, exact=None):
+        r0 = real(n1, n2, initial, match, back)
+        first = None if r0 is None else {(i, j) for i, row in enumerate(r0)
+                                         for j in exact[2](i, row)}
+        got = real(n1, n2, initial, match, back, exact)
+        calls.append((pairs(r0), first, pairs(got)))
+        return got
+
+    monkeypatch.setattr(automata, "refine", spy)
+    return calls
+
+
+# x1 moves on b and only y1 answers it; x2 and y2 do nothing.  s0's a-move
+# covers t0's, since x1 reaches y1 and x2 reaches both, but no coupling
+# exists: x1 carries 3/4 and y1 has room for 1/4
+COVERED = ("s0", "a", {"x1": Fraction(3, 4), "x2": Fraction(1, 4)})
+UNCOUPLED = ("t0", "a", {"y1": Fraction(1, 4), "y2": Fraction(3, 4)})
+
+
+def covered_pair(lead=False):
+    """The SPA pair of COVERED and UNCOUPLED; with ``lead``, each starts in
+    a state whose one move, on c, is a point mass on s0 (t0)."""
+    t1 = [COVERED, ("x1", "b", {"x1": 1})]
+    t2 = [UNCOUPLED, ("y1", "b", {"y1": 1})]
+    q1, q2 = ["s0", "x1", "x2"], ["t0", "y1", "y2"]
+    if lead:
+        t1, q1 = t1 + [("p", "c", {"s0": 1})], ["p"] + q1
+        t2, q2 = t2 + [("r", "c", {"t0": 1})], ["r"] + q2
+    return SPA("abc", q1, q1[0], t1), SPA("abc", q2, q2[0], t2)
+
+
+class TestStages:
+    """greatest reaches the cover fixpoint R0 first, then rechecks with
+    exact couplings only the pairs of R0 with an inexact move, and what
+    depended on a pair that the exact stage removed."""
+
+    def test_a_cover_need_not_couple(self):
+        m1 = Masses({"x1": Fraction(3, 4), "x2": Fraction(1, 4)})
+        m2 = Masses({"y1": Fraction(1, 4), "y2": Fraction(3, 4)})
+        allowed = [("x1", "y1"), ("x2", "y1"), ("x2", "y2")]
+        assert covers(m1, m2, allowed)
+        assert coupling(m1, m2, allowed) is None
+
+    def test_the_exact_stage_removes_a_covered_pair(self, monkeypatch):
+        calls = spy_refine(monkeypatch)
+        P1, P2 = covered_pair()
+        assert embeddings.spa_simulates(P1, P2) is None
+        assert naive_greatest([(a, b) for a in P1.states for b in P2.states],
+                              spa_ok(P1, P2)) == {("x1", "y1"), ("x2", "t0"), ("x2", "y1"),
+                                                  ("x2", "y2")}
+        (r0, first, got), = calls
+        assert (0, 0) in r0 and (0, 0) in first and got is None
+
+    def test_an_initial_pair_that_falls_at_the_cover_stage_couples_nothing(self, monkeypatch):
+        calls = spy_refine(monkeypatch)
+        half = Fraction(1, 2)
+        P1 = SPA("ab", ["s0", "x1", "x2"], "s0",
+                 [("s0", "a", {"x1": half, "x2": half}), ("x1", "b", {"x1": 1}),
+                  ("x2", "b", {"x2": 1})])
+        P2 = SPA("ab", ["t0", "y1", "y2"], "t0", [("t0", "a", {"y1": half, "y2": half})])
+        coupled = []
+        monkeypatch.setattr(embeddings, "coupling", lambda *args: coupled.append(args))
+        for check in (embeddings.spa_simulates, embeddings.spa_bisimilar):
+            assert check(P1, P2) is None
+        assert calls == [(None, None, None)] * 2 and coupled == []
+
+    def test_a_skipped_pair_falls_with_a_pair_it_found(self, monkeypatch):
+        # (p, r) moves only on a point mass, so the exact stage does not
+        # recheck it at first; it found (s0, t0), which that stage removes
+        calls = spy_refine(monkeypatch)
+        P1, P2 = covered_pair(lead=True)
+        p, r, s0, t0 = P1.states.index("p"), P2.states.index("r"), 1, 1
+        assert (P1.states[s0], P2.states[t0]) == ("s0", "t0")
+        assert embeddings.spa_simulates(P1, P2) is None
+        (r0, first, got), = calls
+        assert (p, r) in r0 and (s0, t0) in r0
+        assert (s0, t0) in first and (p, r) not in first
+        assert got is None
+        # the same holds of the automata's mixed images
+        calls.clear()
+        assert simulates(spa_to_ma(P1), spa_to_ma(P2)) is None
+        (r0, first, got), = calls
+        assert r0 is not None and got is None
+
+    def test_the_exact_stage_rechecks_inexact_pairs_and_what_found_them(self):
+        # (0, 0) found (0, 1), which found (0, 2); only (0, 2) is inexact,
+        # and it fails the exact check, so the drop travels 2 -> 1 -> 0
+        consults = {0: [1], 1: [2], 2: [], 3: []}
+        calls = {"cover": [], "exact": []}
+
+        def check(key, fails):
+            def match(p, i, rows, found):
+                calls[key].append(i)
+                if i in fails:
+                    return False
+                for j in consults[i]:
+                    if j not in rows[p]:
+                        return False
+                    found.append((p, j))
+                return True
+            return match
+
+        def inexact(i, js):
+            return [j for j in js if j == 2]
+
+        got = refine(1, 4, (0, 3), check("cover", ()), None,
+                     (check("exact", (2,)), None, inexact))
+        assert related(got) == {(0, 3)}
+        assert calls == {"cover": [0, 1, 2, 3], "exact": [2, 1, 0]}
+
+    def test_staged_relations_equal_the_naive_fixpoint(self, monkeypatch):
+        calls = spy_refine(monkeypatch)
+        rng = random.Random(2203)
+        seen = {}
+
+        def views(M):
+            Q = M.reachable()
+            return Q if M.initial in Q else [M.initial] + Q
+
+        checks = {
+            "spa": (embeddings.spa_simulates, embeddings.spa_bisimilar, spa_ok,
+                    lambda P: P.states),
+            "pa": (embeddings.pa_simulates, embeddings.pa_bisimilar, pa_ok,
+                   lambda P: P.states),
+            "ma": (simulates, bisimilar, ma_ok, views),
+        }
+        cases = 0
+        for _ in range(45):
+            P1, A1 = rand_spa(rng, nq=4), rand_pa(rng, nq=4)
+            F1 = rand_ma_fragment(rng)
+            for kind, X1, X2 in (("spa", P1, rand_spa(rng, nq=4)), ("spa", P1, P1),
+                                 ("pa", A1, rand_pa(rng, nq=4)), ("pa", A1, A1),
+                                 ("ma", rand_ma(rng, "u"), rand_ma(rng, "u")),
+                                 ("ma", F1, rand_ma_fragment(rng)), ("ma", F1, F1)):
+                cases += 1
+                sim, bisim, ok, states = checks[kind]
+                pairs = [(a, b) for a in states(X1) for b in states(X2)]
+                initial = (X1.initial, X2.initial)
+                for check, oracle in ((sim, ok(X1, X2)),
+                                      (bisim, both_ways(ok(X1, X2), ok(X2, X1)))):
+                    want = naive_greatest(pairs, oracle)
+                    del calls[:]
+                    assert check(X1, X2) == (want if initial in want else None), kind
+                    (r0, _, got), = calls
+                    assert got is None or r0 >= got
+                    stage = "cover" if r0 is None else "exact" if r0 != got else "none"
+                    seen[kind, stage] = seen.get((kind, stage), 0) + 1
+        assert cases >= 300, cases
+        # each kind has checks decided by each stage, and checks in which
+        # the exact stage removes pairs the cover stage kept
+        assert {k for k, n in seen.items() if n >= 5} == {
+            (k, s) for k in checks for s in ("cover", "exact", "none")}, seen
+
+
 class TestProbeOracle:
-    """The numbered engine asks the same matches and lifts as the State-level
-    engine it replaced, kept as oracles.probe_greatest, and finds the same
+    """The numbered engine asks the same matches, cover tests and exact
+    lifts as the State-level engine it replaced, kept as
+    oracles.probe_greatest with the same two stages, and finds the same
     relation."""
 
     CHECKS = {
@@ -660,7 +837,7 @@ class TestProbeOracle:
 
     @staticmethod
     def numbered(kind, X1, X2, bisim):
-        work = {"match": 0, "lift": 0}
+        work = {"match": 0, "lift": 0, "cover": 0}
 
         def counted(key, f):
             def g(*args):
@@ -670,14 +847,19 @@ class TestProbeOracle:
 
         refine = automata.refine
 
-        def counted_refine(n1, n2, initial, match, back=None):
+        def counted_refine(n1, n2, initial, match, back=None, exact=None):
+            if exact is not None:
+                match2, back2, inexact = exact
+                exact = (counted("match", match2), back2 and counted("match", back2), inexact)
             return refine(n1, n2, initial, counted("match", match),
-                          back and counted("match", back))
+                          back and counted("match", back), exact)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automata, "refine", counted_refine)
             mp.setattr(embeddings, "coupling", counted("lift", embeddings.coupling))
             mp.setattr(automata, "lift_check", counted("lift", automata.lift_check))
+            mp.setattr(embeddings, "covers", counted("cover", embeddings.covers))
+            mp.setattr(automata, "covers", counted("cover", automata.covers))
             R = TestProbeOracle.CHECKS[kind][bisim](X1, X2)
         return R, work
 

@@ -140,8 +140,15 @@ class TestRat:
             if got[0] == "value":
                 assert type(got[1]) is Fraction
         assert read_as(rat, "3/6") == ("value", Fraction(1, 2))
-        assert read_as(rat, "\u0663/4") == ("value", Fraction(3, 4))
         assert read_as(rat, "0/0")[1] is MalformedSystem
+
+    @pytest.mark.parametrize("x", ["\u0663/4", "\u00b2/3", "\uff11/2", "1_0/3", "1/1_0",
+                                   " 1/2", "1/2 ", "\t3/4\n", "\u00a01/2", " 7", "0.2_5"])
+    def test_text_no_writer_produces_is_refused(self, x):
+        # Fraction's parser reads other scripts' digits, "_" separators and
+        # surrounding whitespace; a document's weights are plain ASCII
+        with pytest.raises(MalformedSystem, match="only ASCII text"):
+            rat(x)
 
     def test_exact_weights_refuses_what_fraction_sums_refuse(self):
         rng = random.Random(2202)

@@ -92,6 +92,21 @@ class TestRing:
         for d in lines:
             assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
 
+    def test_the_split_ring_keeps_every_pair_in_each_kind(self, capsys):
+        assert ring.main(["--states", "1,7", "--split"]) == 0
+        assert ring.main(["--states", "6", "--split", "--bisim"]) == 0
+        assert ring.main(["--states", "5", "--split", "--ma"]) == 0
+        assert ring.main(["--states", "4", "--split", "--ma", "--bisim"]) == 0
+        assert ring.main(["--states", "3"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert [(d["automaton"], d["ring"], d["states"], d["check"], d["pairs"])
+                for d in lines] == [
+            ("spa", "split", 1, "simulation", 1), ("spa", "split", 7, "simulation", 49),
+            ("spa", "split", 6, "bisimulation", 36), ("ma", "split", 5, "simulation", 50),
+            ("ma", "split", 4, "bisimulation", 32), ("spa", "dirac", 3, "simulation", 9)]
+        for d in lines:
+            assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
+
     def test_a_bad_size_list_is_refused(self):
         for bad in ("0", "ten", "3,,4"):
             with pytest.raises(SystemExit):

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from rbmx.transport import Masses, coupling, feasible_transport
+from rbmx.transport import Masses, coupling, covers, feasible_transport
 
-from .oracles import cut_feasible
+from .oracles import cut_feasible, probe_covered
 
 HALF = Fraction(1, 2)
 
@@ -154,3 +154,28 @@ def test_complete_and_point_mass_instances_need_no_search():
             rng.shuffle(allowed)
             want = {(support[0], b): m for b, m in mu2.items() if m}
             assert both_forms(mu1, mu2, allowed) == (want, want)
+
+
+def test_covers_is_needed_for_a_coupling_and_enough_at_a_point():
+    # covers reads distinct pairs of positive keys, as the couplers list them
+    rng = random.Random(2203)
+    seen = {"point": 0, "covered, no coupling": 0, "uncovered": 0, "coupled": 0}
+    for _ in range(1500):
+        left = ["l%d" % i for i in range(rng.randint(0, 4))]
+        right = ["r%d" % i for i in range(rng.randint(0, 4))]
+        mu1, mu2 = _measure(rng, left), _measure(rng, right)
+        t1, t2 = sum(mu1.values(), Fraction(0)), sum(mu2.values(), Fraction(0))
+        if t1 and t2 and rng.random() < 0.9:  # else the totals differ
+            mu2 = {k: m * t1 / t2 for k, m in mu2.items()}
+        m1, m2 = Masses(mu1), Masses(mu2)
+        density = rng.choice((0.4, 0.7, 1.0))
+        allowed = [(a, b) for a in m1.mass for b in m2.mass if rng.random() < density]
+        got = covers(m1, m2, allowed)
+        assert got == probe_covered(mu1, mu2, allowed), (mu1, mu2, allowed)
+        feasible = cut_feasible(mu1, mu2, allowed)
+        assert got or not feasible
+        if min(len(m1.mass), len(m2.mass)) <= 1:
+            assert got == feasible
+            seen["point"] += 1
+        seen["coupled" if feasible else "covered, no coupling" if got else "uncovered"] += 1
+    assert min(seen.values()) > 50, seen

@@ -1,16 +1,20 @@
-"""Time the simulation check of a Dirac ring SPA, or of its mixed automaton
+"""Time the simulation check of a ring SPA, or of its mixed automaton
 image, against itself.
 
-    python3 tools/ring.py --states 150,300,600 [--bisim] [--ma]
+    python3 tools/ring.py --states 150,300,600 [--bisim] [--ma] [--split]
 
-The ring has states q0 .. q(n-1) and one action, a, whose one transition
-from each state moves all of its mass to the next state of the ring.  Every
-state simulates every other, so the check keeps all n * n pairs.  For each
-size a fresh Python process builds the ring, runs `spa_simulates(P, P)`
-(with --bisim, `spa_bisimilar(P, P)`) once and prints one JSON line: the
-automaton kind, the size, the check, the number of related pairs, the
-seconds the check took and the process's peak resident set size from
-getrusage.
+The ring has states q0 .. q(n-1) and one action, a, with one transition
+from each state.  By default it is the Dirac ring: the transition moves all
+of its mass to the next state of the ring.  With --split it moves half of
+it to the next state and half to the one after, so no target is a point
+mass: the simulation check's cover stage removes no pair and every lift
+needs an exact coupling, which makes it the worst case of the staged check.
+Either way every state simulates every other, so the check keeps all n * n
+pairs.  For each size a fresh Python process builds the ring, runs
+`spa_simulates(P, P)` (with --bisim, `spa_bisimilar(P, P)`) once and prints
+one JSON line: the automaton kind, the ring, the size, the check, the
+number of related pairs, the seconds the check took and the process's peak
+resident set size from getrusage.
 
 With --ma the check is `automata.simulates(M, M)` (with --bisim,
 `automata.bisimilar(M, M)`) on M = `spa_to_ma(P)`, built before the clock
@@ -29,13 +33,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = """
 import json, resource, sys, time
+from fractions import Fraction
 from rbmx import automata
 from rbmx.embeddings import SPA, spa_bisimilar, spa_simulates, spa_to_ma
 
-n, bisim, kind = int(sys.argv[1]), sys.argv[2] == "bisim", sys.argv[3]
+n, bisim, kind, ring = int(sys.argv[1]), sys.argv[2] == "bisim", sys.argv[3], sys.argv[4]
 states = ["q%d" % i for i in range(n)]
-X = SPA(("a",), states, states[0],
-        [(q, "a", {states[(i + 1) % n]: 1}) for i, q in enumerate(states)])
+steps = (1, 2) if ring == "split" else (1,)
+
+def dist(i):
+    d = {}
+    for k in steps:
+        s = states[(i + k) % n]
+        d[s] = d.get(s, 0) + Fraction(1, len(steps))
+    return d
+
+X = SPA(("a",), states, states[0], [(q, "a", dist(i)) for i, q in enumerate(states)])
 if kind == "ma":
     X = spa_to_ma(X)
     check = automata.bisimilar if bisim else automata.simulates
@@ -45,7 +58,7 @@ t0 = time.perf_counter()
 R = check(X, X)
 seconds = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"automaton": kind, "states": n,
+print(json.dumps({"automaton": kind, "ring": ring, "states": n,
                   "check": "bisimulation" if bisim else "simulation",
                   "pairs": None if R is None else len(R), "seconds": round(seconds, 3),
                   "peak_rss_mb": round(peak, 1)}))
@@ -71,12 +84,16 @@ def main(argv=None):
     ap.add_argument("--ma", action="store_true",
                     help="check the ring's spa_to_ma image with automata.simulates "
                          "(automata.bisimilar with --bisim)")
+    ap.add_argument("--split", action="store_true",
+                    help="split each transition's mass evenly between the next two "
+                         "states instead of moving it all to the next one")
     args = ap.parse_args(argv)
     path = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=path + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for n in args.states:
         r = subprocess.run([sys.executable, "-c", CHILD, str(n),
-                            "bisim" if args.bisim else "sim", "ma" if args.ma else "spa"],
+                            "bisim" if args.bisim else "sim", "ma" if args.ma else "spa",
+                            "split" if args.split else "dirac"],
                            env=env, capture_output=True, text=True)
         if r.returncode != 0:
             raise SystemExit("ring of %d states failed:\n%s" % (n, r.stderr))
