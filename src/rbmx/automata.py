@@ -49,6 +49,7 @@ the relation both read is a lookup of both row states' numbers in the rows.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
@@ -60,6 +61,7 @@ from .core import (
     all_states,
     compose,
     document_reader,
+    domains_agree,
     equivalent,
     json_label,
     merge_vars,
@@ -75,6 +77,7 @@ from .core import (
 )
 from .errors import (
     CapExceeded,
+    DomainMismatch,
     IncompatibleInitials,
     InconsistentSystem,
     MalformedSystem,
@@ -96,7 +99,8 @@ def action_key(a):
 
 class MixedAutomaton:
     """States are total assignments over ``vars``; ``delta`` maps (state,
-    action) to a target system over the same variables.
+    action) to a target system over the same variables, each over a domain
+    with the automaton's values (core.domains_agree).
 
     ``initial`` and the states of ``delta`` may be partial (program
     fragments pin only some variables), but may bind only known variables to
@@ -129,11 +133,21 @@ class MixedAutomaton:
             self._store(q, a, S)
 
     def _store(self, q: State, a, S: MixedSystem):
-        if S.var_names != tuple(v.name for v in self.vars):
-            raise VariableSetMismatch(
-                "target at (%r, %r) has variables %r, automaton has %r"
-                % (q, a, list(S.var_names), [v.name for v in self.vars])
-            )
+        """Store S at (q, a): S must bind the automaton's variables, each
+        over a domain with the same typed values.  Equal Vars, as a read
+        document's targets share them, pass on one tuple comparison."""
+        if S.vars != self.vars:
+            if S.var_names != tuple(v.name for v in self.vars):
+                raise VariableSetMismatch(
+                    "target at (%r, %r) has variables %r, automaton has %r"
+                    % (q, a, list(S.var_names), [v.name for v in self.vars])
+                )
+            for v, w in zip(S.vars, self.vars):
+                if not domains_agree(v.domain, w.domain):
+                    raise DomainMismatch(
+                        "target at (%r, %r) has %r over %s, automaton has it over %s"
+                        % (q, a, v.name, reprlib.repr(list(v.domain.values)),
+                           reprlib.repr(list(w.domain.values))))
         self.delta[(q, a)] = S
         return S
 
@@ -744,14 +758,17 @@ def ma_to_json(M: MixedAutomaton) -> dict:
 
 
 @document_reader("automaton")
-def ma_from_json(doc: dict) -> MixedAutomaton:
-    vars = vars_from_json(doc)
+def ma_from_json(doc: dict, table: dict) -> MixedAutomaton:
+    """The automaton of a document.  Its targets are read in its table, so
+    each repeated domain declaration is one Domain, the automaton's own
+    among them, and each weight text is read once."""
+    vars = vars_from_json(table, doc)
     delta = {}
     for e in doc["delta"]:
         key = (_state_from_json("state", e["state"]), _action_from_json(e["action"]))
         if key in delta:
             raise ValueError("delta gives state %r under action %r twice" % key)
-        delta[key] = system_from_json(e["system"])
+        delta[key] = system_from_json(e["system"], _table=table)
     alphabet = [_action_from_json(a) for a in doc["alphabet"]]
     initial = _state_from_json("initial", doc["initial"])
     return MixedAutomaton(alphabet, vars, initial, delta)

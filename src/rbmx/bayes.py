@@ -543,8 +543,10 @@ def _names_from_json(field, names):
 
 
 @document_reader("network")
-def bn_from_json(doc: dict) -> BayesianNetwork:
-    vbyname = {v.name: v for v in vars_from_json(doc, "variables")}
+def bn_from_json(doc: dict, table: dict) -> BayesianNetwork:
+    """The network of a document; its kernels' systems are read in its
+    table, as ma_from_json reads an automaton's targets."""
+    vbyname = {v.name: v for v in vars_from_json(table, doc, "variables")}
 
     def lookup(kernel, names):
         unknown = [n for n in names if n not in vbyname]
@@ -560,15 +562,15 @@ def bn_from_json(doc: dict) -> BayesianNetwork:
         ins = lookup(name, _names_from_json("the 'in' of kernel %r" % name, kd["in"]))
         outs = lookup(name, _names_from_json("the 'out' of kernel %r" % name, kd["out"]))
         doms = {v.name: v.domain for v in ins}
-        table = {}
+        systems = {}
         for binding, sdoc in kd["table"]:
             q = State(binding)
             if q.names != tuple(sorted(doms)) or not all(x in doms[n] for n, x in q.items()):
                 raise ValueError("kernel %r has a table entry for %s, not an input over %r"
                                  % (name, reprlib.repr(binding), sorted(doms)))
-            if q in table:
+            if q in systems:
                 raise ValueError("kernel %r gives input %r twice" % (name, q))
-            table[q] = system_from_json(sdoc)
-        kernels.append(MixedKernel(ins, outs, table, name=name))
+            systems[q] = system_from_json(sdoc, _table=table)
+        kernels.append(MixedKernel(ins, outs, systems, name=name))
     sources = _names_from_json("'sources'", doc.get("sources", []))
     return BayesianNetwork(kernels, sources=sources, variables=list(vbyname.values()))

@@ -981,6 +981,16 @@ def polarized_score(prob, pr: PolarizedRelation, P) -> Fraction:
 # never in a raw error (a reader's own checks raise ValueError for the guard
 # to type).  What a reader returns is trusted.  Writers mirror the readers.
 #
+# A document repeats its parts: a mixed automaton's targets each declare its
+# domains again, and a few weight texts recur across all of its systems.
+# Each top-level reader call therefore starts one table, and every reader of
+# a nested document (a target, a kernel's system, a factor) is handed that
+# same table as _table.  read_domain builds one Domain per distinct typed
+# declaration in it and read_weight reads each distinct weight text once
+# (hash-consing, per document).  Only successful reads are kept, so a bad
+# part raises the same error wherever it occurs, and the table is dropped
+# when the top-level call returns: nothing is kept across calls.
+#
 # Inside the boundary, what follows from checked systems is not checked
 # again: compose, marginal and compress (and the elaborator's grafts,
 # equations, free variables, pins and observation points) build their
@@ -1018,19 +1028,49 @@ DOCUMENT_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 
 def document_reader(kind):
-    """Decorate a reader of JSON documents of the given kind: any of
-    DOCUMENT_ERRORS raised while it reads and builds becomes MalformedSystem
-    "bad <kind> document: ...", a KeyError naming the missing field."""
+    """Decorate read(doc, table), a reader of JSON documents of the given
+    kind.  The reader it returns takes the document, and _table, internal:
+    the table of the document that holds doc, when doc is part of one;
+    otherwise a fresh table is made for this call.  Any of DOCUMENT_ERRORS
+    raised while it reads and builds becomes MalformedSystem "bad <kind>
+    document: ...", a KeyError naming the missing field."""
     def guard(read):
         @functools.wraps(read)
-        def guarded(doc):
+        def guarded(doc, *, _table=None):
             try:
-                return read(doc)
+                return read(doc, {} if _table is None else _table)
             except DOCUMENT_ERRORS as exc:
                 what = "missing field %s" % exc if isinstance(exc, KeyError) else exc
                 raise MalformedSystem("bad %s document: %s" % (kind, what)) from exc
         return guarded
     return guard
+
+
+def read_domain(table, name, values) -> Domain:
+    """Domain(name, values), built once per table for each name and typed
+    value list, so [0, 1] and [false, true] stay two domains.  Only a built
+    domain is kept: a bad declaration raises the same error each time."""
+    values = tuple(values)
+    key = (name, values, tuple(map(type, values)))
+    try:
+        dom = table.get(key)
+    except TypeError:  # an unhashable value, which Domain refuses
+        return Domain(name, values)
+    if dom is None:
+        dom = table[key] = Domain(name, values)
+    return dom
+
+
+def read_weight(table, x) -> Fraction:
+    """rat(x), with each weight text read once per table.  Only texts are
+    kept, since True, 1 and 1.0 would be one key, and only those that read:
+    a bad text raises the same error each time."""
+    if type(x) is not str:
+        return rat(x)
+    f = table.get(x)
+    if f is None:
+        f = table[x] = rat(x)
+    return f
 
 
 def json_label(field, x):
@@ -1049,10 +1089,11 @@ def vars_to_json(vars, field="vars") -> dict:
             field: [{"name": v.name, "domain": v.domain.name} for v in vars]}
 
 
-def vars_from_json(doc, field="vars"):
+def vars_from_json(table, doc, field="vars"):
     """Vars from the {domain name: values} map at doc["domains"] and the
-    list of {"name", "domain"} entries at doc[field]."""
-    domains = {name: Domain(name, vals) for name, vals in doc["domains"].items()}
+    list of {"name", "domain"} entries at doc[field]; each domain comes from
+    read_domain in table, the document's."""
+    domains = {name: read_domain(table, name, vals) for name, vals in doc["domains"].items()}
     vars = []
     for entry in doc[field]:
         if not isinstance(entry["name"], str):
@@ -1076,19 +1117,19 @@ def system_to_json(S: MixedSystem) -> dict:
 
 
 @document_reader("system")
-def system_from_json(doc: dict) -> MixedSystem:
-    vars = vars_from_json(doc)
+def system_from_json(doc: dict, table: dict) -> MixedSystem:
+    vars = vars_from_json(table, doc)
     omega = list(doc["omega"])
-    pi = {o: rat(doc["pi"][o]) for o in omega}
+    pi = {o: read_weight(table, doc["pi"][o]) for o in omega}
     pairs = [(o, dict(binding)) for o, binding in doc.get("rel", [])]
     # a binding to an array or object fails to hash inside the constructor
     return MixedSystem(DiscreteProb(omega, pi), vars, pairs)
 
 
 @document_reader("polarized system")
-def polarized_from_json(doc: dict):
+def polarized_from_json(doc: dict, table: dict):
     """Read (prob, PolarizedRelation) from a system document carrying a
     "blocks" list of {"outcomes": [...], "polarity": "angel"|"demon"}."""
-    S = system_from_json(doc)
+    S = system_from_json(doc, _table=table)
     blocks = [(set(b["outcomes"]), b["polarity"]) for b in doc["blocks"]]
     return S.prob, PolarizedRelation(S.rel, blocks)

@@ -54,6 +54,7 @@ from .core import (
     format_rat,
     json_label,
     rat,
+    read_weight,
     unique_labels,
     value_key,
 )
@@ -67,16 +68,33 @@ def _dist(d) -> dict:
     return {k: f for k, f in exact_weights(d, d).items() if f}
 
 
-def _dist_key(d):
-    return tuple(sorted(((repr(k), k, v) for k, v in d.items())))
+def _weight_ranks(dists) -> dict:
+    """{id(f): rank of f's value} over the weight objects f of dists, which
+    must stay alive while the ranks are read.  A key that holds ranks hashes
+    and compares integers, yet sorts exactly as one holding the Fractions
+    would; (numerator, denominator) would not (it puts 1/2 before 1/3).
+    Readers share one Fraction per weight text, so the values are compared
+    once per distinct object."""
+    objects = {id(f): f for d in dists for f in d.values()}
+    values = {}
+    for f in objects.values():
+        values.setdefault((f.numerator, f.denominator), f)
+    order = {nd: i for i, nd in enumerate(sorted(values, key=values.__getitem__))}
+    return {i: order[f.numerator, f.denominator] for i, f in objects.items()}
+
+
+def _dist_key(d, ranks):
+    return tuple(sorted((repr(k), k, ranks[id(f)]) for k, f in d.items()))
 
 
 class _ProbAutomaton:
     """What SPA and PA share: a sorted alphabet, distinct states, an initial
     state among them, and transitions from known states.  Each subclass's
-    _norm validates the rest of a transition and returns it normalized with
-    the key that deduplicates and orders the transitions.  ``out`` indexes
-    them by their source state, in order."""
+    _norm validates the rest of a transition and returns it normalized, and
+    its _key gives the key that deduplicates and orders the transitions,
+    with each weight replaced by its rank among the automaton's weights
+    (_weight_ranks).  ``out`` indexes them by their source state, in
+    order."""
 
     __slots__ = ("alphabet", "states", "initial", "transitions", "out")
 
@@ -89,12 +107,15 @@ class _ProbAutomaton:
         if initial not in known:
             raise MalformedSystem("initial state %r not among states" % (initial,))
         self.initial = initial
-        norm = {}
+        checked = []
         for t in transitions:
             if t[0] not in known:
                 raise MalformedSystem("transition from unknown state %r" % (t[0],))
-            key, t = self._norm(t, known)
-            norm.setdefault(key, t)
+            checked.append(self._norm(t, known))
+        ranks = _weight_ranks(t[-1] for t in checked)
+        norm = {}
+        for t in checked:
+            norm.setdefault(self._key(t, ranks), t)
         self.transitions = tuple(norm[k] for k in sorted(norm))
         self.out = {}
         for t in self.transitions:
@@ -118,7 +139,12 @@ class SPA(_ProbAutomaton):
         d = _dist(d)
         if not set(d) <= known:
             raise MalformedSystem("distribution leaves the state set")
-        return (repr(q), action_key(a), _dist_key(d)), (q, a, d)
+        return q, a, d
+
+    @staticmethod
+    def _key(t, ranks):
+        q, a, d = t
+        return repr(q), action_key(a), _dist_key(d, ranks)
 
     def dists(self, q, a):
         return [d for _, b, d in self.out.get(q, ()) if b == a]
@@ -136,7 +162,12 @@ class PA(_ProbAutomaton):
         for (a, s) in d:
             if a not in self.alphabet or s not in known:
                 raise MalformedSystem("distribution leaves Σ×Q at %r" % ((a, s),))
-        return (repr(q), _dist_key(d)), (q, d)
+        return q, d
+
+    @staticmethod
+    def _key(t, ranks):
+        q, d = t
+        return repr(q), _dist_key(d, ranks)
 
 
 def _pair(q1, q2) -> str:
@@ -399,7 +430,7 @@ def ma_to_spa(M: MixedAutomaton, cap=4096) -> SPA:
             d = {}
             for o, target in zip(live, choice):
                 d[target] = d.get(target, Fraction(0)) + S.pi[o] / z
-            key = _dist_key(d)
+            key = frozenset(d.items())
             if key not in seen:
                 seen.add(key)
                 transitions.append((q, a, d))
@@ -483,13 +514,14 @@ def _automaton_to_json(kind, P, entry) -> dict:
     }
 
 
-def _automaton_from_json(cls, doc, entry):
+def _automaton_from_json(cls, doc, table, entry):
     """The SPA or PA cls of a document: the fields both kinds share, and
-    entry(e) for each transition entry e."""
+    entry(e, table) for each transition entry e, table being the
+    document's (core.read_weight)."""
     return cls([json_label("alphabet", a) for a in doc["alphabet"]],
                [json_label("states", q) for q in doc["states"]],
                json_label("initial", doc["initial"]),
-               [entry(e) for e in doc["transitions"]])
+               [entry(e, table) for e in doc["transitions"]])
 
 
 def _spa_entry_to_json(t, sl, al) -> dict:
@@ -498,9 +530,9 @@ def _spa_entry_to_json(t, sl, al) -> dict:
     return {"from": sl[q], "action": al[a], "dist": [[sl[s], format_rat(m)] for s, m in dist]}
 
 
-def _spa_entry_from_json(e):
+def _spa_entry_from_json(e, table):
     return (json_label("from", e["from"]), json_label("action", e["action"]),
-            {s: rat(m) for s, m in e["dist"]})
+            {s: read_weight(table, m) for s, m in e["dist"]})
 
 
 def _pa_entry_to_json(t, sl, al) -> dict:
@@ -509,8 +541,9 @@ def _pa_entry_to_json(t, sl, al) -> dict:
     return {"from": sl[q], "dist": [[al[a], sl[s], format_rat(m)] for (a, s), m in dist]}
 
 
-def _pa_entry_from_json(e):
-    return json_label("from", e["from"]), {(a, s): rat(m) for a, s, m in e["dist"]}
+def _pa_entry_from_json(e, table):
+    return (json_label("from", e["from"]),
+            {(a, s): read_weight(table, m) for a, s, m in e["dist"]})
 
 
 def spa_to_json(P: SPA) -> dict:
@@ -518,8 +551,8 @@ def spa_to_json(P: SPA) -> dict:
 
 
 @document_reader("spa")
-def spa_from_json(doc: dict) -> SPA:
-    return _automaton_from_json(SPA, doc, _spa_entry_from_json)
+def spa_from_json(doc: dict, table: dict) -> SPA:
+    return _automaton_from_json(SPA, doc, table, _spa_entry_from_json)
 
 
 def pa_to_json(P: PA) -> dict:
@@ -527,5 +560,5 @@ def pa_to_json(P: PA) -> dict:
 
 
 @document_reader("pa")
-def pa_from_json(doc: dict) -> PA:
-    return _automaton_from_json(PA, doc, _pa_entry_from_json)
+def pa_from_json(doc: dict, table: dict) -> PA:
+    return _automaton_from_json(PA, doc, table, _pa_entry_from_json)

@@ -185,10 +185,12 @@ def fg_to_json(g: FactorGraph) -> dict:
 
 
 @document_reader("factor graph")
-def fg_from_json(doc) -> FactorGraph:
-    """Factor graph from a {"systems": {label: system document}} document, not empty."""
+def fg_from_json(doc, table) -> FactorGraph:
+    """Factor graph from a {"systems": {label: system document}} document,
+    not empty; the systems are read in its table."""
     systems = doc["systems"]
     if not systems:
         raise ValueError("it holds no systems")
     labels = list(systems)
-    return factor_graph([system_from_json(systems[lab]) for lab in labels], labels)
+    return factor_graph([system_from_json(systems[lab], _table=table) for lab in labels],
+                        labels)

@@ -188,6 +188,9 @@ class Program:
 
 _PUNCT2 = ("||", "->")
 _PUNCT1 = "(){},:=~|/"
+# a number is written in ASCII digits only: str.isdecimal() also takes
+# other scripts' digits, which int() would read as these
+_DIGITS = frozenset("0123456789")
 
 
 class Token:
@@ -252,17 +255,17 @@ def tokenize(text):
             col += j + 1 - i
             i = j + 1
             continue
-        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and (text[j].isdecimal() or text[j] == "."):
+            while j < n and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdecimal():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdecimal():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             word = text[i:j]
             kind = _number_kind(word, start_line, start_col)

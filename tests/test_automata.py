@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from rbmx.automata import (
 from rbmx.embeddings import SPA, spa_to_json, spa_to_ma
 from rbmx.errors import (
     CapExceeded,
+    DomainMismatch,
     IncompatibleInitials,
     MalformedSystem,
     MissingInit,
@@ -116,6 +118,17 @@ class TestConstruction:
     def test_alphabet_is_sorted_and_deduped(self):
         M = MixedAutomaton(("b", "a", "b"), [("x", BIT)], {"x": 0}, {})
         assert M.alphabet == ("a", "b")
+
+    def test_target_domains_must_agree(self):
+        # the rule merge_vars applies: the same typed values, in any order
+        flipped = MixedSystem({"o": Fraction(1)}, [("x", Domain("b2", (1, 0)))],
+                              {"o": [State({"x": 1})]})
+        M = MixedAutomaton(("a",), [("x", BIT)], {"x": 0}, {(State({"x": 0}), "a"): flipped})
+        assert M.transition({"x": 0}, "a") is flipped
+        for dom in (Domain("bit", (0, 1, 2)), Domain("bit", (False, True))):
+            S = MixedSystem({"o": Fraction(1)}, [("x", dom)], {"o": [State({"x": dom.values[1]})]})
+            with pytest.raises(DomainMismatch, match="target at .* has 'x' over"):
+                MixedAutomaton(("a",), [("x", BIT)], {"x": 0}, {(State({"x": 0}), "a"): S})
 
     def test_variables_are_validated_like_a_system(self):
         with pytest.raises(MalformedSystem, match="declared twice"):
@@ -931,6 +944,34 @@ class TestJson:
         doc["delta"].append(dict(first, system=again["system"]))
         with pytest.raises(MalformedSystem, match="bad automaton document: delta gives "
                                                   "state State\\(x=0\\) under action '.*' twice"):
+            ma_from_json(doc)
+
+    def test_targets_share_one_domain_per_typed_declaration(self):
+        M = ma_from_json(ma_to_json(walker()))
+        assert len(M.delta) == 4
+        assert all(S.vars[0].domain is M.vars[0].domain for S in M.delta.values())
+        one = next(iter(M.delta.values()))
+        assert all(S.pi["o"] is one.pi["o"] for S in M.delta.values())
+
+    def test_a_target_over_other_values_is_refused_when_stored(self):
+        # targets over ints in an automaton over booleans, as simcheck met
+        # them only later, and a target over a larger domain
+        bools = Domain("bit", (False, True))
+        delta = {(State({"x": v}), "flip"): MixedSystem(
+            {"o": Fraction(1)}, [("x", bools)], {"o": [State({"x": not v})]})
+            for v in (False, True)}
+        doc = ma_to_json(MixedAutomaton(("flip",), [("x", bools)], {"x": False}, delta))
+        for e in doc["delta"]:
+            e["system"]["domains"]["bit"] = [0, 1]
+            e["system"]["rel"] = [[o, {"x": int(b["x"])}] for o, b in e["system"]["rel"]]
+        with pytest.raises(DomainMismatch, match=re.escape(
+                "target at (State(x=False), 'flip') has 'x' over [0, 1], "
+                "automaton has it over [False, True]")):
+            ma_from_json(doc)
+        doc = ma_to_json(walker())
+        doc["delta"][-1]["system"]["domains"]["bit"] = [0, 1, 2]
+        with pytest.raises(DomainMismatch, match=re.escape("over [0, 1, 2], automaton has "
+                                                           "it over [0, 1]")):
             ma_from_json(doc)
 
     def test_action_state_values_must_be_labels(self):

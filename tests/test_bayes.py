@@ -554,6 +554,14 @@ class TestBnJson:
             M = bn_from_json(bn_to_json(N))
             assert bn_equivalent_p(N, M)
 
+    def test_kernel_systems_are_read_in_the_network_document(self):
+        N = seq_compose(kernel_from_system(coin_system(), name="prior"), neg_kernel())
+        M = bn_from_json(bn_to_json(N))
+        domains = {v.name: v.domain for v in M.vars}
+        systems = [K.apply(q) for K in M.kernels for q in K.inputs()]
+        assert len(systems) == 3
+        assert all(v.domain is domains[v.name] for S in systems for v in S.vars)
+
     def test_missing_field_and_unknown_variable_are_typed(self):
         doc = bn_to_json(seq_compose(kernel_from_system(coin_system(), name="prior"),
                                      neg_kernel()))

@@ -760,6 +760,48 @@ class TestJson:
         with pytest.raises(MalformedSystem, match="bad system document"):
             system_from_json(doc)
 
+    def test_a_table_keeps_one_domain_per_name_and_typed_values(self):
+        table = {}
+        d = core.read_domain(table, "d", [0, 1])
+        assert core.read_domain(table, "d", (0, 1)) is d
+        b = core.read_domain(table, "d", [False, True])
+        assert b is not d and b.values == (False, True)
+        assert all(type(v) is bool for v in b.values)
+        assert core.read_domain(table, "e", [0, 1]) is not d
+        assert core.read_domain({}, "d", [0, 1]) is not d  # nothing kept across tables
+        for bad in ([0, 0], [], [[0]], [0.5]):
+            for _ in range(2):
+                with pytest.raises(MalformedSystem):
+                    core.read_domain(table, "d", bad)
+        assert len(table) == 3
+
+    def test_a_table_reads_each_weight_text_once(self):
+        table = {}
+        half = core.read_weight(table, "1/2")
+        assert half == Fraction(1, 2) and core.read_weight(table, "1/2") is half
+        assert core.read_weight(table, "1") == core.read_weight(table, 1) == 1
+        # True, 1 and 1.0 are one dict key; only texts are kept
+        with pytest.raises(MalformedSystem, match="refusing boolean"):
+            core.read_weight(table, True)
+        with pytest.raises(MalformedSystem, match="refusing float"):
+            core.read_weight(table, 1.0)
+        assert list(table) == ["1/2", "1"]
+
+    def test_a_bad_weight_text_raises_alike_at_each_occurrence(self):
+        doc = system_to_json(bitsys({"o1": Fraction(1, 2), "o2": Fraction(1, 2)},
+                                    {"o1": [(0,)], "o2": [(1,)]}))
+        S = system_from_json(doc)
+        assert S.pi["o1"] is S.pi["o2"]
+        doc["pi"] = {"o1": "1/0", "o2": "1/0"}
+        table = {}
+        messages = set()
+        for t in (table, table, None):
+            with pytest.raises(MalformedSystem) as exc:
+                system_from_json(doc, _table=t)
+            messages.add(str(exc.value))
+        assert len(messages) == 1 and "not a rational: '1/0'" in messages.pop()
+        assert "1/0" not in table
+
     def test_polarized_block_missing_a_field(self):
         doc = system_to_json(bitsys({"o": Fraction(1)}, {"o": [(0,)]}))
         doc["blocks"] = [{"outcomes": ["o"]}]

@@ -74,6 +74,27 @@ class TestSpaImage:
         assert spa_simulates(P, P) is not None
         assert spa_sim_equivalent(P, P)
 
+    def test_candidates_are_ordered_by_weight_value(self):
+        # the order names the commitment tokens; (numerator, denominator)
+        # would put 1/2 before 1/3
+        third = {"s": Fraction(1, 3), "t": Fraction(2, 3)}
+        doc = {"kind": "spa", "alphabet": ["a"], "states": ["q", "s", "t"], "initial": "q",
+               "transitions": [{"from": "q", "action": "a", "dist": [["s", w], ["t", w]]}
+                               for w in ("1/2", "2/4")]
+               + [{"from": "q", "action": "a", "dist": [["s", "1/3"], ["t", "2/3"]]}]}
+        for P in (spa_from_json(doc),
+                  SPA(["a"], ["q", "s", "t"], "q", [("q", "a", {"s": HALF, "t": HALF}),
+                                                    ("q", "a", third)])):
+            assert [d for _, _, d in P.transitions] == [third, {"s": HALF, "t": HALF}]
+            M = spa_to_ma(P, var="x")
+            first = M.transition({"x": "q@a#0"}, "@commit")
+            assert {o: first.pi[o] for o in first.omega} == third
+            assert M.transition({"x": "q@a#1"}, "@commit").pi["s"] == HALF
+        G = PA(["a"], ["q", "s"], "q", [("q", {("a", "q"): HALF, ("a", "s"): HALF}),
+                                        ("q", {("a", "q"): Fraction(1, 3),
+                                               ("a", "s"): Fraction(2, 3)})])
+        assert [d[("a", "q")] for _, d in G.transitions] == [Fraction(1, 3), HALF]
+
 
 class TestMaToSpa:
     def test_simulation_carries_to_the_image(self):

@@ -144,6 +144,21 @@ class TestExports:
         assert h.edges == g.edges
         assert fg_to_json(h) == fg_to_json(g)
 
+    def test_systems_are_read_in_the_graph_document(self):
+        # equal declarations give one Domain; [0, 1] and [false, true]
+        # under the same name stay two
+        bools = Domain("bit", (False, True))
+        flag = MixedSystem({"o": Fraction(1)}, [("f", bools)], {"o": [State({"f": True})]})
+        g = factor_graph([pair_system("x", "y"), pair_system("y", "z"), flag],
+                         ["A", "B", "C"])
+        h = fg_from_json(fg_to_json(g))
+        a, b, c = (h.systems[lab] for lab in ("A", "B", "C"))
+        assert a.domain_of("y") is b.domain_of("y") is b.domain_of("z")
+        assert c.domain_of("f").name == a.domain_of("y").name
+        assert c.domain_of("f") is not a.domain_of("y")
+        assert c.domain_of("f").values == (False, True)
+        assert all(type(v) is bool for v in c.domain_of("f").values)
+
     @pytest.mark.parametrize("doc", [
         {},
         {"systems": [{"omega": []}]},

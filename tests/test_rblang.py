@@ -325,6 +325,16 @@ class TestParsePrint:
     def test_is_dynamic(self, text, dynamic):
         assert is_dynamic(parse(text)) is dynamic
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("domain d = { 0, 1 }\nvar x : d\n|| x = \u0661", 3, 8),
+        ("domain d = { 0, 1 }\nvar x : d\n|| x = 1\u0661", 3, 9),
+        ("domain d = { 0, \uff11 }", 1, 17),
+    ], ids=["an Arabic-Indic one", "after an ASCII digit", "a fullwidth one"])
+    def test_numbers_are_ascii_digits_only(self, text, line, col):
+        with pytest.raises(RbSyntaxError, match="stray character") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(RbSyntaxError) as exc:
             parse("domain bit = { 0, 1 }\nvar x bit\n|| x = 0")

@@ -107,6 +107,19 @@ class TestRing:
         for d in lines:
             assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
 
+    def test_read_times_decoding_and_building_each_document(self, capsys):
+        assert ring.main(["--states", "4", "--read"]) == 0
+        assert ring.main(["--states", "3,5", "--read", "--ma", "--split"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert [(d["automaton"], d["ring"], d["states"]) for d in lines] == [
+            ("spa", "dirac", 4), ("ma", "split", 3), ("ma", "split", 5)]
+        for d in lines:
+            assert "check" not in d and d["bytes"] > 0
+            assert d["loads_seconds"] >= 0 and d["model_seconds"] >= 0
+            assert d["peak_rss_mb"] > 0
+        with pytest.raises(SystemExit):
+            ring.main(["--states", "3", "--read", "--bisim"])
+
     def test_a_bad_size_list_is_refused(self):
         for bad in ("0", "ten", "3,,4"):
             with pytest.raises(SystemExit):
