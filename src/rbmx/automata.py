@@ -30,7 +30,7 @@ with a target that is not a point on its label, and the pairs whose checks
 found a pair it removed.  Point lifts are decided by the cover test there
 too; only the others build a flow.
 
-Each View compiles each target once into transport.Masses.  SPA and PA
+Each View compiles each target once into core.Masses.  SPA and PA
 views key those by state number, build the allowed pairs from the rows and
 call transport.covers or transport.coupling themselves.  For mixed
 automata the allowed outcome pairs come from _allowed, which reads each
@@ -49,19 +49,20 @@ the relation both read is a lookup of both row states' numbers in the rows.
 from __future__ import annotations
 
 import itertools
-import reprlib
 from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import core
 from .core import (
+    Masses,
     MixedSystem,
     State,
     all_states,
+    check_state,
+    check_vars,
     compose,
     document_reader,
-    domains_agree,
     equivalent,
     json_label,
     merge_vars,
@@ -77,16 +78,14 @@ from .core import (
 )
 from .errors import (
     CapExceeded,
-    DomainMismatch,
     IncompatibleInitials,
     InconsistentSystem,
     MalformedSystem,
     MissingInit,
     NondeterministicJoin,
     NoTransition,
-    VariableSetMismatch,
 )
-from .transport import Masses, covers, feasible_transport
+from .transport import covers, feasible_transport
 
 
 def action_key(a):
@@ -117,37 +116,22 @@ class MixedAutomaton:
     def __init__(self, alphabet, vars, initial, delta=None, provider=None):
         self.alphabet = tuple(sorted(set(alphabet), key=action_key))
         self.vars = norm_vars(vars)
-        if initial is None:
-            initial = State()
-        elif not isinstance(initial, State):
-            initial = State(initial)
+        initial = State(initial or ())
         self._doms = doms = {v.name: v.domain for v in self.vars}
-        _check_state(doms, initial, "initial")
+        check_state(doms, initial, "initial")
         self.initial = initial
         self.delta = {}
         self.provider = provider
         for (q, a), S in (delta or {}).items():
             if not isinstance(q, State):
                 q = State(q)
-            _check_state(doms, q, "transition state %r" % (q,))
+            check_state(doms, q, "transition state %r", q)
             self._store(q, a, S)
 
     def _store(self, q: State, a, S: MixedSystem):
         """Store S at (q, a): S must bind the automaton's variables, each
-        over a domain with the same typed values.  Equal Vars, as a read
-        document's targets share them, pass on one tuple comparison."""
-        if S.vars != self.vars:
-            if S.var_names != tuple(v.name for v in self.vars):
-                raise VariableSetMismatch(
-                    "target at (%r, %r) has variables %r, automaton has %r"
-                    % (q, a, list(S.var_names), [v.name for v in self.vars])
-                )
-            for v, w in zip(S.vars, self.vars):
-                if not domains_agree(v.domain, w.domain):
-                    raise DomainMismatch(
-                        "target at (%r, %r) has %r over %s, automaton has it over %s"
-                        % (q, a, v.name, reprlib.repr(list(v.domain.values)),
-                           reprlib.repr(list(w.domain.values))))
+        over a domain with the same typed values (core.check_vars)."""
+        check_vars(self.vars, S, "automaton", "target at (%r, %r)", q, a)
         self.delta[(q, a)] = S
         return S
 
@@ -159,7 +143,7 @@ class MixedAutomaton:
         VariableSetMismatch before any lookup."""
         if not isinstance(q, State):
             q = State(q)
-        _check_state(self._doms, q, "transition state")
+        check_state(self._doms, q, "transition state")
         S = self.delta.get((q, a))
         if S is None and self.provider is not None:
             S = self.provider(q, a)
@@ -224,17 +208,6 @@ class MixedAutomaton:
             len(self.delta),
             ", lazy" if self.provider else "",
         )
-
-
-def _check_state(doms, q: State, what):
-    """Raise VariableSetMismatch unless q binds only variables of doms, each
-    to a value of its domain.  Partial states pass: program fragments pin
-    only some variables."""
-    for n, val in q.items():
-        if n not in doms:
-            raise VariableSetMismatch("%s binds unknown variable %r" % (what, n))
-        if val not in doms[n]:
-            raise VariableSetMismatch("%s value %r outside domain of %r" % (what, val, n))
 
 
 class Step(NamedTuple):

@@ -2,23 +2,24 @@
 sampling, and exact scoring.
 
 A MixedKernel maps input states (over its in-variables) to mixed systems
-over its out-variables.  A BayesianNetwork wires kernels into an acyclic
-bipartite graph: variables feed kernels, kernels emit disjoint sets of
-variables.  Sampling walks the network in dependency order; scoring takes,
-per kernel, the outer probability of the state's out-part given its
-in-part, and multiplies.
+over its out-variables, checked as a mixed automaton checks its states and
+targets (core.check_state, core.check_vars): every input before its table
+lookup, and each system once, as it enters the kernel's table.  A
+BayesianNetwork wires kernels into an acyclic bipartite graph: variables
+feed kernels, kernels emit disjoint sets of variables.  Sampling walks the
+network in dependency order; scoring takes, per kernel, the outer
+probability of the state's out-part given its in-part, and multiplies.
 
 Scoring reads compiled entries through compiled keys.  The first time a
 kernel is scored at an input, MixedKernel.score_table turns the output
 system into an exact table {output value tuple: (outer mass, its
 numerator, its denominator)} in one pass over its rows (or None when the
 system is inconsistent) and keeps it in the kernel's table store, which
-kernels may share.  A BayesianNetwork
-compiles, once, one key getter per kernel over a full state's values: the
-kernel's input values followed by its output values, each part in the
-kernel's own name order.  The network keeps, per kernel, the factor entry
-of each key met so far, so every later score of that key is one getter
-call and one dict lookup per kernel.
+kernels may share.  A BayesianNetwork compiles, once, one key getter per
+kernel over a full state's values: the kernel's input values followed by
+its output values, each part in the kernel's own name order.  The network
+keeps, per kernel, the factor entry of each key met so far, so every later
+score of that key is one getter call and one dict lookup per kernel.
 
 Conditioning convention: the conditional of a system on Y is the kernel
 that pins Y to the given input, conditions the system on that, and exposes
@@ -41,6 +42,8 @@ from .core import (
     MixedSystem,
     State,
     all_states,
+    check_state,
+    check_vars,
     compose,
     compress,
     conditioned,
@@ -75,30 +78,32 @@ class MixedKernel:
     ``mapping`` is either a dict {State: MixedSystem} or a callable; callables
     are evaluated on demand and cached, and every analysis operation may
     enumerate the full (finite) input space.  in_vars and out_vars must be
-    disjoint, and every produced system must have exactly the out variables.
+    disjoint.  An input binds exactly in_vars, each to a value of its own
+    domain and type (core.check_state), checked by apply before its table
+    lookup, where True would find the entry of 1.  A system binds exactly
+    out_vars over agreeing domains (core.check_vars), checked once as it
+    enters the table: a dict's systems, with their keys, at construction,
+    a callable's when first computed, and kept only if it passes.
     ``_scores``, internal, is the dict score_table keeps its tables in, a
     new one when not given.
     """
 
-    __slots__ = ("name", "in_vars", "out_vars", "_table", "_fn", "_scores")
+    __slots__ = ("name", "in_vars", "out_vars", "_doms", "_table", "_fn", "_scores")
 
     def __init__(self, in_vars, out_vars, mapping, name=None, *, _scores=None):
         self.in_vars = norm_vars(in_vars)
         self.out_vars = norm_vars(out_vars)
         overlap = {v.name for v in self.in_vars} & {v.name for v in self.out_vars}
         if overlap:
-            raise VariableSetMismatch(
-                "kernel in/out variables overlap: %r" % sorted(overlap)
-            )
-        if callable(mapping):
-            self._table = {}
-            self._fn = mapping
-        else:
-            self._table = {State(k) if not isinstance(k, State) else k: v
-                           for k, v in mapping.items()}
-            self._fn = None
-        self._scores = {} if _scores is None else _scores
+            raise VariableSetMismatch("kernel in/out variables overlap: %r" % sorted(overlap))
         self.name = name
+        self._doms = {v.name: v.domain for v in self.in_vars}
+        self._table = {}
+        self._fn = mapping if callable(mapping) else None
+        if self._fn is None:
+            for q, S in mapping.items():
+                self._enter(self._input(q), S)
+        self._scores = {} if _scores is None else _scores
 
     @property
     def in_names(self):
@@ -111,27 +116,29 @@ class MixedKernel:
     def inputs(self):
         return all_states(self.in_vars)
 
+    def _input(self, q) -> State:
+        """q as a State, checked as an input of the kernel."""
+        if not isinstance(q, State):
+            q = State(q)
+        if q.names != self.in_names:
+            raise VariableSetMismatch("kernel %s expects input over %r, got %r"
+                                      % (self.name, list(self.in_names), q))
+        check_state(self._doms, q, "input of kernel %s", self.name)
+        return q
+
+    def _enter(self, q: State, S: MixedSystem) -> MixedSystem:
+        """Keep S at the checked input q once it binds the out variables."""
+        check_vars(self.out_vars, S, "kernel", "system of kernel %s at %r", self.name, q)
+        self._table[q] = S
+        return S
+
     def apply(self, q_in) -> MixedSystem:
-        if not isinstance(q_in, State):
-            q_in = State(q_in)
-        if q_in.names != self.in_names:
-            raise VariableSetMismatch(
-                "kernel %s expects input over %r, got %r"
-                % (self.name, list(self.in_names), q_in)
-            )
+        q_in = self._input(q_in)
         S = self._table.get(q_in)
         if S is None:
             if self._fn is None:
-                raise VariableSetMismatch(
-                    "kernel %s has no entry for %r" % (self.name, q_in)
-                )
-            S = self._fn(q_in)
-            self._table[q_in] = S
-        if S.var_names != self.out_names:
-            raise VariableSetMismatch(
-                "kernel %s produced variables %r, expected %r"
-                % (self.name, list(S.var_names), list(self.out_names))
-            )
+                raise VariableSetMismatch("kernel %s has no entry for %r" % (self.name, q_in))
+            S = self._enter(q_in, self._fn(q_in))
         return S
 
     def score_table(self, in_values):
@@ -193,8 +200,6 @@ def point_system(Y, q_Y) -> MixedSystem:
     Yv = norm_vars(Y)
     if not Yv:
         return nil_system()
-    if not isinstance(q_Y, State):
-        q_Y = State(q_Y)
     return MixedSystem({"1": Fraction(1)}, Yv, {"1": [q_Y]})
 
 
@@ -420,8 +425,9 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     or None when the kernel is inconsistent at that input.  apply's checks
     and errors meet a bad input then, and again each time, since nothing
     is kept for it; nor is an ABSENT entry kept for output values outside
-    their domains, so scoring off-domain states does not grow the entries.  The product is taken over the entries' integer
-    numerators and denominators, with one Fraction at the end."""
+    their domains, so scoring off-domain states does not grow the entries.
+    The product is taken over the entries' integer numerators and
+    denominators, with one Fraction at the end."""
     if not isinstance(q, State):
         q = State(q)
     pairs = q.pairs

@@ -26,7 +26,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -37,6 +37,7 @@ from .errors import (
     InconsistentSystem,
     MalformedSystem,
     UnknownVariable,
+    VariableSetMismatch,
 )
 
 
@@ -136,25 +137,46 @@ def exact_weights(keys, weights) -> dict:
     """{k: rat(weights[k]) for k in keys}, the one check of an exact
     distribution: weights has exactly the keys, none negative, summing to
     exactly 1; else MalformedSystem, naming long numbers by describe_rat.
-    The total is checked in integers, each weight brought to the lcm of
-    their denominators; the Fraction total is built only for the message."""
+    One pass reads each weight's numerator and denominator once, and the
+    total is checked in integers, each weight brought to the lcm of their
+    denominators; the Fraction total is built only for the message."""
     w = {}
+    parts = []
     for k in keys:
         if k not in weights:
             raise MalformedSystem("missing weight for outcome %r" % (k,))
-        f = rat(weights[k])
-        if f.numerator < 0:
-            raise MalformedSystem("negative weight %s for outcome %r"
-                                  % (describe_rat(f), k))
+        f = weights[k]
+        if type(f) is not Fraction:
+            f = rat(f)
+        n, d = f.numerator, f.denominator
+        if n < 0:
+            raise MalformedSystem("negative weight %s for outcome %r" % (describe_rat(f), k))
         w[k] = f
-    for k in weights:
-        if k not in w:
-            raise MalformedSystem("weight for unknown outcome %r" % (k,))
-    scale = lcm(*[f.denominator for f in w.values()])
-    total = sum([f.numerator * (scale // f.denominator) for f in w.values()])
+        parts.append((n, d))
+    if len(weights) != len(w):  # every key of w is a key of weights
+        extra = next(k for k in weights if k not in w)
+        raise MalformedSystem("weight for unknown outcome %r" % (extra,))
+    scale = lcm(*[d for _, d in parts])
+    total = sum([n * (scale // d) for n, d in parts])
     if total != scale:
         raise MalformedSystem("weights sum to %s, not 1" % describe_rat(Fraction(total, scale)))
     return w
+
+
+class Masses:
+    """A measure compiled to integers: ``mass`` maps each key of positive
+    mass, in the measure's order, to that mass times ``scale``, the least
+    common multiple of the positive masses' denominators, and ``total`` is
+    the sum of those scaled masses.  Transport couples measures in this
+    form, and sampling draws from it."""
+
+    __slots__ = ("scale", "mass", "total")
+
+    def __init__(self, mu: dict):
+        positive = [(k, w) for k, w in mu.items() if w.numerator > 0]
+        self.scale = lcm(*[w.denominator for _, w in positive])
+        self.mass = {k: w.numerator * (self.scale // w.denominator) for k, w in positive}
+        self.total = sum(self.mass.values())
 
 
 def value_key(v):
@@ -244,7 +266,7 @@ def norm_vars(vars) -> tuple:
     domain) pairs whose domain may be a plain value list (it is then named
     "D_<name>").  Raises MalformedSystem when a name is declared twice or
     one domain name is bound to two different value lists (typed values in
-    order, as domain_index reads them)."""
+    order, as Domain's == compares them)."""
     out = []
     seen = set()
     domain_names = {}
@@ -255,11 +277,9 @@ def norm_vars(vars) -> tuple:
         if name in seen:
             raise MalformedSystem("variable %r declared twice" % name)
         first = domain_names.setdefault(dom.name, dom)
-        if first is not dom and (len(first.values) != len(dom.values) or any(
-                domain_index(first, v) != i for i, v in enumerate(dom.values))):
-            raise MalformedSystem(
-                "domain name %r bound to two different value lists" % dom.name
-            )
+        if first is not dom and first != dom:
+            raise MalformedSystem("domain name %r bound to two different value lists"
+                                  % dom.name)
         seen.add(name)
         out.append(v if type(v) is Var and v.domain is dom else Var(name, dom))
     out.sort(key=lambda v: v.name)
@@ -277,6 +297,38 @@ def merge_vars(*groups) -> list:
             if first is not v and not domains_agree(first.domain, v.domain):
                 raise DomainMismatch("shared variable %r has different domains" % v.name)
     return list(merged.values())
+
+
+def check_state(doms, q, what, *args):
+    """Raise VariableSetMismatch unless the State q binds only variables of
+    doms, {name: Domain}, each to a value of its domain as domain_index
+    reads it: 1 is not a boolean value.  Partial states pass: program
+    fragments pin only some variables.  The message names q by what % args,
+    formatted only then."""
+    for n, val in q.pairs:
+        if n not in doms:
+            raise VariableSetMismatch("%s binds unknown variable %r" % (what % args, n))
+        if val not in doms[n]:
+            raise VariableSetMismatch("%s value %r outside domain of %r"
+                                      % (what % args, val, n))
+
+
+def check_vars(vars, S, owner, where, *args):
+    """Raise unless the system S binds exactly vars, sorted Vars, each over
+    a domain with the same typed values: VariableSetMismatch for other
+    names, DomainMismatch for another domain, naming S by where % args
+    (formatted only then) and the holder of vars by owner.  Equal Vars, as
+    a read document's systems share them, pass on one tuple comparison."""
+    if S.vars == vars:
+        return
+    if S.var_names != tuple(v.name for v in vars):
+        raise VariableSetMismatch("%s has variables %r, %s has %r" % (
+            where % args, list(S.var_names), owner, [v.name for v in vars]))
+    for v, w in zip(S.vars, vars):
+        if not domains_agree(v.domain, w.domain):
+            raise DomainMismatch("%s has %r over %s, %s has it over %s" % (
+                where % args, v.name, reprlib.repr(list(v.domain.values)), owner,
+                reprlib.repr(list(w.domain.values))))
 
 
 class State:
@@ -632,18 +684,12 @@ RESOLVERS = {
 
 
 def _sampler_tables(S):
+    """(scale, ids, cum): the positive-weight outcomes of conditioned(S) in
+    omega order, and the running sums of their Masses over that scale."""
     tab = S._cache.get("sampler")
     if tab is None:
-        pt = conditioned(S)
-        ids = [o for o in pt.omega if pt.weights[o] > 0]
-        denom = lcm(*(pt.weights[o].denominator for o in ids))
-        acc = 0
-        cum = []
-        for o in ids:
-            w = pt.weights[o]
-            acc += w.numerator * (denom // w.denominator)
-            cum.append(acc)
-        tab = (denom, ids, cum)
+        m = Masses(conditioned(S).weights)
+        tab = (m.scale, list(m.mass), list(itertools.accumulate(m.mass.values())))
         S._cache["sampler"] = tab
     return tab
 
@@ -671,9 +717,7 @@ def sample(S, rng, resolver="lex"):
         if len(set(names)) != len(names):
             raise MalformedSystem("sampled systems share a variable")
     tables = [_sampler_tables(T) for T in systems]
-    rest = 1
-    for denom, _, _ in tables:
-        rest *= denom
+    rest = prod(denom for denom, _, _ in tables)
     k = rng.randrange(rest)
     drawn = []
     for denom, ids, cum in tables:
@@ -821,12 +865,10 @@ def equivalent(S1: MixedSystem, S2: MixedSystem) -> bool:
     """True when the systems are the same up to renaming outcomes: same
     variables (domains compared as value sets), and the compressed systems
     have matching (weight, row) multisets over their positive-mass classes."""
-    if set(S1.var_names) != set(S2.var_names):
+    # vars are sorted by name, so equal name sets line the domains up
+    if S1.var_names != S2.var_names or not all(
+            domains_agree(v.domain, w.domain) for v, w in zip(S1.vars, S2.vars)):
         return False
-    doms2 = {v.name: v.domain for v in S2.vars}
-    for v in S1.vars:
-        if not domains_agree(v.domain, doms2[v.name]):
-            return False
     return _signature(compress(S1)) == _signature(compress(S2))
 
 
@@ -853,9 +895,7 @@ MAX_OUTCOMES = 1 << 20  # largest outcome space compose() and grafting build
 def check_outcome_cap(sizes, what):
     """Raise CapExceeded when the product of the outcome-space sizes exceeds
     MAX_OUTCOMES; called before anything of that size is allocated."""
-    total = 1
-    for n in sizes:
-        total *= n
+    total = prod(sizes)
     if total > MAX_OUTCOMES:
         raise CapExceeded(
             "%s would have %d outcomes, above the cap of %d" % (what, total, MAX_OUTCOMES)
@@ -996,8 +1036,9 @@ def polarized_score(prob, pr: PolarizedRelation, P) -> Fraction:
 # equations, free variables, pins and observation points) build their
 # results with _system and _prob, unchecked.  Everything a caller hands in
 # stays checked: MixedSystem(...), DiscreteProb(...), new_system,
-# bayes.point_system, a program's prior tables, the embeddings' systems and
-# every reader.
+# bayes.point_system, a program's prior tables, the embeddings' systems,
+# every reader, and a kernel's inputs and systems and an automaton's states
+# and targets, by check_state and check_vars.
 
 
 def _id_str(o) -> str:

@@ -11,7 +11,7 @@ Both kinds carry lifting-based greatest simulations and bisimulations: each
 check hands automata.greatest a View of each side (_spa_view, _pa_view), so
 they share the matcher and the two-stage fixpoint of mixed automata.  A
 View numbers the states by their position, indexes its moves once by state
-number and compiles each distribution once into transport.Masses keyed by
+number and compiles each distribution once into core.Masses keyed by
 state number (for a PA, by (action, state number)).  Both lift tests build
 their allowed pairs from the relation's rows: the cover test, which
 greatest's cover stage runs and which decides every lift of a point mass,
@@ -47,6 +47,7 @@ from fractions import Fraction
 from .automata import MixedAutomaton, View, action_key, greatest
 from .core import (
     Domain,
+    Masses,
     MixedSystem,
     State,
     document_reader,
@@ -59,7 +60,7 @@ from .core import (
     value_key,
 )
 from .errors import CapExceeded, MalformedSystem, MissingInit
-from .transport import Masses, coupling, covers
+from .transport import coupling, covers
 
 
 def _dist(d) -> dict:
@@ -243,7 +244,7 @@ def pa_compose(P1: PA, P2: PA, sigma) -> PA:
 def _prob_view(P, label, key, allowed) -> View:
     """The View of an SPA or PA: moves and targets indexed once by source
     state number, in transition order, with each distribution compiled once
-    into transport.Masses over key(k, num), num numbering the states;
+    into core.Masses over key(k, num), num numbering the states;
     label(t) is the label of transition t's move.  allowed(d1, d2, rows,
     found) lists the key pairs a coupling inside R may use, and both lift
     tests read them: lifts through transport.coupling, covers through
@@ -326,12 +327,6 @@ def spa_sim_equivalent(P1, P2) -> bool:
 # --- embeddings -------------------------------------------------------------
 
 
-def _values_domain(name, values):
-    for v in values:
-        value_key(v)
-    return Domain(name, tuple(sorted(values, key=value_key)))
-
-
 def _tokens(groups, name, taken):
     """One fresh name per candidate of each group: name(key, i), primed
     until it clashes with nothing in ``taken``, which grows as names are
@@ -383,8 +378,8 @@ def spa_to_ma(P: SPA, var="xi") -> MixedAutomaton:
     tokens = _tokens(grouped, lambda qa, i: "%s@%s#%d" % (qa[0], qa[1], i), set(P.states))
 
     tau = SPA_COMMIT
-    dom = _values_domain(
-        "Q_%s" % var, list(P.states) + [t for ts in tokens.values() for t in ts])
+    dom = Domain("Q_%s" % var, sorted(
+        list(P.states) + [t for ts in tokens.values() for t in ts], key=value_key))
     vars = [(var, dom)]
 
     delta = {}
@@ -451,9 +446,9 @@ def pa_to_ma(P: PA, act_var="xi_a", state_var="xi_q") -> MixedAutomaton:
     the same convention on both sides of any comparison.
     """
     tokens = _tokens(P.out, lambda q, i: "%s#%d" % (q, i), set(P.states))
-    adom = _values_domain("Q_%s" % act_var, P.alphabet)
-    qdom = _values_domain(
-        "Q_%s" % state_var, list(P.states) + [t for ts in tokens.values() for t in ts])
+    adom = Domain("Q_%s" % act_var, sorted(P.alphabet, key=value_key))
+    qdom = Domain("Q_%s" % state_var, sorted(
+        list(P.states) + [t for ts in tokens.values() for t in ts], key=value_key))
     vars = [(act_var, adom), (state_var, qdom)]
 
     delta = {}

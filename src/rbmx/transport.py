@@ -4,14 +4,15 @@ Given two rational measures of equal total mass and a set of allowed pairs,
 decide whether some nonnegative joint measure supported on the allowed
 pairs has exactly those marginals — and produce one when it exists.
 
-A measure is compiled once into Masses: its positive masses as Python ints
-over one common scale, the least common multiple of their denominators,
-and their total over that scale.  feasible_transport takes either form and
-compiles a Fraction dict at entry.  coupling compares the two totals over
-the lcm of the two scales first, and only then brings both sides' masses to
-that lcm (a side already over it is copied unchanged), so the search never
-builds a Fraction.  Callers that test one measure against many
-others compile it once and hand the Masses over each time.
+A measure is compiled once into core.Masses, which sampling reads too: its
+positive masses as Python ints over one common scale, the least common
+multiple of their denominators, and their total over that scale (imported
+here, transport.Masses is the same class).  feasible_transport takes either
+form and compiles a Fraction dict at entry.  coupling compares the two
+totals over the lcm of the two scales first, and only then brings both
+sides' masses to that lcm (a side already over it is copied unchanged), so
+the search never builds a Fraction.  Callers that test one measure against
+many others compile it once and hand the Masses over each time.
 
 The search works on the measures' own keys: the left keys with supply
 left, the right keys with room left, and the flow already placed on
@@ -46,20 +47,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-
-class Masses:
-    """A measure compiled for transport: ``mass`` maps each key of positive
-    mass, in the measure's order, to that mass times ``scale``, the least
-    common multiple of the positive masses' denominators, and ``total`` is
-    the sum of those scaled masses."""
-
-    __slots__ = ("scale", "mass", "total")
-
-    def __init__(self, mu: dict):
-        positive = [(k, w) for k, w in mu.items() if w.numerator > 0]
-        self.scale = lcm(*[w.denominator for _, w in positive])
-        self.mass = {k: w.numerator * (self.scale // w.denominator) for k, w in positive}
-        self.total = sum(self.mass.values())
+from .core import Masses
 
 
 def covers(mu1, mu2, allowed):
@@ -95,10 +83,7 @@ def coupling(mu1, mu2, allowed):
     """feasible_transport's witness before the division: (flow, scale),
     where flow maps each pair of the witness's support to its mass times
     the int scale, or None when no joint exists."""
-    if not isinstance(mu1, Masses):
-        mu1 = Masses(mu1)
-    if not isinstance(mu2, Masses):
-        mu2 = Masses(mu2)
+    mu1, mu2 = [mu if isinstance(mu, Masses) else Masses(mu) for mu in (mu1, mu2)]
     scale = lcm(mu1.scale, mu2.scale)
     f1, f2 = scale // mu1.scale, scale // mu2.scale
     if mu1.total * f1 != mu2.total * f2:

@@ -19,6 +19,7 @@ import reprlib
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from rbmx import Domain, MixedSystem, State, Var, core
@@ -354,6 +355,22 @@ def fraction_exact_weights(keys, weights):
     if total != 1:
         raise MalformedSystem("weights sum to %s, not 1" % core.describe_rat(total))
     return w
+
+
+def loop_sampler_tables(S):
+    """core._sampler_tables as a hand-written lcm loop over the conditioned
+    weights: (common denominator, positive-weight outcomes in omega order,
+    running sums of their numerators over that denominator)."""
+    pt = core.conditioned(S)
+    ids = [o for o in pt.omega if pt.weights[o] > 0]
+    denom = lcm(*(pt.weights[o].denominator for o in ids))
+    acc = 0
+    cum = []
+    for o in ids:
+        w = pt.weights[o]
+        acc += w.numerator * (denom // w.denominator)
+        cum.append(acc)
+    return denom, ids, cum
 
 
 # --- transport feasibility by the cut condition --------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbmx import Domain, MixedSystem, State, Var, compose, nil_system
+from rbmx import Domain, MixedSystem, State, Var, bayes, compose, nil_system
 from rbmx.bayes import (
     BayesianNetwork,
     MixedKernel,
@@ -26,6 +26,7 @@ from rbmx.bayes import (
 from rbmx.core import (EMPTY_STATE, all_states, conditioned, consistency_weight, norm_vars, outer,
                        system_to_json)
 from rbmx.errors import (
+    DomainMismatch,
     InconsistentSystem,
     MalformedSystem,
     MissingInit,
@@ -156,6 +157,67 @@ class TestKernel:
         assert kernel_to_system(K) is S
         with pytest.raises(VariableSetMismatch):
             kernel_to_system(neg_kernel())
+
+
+def copy_mapping(kind, out=BIT):
+    """y = x, for x over BIT and y over out, as a table or a function."""
+    def fn(q):
+        return point_system([("y", out)], State({"y": out.values[q["x"]]}))
+    return fn if kind == "callable" else {q: fn(q) for q in all_states([("x", BIT)])}
+
+
+class TestKernelChecks:
+    """A kernel checks inputs and systems by a mixed automaton's rules."""
+
+    @pytest.mark.parametrize("kind", ["dict", "callable"])
+    def test_an_input_of_another_type_is_refused_even_after_its_equal(self, kind):
+        # State(x=True) == State(x=1), so a table lookup alone would serve it
+        K = MixedKernel([("x", BIT)], [("y", BIT)], copy_mapping(kind), name="k")
+        words = "input of kernel k value True outside domain of 'x'"
+        with pytest.raises(VariableSetMismatch, match=words):
+            K.apply({"x": True})
+        assert K.apply({"x": 1}).rel["1"] == (State({"y": 1}),)
+        with pytest.raises(VariableSetMismatch, match=words):
+            K.apply({"x": True})
+
+    def test_sampling_refuses_an_init_of_another_type(self):
+        N = BayesianNetwork([MixedKernel([("x", BIT)], [("y", BIT)], copy_mapping("dict"))])
+        assert bn_sample(N, {"x": 1}, random.Random(0)) == State({"x": 1, "y": 1})
+        with pytest.raises(VariableSetMismatch, match="value True outside domain of 'x'"):
+            bn_sample(N, {"x": True}, random.Random(0))
+
+    @pytest.mark.parametrize("kind", ["dict", "callable"])
+    @pytest.mark.parametrize("values", [(False, True), (0, 1, 2)])
+    def test_a_system_over_another_domain_is_refused(self, kind, values):
+        mapping = copy_mapping(kind, Domain("bit", values))
+        words = re.escape("system of kernel k at State(x=0) has 'y' over [%s], kernel has it "
+                          "over [0, 1]" % ", ".join(map(repr, values)))
+        with pytest.raises(DomainMismatch, match=words):
+            MixedKernel([("x", BIT)], [("y", BIT)], mapping, name="k").apply({"x": 0})
+
+    @pytest.mark.parametrize("values", [[False, True], [0, 1, 2]])
+    def test_a_network_document_with_a_kernel_over_another_domain_is_refused(self, values):
+        doc = bn_to_json(seq_compose(kernel_from_system(coin_system(), name="prior"),
+                                     neg_kernel()))
+        for _, sdoc in next(kd for kd in doc["kernels"] if kd["name"] == "neg")["table"]:
+            sdoc["domains"] = {"bit": values}
+            for _, binding in sdoc["rel"]:
+                binding["y"] = values[binding["y"]]
+        with pytest.raises(DomainMismatch, match="system of kernel neg at State"):
+            bn_from_json(doc)
+
+    @pytest.mark.parametrize("kind", ["dict", "callable"])
+    def test_each_system_is_checked_once(self, kind, monkeypatch):
+        checked = []
+        check_vars = bayes.check_vars
+        monkeypatch.setattr(bayes, "check_vars",
+                            lambda vars, S, *rest: checked.append(S) or check_vars(vars, S, *rest))
+        K = MixedKernel([("x", BIT)], [("y", BIT)], copy_mapping(kind))
+        assert len(checked) == (2 if kind == "dict" else 0)
+        for _ in range(3):
+            systems = [K.apply(q) for q in K.inputs()]
+            assert [K.score_table((v,)) for v in (0, 1)]
+        assert checked == systems
 
 
 class TestPointSystem:
@@ -369,12 +431,13 @@ class TestCompiledScores:
         assert sorted(calls, key=repr) == [State({"x": 0}), State({"x": 1})]
         assert bn_equivalent_p(N, N)
         assert len(calls) == 2
-        # an input outside the domain reaches the kernel each time, and its
-        # error is the one the kernel's system raises
+        # an input outside the domain is refused at the kernel's input each
+        # time, before the kernel's function sees it
         for _ in range(2):
-            with pytest.raises(MalformedSystem, match="outside domain"):
+            with pytest.raises(VariableSetMismatch,
+                               match="input of kernel copy value 5 outside domain of 'x'"):
                 bn_score(N, State({"x": 5, "y": 0}))
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert bn_score(N, State({"x": 0, "y": 5})).value == 0
 
     def test_a_kernel_shared_by_two_networks(self):
@@ -430,8 +493,9 @@ class TestCompiledScores:
         N = seq_compose(kernel_from_system(coin_system(), name="prior"),
                         MixedKernel([("x", BIT)], [("y", BIT)], fn, name="odd"))
         assert bn_score(N, State({"x": 0, "y": 0})).value == Fraction(1, 2)
+        words = re.escape("system of kernel odd at State(x=1) has variables ['zz']")
         for _ in range(2):
-            with pytest.raises(VariableSetMismatch, match="kernel odd produced variables"):
+            with pytest.raises(VariableSetMismatch, match=words):
                 bn_score(N, State({"x": 1, "y": 0}))
         self.assert_agree(N, all_states(N.vars))
 

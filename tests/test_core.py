@@ -59,6 +59,7 @@ from .test_acceptance import rand_shared_triple
 from .oracles import (
     equivalent_variant,
     fraction_exact_weights,
+    loop_sampler_tables,
     naive_compose_sig,
     naive_conditioned,
     naive_inner,
@@ -241,6 +242,31 @@ class TestDomainsAndStates:
         q = State({"x": 0, "y": 1})
         assert q.restrict(["y"]) == State({"y": 1})
         assert q.restrict([]) == EMPTY_STATE
+
+
+class TestSharedChecks:
+    def test_check_state_reads_values_by_type(self):
+        doms = {"x": BIT, "b": Domain("bool", (False, True))}
+        core.check_state(doms, State({"x": 1}), "s")  # partial states pass
+        core.check_state(doms, State({"x": 0, "b": True}), "s")
+        for q, words in ((State({"x": True}), "s 7 value True outside domain of 'x'"),
+                         (State({"b": 1}), "s 7 value 1 outside domain of 'b'"),
+                         (State({"z": 0}), "s 7 binds unknown variable 'z'")):
+            with pytest.raises(VariableSetMismatch, match="^%s$" % words):
+                core.check_state(doms, q, "s %d", 7)
+
+    def test_check_vars_compares_names_then_typed_domains(self):
+        vars = core.norm_vars([("x", BIT), ("y", BIT)])
+        same = core.norm_vars([("x", Domain("other", (1, 0))), ("y", BIT)])
+        core.check_vars(vars, bitsys({"o": 1}, {"o": [(0, 1)]}, ("x", "y")), "o", "S")
+        core.check_vars(vars, MixedSystem({"o": 1}, same, {"o": []}), "o", "S")
+        with pytest.raises(VariableSetMismatch,
+                           match=r"^S at 3 has variables \['x'\], box has \['x', 'y'\]$"):
+            core.check_vars(vars, bitsys({"o": 1}, {"o": [(0,)]}), "box", "S at %d", 3)
+        for values in ((False, True), (0, 1, 2)):
+            S = MixedSystem({"o": 1}, [("x", BIT), ("y", Domain("d", values))], {"o": []})
+            with pytest.raises(DomainMismatch, match="S has 'y' over .*, box has it over"):
+                core.check_vars(vars, S, "box", "S")
 
 
 class TestDiscreteProb:
@@ -674,6 +700,19 @@ class TestSample:
             seen["several states"] += any(len(r) > 1 for S in systems for r in S.rel.values())
             seen["several systems"] += len(systems) > 1
         assert all(seen.values()), seen
+
+    def test_sampler_tables_are_the_lcm_loop(self):
+        # Masses over the conditioned weights gives the loop's integers, so
+        # seeded draws stay where they were
+        rng = random.Random(2201)
+        seen = {"zero weight": 0, "inconsistent outcome": 0, "renormalized": 0}
+        for _ in range(400):
+            S = rand_system(rng, max_omega=6)
+            assert core._sampler_tables(S) == loop_sampler_tables(S)
+            seen["zero weight"] += 0 in S.pi.values()
+            seen["inconsistent outcome"] += any(not r for r in S.rel.values())
+            seen["renormalized"] += consistency_weight(S) != 1
+        assert min(seen.values()) > 20, seen
 
     def test_sampled_systems_must_be_variable_disjoint(self):
         S = bitsys({"o": Fraction(1)}, {"o": [(0,)]})

@@ -91,13 +91,17 @@ def _decodes_json(node):
 
 def _owners(match):
     """The "file:function" of every node that match accepts, by the
-    innermost function holding it ("<module>" outside any)."""
+    innermost function holding it ("<module>" outside any, "Class.method"
+    for a method)."""
     found = []
 
     def visit(node, path, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, path, child.name)
+                name = child.name
+                if isinstance(node, ast.ClassDef):
+                    name = "%s.%s" % (node.name, name)
+                visit(child, path, name)
             else:
                 if match(child):
                     found.append("%s:%s" % (path.relative_to(SRC), owner))
@@ -123,6 +127,34 @@ def test_one_weight_format():
     # integer text; core.format_rat raises CapExceeded instead, so every
     # exact weight is written through it
     assert _owners(_weight_format) == ["core.py:format_rat"]
+
+
+def _raises_outside_domain(node):
+    """A raise of VariableSetMismatch whose message says "outside domain"."""
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "VariableSetMismatch"
+            and any(isinstance(n, ast.Constant) and "outside domain" in str(n.value)
+                    for n in ast.walk(node.exc)))
+
+
+def test_one_state_check():
+    # automata and kernels check a state's values by one rule, which reads
+    # each value's type, so 1 is never taken for True anywhere
+    assert _owners(_raises_outside_domain) == ["core.py:check_state"]
+
+
+def _calls_lcm(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "lcm"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "lcm")
+
+
+def test_one_integer_measure():
+    # a measure is brought to integers over one scale by core.Masses, which
+    # transport and sampling share; exact_weights totals a distribution as
+    # it reads it, and coupling brings two scales to one
+    assert _owners(_calls_lcm) == ["core.py:exact_weights", "core.py:Masses.__init__",
+                                   "transport.py:coupling"]
 
 
 # the readers of JSON documents, each under the one guard
