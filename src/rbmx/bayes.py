@@ -10,16 +10,23 @@ feed kernels, kernels emit disjoint sets of variables.  Sampling walks the
 network in dependency order; scoring takes, per kernel, the outer
 probability of the state's out-part given its in-part, and multiplies.
 
-Scoring reads compiled entries through compiled keys.  The first time a
-kernel is scored at an input, MixedKernel.score_table turns the output
-system into an exact table {output value tuple: (outer mass, its
-numerator, its denominator)} in one pass over its rows (or None when the
-system is inconsistent) and keeps it in the kernel's table store, which
-kernels may share.  A BayesianNetwork compiles, once, one key getter per
-kernel over a full state's values: the kernel's input values followed by
-its output values, each part in the kernel's own name order.  The network
-keeps, per kernel, the factor entry of each key met so far, so every later
-score of that key is one getter call and one dict lookup per kernel.
+Scoring reads compiled entries through compiled keys.  A kernel's score
+table at an input is {output value tuple: (outer mass, its numerator, its
+denominator)}, or None when the kernel is inconsistent there, and each
+kernel keeps its tables, by input values, in a table store that kernels
+may share.  score_tables is the one builder: one pass over a system's
+rows gives the table at every input value tuple they reach.  A
+conditional kernel fills its store from one pass over the joint it
+conditions; a tied prior's store holds its distribution's rows
+(rblang.elaborate.prior_kernel); any other table is built, at the first
+score of its input, from the system apply gives there.
+MixedKernel.score_table checks the input first, on every call, so a
+filled store never answers an input that apply refuses.  A
+BayesianNetwork compiles, once, one key getter per kernel over a full
+state's values: the kernel's input values followed by its output values,
+each part in the kernel's own name order.  The network keeps, per
+kernel, the factor entry of each key met so far, so every later score of
+that key is one getter call and one dict lookup per kernel.
 
 Conditioning convention: the conditional of a system on Y is the kernel
 that pins Y to the given input, conditions the system on that, and exposes
@@ -41,12 +48,12 @@ from .core import (
     Domain,
     MixedSystem,
     State,
+    _state_of_pairs,
     all_states,
     check_state,
     check_vars,
     compose,
     compress,
-    conditioned,
     consistency,
     document_reader,
     domains_agree,
@@ -79,13 +86,15 @@ class MixedKernel:
     are evaluated on demand and cached, and every analysis operation may
     enumerate the full (finite) input space.  in_vars and out_vars must be
     disjoint.  An input binds exactly in_vars, each to a value of its own
-    domain and type (core.check_state), checked by apply before its table
-    lookup, where True would find the entry of 1.  A system binds exactly
-    out_vars over agreeing domains (core.check_vars), checked once as it
-    enters the table: a dict's systems, with their keys, at construction,
-    a callable's when first computed, and kept only if it passes.
-    ``_scores``, internal, is the dict score_table keeps its tables in, a
-    new one when not given.
+    domain and type (core.check_state), checked by apply and score_table
+    before their lookups, where True would find the entry of 1.  A system
+    binds exactly out_vars over agreeing domains (core.check_vars),
+    checked once as it enters the table: a dict's systems, with their
+    keys, at construction, a callable's when first computed, and kept only
+    if it passes.
+    ``_scores``, internal, is the store score_table keeps its tables in, a
+    new one when not given; one given may hold tables already, compiled
+    from the kernel's law, at input value tuples score_table checks.
     """
 
     __slots__ = ("name", "in_vars", "out_vars", "_doms", "_table", "_fn", "_scores")
@@ -133,45 +142,40 @@ class MixedKernel:
         return S
 
     def apply(self, q_in) -> MixedSystem:
-        q_in = self._input(q_in)
-        S = self._table.get(q_in)
+        return self._system_at(self._input(q_in))
+
+    def _system_at(self, q: State) -> MixedSystem:
+        """The system at the checked input q."""
+        S = self._table.get(q)
         if S is None:
             if self._fn is None:
-                raise VariableSetMismatch("kernel %s has no entry for %r" % (self.name, q_in))
-            S = self._enter(q_in, self._fn(q_in))
+                raise VariableSetMismatch("kernel %s has no entry for %r" % (self.name, q))
+            S = self._enter(q, self._fn(q))
         return S
 
     def score_table(self, in_values):
-        """The exact outer mass of each output value tuple (values in
-        out_names order) at the input whose values, in in_names order, are
-        in_values, as (mass, its numerator, its denominator); None when the
-        output system is inconsistent there.  Built on first use from
-        apply's system, in one pass over its rows: each outcome adds its
-        conditioned weight once to every state of its row, which
-        MixedSystem has deduped.  Output tuples no row admits are absent,
-        so their mass is 0.
+        """The score table at the input whose values, in in_names order, are
+        in_values: the exact outer mass of each output value tuple (values
+        in out_names order) as (mass, its numerator, its denominator), or
+        None when the output system is inconsistent there.  Output tuples
+        no row admits are absent, so their mass is 0.
 
-        The tables are kept by in_values in the kernel's store, _scores,
-        which kernels whose tables depend only on in_values may share; each
-        table is then built once, by the first kernel that needs it.  An
-        input whose apply raises keeps nothing, so it raises every time.
-        This is the one builder of score tables."""
+        The input is checked as apply checks it, on every call and before
+        the store is read, since the store's keys take True for 1.  The
+        tables are kept by in_values in the kernel's store, _scores, which
+        kernels whose tables depend only on in_values may share, and which
+        conditional and rblang.elaborate.prior_kernel fill from the
+        kernel's law.  A table not in the store is built by score_tables
+        from apply's system at the input; an input whose apply raises keeps
+        nothing, so it raises every time."""
+        # _doms holds in_names, in order
+        q = _state_of_pairs(tuple(zip(self._doms, in_values)))
+        check_state(self._doms, q, "input of kernel %s", self.name)
         try:
             return self._scores[in_values]
         except KeyError:
             pass
-        S = self.apply(State(zip(self.in_names, in_values)))
-        table = None
-        if consistency(S)[0]:
-            weights = conditioned(S).weights
-            masses = {}
-            for o, row in S.rel.items():
-                w = weights[o]
-                for q in row:
-                    out = tuple([v for _, v in q.pairs])
-                    masses[out] = masses.get(out, 0) + w
-            table = {out: (f, f.numerator, f.denominator) for out, f in masses.items()}
-        self._scores[in_values] = table
+        table = self._scores[in_values] = score_tables(self._system_at(q), ()).get(())
         return table
 
     def __repr__(self):
@@ -194,6 +198,47 @@ def kernel_to_system(K: MixedKernel) -> MixedSystem:
     return K.apply(EMPTY_STATE)
 
 
+def score_tables(S: MixedSystem, in_names) -> dict:
+    """The score table of S given the variables in_names, sorted names of
+    S's variables, at every input value tuple (values in in_names order)
+    that S's rows reach, in one pass over the rows.  Each row state splits
+    into its input values and its output values, those of S's other
+    variables in name order.  At input values y, an outcome whose row has
+    a state over y weighs in once, and adds its weight to each output
+    value tuple of those states; the table maps each such tuple to its
+    mass over the weight of those outcomes, as (mass, its numerator, its
+    denominator), or is None when that weight is 0.  This is the table of
+    the system S pinned to y, conditioned, with in_names hidden: what
+    conditional's kernel gives at y.  With no in_names it is S's own table
+    at the input (), absent when no row admits a state.  Input values no
+    row reaches are absent."""
+    at = [i for i, v in enumerate(S.vars) if v.name in in_names]
+    in_of = _key_getter(at)
+    out_of = _key_getter([i for i in range(len(S.vars)) if i not in at])
+    masses = {}  # input values -> {output values: summed weight}
+    reached = {}  # input values -> weight of the outcomes reaching them
+    for o in S.omega:
+        w = S.pi[o]
+        ys = set()
+        for q in S.rel[o]:
+            values = [v for _, v in q.pairs]
+            y = in_of(values)
+            ys.add(y)
+            m = masses.setdefault(y, {})
+            out = out_of(values)
+            m[out] = m.get(out, 0) + w
+        for y in ys:
+            reached[y] = reached.get(y, 0) + w
+    return {y: score_entries({out: f / reached[y] for out, f in m.items()}) if reached[y]
+            else None for y, m in masses.items()}
+
+
+def score_entries(masses) -> dict:
+    """The score table of {output value tuple: mass}: each mass as (mass,
+    its numerator, its denominator), which bn_score multiplies."""
+    return {out: (f, f.numerator, f.denominator) for out, f in masses.items()}
+
+
 def point_system(Y, q_Y) -> MixedSystem:
     """The deterministic system forcing the variables Y to the state q_Y:
     one certain outcome admitting exactly that state."""
@@ -206,7 +251,10 @@ def point_system(Y, q_Y) -> MixedSystem:
 def conditional(S: MixedSystem, Y) -> MixedKernel:
     """The kernel sending q_Y to S with Y pinned at q_Y, exposing the other
     variables.  Inputs outside the reachable values of Y yield inconsistent
-    output systems.  Each output is compressed."""
+    output systems.  Each output is compressed, and built only when apply
+    asks for it; the kernel's score tables are filled here, by score_tables
+    in one pass over S, at every input S's rows reach, and score_table
+    checks each input before it reads them."""
     names = sorted(y if isinstance(y, str) else y.name for y in Y)
     unknown = set(names) - set(S.var_names)
     if unknown:
@@ -219,7 +267,8 @@ def conditional(S: MixedSystem, Y) -> MixedKernel:
         pinned = compose(point_system(_Yv, q_Y), _S)
         return compress(marginal(pinned, _zn))
 
-    return MixedKernel(Yv, Zv, fn, name="cond_%s" % ",".join(names))
+    return MixedKernel(Yv, Zv, fn, name="cond_%s" % ",".join(names),
+                       _scores=score_tables(S, names))
 
 
 class Score(NamedTuple):
@@ -422,10 +471,11 @@ def bn_score(N: BayesianNetwork, q) -> Score:
     network's entries for that kernel.  A key not met before gets its
     entry from MixedKernel.score_table at the input values: the table's
     entry for the output values, ABSENT (mass 0) when no row admits them,
-    or None when the kernel is inconsistent at that input.  apply's checks
-    and errors meet a bad input then, and again each time, since nothing
-    is kept for it; nor is an ABSENT entry kept for output values outside
-    their domains, so scoring off-domain states does not grow the entries.
+    or None when the kernel is inconsistent at that input.  score_table
+    checks the input values then, and again each time, since nothing is
+    kept for a bad input.  Output values outside their typed domains, or
+    that cannot be hashed, score 0 (ABSENT) before the table is read, and
+    keep no entry, so scoring off-domain states does not grow the entries.
     The product is taken over the entries' integer numerators and
     denominators, with one Fraction at the end."""
     if not isinstance(q, State):
@@ -444,11 +494,13 @@ def bn_score(N: BayesianNetwork, q) -> Score:
         key = key_of(values)
         try:
             entry = entries[key]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a value that cannot be hashed
             table = K.score_table(key[:n_in])
-            entry = None if table is None else table.get(key[n_in:], ABSENT)
-            if entry is not ABSENT or all(map(Domain.__contains__, out_domains, key[n_in:])):
-                entries[key] = entry
+            out = key[n_in:]
+            if all(map(Domain.__contains__, out_domains, out)):
+                entry = entries[key] = None if table is None else table.get(out, ABSENT)
+            else:
+                entry = None if table is None else ABSENT
         if entry is None:
             factors.append((K.name, None))
             if bad is None:

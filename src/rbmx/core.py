@@ -240,8 +240,12 @@ def domain_index(domain: Domain, v):
     """The position of v among domain's values, or None when v is not one of
     them.  Python's == and hash make True, 1 and 1.0 one dict key, so a hit
     counts only when the value found has v's own type: 1 is not a boolean
-    value, and True is not a number."""
-    i = domain.index.get(v)
+    value, and True is not a number.  A value that cannot be hashed, such
+    as a list, is not one of them either."""
+    try:
+        i = domain.index.get(v)
+    except TypeError:
+        return None
     if i is None or type(domain.values[i]) is not type(v):
         return None
     return i

@@ -24,10 +24,10 @@ parts (program_parts): parse keeps each declared domain as its typed
 Domain in p.domains, the only form of a domain that elaboration reads;
 _var makes one Var per variable and •x companion over it, and
 prior_kernel ties the kernels of priors such as z2 ~ step(z1) to one
-store of score tables per distribution.  So every system, kernel, network
-and automaton elaborated from one Program holds the same Domain and Var
-objects, and a chain's one transition law is compiled once per input
-value, not once per step.  Equations compare values by type as well as
+store of score tables per distribution, read from its rows.  So every
+system, kernel, network and automaton elaborated from one Program holds
+the same Domain and Var objects, and a chain's one transition law is
+compiled once, not once per step.  Equations compare values by type as well as
 by value, as domains do: 1 is not T.
 """
 
@@ -42,6 +42,7 @@ from ..bayes import (
     bn_validate,
     kernel_from_system,
     point_system,
+    score_entries,
 )
 from ..core import (
     MixedSystem,
@@ -256,18 +257,28 @@ def prior_kernel(p: Program, leaf: SPrior) -> MixedKernel:
     parameter domain, such as z2 ~ step(z1), is tied to its distribution:
     its score table at input c is the distribution's row for c, the same
     for every such prior of the distribution in p, so all of them share
-    one table store, kept in p.tied_laws, and each (distribution, c) table
-    is compiled once, by MixedKernel.score_table, for whichever kernel
-    needs it first.  A parameter that is an expression, such as
-    step(inc(z)), keeps the kernel's own store."""
+    one table store, kept in p.tied_laws.  The store is filled from the
+    distribution's rows, once per distribution, when its first tied
+    kernel is made; its inputs are checked by MixedKernel.score_table.  A
+    parameter that is an expression, such as step(inc(z)), keeps the
+    kernel's own store, filled by score_table from prior_system."""
     in_vars = [_var(p, nm) for nm in expr_vars(leaf.arg, pre_name)]
 
     def fn(q_in, _leaf=leaf):
         return prior_system(p, _leaf, env=dict(q_in.items()))
 
-    tied = isinstance(leaf.arg, VarRef) and p.vars[leaf.arg.name] == p.dists[leaf.dist].param_domain
+    decl = p.dists[leaf.dist]
+    store = None
+    if isinstance(leaf.arg, VarRef) and p.vars[leaf.arg.name] == decl.param_domain:
+        store = p.tied_laws.get(leaf.dist)
+        if store is None:
+            # parse checked that the rows give every parameter value, over
+            # the prior's domain, as Fractions
+            store = p.tied_laws[leaf.dist] = {
+                (c,): score_entries({(v,): f for v, f in rows.items()})
+                for c, rows in decl.table.items()}
     return MixedKernel(in_vars, [_var(p, leaf.var)], fn, name="k[%s]" % leaf.var,
-                       _scores=p.tied_laws.setdefault(leaf.dist, {}) if tied else None)
+                       _scores=store)
 
 
 def _is_parameterized(p: Program, leaf: SPrior) -> bool:

@@ -169,8 +169,10 @@ class Program:
     declarations, each entry once, and are not part of the program's value
     (==, repr): elaboration fills typed_vars with the one Var of each
     variable and •x companion it meets, over those Domain objects, and
-    tied_laws with the score tables that a distribution's tied kernels
-    share (elaborate.prior_kernel).  The parts of a program (program_parts)
+    tied_laws with each parameterized distribution's score tables, read
+    from its rows when its first tied kernel is made and shared by all of
+    them (elaborate.prior_kernel); MixedKernel.score_table checks each
+    input before it reads them.  The parts of a program (program_parts)
     share its dicts, so everything elaborated from one program holds the
     same Domain and Var objects."""
 

@@ -8,8 +8,8 @@ tautology.  The transport oracle decides feasibility by the cut condition
 neighbours) instead of the flow computation the library uses.
 
 Algorithms the library replaced are kept here as references too
-(full_graft, whole_run, outer_bn_score, probe_greatest, allowed_pairs,
-text_rat, fraction_exact_weights).  They may call the library's
+(full_graft, whole_run, outer_bn_score, apply_table, probe_greatest,
+allowed_pairs, text_rat, fraction_exact_weights).  They may call the library's
 query helpers, which the naive oracles check.
 """
 
@@ -28,6 +28,7 @@ from rbmx.bayes import BayesianNetwork, MixedKernel, Score
 from rbmx.core import (
     all_states,
     compose,
+    conditioned,
     consistency,
     consistency_weight,
     norm_vars,
@@ -826,6 +827,24 @@ def outer_bn_score(N, q):
     if bad is not None:
         value = Fraction(0)
     return Score(value, tuple(factors))
+
+
+def apply_table(K, in_values):
+    """The score table of K at in_values as MixedKernel.score_table once
+    built every table: from apply's system at that input, None when it is
+    inconsistent, else each row state's value tuple mapped to the sum of
+    the conditioned weights of the outcomes admitting it, as (mass, its
+    numerator, its denominator)."""
+    S = K.apply(State(zip(K.in_names, in_values)))
+    if not consistency(S)[0]:
+        return None
+    weights = conditioned(S).weights
+    masses = {}
+    for o, row in S.rel.items():
+        for q in row:
+            out = tuple(v for _, v in q.pairs)
+            masses[out] = masses.get(out, 0) + weights[o]
+    return {out: (f, f.numerator, f.denominator) for out, f in masses.items()}
 
 
 def score_outcome(score, N, q):

@@ -97,6 +97,12 @@ class TestConstruction:
             with pytest.raises(VariableSetMismatch, match="outside domain of 'x'"):
                 MixedAutomaton(("a",), [("x", dom)], {"x": val}, {})
 
+    def test_a_transition_state_that_cannot_be_hashed_is_refused(self):
+        M = walker()
+        with pytest.raises(VariableSetMismatch,
+                           match=re.escape("transition state value [1] outside domain of 'x'")):
+            M.transition({"x": [1]}, "flip")
+
     def test_transition_states_validated(self):
         # a delta key is checked like the initial state; partial keys over
         # known variables stay legal

@@ -37,6 +37,7 @@ from rbmx.factorgraph import fg_to_bn
 from rbmx.rblang import elaborate_graph, parse
 
 from .oracles import (
+    apply_table,
     chain,
     consistent_tree_fgs,
     naive_point_outer,
@@ -185,6 +186,23 @@ class TestKernelChecks:
         assert bn_sample(N, {"x": 1}, random.Random(0)) == State({"x": 1, "y": 1})
         with pytest.raises(VariableSetMismatch, match="value True outside domain of 'x'"):
             bn_sample(N, {"x": True}, random.Random(0))
+
+    @pytest.mark.parametrize("kind", ["dict", "callable"])
+    def test_a_value_that_cannot_be_hashed_is_refused(self, kind):
+        K = MixedKernel([("x", BIT)], [("y", BIT)], copy_mapping(kind), name="k")
+        with pytest.raises(VariableSetMismatch,
+                           match=re.escape("input of kernel k value [1] outside domain of 'x'")):
+            K.apply({"x": [1]})
+
+    def test_a_score_at_a_value_that_cannot_be_hashed(self):
+        # at an input it is refused, at an output it scores 0
+        N = elaborate_graph(parse(chain(3)))
+        q = dict({"z%d" % i: 0 for i in range(3)}, w=True)
+        with pytest.raises(VariableSetMismatch,
+                           match=re.escape("input of kernel k[z1] value [1] outside domain")):
+            bn_score(N, dict(q, z0=[1]))
+        assert bn_score(N, dict(q, w=[1])).value == 0
+        assert bn_score(N, q).value > 0
 
     @pytest.mark.parametrize("kind", ["dict", "callable"])
     @pytest.mark.parametrize("values", [(False, True), (0, 1, 2)])
@@ -512,30 +530,36 @@ class TestCompiledScores:
         assert [len(entries) for *_, entries in N._entries] == sizes == [2, len(states)]
 
     def test_a_chain_compiles_each_input_once(self, monkeypatch):
-        # z1..z4 ~ step(z_i-1) are tied to step: one table per input value
-        # of step, whichever kernel meets it first
-        seen = []
+        # z1..z4 ~ step(z_i-1) are tied to step, whose one store is filled
+        # from its rows when the network is elaborated; every other table
+        # is built once per (store, input), at the first score of its input
+        built = []
         score_table = MixedKernel.score_table
 
         def counted(K, in_values):
             if in_values not in K._scores:
-                seen.append((K.name, in_values))
+                built.append((id(K._scores), K.name, in_values))
             return score_table(K, in_values)
 
         monkeypatch.setattr(MixedKernel, "score_table", counted)
-        N = elaborate_graph(parse(chain(5)))
+        p = parse(chain(5))
+        N = elaborate_graph(p)
+        step = p.tied_laws["step"]
+        inputs = [(0,), (1,), (2,)]
+        assert list(p.tied_laws) == ["step"] and sorted(step) == inputs
+        assert [K.name for K in N.kernels if K._scores is step] == ["k[z%d]" % i
+                                                                   for i in range(1, 5)]
         states = list(all_states(N.vars))
         assert len(states) == 3 ** 5 * 2
         total = sum(bn_score(N, q).value for q in states)
         assert total == 1
-        inputs = [(0,), (1,), (2,)]
-        assert [v for name, v in seen if name == "k[z0]"] == [()]
-        assert sorted(v for name, v in seen if name == "k[w]") == inputs
-        assert sorted(v for name, v in seen if name not in ("k[z0]", "k[w]")) == inputs
-        assert len(seen) == 7
+        assert sorted((name, v) for _, name, v in built) == [("k[w]", v) for v in inputs] + [
+            ("k[z0]", ())]
         for q in states:
             bn_score(N, q)
-        assert len(seen) == 7
+        assert len(built) == len(set((store, v) for store, _, v in built)) == 4
+        assert list(p.tied_laws) == ["step"] and p.tied_laws["step"] is step
+        assert sorted(step) == inputs
 
     def test_tied_laws_score_as_the_outer_oracle(self):
         # every kernel of N also sits in N2, at other positions, and tied
@@ -573,6 +597,90 @@ class TestCompiledScores:
         S = MixedSystem({"h": Fraction(1), "t": Fraction(0)}, [("x", BIT)],
                         {"h": [State({"x": 0})], "t": []})
         assert conditioned(S) is S.prob
+
+
+def input_values(K):
+    """Each input of K as its value tuple, in in_names order."""
+    return [tuple(v for _, v in q.pairs) for q in K.inputs()]
+
+
+class TestCompiledTables:
+    """Every score table, whether conditional or prior_kernel filled its
+    store from the kernel's law or score_table built it at a miss, is the
+    table of apply's system at its input (oracles.apply_table), as an
+    exact dict with its zero-mass entries, or None."""
+
+    def assert_tables(self, K):
+        for vals in input_values(K):
+            assert K.score_table(vals) == apply_table(K, vals), (K, vals)
+
+    def test_conditional_kernels_fill_their_tables_from_one_pass(self):
+        rng = random.Random(2501)
+        seen = Counter()
+        for _ in range(300):
+            S = rand_system(rng, max_vars=4)
+            Y = rng.sample(S.var_names, min(len(S.vars), rng.randint(1, 2)))
+            K = conditional(S, Y)
+            filled = dict(K._scores)
+            for vals in input_values(K):
+                want = apply_table(K, vals)
+                assert K.score_table(vals) == want, (S, Y, vals)
+                if vals not in filled:
+                    assert want is None
+                    seen["unreached"] += 1
+                elif want is None:
+                    seen["inconsistent"] += 1
+                else:
+                    seen["zero entries" if any(f == 0 for f, _, _ in want.values())
+                         else "positive"] += 1
+            assert set(filled) <= set(input_values(K))
+            seen["two inputs"] += len(Y) == 2
+            seen["no outputs"] += not K.out_vars
+        assert all(seen[k] for k in ("unreached", "inconsistent", "zero entries", "positive",
+                                     "two inputs", "no outputs")), seen
+
+    def test_tree_networks_at_random_roots(self):
+        rng = random.Random(2502)
+        for g, _ in consistent_tree_fgs(rng, 18):
+            for K in fg_to_bn(g, root=rng.choice(g.labels)).kernels:
+                self.assert_tables(K)
+
+    def test_program_networks(self):
+        rng = random.Random(2503)
+        texts = [tied_program(rng) for _ in range(20)] + [chain(k, seed=k) for k in range(1, 5)]
+        for text in texts:
+            for K in elaborate_graph(parse(text)).kernels:
+                self.assert_tables(K)
+
+    @pytest.mark.parametrize("kind", ["tied", "conditional", "equation"])
+    def test_a_mistyped_input_raises_on_a_cold_network(self, kind):
+        # the stores of tied and conditional kernels are filled before any
+        # score, and their keys take True for 1
+        if kind == "conditional":
+            g, _ = next(consistent_tree_fgs(random.Random(2504), 1))
+            N = fg_to_bn(g, root="S1")
+            K = next(K for K in N.kernels if K.in_names)
+            assert K._scores
+        else:
+            N = elaborate_graph(parse(chain(3)))
+            K = next(K for K in N.kernels if K.name == ("k[z1]" if kind == "tied" else "k[w]"))
+        x = K.in_names[0]
+        q = {v.name: v.domain.values[0] for v in N.vars}
+        q[x] = True
+        words = r"input of kernel .* value True outside domain of '%s'" % x
+        with pytest.raises(VariableSetMismatch, match=words):
+            bn_score(N, q)
+        assert K.score_table((1,)) == apply_table(K, (1,))
+        with pytest.raises(VariableSetMismatch, match=words):
+            K.score_table((True,))
+
+    def test_a_mistyped_output_scores_zero_on_a_cold_network(self):
+        # w is over { F, T }: 1 is not one of its values, though 1 == True
+        N = elaborate_graph(parse(chain(5)))
+        q = dict({"z%d" % i: 0 for i in range(5)}, w=1)
+        assert bn_score(N, q).value == 0
+        assert bn_score(N, dict(q, w=True)).value > 0
+        assert [len(entries) for K, *_, entries in N._entries if K.name == "k[w]"] == [1]
 
 
 class TestSampleBn:

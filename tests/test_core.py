@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import reprlib
 from fractions import Fraction
 
@@ -251,9 +252,12 @@ class TestSharedChecks:
         core.check_state(doms, State({"x": 0, "b": True}), "s")
         for q, words in ((State({"x": True}), "s 7 value True outside domain of 'x'"),
                          (State({"b": 1}), "s 7 value 1 outside domain of 'b'"),
-                         (State({"z": 0}), "s 7 binds unknown variable 'z'")):
-            with pytest.raises(VariableSetMismatch, match="^%s$" % words):
+                         (State({"z": 0}), "s 7 binds unknown variable 'z'"),
+                         (State({"x": [1]}), "s 7 value [1] outside domain of 'x'")):
+            with pytest.raises(VariableSetMismatch, match="^%s$" % re.escape(words)):
                 core.check_state(doms, q, "s %d", 7)
+        # a value that cannot be hashed is outside every domain
+        assert core.domain_index(BIT, [1]) is None and {0: 1} not in BIT
 
     def test_check_vars_compares_names_then_typed_domains(self):
         vars = core.norm_vars([("x", BIT), ("y", BIT)])

@@ -21,6 +21,7 @@ abtest = load_tool("abtest")
 outputs = load_tool("outputs")
 programs = load_tool("programs")
 ring = load_tool("ring")
+tree = load_tool("tree")
 ROOT = TOOLS.parent
 
 
@@ -124,6 +125,26 @@ class TestRing:
         for bad in ("0", "ten", "3,,4"):
             with pytest.raises(SystemExit):
                 ring.main(["--states", bad])
+
+
+class TestTree:
+    def test_each_size_prints_one_line_from_its_own_process(self, capsys):
+        assert tree.main(["--systems", "1,3", "--states", "20"]) == 0
+        assert tree.main(["--systems", "3", "--states", "20"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert [(d["systems"], d["variables"], d["kernels"], d["states"]) for d in lines] == [
+            (1, 2, 1, 20), (3, 4, 3, 20), (3, 4, 3, 20)]
+        # every other state follows the tree's rows, so it scores above 0
+        assert all(d["positive"] >= 10 for d in lines)
+        assert lines[1]["positive"] == lines[2]["positive"]
+        for d in lines:
+            assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
+
+    def test_bad_counts_are_refused(self):
+        for argv in (["--systems", "0"], ["--systems", "3,,4"], ["--states", "0"],
+                     ["--states", "ten"]):
+            with pytest.raises(SystemExit):
+                tree.main(argv)
 
 
 class TestOutputs:
