@@ -6,9 +6,12 @@ over its out-variables, checked as a mixed automaton checks its states and
 targets (core.check_state, core.check_vars): every input before its table
 lookup, and each system once, as it enters the kernel's table.  A
 BayesianNetwork wires kernels into an acyclic bipartite graph: variables
-feed kernels, kernels emit disjoint sets of variables.  Sampling walks the
-network in dependency order; scoring takes, per kernel, the outer
-probability of the state's out-part given its in-part, and multiplies.
+feed kernels, kernels emit disjoint sets of variables.  Each network
+builds one dependency order of its kernels, once, on first use
+(BayesianNetwork.order); bn_validate finds cycles in it and bn_sample
+walks it.  bn_sample and bn_from_json refuse a network bn_validate
+rejects.  Scoring takes, per kernel, the outer probability of the
+state's out-part given its in-part, and multiplies.
 
 Scoring reads compiled entries through compiled keys.  A kernel's score
 table at an input is {output value tuple: (outer mass, its numerator, its
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -295,10 +299,11 @@ class BayesianNetwork:
     """Kernels wired through their variables into a directed bipartite graph.
 
     Each kernel K gets edges x→K for x ∈ in(K) and K→x for x ∈ out(K).
-    Extra input edges may be declared to constrain the sampling order
-    beyond the kernels' own input sets.  Variables produced by no kernel
-    are the network's minimal variables and must be supplied at sampling
-    time; ``sources`` optionally flags some of them as observation feeds.
+    Extra input edges may be declared to constrain the dependency order,
+    which order builds once, beyond the kernels' own input sets.
+    Variables produced by no kernel are the network's minimal variables
+    and must be supplied at sampling time; ``sources`` optionally flags
+    some of them as observation feeds.
     A variable carrying different domains across the kernels and
     ``variables`` raises DomainMismatch.
 
@@ -309,7 +314,7 @@ class BayesianNetwork:
     behind both.
     """
 
-    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_entries")
+    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_entries", "_order")
 
     def __init__(self, kernels, extra_in=None, sources=(), variables=()):
         ks = list(kernels)
@@ -335,9 +340,40 @@ class BayesianNetwork:
             (K, _key_getter([at[n] for n in K.in_names + K.out_names]), len(K.in_vars),
              tuple(v.domain for v in K.out_vars), {})
             for K in ks)
+        self._order = None
 
     def in_set(self, K) -> frozenset:
         return frozenset(K.in_names) | self.extra_in.get(K.name, frozenset())
+
+    def order(self):
+        """The network's dependency order, built on the first call and
+        kept: (kernels, cycle).  A kernel follows the producers of its
+        in_set (graphlib.TopologicalSorter).  kernels lists the kernels
+        round by round, each round in name order: a round holds the
+        kernels whose predecessors all sit in earlier rounds, less those
+        that output nothing, which precede no kernel.  When the kernels
+        close a cycle, kernels is () and cycle names the cycle's kernels,
+        the first again at its end; otherwise cycle is ()."""
+        if self._order is None:
+            producers = {}
+            for K in self.kernels:
+                for x in K.out_names:
+                    producers.setdefault(x, []).append(K)
+            sorter = TopologicalSorter(
+                {K: [P for x in self.in_set(K) for P in producers.get(x, ())]
+                 for K in self.kernels})
+            try:
+                sorter.prepare()
+            except CycleError as e:
+                self._order = ((), tuple(K.name for K in e.args[1]))
+            else:
+                kernels = []
+                while sorter:
+                    ready = sorter.get_ready()
+                    sorter.done(*ready)
+                    kernels += sorted((K for K in ready if K.out_names), key=lambda K: K.name)
+                self._order = (tuple(kernels), ())
+        return self._order
 
     def min_vars(self):
         produced = {n for K in self.kernels for n in K.out_names}
@@ -352,74 +388,45 @@ class BayesianNetwork:
 
 def bn_validate(N: BayesianNetwork):
     """Check the structural conditions; returns a list of violation strings,
-    empty when the network is well-formed."""
+    empty when the network is well-formed: each variable has at most one
+    producer, a source has none and is a network variable, so is every
+    extra input, and the kernels close no cycle.  The cycle is the one
+    N.order() met, named by a few of its kernels."""
     problems = []
 
     produced = {}
     for K in N.kernels:
         for x in K.out_names:
             if x in produced:
-                problems.append(
-                    "variable %r is output by both %s and %s"
-                    % (x, produced[x], K.name)
-                )
+                problems.append("variable %r is output by both %s and %s"
+                                % (x, produced[x], K.name))
             else:
                 produced[x] = K.name
 
+    known = set(N.var_names)
     for x in N.sources:
         if x in produced:
-            problems.append(
-                "source variable %r has an incoming edge from %s" % (x, produced[x])
-            )
-        if x not in N.var_names:
+            problems.append("source variable %r has an incoming edge from %s"
+                            % (x, produced[x]))
+        if x not in known:
             problems.append("source variable %r is not a network variable" % x)
+    for k, names in N.extra_in.items():
+        for x in sorted(names - known):
+            problems.append("extra input %r of kernel %s is not a network variable" % (x, k))
 
-    # cycle check over the bipartite digraph
-    succ = {}
-    for K in N.kernels:
-        succ[("k", K.name)] = [("x", x) for x in K.out_names]
-        for x in N.in_set(K):
-            succ.setdefault(("x", x), []).append(("k", K.name))
-    for x in N.var_names:
-        succ.setdefault(("x", x), [])
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in succ}
-
-    def reaches_cycle(root):
-        # depth-first with an explicit stack of (node, unvisited successors),
-        # so long chains do not hit the recursion limit
-        color[root] = GREY
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for w in todo:
-                c = color.get(w, WHITE)
-                if c == GREY:
-                    return True
-                if c == WHITE:
-                    color[w] = GREY
-                    stack.append((w, iter(succ[w])))
-                    break
-            else:
-                color[v] = BLACK
-                stack.pop()
-        return False
-
-    for v in list(succ):
-        if color[v] == WHITE and reaches_cycle(v):
-            problems.append("graph has a cycle through %r" % (v,))
-            break
-
+    cycle = N.order()[1]
+    if cycle:
+        problems.append("graph has a cycle through kernels %s" % reprlib.repr(list(cycle)))
     return problems
 
 
 def bn_sample(N: BayesianNetwork, init, rng, resolver="lex") -> State:
-    """Sample one full state by walking the network incrementally: at each
-    round, run every kernel whose inputs are all assigned and which outputs
-    something, in name order.  ``init`` must cover exactly the minimal
-    variables.  A kernel made inconsistent by its sampled input aborts with
-    the kernel's name attached.
+    """Sample one full state by running the kernels that output something
+    in N.order(): round by round, each round in name order.  ``init``
+    must cover exactly the minimal variables.  A network bn_validate
+    rejects is refused with NotIncremental naming its problems.  A kernel
+    made inconsistent by its sampled input aborts with the kernel's name
+    attached.
     """
     if not isinstance(init, State):
         init = State(init)
@@ -429,34 +436,22 @@ def bn_sample(N: BayesianNetwork, init, rng, resolver="lex") -> State:
         raise MissingInit(
             "init must cover exactly %r, got %r" % (sorted(need), sorted(got))
         )
+    problems = bn_validate(N)
+    if problems:
+        raise NotIncremental("cannot sample the network: %s" % "; ".join(problems))
 
     assigned = init.as_dict()
-    pending = [K for K in N.kernels if K.out_names]
-    while pending:
-        ready = [K for K in pending if N.in_set(K) <= set(assigned)]
-        if not ready:
-            raise NotIncremental(
-                "no runnable kernel among %r with assigned %r"
-                % ([K.name for K in pending], sorted(assigned))
+    for K in N.order()[0]:
+        q_in = State({n: assigned[n] for n in K.in_names})
+        S = K.apply(q_in)
+        try:
+            _, q_out = sample(S, rng, resolver)
+        except InconsistentSystem:
+            raise InconsistentSystem(
+                "kernel %s is inconsistent at input %r" % (K.name, q_in),
+                kernel=K.name,
             )
-        ready.sort(key=lambda K: K.name)
-        before = len(assigned)
-        for K in ready:
-            q_in = State({n: assigned[n] for n in K.in_names})
-            S = K.apply(q_in)
-            try:
-                _, q_out = sample(S, rng, resolver)
-            except InconsistentSystem:
-                raise InconsistentSystem(
-                    "kernel %s is inconsistent at input %r" % (K.name, q_in),
-                    kernel=K.name,
-                )
-            assigned.update(q_out.as_dict())
-            pending.remove(K)
-        if len(assigned) == before:
-            raise NotIncremental(
-                "kernels %r assigned no new variable" % [K.name for K in ready]
-            )
+        assigned.update(q_out.as_dict())
     return State(assigned)
 
 
@@ -631,4 +626,8 @@ def bn_from_json(doc: dict, table: dict) -> BayesianNetwork:
             systems[q] = system_from_json(sdoc, _table=table)
         kernels.append(MixedKernel(ins, outs, systems, name=name))
     sources = _names_from_json("'sources'", doc.get("sources", []))
-    return BayesianNetwork(kernels, sources=sources, variables=list(vbyname.values()))
+    N = BayesianNetwork(kernels, sources=sources, variables=list(vbyname.values()))
+    problems = bn_validate(N)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return N

@@ -108,8 +108,9 @@ def fg_to_bn(g: FactorGraph, root=None) -> BayesianNetwork:
     processed independently: systems are visited deepest-first; a visited
     system's accumulated composition is split into the conditional kernel on
     the variable toward its parent, while its marginal on that variable is
-    composed into the parent's accumulator.  The root's accumulator becomes
-    an input-less head kernel.  ``root`` picks the root system of its
+    compressed and composed into the parent's accumulator, which is
+    compressed in turn, so it keeps no two outcomes of equal rows.  The
+    root's accumulator becomes an input-less head kernel.  ``root`` picks the root system of its
     component; every other component roots at its highest-degree system.
     """
     adj = g.neighbors()
@@ -157,7 +158,7 @@ def fg_to_bn(g: FactorGraph, root=None) -> BayesianNetwork:
             K = conditional(T, [xhat])
             K.name = "cond[%s|%s]" % (lab, xhat)
             kernels.append(K)
-            acc[psys] = compose(acc[psys], compress(marginal(T, [xhat])))
+            acc[psys] = compress(compose(acc[psys], compress(marginal(T, [xhat]))))
 
     return BayesianNetwork(kernels)
 

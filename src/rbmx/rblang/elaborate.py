@@ -482,9 +482,6 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
         mentioned.add(x)
         mentioned.update(K.in_names)
         kernels.append(K)
-    for x in flagged:
-        if x in producers:
-            raise _DirectRulesFail("observed variable %r must stay a source" % x)
     N = BayesianNetwork(
         kernels,
         sources=flagged,

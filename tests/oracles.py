@@ -8,8 +8,8 @@ tautology.  The transport oracle decides feasibility by the cut condition
 neighbours) instead of the flow computation the library uses.
 
 Algorithms the library replaced are kept here as references too
-(full_graft, whole_run, outer_bn_score, apply_table, probe_greatest,
-allowed_pairs, text_rat, fraction_exact_weights).  They may call the library's
+(full_graft, whole_run, outer_bn_score, apply_table, round_sample,
+dfs_cycle, probe_greatest, allowed_pairs, text_rat, fraction_exact_weights).  They may call the library's
 query helpers, which the naive oracles check.
 """
 
@@ -39,8 +39,10 @@ from rbmx.embeddings import PA, SPA
 from rbmx.errors import (
     InconsistentSystem,
     MalformedSystem,
+    MissingInit,
     MissingObservation,
     NoTransition,
+    NotIncremental,
     RbmxError,
     VariableSetMismatch,
 )
@@ -863,6 +865,109 @@ def off_domain_states(N):
     first = {v.name: v.domain.values[0] for v in N.vars}
     for name in N.var_names:
         yield State(dict(first, **{name: "off"}))
+
+
+# --- network order ----------------------------------------------------------------
+
+
+def round_sample(N, init, rng, resolver="lex"):
+    """bn_sample by rounds found afresh: each round rescans the pending
+    kernels that output something and runs, in name order, those whose
+    in_set is assigned, as bn_sample did before it read N.order()."""
+    if not isinstance(init, State):
+        init = State(init)
+    need = set(N.min_vars())
+    got = set(init.names)
+    if got != need:
+        raise MissingInit(
+            "init must cover exactly %r, got %r" % (sorted(need), sorted(got))
+        )
+
+    assigned = init.as_dict()
+    pending = [K for K in N.kernels if K.out_names]
+    while pending:
+        ready = [K for K in pending if N.in_set(K) <= set(assigned)]
+        if not ready:
+            raise NotIncremental(
+                "no runnable kernel among %r with assigned %r"
+                % ([K.name for K in pending], sorted(assigned))
+            )
+        ready.sort(key=lambda K: K.name)
+        before = len(assigned)
+        for K in ready:
+            q_in = State({n: assigned[n] for n in K.in_names})
+            S = K.apply(q_in)
+            try:
+                _, q_out = sample(S, rng, resolver)
+            except InconsistentSystem:
+                raise InconsistentSystem(
+                    "kernel %s is inconsistent at input %r" % (K.name, q_in),
+                    kernel=K.name,
+                )
+            assigned.update(q_out.as_dict())
+            pending.remove(K)
+        if len(assigned) == before:
+            raise NotIncremental(
+                "kernels %r assigned no new variable" % [K.name for K in ready]
+            )
+    return State(assigned)
+
+
+def dfs_cycle(N):
+    """Whether the bipartite graph of N, x→K for x in in_set(K) and K→x
+    for x in out(K), has a cycle, by a three-colour depth-first search, as
+    bn_validate decided before it read N.order()."""
+    succ = {}
+    for K in N.kernels:
+        succ[("k", K.name)] = [("x", x) for x in K.out_names]
+        for x in N.in_set(K):
+            succ.setdefault(("x", x), []).append(("k", K.name))
+    for x in N.var_names:
+        succ.setdefault(("x", x), [])
+
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in succ}
+
+    def reaches_cycle(root):
+        color[root] = GREY
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                c = color.get(w, WHITE)
+                if c == GREY:
+                    return True
+                if c == WHITE:
+                    color[w] = GREY
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                color[v] = BLACK
+                stack.pop()
+        return False
+
+    return any(color[v] == WHITE and reaches_cycle(v) for v in list(succ))
+
+
+def rand_wiring(rng, k):
+    """k kernels wired at random over the binary variables v0..v(k+1):
+    each outputs up to two of them and reads up to two others, so two
+    kernels may output one variable and reads may close cycles; about one
+    kernel in three gets extra inputs, which may name the variable "ghost"
+    of no kernel.  The kernels' systems are never built."""
+    dom = Domain("wb", (0, 1))
+    pool = ["v%d" % i for i in range(k + 2)]
+    kernels = []
+    extra = {}
+    for i in range(k):
+        names = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        cut = rng.randint(0, min(2, len(names)))
+        outs, ins = names[:cut], names[cut:cut + 2]
+        kernels.append(MixedKernel([Var(n, dom) for n in ins], [Var(n, dom) for n in outs],
+                                   lambda q: None, name="K%d" % i))
+        if rng.random() < 0.35:
+            extra["K%d" % i] = set(rng.sample(pool + ["ghost"], rng.randint(1, 2)))
+    return BayesianNetwork(kernels, extra_in=extra)
 
 
 def rand_inconsistent_over(rng, vars):

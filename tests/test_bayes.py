@@ -31,6 +31,7 @@ from rbmx.errors import (
     MalformedSystem,
     MissingInit,
     NotIncremental,
+    RbmxError,
     VariableSetMismatch,
 )
 from rbmx.factorgraph import fg_to_bn
@@ -40,12 +41,15 @@ from .oracles import (
     apply_table,
     chain,
     consistent_tree_fgs,
+    dfs_cycle,
     naive_point_outer,
     off_domain_states,
     outer_bn_score,
     rand_network,
     rand_system,
     rand_system_over,
+    rand_wiring,
+    round_sample,
     score_outcome,
 )
 
@@ -340,6 +344,22 @@ class TestValidate:
                             sources={"x"})
         assert any("source" in p for p in bn_validate(N))
 
+    def test_an_extra_input_outside_the_network_is_reported(self):
+        N = BayesianNetwork([neg_kernel()], extra_in={"neg": {"ghost"}})
+        assert bn_validate(N) == ["extra input 'ghost' of kernel neg is not a network variable"]
+        with pytest.raises(NotIncremental, match="extra input 'ghost'"):
+            bn_sample(N, {"x": 0}, random.Random(0))
+
+    def test_cycle_verdicts_equal_the_dfs(self):
+        rng = random.Random(2701)
+        cyclic = 0
+        for _ in range(3000):
+            N = rand_wiring(rng, rng.randint(1, 7))
+            want = dfs_cycle(N)
+            assert any("cycle" in p for p in bn_validate(N)) == want, N.kernels
+            cyclic += want
+        assert 500 < cyclic < 2500, cyclic
+
 
 def copy_chain(n):
     """x0 ~ coin, then x_i = x_(i-1) for i < n: a chain of n kernels."""
@@ -363,6 +383,12 @@ class TestValidateLongChains:
     def test_cycle_closing_a_long_chain_is_found(self):
         N = BayesianNetwork(copy_chain(1500), extra_in={"k0": {"x1499"}})
         assert any("cycle" in p for p in bn_validate(N))
+
+    def test_the_cycle_of_a_long_chain_is_named_briefly(self):
+        N = BayesianNetwork(copy_chain(1500), extra_in={"k0": {"x1499"}})
+        [problem] = bn_validate(N)
+        assert problem.startswith("graph has a cycle through kernels [")
+        assert "..." in problem and len(problem) < 150
 
 
 class TestScore:
@@ -716,6 +742,76 @@ class TestSampleBn:
         q = bn_sample(N, {"x": 0}, random.Random(0))
         assert q == State({"x": 0, "y": 1})
 
+    def test_two_producers_in_one_round_are_refused(self):
+        N = BayesianNetwork([kernel_from_system(coin_system(), name="c1"),
+                             kernel_from_system(coin_system(), name="c2")])
+        # round_sample draws x twice, the later draw winning
+        assert round_sample(N, {}, random.Random(0)).names == ("x",)
+        with pytest.raises(NotIncremental, match="x' is output by both c1 and c2"):
+            bn_sample(N, {}, random.Random(0))
+
+
+def draws(sample_fn, N, seed, resolver, count=5):
+    """count draws of N from one rng seeded with seed, each init giving the
+    minimal variables random values, up to the first error, which ends
+    the list as its type and message."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        init = State({v.name: rng.choice(v.domain.values) for v in N.vars
+                      if v.name in N.min_vars()})
+        try:
+            out.append(sample_fn(N, init, rng, resolver))
+        except RbmxError as exc:
+            out.append((type(exc), str(exc)))
+            break
+    return out
+
+
+class TestSampleOrder:
+    """bn_sample walks N.order(); round_sample finds each round afresh.
+    Both must make the same draws, or raise the same error."""
+
+    @pytest.mark.parametrize("resolver", ["lex", "uniform"])
+    def test_draws_equal_the_rounds(self, resolver):
+        rng = random.Random(2702)
+        nets = [rand_network(rng, rng.randint(1, 6)) for _ in range(60)]
+        nets += [elaborate_graph(parse(text)) for text in
+                 [chain(k, seed=k) for k in range(1, 6)] + [tied_program(rng) for _ in range(10)]]
+        nets += [fg_to_bn(g, root=root) for g, _ in consistent_tree_fgs(rng, 12)
+                 for root in g.labels]
+        raised = 0
+        for i, N in enumerate(nets):
+            want = draws(round_sample, N, i, resolver)
+            assert draws(bn_sample, N, i, resolver) == want, N
+            raised += isinstance(want[-1], tuple)
+        assert 0 < raised < len(nets) // 2, raised
+
+    def test_the_order_is_built_once(self, monkeypatch):
+        N = BayesianNetwork(copy_chain(200))
+        calls = Counter()
+        in_set = BayesianNetwork.in_set
+
+        def counted(self, K):
+            calls[K.name] += 1
+            return in_set(self, K)
+
+        built = []
+
+        class Sorter(bayes.TopologicalSorter):
+            def __init__(self, graph):
+                built.append(graph)
+                super().__init__(graph)
+
+        monkeypatch.setattr(BayesianNetwork, "in_set", counted)
+        monkeypatch.setattr(bayes, "TopologicalSorter", Sorter)
+        rng = random.Random(7)
+        for _ in range(20):
+            q = bn_sample(N, {}, rng)
+            assert len({v for _, v in q.items()}) == 1 and len(q.names) == 200
+        assert len(built) == 1
+        assert calls == Counter({"k%d" % i: 1 for i in range(200)})
+
 
 class TestBnJson:
     def test_round_trip_scores_identically(self):
@@ -765,6 +861,36 @@ class TestBnJson:
         with pytest.raises(MalformedSystem,
                            match=re.escape("bad network document: kernel 'k' " + words)):
             bn_from_json(doc)
+
+    def test_a_copy_cycle_is_refused(self):
+        a = MixedKernel([("x", BIT)], [("y", BIT)],
+                        lambda q: point_system([("y", BIT)], State({"y": q["x"]})), name="a")
+        b = MixedKernel([("y", BIT)], [("x", BIT)],
+                        lambda q: point_system([("x", BIT)], State({"x": q["y"]})), name="b")
+        doc = bn_to_json(BayesianNetwork([a, b]))
+        with pytest.raises(MalformedSystem,
+                           match=re.escape("bad network document: graph has a cycle through "
+                                           "kernels ['a', 'b', 'a']")):
+            bn_from_json(doc)
+
+    def test_two_producers_are_refused(self):
+        doc = bn_to_json(BayesianNetwork([kernel_from_system(coin_system(), name="c1"),
+                                          kernel_from_system(coin_system(), name="c2")]))
+        with pytest.raises(MalformedSystem, match="bad network document: variable 'x' is "
+                                                  "output by both c1 and c2"):
+            bn_from_json(doc)
+
+    def test_built_networks_round_trip(self):
+        observed = ("domain bit = { 0, 1 }\nvar x : bit\nvar y : bit\n"
+                    "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n|| y = neg(x)\n|| observe x\n")
+        nets = [seq_compose(kernel_from_system(coin_system(), name="prior"), neg_kernel()),
+                elaborate_graph(parse(chain(3))), elaborate_graph(parse(observed))]
+        nets += [fg_to_bn(g, root=root) for g, _ in consistent_tree_fgs(random.Random(2703), 6)
+                 for root in g.labels]
+        assert nets[2].sources == {"x"}
+        for N in nets:
+            doc = bn_to_json(N)
+            assert bn_to_json(bn_from_json(doc)) == doc
 
     @pytest.mark.parametrize("kernel, field, junk", [
         (1, "name", ["neg"]), (1, "name", None), (1, "in", "x"), (1, "in", [["x"]]),

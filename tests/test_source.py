@@ -157,6 +157,18 @@ def test_one_integer_measure():
                                    "transport.py:coupling"]
 
 
+def _builds_sorter(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "TopologicalSorter"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "TopologicalSorter")
+
+
+def test_one_topological_order():
+    # validation, sampling and the network reader share the one dependency
+    # order a network builds, once, on first use
+    assert _owners(_builds_sorter) == ["bayes.py:BayesianNetwork.order"]
+
+
 # the readers of JSON documents, each under the one guard
 READERS = {"system_from_json", "polarized_from_json", "ma_from_json", "spa_from_json",
            "pa_from_json", "bn_from_json", "fg_from_json"}

@@ -138,7 +138,7 @@ class TestTree:
         assert all(d["positive"] >= 10 for d in lines)
         assert lines[1]["positive"] == lines[2]["positive"]
         for d in lines:
-            assert d["seconds"] >= 0 and d["peak_rss_mb"] > 0
+            assert d["seconds"] >= 0 and d["sample_seconds"] > 0 and d["peak_rss_mb"] > 0
 
     def test_bad_counts_are_refused(self):
         for argv in (["--systems", "0"], ["--systems", "3,,4"], ["--states", "0"],

@@ -21,8 +21,10 @@ then times `factorgraph.fg_to_bn(g)` and `bayes.bn_score` at every drawn
 state in turn, and prints one JSON line: the size, the numbers of
 variables, kernels and states, how many states scored above 0, the
 seconds of each stage and of both, and the process's peak resident set
-size from getrusage.  The rbmx it runs is the one under this checkout's
-src/.
+size from getrusage.  The line also gives sample_seconds, the time of
+1,000 `bayes.bn_sample` draws on the network from one seeded rng, taken
+after the scores and counted in neither stage.  The rbmx it runs is the
+one under this checkout's src/.
 """
 
 import argparse
@@ -79,10 +81,15 @@ N = factorgraph.fg_to_bn(g)
 t1 = time.perf_counter()
 positive = sum(bayes.bn_score(N, q).value > 0 for q in states)
 t2 = time.perf_counter()
+draw = random.Random("sample:%d:%d" % (seed, m))
+for _ in range(1000):
+    bayes.bn_sample(N, {}, draw)
+t3 = time.perf_counter()
 print(json.dumps({
     "systems": m, "variables": len(names), "kernels": len(N.kernels), "states": count,
     "positive": positive, "fg_to_bn_seconds": round(t1 - t0, 4),
     "score_seconds": round(t2 - t1, 4), "seconds": round(t2 - t0, 4),
+    "sample_seconds": round(t3 - t2, 4),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)}))
 """
 
