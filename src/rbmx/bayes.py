@@ -7,11 +7,11 @@ targets (core.check_state, core.check_vars): every input before its table
 lookup, and each system once, as it enters the kernel's table.  A
 BayesianNetwork wires kernels into an acyclic bipartite graph: variables
 feed kernels, kernels emit disjoint sets of variables.  Each network
-builds one dependency order of its kernels, once, on first use
-(BayesianNetwork.order); bn_validate finds cycles in it and bn_sample
-walks it.  bn_sample and bn_from_json refuse a network bn_validate
-rejects.  Scoring takes, per kernel, the outer probability of the
-state's out-part given its in-part, and multiplies.
+finds its structure once, on first use, in one pass over its kernels
+(BayesianNetwork.order), and bn_validate, min_vars, bn_sample (with no
+structure work per draw), seq_compose and the readers read it.  Scoring
+takes, per kernel, the outer probability of the state's out-part given
+its in-part, and multiplies.
 
 Scoring reads compiled entries through compiled keys.  A kernel's score
 table at an input is {output value tuple: (outer mass, its numerator, its
@@ -184,10 +184,7 @@ class MixedKernel:
 
     def __repr__(self):
         return "MixedKernel(%s: %s -> %s)" % (
-            self.name or "?",
-            list(self.in_names) or "ε",
-            list(self.out_names) or "ε",
-        )
+            self.name or "?", list(self.in_names) or "ε", list(self.out_names) or "ε")
 
 
 def kernel_from_system(S: MixedSystem, name=None) -> MixedKernel:
@@ -295,6 +292,16 @@ def _key_getter(positions):
     return itemgetter(*positions)
 
 
+class _Structure(NamedTuple):
+    """What BayesianNetwork.order finds in its one pass over the kernels."""
+
+    producers: dict  # variable name -> the kernels outputting it, in kernel order
+    problems: tuple  # the violations bn_validate reports, () when well-formed
+    minimal: dict  # minimal variable name -> its Domain, in name order
+    kernels: tuple  # the dependency order, round by round; () on a cycle
+    cycle: tuple  # the cycle's kernel names, the first again at its end; or ()
+
+
 class BayesianNetwork:
     """Kernels wired through their variables into a directed bipartite graph.
 
@@ -314,7 +321,8 @@ class BayesianNetwork:
     behind both.
     """
 
-    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_entries", "_order")
+    __slots__ = ("kernels", "extra_in", "sources", "vars", "var_names", "_entries",
+                 "_structure")
 
     def __init__(self, kernels, extra_in=None, sources=(), variables=()):
         ks = list(kernels)
@@ -340,117 +348,105 @@ class BayesianNetwork:
             (K, _key_getter([at[n] for n in K.in_names + K.out_names]), len(K.in_vars),
              tuple(v.domain for v in K.out_vars), {})
             for K in ks)
-        self._order = None
+        self._structure = None
 
     def in_set(self, K) -> frozenset:
         return frozenset(K.in_names) | self.extra_in.get(K.name, frozenset())
 
-    def order(self):
-        """The network's dependency order, built on the first call and
-        kept: (kernels, cycle).  A kernel follows the producers of its
-        in_set (graphlib.TopologicalSorter).  kernels lists the kernels
-        round by round, each round in name order: a round holds the
-        kernels whose predecessors all sit in earlier rounds, less those
-        that output nothing, which precede no kernel.  When the kernels
-        close a cycle, kernels is () and cycle names the cycle's kernels,
-        the first again at its end; otherwise cycle is ()."""
-        if self._order is None:
-            producers = {}
-            for K in self.kernels:
-                for x in K.out_names:
-                    producers.setdefault(x, []).append(K)
-            sorter = TopologicalSorter(
-                {K: [P for x in self.in_set(K) for P in producers.get(x, ())]
-                 for K in self.kernels})
-            try:
-                sorter.prepare()
-            except CycleError as e:
-                self._order = ((), tuple(K.name for K in e.args[1]))
-            else:
-                kernels = []
-                while sorter:
-                    ready = sorter.get_ready()
-                    sorter.done(*ready)
-                    kernels += sorted((K for K in ready if K.out_names), key=lambda K: K.name)
-                self._order = (tuple(kernels), ())
-        return self._order
+    def order(self) -> _Structure:
+        """The network's structure, found on the first call in one pass
+        over the kernels and kept.  A kernel follows every producer of its
+        in_set (graphlib.TopologicalSorter), so double producers close
+        cycles too.  kernels lists the kernels round by round, each round
+        in name order: a round holds the kernels whose predecessors all sit
+        in earlier rounds, less those that output nothing."""
+        if self._structure is not None:
+            return self._structure
+        producers, problems = {}, []
+        for K in self.kernels:
+            for x in K.out_names:
+                ps = producers.setdefault(x, [])
+                if ps:
+                    problems.append("variable %r is output by both %s and %s"
+                                    % (x, ps[0].name, K.name))
+                ps.append(K)
+        known = set(self.var_names)
+        for x in self.sources:
+            if x in producers:
+                problems.append("source variable %r has an incoming edge from %s"
+                                % (x, producers[x][0].name))
+            if x not in known:
+                problems.append("source variable %r is not a network variable" % x)
+        kernel_names = {K.name for K in self.kernels}
+        for k, names in self.extra_in.items():
+            if k not in kernel_names:
+                problems.append("extra inputs name %r, no kernel of the network" % k)
+            for x in sorted(names - known):
+                problems.append("extra input %r of kernel %s is not a network variable" % (x, k))
+        sorter = TopologicalSorter(
+            {K: [P for x in self.in_set(K) for P in producers.get(x, ())]
+             for K in self.kernels})
+        emitting = {K for ps in producers.values() for K in ps}
+        kernels, cycle = [], ()
+        try:
+            sorter.prepare()
+        except CycleError as e:
+            cycle = tuple(K.name for K in e.args[1])
+            problems.append("graph has a cycle through kernels %s" % reprlib.repr(list(cycle)))
+        else:
+            while sorter:
+                ready = sorter.get_ready()
+                sorter.done(*ready)
+                kernels += sorted(emitting.intersection(ready), key=lambda K: K.name)
+        minimal = {v.name: v.domain for v in self.vars if v.name not in producers}
+        self._structure = _Structure(producers, tuple(problems), minimal, tuple(kernels), cycle)
+        return self._structure
 
     def min_vars(self):
-        produced = {n for K in self.kernels for n in K.out_names}
-        return tuple(n for n in self.var_names if n not in produced)
+        """The variables no kernel outputs, in name order (order())."""
+        return tuple(self.order().minimal)
 
     def __repr__(self):
-        return "BayesianNetwork(%d kernels, X=%s)" % (
-            len(self.kernels),
-            list(self.var_names),
-        )
+        return "BayesianNetwork(%d kernels, X=%s)" % (len(self.kernels), list(self.var_names))
 
 
 def bn_validate(N: BayesianNetwork):
-    """Check the structural conditions; returns a list of violation strings,
-    empty when the network is well-formed: each variable has at most one
-    producer, a source has none and is a network variable, so is every
-    extra input, and the kernels close no cycle.  The cycle is the one
-    N.order() met, named by a few of its kernels."""
-    problems = []
-
-    produced = {}
-    for K in N.kernels:
-        for x in K.out_names:
-            if x in produced:
-                problems.append("variable %r is output by both %s and %s"
-                                % (x, produced[x], K.name))
-            else:
-                produced[x] = K.name
-
-    known = set(N.var_names)
-    for x in N.sources:
-        if x in produced:
-            problems.append("source variable %r has an incoming edge from %s"
-                            % (x, produced[x]))
-        if x not in known:
-            problems.append("source variable %r is not a network variable" % x)
-    for k, names in N.extra_in.items():
-        for x in sorted(names - known):
-            problems.append("extra input %r of kernel %s is not a network variable" % (x, k))
-
-    cycle = N.order()[1]
-    if cycle:
-        problems.append("graph has a cycle through kernels %s" % reprlib.repr(list(cycle)))
-    return problems
+    """The structural problems N.order() keeps, empty when the network is
+    well-formed: each variable has at most one producer, a source has none
+    and is a network variable, every extra_in key names a kernel and every
+    extra input is a network variable, and the kernels close no cycle,
+    named by a few of its kernels."""
+    return list(N.order().problems)
 
 
 def bn_sample(N: BayesianNetwork, init, rng, resolver="lex") -> State:
-    """Sample one full state by running the kernels that output something
-    in N.order(): round by round, each round in name order.  ``init``
-    must cover exactly the minimal variables.  A network bn_validate
-    rejects is refused with NotIncremental naming its problems.  A kernel
-    made inconsistent by its sampled input aborts with the kernel's name
-    attached.
-    """
+    """Sample one full state by walking the kernel order N.order() keeps,
+    as it keeps the minimal variables and problems, with no structure
+    work per draw.  ``init`` must cover exactly the minimal variables
+    (else MissingInit), each with a value of its typed domain (else
+    VariableSetMismatch, core.check_state).  A network with problems is
+    refused with NotIncremental naming them.  A kernel made inconsistent
+    by its sampled input aborts with the kernel's name attached."""
     if not isinstance(init, State):
         init = State(init)
-    need = set(N.min_vars())
-    got = set(init.names)
-    if got != need:
-        raise MissingInit(
-            "init must cover exactly %r, got %r" % (sorted(need), sorted(got))
-        )
-    problems = bn_validate(N)
-    if problems:
-        raise NotIncremental("cannot sample the network: %s" % "; ".join(problems))
+    s = N.order()
+    # both name tuples are sorted, so they are equal exactly when the sets are
+    if init.names != tuple(s.minimal):
+        raise MissingInit("init must cover exactly %r, got %r"
+                          % (list(s.minimal), list(init.names)))
+    check_state(s.minimal, init, "init")
+    if s.problems:
+        raise NotIncremental("cannot sample the network: %s" % "; ".join(s.problems))
 
     assigned = init.as_dict()
-    for K in N.order()[0]:
+    for K in s.kernels:
         q_in = State({n: assigned[n] for n in K.in_names})
         S = K.apply(q_in)
         try:
             _, q_out = sample(S, rng, resolver)
         except InconsistentSystem:
-            raise InconsistentSystem(
-                "kernel %s is inconsistent at input %r" % (K.name, q_in),
-                kernel=K.name,
-            )
+            raise InconsistentSystem("kernel %s is inconsistent at input %r"
+                                     % (K.name, q_in), kernel=K.name)
         assigned.update(q_out.as_dict())
     return State(assigned)
 
@@ -516,10 +512,8 @@ def bn_equivalent_p(N1: BayesianNetwork, N2: BayesianNetwork) -> bool:
     """Equal score at every full state.  Requires the same variable sets
     (domains compared as value sets)."""
     if set(N1.var_names) != set(N2.var_names):
-        raise VariableSetMismatch(
-            "networks differ in variables: %r vs %r"
-            % (list(N1.var_names), list(N2.var_names))
-        )
+        raise VariableSetMismatch("networks differ in variables: %r vs %r"
+                                  % (list(N1.var_names), list(N2.var_names)))
     d2 = {v.name: v.domain for v in N2.vars}
     for v in N1.vars:
         if not domains_agree(v.domain, d2[v.name]):
@@ -543,22 +537,22 @@ def bayes_split(S: MixedSystem, Y) -> BayesianNetwork:
 
 def seq_compose(first, second) -> BayesianNetwork:
     """Chain kernels/networks left to right: the right operand's inputs must
-    all be produced (or fed) by the left.  Returns the combined network."""
-    left_ks = list(first.kernels) if isinstance(first, BayesianNetwork) else [first]
-    right_ks = list(second.kernels) if isinstance(second, BayesianNetwork) else [second]
-    avail = {n for K in left_ks for n in K.out_names}
+    all be a left kernel's outputs or a left network's variables, each
+    produced or minimal.  Returns the combined network, refused with its
+    problems (bn_validate)."""
     if isinstance(first, BayesianNetwork):
-        avail |= set(first.min_vars())
+        left_ks, avail = list(first.kernels), set(first.var_names)
+    else:
+        left_ks, avail = [first], set(first.out_names)
+    right_ks = list(second.kernels) if isinstance(second, BayesianNetwork) else [second]
     for K in right_ks:
         missing = set(K.in_names) - avail
         if missing:
             raise VariableSetMismatch(
                 "kernel %s needs %r, not produced upstream" % (K.name, sorted(missing))
             )
-    sources = set()
-    for part in (first, second):
-        if isinstance(part, BayesianNetwork):
-            sources |= part.sources
+    sources = set().union(*(part.sources for part in (first, second)
+                            if isinstance(part, BayesianNetwork)))
     N = BayesianNetwork(left_ks + right_ks, sources=sources)
     problems = bn_validate(N)
     if problems:

@@ -161,15 +161,19 @@ def _load_fg(path):
 
 
 def _parse_scalar(text):
-    """Query values: T/F, integers, else the bare string (quotes stripped)."""
+    """Query values: T/F, integers written as the tokenizer's integer
+    literal (an optional "-", then ASCII digits), else the bare string
+    (quotes stripped)."""
     if text == "T":
         return True
     if text == "F":
         return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return text[1:-1]
     return text

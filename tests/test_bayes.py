@@ -320,6 +320,15 @@ class TestSeqCompose:
         assert bn_score(N, State({"x": 1, "y": 0})).value == Fraction(1, 2)
         assert bn_score(N, State({"x": 1, "y": 1})).value == 0
 
+    def test_a_minimal_variable_of_the_first_network_feeds_the_second(self):
+        # x is minimal in the first network, which produces only y
+        copy = MixedKernel([("x", BIT)], [("z", BIT)],
+                           lambda q: point_system([("z", BIT)], State({"z": q["x"]})),
+                           name="copy")
+        N = seq_compose(BayesianNetwork([neg_kernel()]), copy)
+        assert N.min_vars() == ("x",) and bn_validate(N) == []
+        assert bn_sample(N, {"x": 1}, random.Random(0)) == State({"x": 1, "y": 0, "z": 1})
+
     def test_missing_upstream_variable(self):
         with pytest.raises(VariableSetMismatch):
             seq_compose(kernel_from_system(coin_system(), name="prior"),
@@ -348,6 +357,12 @@ class TestValidate:
         N = BayesianNetwork([neg_kernel()], extra_in={"neg": {"ghost"}})
         assert bn_validate(N) == ["extra input 'ghost' of kernel neg is not a network variable"]
         with pytest.raises(NotIncremental, match="extra input 'ghost'"):
+            bn_sample(N, {"x": 0}, random.Random(0))
+
+    def test_an_extra_input_of_no_kernel_is_reported(self):
+        N = BayesianNetwork([neg_kernel()], extra_in={"nosuch": {"x"}})
+        assert bn_validate(N) == ["extra inputs name 'nosuch', no kernel of the network"]
+        with pytest.raises(NotIncremental, match="'nosuch', no kernel"):
             bn_sample(N, {"x": 0}, random.Random(0))
 
     def test_cycle_verdicts_equal_the_dfs(self):
@@ -742,6 +757,16 @@ class TestSampleBn:
         q = bn_sample(N, {"x": 0}, random.Random(0))
         assert q == State({"x": 0, "y": 1})
 
+    @pytest.mark.parametrize("y", [7, True, [1]])
+    def test_init_values_must_lie_in_their_domains(self, y):
+        N = elaborate_graph(parse("domain bit = { 0, 1 }\ndomain bool = { F, T }\n"
+                                  "var x : bool\nvar y : bit\n|| observe y\n"
+                                  "|| x ~ Bernoulli(1/2)"))
+        assert N.min_vars() == ("y",)
+        assert bn_sample(N, {"y": 1}, random.Random(0))["y"] == 1
+        with pytest.raises(VariableSetMismatch, match="init value .* outside domain of 'y'"):
+            bn_sample(N, {"y": y}, random.Random(0))
+
     def test_two_producers_in_one_round_are_refused(self):
         N = BayesianNetwork([kernel_from_system(coin_system(), name="c1"),
                              kernel_from_system(coin_system(), name="c2")])
@@ -811,6 +836,22 @@ class TestSampleOrder:
             assert len({v for _, v in q.items()}) == 1 and len(q.names) == 200
         assert len(built) == 1
         assert calls == Counter({"k%d" % i: 1 for i in range(200)})
+
+
+    def test_each_kernels_outputs_are_read_once_in_all_draws(self, monkeypatch):
+        N = BayesianNetwork(copy_chain(200))
+        reads = Counter()
+        out_names = MixedKernel.out_names
+
+        def counted(K):
+            reads[K.name] += 1
+            return out_names.fget(K)
+
+        monkeypatch.setattr(MixedKernel, "out_names", property(counted))
+        rng = random.Random(7)
+        for _ in range(20):
+            assert len(bn_sample(N, {}, rng).names) == 200
+        assert reads == Counter({"k%d" % i: 1 for i in range(200)})
 
 
 class TestBnJson:

@@ -422,6 +422,23 @@ class TestEval:
         none = "1/1" if mode == "inner" else "0/1"
         assert value("x=1") == value("x=0") == value("x=5") == none
 
+    def test_a_query_integer_is_an_integer_literal(self, tmp_path, capsys):
+        # x = 1 in outcome a (1/4), x = 10 in b (1/4), x = 0 in c (1/2)
+        doc = {"domains": {"d": [0, 1, 10]}, "vars": [{"name": "x", "domain": "d"}],
+               "omega": ["a", "b", "c"], "pi": {"a": "1/4", "b": "1/4", "c": "1/2"},
+               "rel": [["a", {"x": 1}], ["b", {"x": 10}], ["c", {"x": 0}]]}
+        f = tmp_path / "intx.json"
+        f.write_text(json.dumps(doc))
+
+        def value(query):
+            assert cli.main(["eval", str(f), "--query", query]) == 0
+            return json.loads(capsys.readouterr().out)["value"]
+
+        assert (value("x=1"), value("x=10"), value("x=-0")) == ("1/4", "1/4", "1/2")
+        # other scripts' digits, "_" and "+" are no integer literal: bare strings
+        for query in ("x=\u0661", "x=1_0", "x=+1", "x=\uff11"):
+            assert value(query) == "0/1", query
+
     def test_bad_query_is_exit_2(self, files):
         r = run_cli("eval", files["sab.json"], "--query", "zz=1",
                     "--mode", "outer")

@@ -61,8 +61,8 @@ for i in range(m):
     raw = [rng.randint(1, 4) for _ in rows]
     weights = {j: Fraction(w, sum(raw)) for j, w in enumerate(raw)}
     vars = [(n, core.Domain("d_" + n, doms[n])) for n in (shared, new)]
-    systems.append(core.new_system((list(weights), weights), vars,
-                                   {j: [State(r)] for j, r in enumerate(rows)}))
+    systems.append(core.MixedSystem((list(weights), weights), vars,
+                                    {j: [State(r)] for j, r in enumerate(rows)}))
 g = factorgraph.factor_graph(systems, ["S%d" % i for i in range(m)])
 names = sorted(doms)
 
