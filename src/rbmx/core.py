@@ -946,9 +946,12 @@ def compose(S1: MixedSystem, S2: MixedSystem, *rest) -> MixedSystem:
 
 
 def _extend(node, S):
-    """The children of a product prefix (id, weight, row) under operand S."""
+    """The children of a product prefix (id, weight, row) under operand S.
+    Pins, equations and free variables weigh exactly 1, and a product with
+    1 is the other Fraction itself, so only other weights are multiplied."""
     oid, w, row = node
     pi, rel = S.pi, S.rel
+    unit = w == 1
     for o in S.omega:
         joined = []
         for q1 in row:
@@ -956,7 +959,8 @@ def _extend(node, S):
                 j = state_join(q1, q2)
                 if j is not None:
                     joined.append(j)
-        yield (oid, o), w * pi[o], joined
+        wo = pi[o]
+        yield (oid, o), (wo if unit else w if wo == 1 else w * wo), joined
 
 
 # --- polarized scoring ----------------------------------------------------------

@@ -34,6 +34,7 @@ by value, as domains do: 1 is not T.
 import dataclasses
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..automata import MixedAutomaton
 from ..bayes import (
@@ -82,12 +83,9 @@ from .syntax import (
     SPrior,
     VarRef,
     expr_vars,
-    guard_exprs,
     is_dynamic,
     nodes,
-    pre_vars,
     print_expr,
-    required_inits,
     rewrite_guard,
     statements,
 )
@@ -204,16 +202,33 @@ def _certain(v: Var, row) -> MixedSystem:
 
 
 def equation_system(p: Program, lhs, rhs) -> MixedSystem:
-    """Trivial probability over the equation's solution set, enumerated over
-    the product of the participating domains."""
-    names = sorted(set(expr_vars(lhs, pre_name) + expr_vars(rhs, pre_name)))
-    vars = [_var(p, nm) for nm in names]
-    sols = []
-    for q in all_states(vars):
-        env = dict(q.items())
-        if _same_value(eval_expr(p, lhs, env), eval_expr(p, rhs, env)):
-            sols.append(q)
-    return _system(_prob(("e",), {"e": Fraction(1)}), tuple(vars), {"e": sols})
+    """Trivial probability over the equation's solution set: the states of
+    the participating variables at which both sides have the same value
+    (_same_value), in all_states order.  An equation x = e whose e does not
+    read x is solved rather than checked: e is evaluated at each state of
+    its own variables only, and x takes e's value when it is one of x's
+    domain values of the same type, which gives the same rows and the same
+    first error."""
+    read = expr_vars(rhs, pre_name)
+    if isinstance(lhs, VarRef) and lhs.name not in read:
+        out = _var(p, lhs.name).domain
+        sols = []
+        for q in all_states([_var(p, nm) for nm in read]):
+            val = eval_expr(p, rhs, dict(q.pairs))
+            i = out.index.get(val)
+            if i is not None and _same_value(out.values[i], val):
+                sols.append(State(q.pairs + ((lhs.name, out.values[i]),)))
+        names = sorted(set(read) | {lhs.name})
+    else:
+        names = sorted(set(expr_vars(lhs, pre_name) + read))
+        sols = []
+        for q in all_states([_var(p, nm) for nm in names]):
+            env = dict(q.items())
+            if _same_value(eval_expr(p, lhs, env), eval_expr(p, rhs, env)):
+                sols.append(q)
+    # _system sorts each row into all_states order
+    vars = tuple(_var(p, nm) for nm in names)
+    return _system(_prob(("e",), {"e": Fraction(1)}), vars, {"e": sols})
 
 
 def free_system(p: Program, name) -> MixedSystem:
@@ -534,18 +549,70 @@ def elaborate_graph(p: Program) -> BayesianNetwork:
 # --- dynamic semantics ---------------------------------------------------------
 
 
+class Facts(NamedTuple):
+    """A leaf statement's entry in its program's statement table."""
+
+    stmt: object  # the statement; holding it keeps its id from being reused
+    touched: frozenset  # every variable it touches, with •x for pre x
+    pres: frozenset  # variables read through pre, a guard's variables included
+    guard: object  # on-statement: (label, rewritten guard, guard's variables)
+    branches: tuple  # on-statement: the leaves of its then and else branches
+
+
+def statement_facts(p: Program, s) -> Facts:
+    """The statement table's entry for s, a leaf statement of p's body, made
+    in one walk of s when first asked for and kept in p.statement_table,
+    which p's parts share.  A guard's variables count as touched and as
+    read through pre: a guard is evaluated at the previous state."""
+    got = p.statement_table.get(id(s))
+    if got is not None:
+        return got
+    touched, pres = set(), set()
+    guard = branches = None
+    roots = (s,)
+    if isinstance(s, SOn):
+        for x in nodes(s.guard):
+            if isinstance(x, (VarRef, Pre)):
+                touched.add(x.name if isinstance(x, VarRef) else pre_name(x.name))
+                pres.add(x.name)
+        g = rewrite_guard(s.guard)
+        # pres holds the guard's variables only, until the branches are walked
+        guard = (print_expr(g), g, frozenset(pres))
+        branches = (tuple(statements(s.then)), tuple(statements(s.els)))
+        roots = (s.then, s.els)
+    for root in roots:
+        for x in nodes(root):
+            if isinstance(x, VarRef):
+                touched.add(x.name)
+            elif isinstance(x, Pre):
+                touched.add(pre_name(x.name))
+                pres.add(x.name)
+            elif isinstance(x, (SObserve, SInit, SPrior)):
+                touched.add(x.var)
+    got = p.statement_table[id(s)] = Facts(s, frozenset(touched), frozenset(pres),
+                                           guard, branches)
+    return got
+
+
+def _guards(p: Program):
+    """{label: (rewritten guard, its variables)} over p's on-statements,
+    the first statement of each label giving its guard."""
+    seen = {}
+    for s in statements(p.body):
+        if isinstance(s, SOn):
+            label, g, read = statement_facts(p, s).guard
+            seen.setdefault(label, (g, read))
+    return seen
+
+
 def program_guards(p: Program):
     """(label, rewritten guard) per distinct guard, sorted by label."""
-    seen = {}
-    for g in guard_exprs(p.body):
-        seen.setdefault(print_expr(g), g)
-    return sorted(seen.items())
+    return sorted((label, g) for label, (g, _) in _guards(p).items())
 
 
 def _check_guards_boolean(p: Program, guards):
-    for label, g in guards:
-        names = sorted(pre_vars(g))
-        vars = [_var(p, nm) for nm in names]
+    for label, (g, read) in sorted(guards.items()):
+        vars = [_var(p, nm) for nm in sorted(read)]
         for q in all_states(vars):
             val = eval_expr(p, g, {pre_name(k): v for k, v in q.items()})
             if not isinstance(val, bool):
@@ -554,24 +621,18 @@ def _check_guards_boolean(p: Program, guards):
                 )
 
 
-def _leaf_vars(node):
-    """Every variable the statements at or below node touch, with •x for
-    pre x.  Guard variables count too; they are read through pre anyway."""
-    names = set(expr_vars(node, pre_name))
-    names.update(x.var for x in nodes(node) if isinstance(x, (SObserve, SInit, SPrior)))
-    return names
-
-
 def program_parts(p: Program):
     """The program's top-level parallel statements grouped into independent
     parts: two statements share a part when they touch a common base
     variable, where reading pre x, init x and a guard reading x all touch
-    x, so x and •x stay in one part.  Each part is a Program with p's
-    declarations and its compiled Domains, Vars and tied score tables;
-    parts keep the order of their first statements, and statements keep
-    theirs.  A program with one part gives (p,)."""
+    x, so x and •x stay in one part.  What each statement touches is read
+    from the statement table (statement_facts).  Each part is a Program
+    with p's declarations, its compiled Domains, Vars and tied score
+    tables, and its statement table; parts keep the order of their first
+    statements, and statements keep theirs.  A program with one part gives
+    (p,)."""
     leaves = statements(p.body)
-    adj = {("s", i): {("v", base_name(x)) for x in _leaf_vars(s)}
+    adj = {("s", i): {("v", base_name(x)) for x in statement_facts(p, s).touched}
            for i, s in enumerate(leaves)}
     for node, touched in list(adj.items()):
         for v in touched:
@@ -583,15 +644,16 @@ def program_parts(p: Program):
                  for group in groups)
 
 
-def active_leaves(leaves, assign):
-    """The statements a step runs under a guard assignment {label: bool}:
-    every leaf but init, with each on-statement replaced by the statements
-    of the branch its guard's value selects."""
+def active_leaves(p: Program, assign):
+    """The statements a step of p runs under a guard assignment {label:
+    bool}: every leaf but init, with each on-statement replaced by the
+    statements of the branch its guard's value selects.  They are p's own
+    statement objects."""
     active = []
-    for s in leaves:
+    for s in statements(p.body):
         if isinstance(s, SOn):
-            label = print_expr(rewrite_guard(s.guard))
-            active.extend(statements(s.then if assign[label] else s.els))
+            f = statement_facts(p, s)
+            active.extend(f.branches[0 if assign[f.guard[0]] else 1])
         elif not isinstance(s, SInit):
             active.append(s)
     return active
@@ -615,19 +677,23 @@ def elaborate_dynamic(p: Program):
     a target once per (pinned values, action), composing fresh pins with
     those shared systems, and hands the same system to every state that
     agrees on the variables read through pre; a program with no pre builds
-    one target per action.  All of it lives as long as the automaton.
+    one target per action.  All of it lives as long as the automaton.  The
+    variables, the pinned ones and the guards are read from the statement
+    table (statement_facts), so a program or part walks its statements
+    once however often it is elaborated.
     """
     leaves = statements(p.body)
-    pres = sorted(required_inits(p))
-    guards = program_guards(p)
+    facts = [statement_facts(p, s) for s in leaves]
+    pres = sorted(frozenset().union(*(f.pres for f in facts)))
+    guards = _guards(p)
     _check_guards_boolean(p, guards)
 
-    names = _leaf_vars(p.body)
+    names = set().union(*(f.touched for f in facts))
     for x in pres:
         names.add(x)
         names.add(pre_name(x))
     vars = [_var(p, nm) for nm in sorted(names)]
-    labels = [label for label, _ in guards]
+    labels = sorted(guards)
 
     alphabet = [
         State(dict(zip(labels, bits)))
@@ -655,7 +721,7 @@ def elaborate_dynamic(p: Program):
     def build(values, a):
         # transition checked the state these values come from
         pins = [_pin(var, v) for var, v in zip(pin_vars, values)]
-        base, left = _assemble([piece(s) for s in active_leaves(leaves, a)], pins)
+        base, left = _assemble([piece(s) for s in active_leaves(p, a)], pins)
         if left:
             raise NotIncremental(
                 "parameterized priors need inputs the step does not determine"

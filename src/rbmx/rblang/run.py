@@ -17,19 +17,37 @@ consistency flag and the parts' outcome-space sizes next to the trace.  One
 core.sample call draws the next joint state from all the parts' targets, as
 it would from their composition.
 
-Nothing of a step is built twice within one call.  Each part's automaton
-builds its leaf systems once and a target once per (pinned values, action)
+Nothing of a step is built or walked twice within one call.  The parts
+and their automata read each statement's variables and guard from the
+program's statement table (elaborate.statement_facts), filled in one walk
+per statement.  A step plan is made once per distinct guard assignment:
+each part's action State, and each observed variable's Var and owning
+part, from the statements that assignment selects (active_leaves).  So a
+step walks no statements and builds no action States; it evaluates the
+guards on a pre-environment of the previous instant only when the program
+has guards, and reads the instant's visible values from one dict.  Every
+part still steps through MixedAutomaton.transition, whose automaton builds
+its leaf systems once and a target once per (pinned values, action)
 (elaborate_dynamic).  An observed target is built once per (part target,
-observed values) and kept with its cached consistency, conditioned weights
-and sampler table; every record is still checked at every step.  Both memos
-live only as long as the call, so run_program keeps no state between calls.
+observed values) and kept with its cached consistency, conditioned
+weights and sampler table; every record is still checked at every step.
+The plans and both memos live only as long as the call; what stays on
+the Program is what its declarations and statements compile to (Vars,
+tied score tables, the statement table), the same for every run, so
+run_program keeps no state between calls that could change a run.
+
+A run keeps every instant, so a run whose steps times visible variables
+(counting at least one) exceeds core.MAX_OUTCOMES is refused with
+CapExceeded before its first step.
 """
 
 import random
 from typing import NamedTuple
 
-from ..core import State, compose, consistency, consistency_weight, sample, state_join
-from ..errors import InconsistentSystem, MalformedSystem, MissingObservation, NoTransition
+from ..core import (MAX_OUTCOMES, State, compose, consistency, consistency_weight, sample,
+                    state_join)
+from ..errors import (CapExceeded, InconsistentSystem, MalformedSystem, MissingObservation,
+                      NoTransition)
 from .elaborate import (
     _pin,
     _var,
@@ -41,7 +59,7 @@ from .elaborate import (
     program_guards,
     program_parts,
 )
-from .syntax import SObserve, statements
+from .syntax import SObserve
 
 
 class ProgramRun(NamedTuple):
@@ -52,22 +70,49 @@ class ProgramRun(NamedTuple):
     sizes: tuple  # per transition: outcome-space size of each part's observed target
 
 
+class _Plan(NamedTuple):
+    """What a step does under one guard assignment, found once per run."""
+
+    assign: dict  # {guard label: bool}
+    actions: tuple  # per part: its action, a State over the guards it owns
+    watched: tuple  # the Vars the active observe statements pin, first-seen order
+    groups: tuple  # per part with a watched Var, in part order: (part, positions)
+
+
+def _plan(p, parts, guards, values, owner) -> _Plan:
+    assign = {label: v for (label, _), v in zip(guards, values)}
+    actions = tuple(State({label: assign[label] for label, _ in program_guards(part)})
+                    for part in parts)
+    watched = tuple(_var(p, x) for x in dict.fromkeys(
+        s.var for s in active_leaves(p, assign) if isinstance(s, SObserve)))
+    at = {}
+    for j, v in enumerate(watched):
+        at.setdefault(owner[v.name], []).append(j)
+    return _Plan(assign, actions, watched, tuple(sorted((i, tuple(js)) for i, js in at.items())))
+
+
 def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     """Elaborate and run: trace of visible states, one guard assignment,
     normalization constant, consistency flag and part sizes per transition.
     steps, the number of instants, is at least 1; obs is a sequence of
-    records, one per transition."""
+    records, one per transition.  A run whose steps times visible
+    variables (counting at least one) exceeds core.MAX_OUTCOMES is refused
+    with CapExceeded before its first step."""
     if steps < 1:
         raise MalformedSystem("a run covers at least one instant, not %r" % (steps,))
     parts = program_parts(p)
     machines = [elaborate_dynamic(part) for part in parts]
-    labels = [[label for label, _ in program_guards(part)] for part in parts]
-    names = [[v.name for v in M.vars] for M in machines]
-    guards = program_guards(p)
-    leaves = statements(p.body)
-    owner = {v.name: i for i, M in enumerate(machines) for v in M.vars}
+    names = [frozenset(v.name for v in M.vars) for M in machines]
+    owner = {nm: i for i, own in enumerate(names) for nm in own}
     prog_vars = [nm for nm in p.vars if nm in owner]
+    kept = steps * max(1, len(prog_vars))
+    if kept > MAX_OUTCOMES:
+        raise CapExceeded(
+            "a run of %d instants over %d visible variables would keep %d values, "
+            "above the cap of %d" % (steps, len(prog_vars), kept, MAX_OUTCOMES))
+    guards = program_guards(p)
     rng = random.Random(seed)
+    plans = {}  # guard values, in label order -> step plan
     observed = {}  # (part target, observed (variable, value) pairs) -> observed target
 
     states = [M.initial for M in machines]
@@ -80,40 +125,43 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
     flags = []
     sizes = []
     for n in range(1, steps):
-        assign = {}
-        env = {pre_name(k): v for k, v in q.items()}
-        for label, g in guards:
-            try:
-                assign[label] = eval_expr(p, g, env)
-            except KeyError:
-                raise InconsistentSystem(
-                    "step %d: guard %s reads a variable the previous instant "
-                    "did not determine" % (n, label)
-                )
+        values = ()
+        if guards:
+            env = {pre_name(k): v for k, v in q.items()}
+            got = []
+            for label, g in guards:
+                try:
+                    got.append(eval_expr(p, g, env))
+                except KeyError:
+                    raise InconsistentSystem(
+                        "step %d: guard %s reads a variable the previous instant "
+                        "did not determine" % (n, label)
+                    )
+            values = tuple(got)
+        plan = plans.get(values)
+        if plan is None:
+            plan = plans[values] = _plan(p, parts, guards, values, owner)
         targets = []
-        for M, qi, own in zip(machines, states, labels):
-            S = M.transition(qi, State({label: assign[label] for label in own}))
+        for M, qi, a in zip(machines, states, plan.actions):
+            S = M.transition(qi, a)
             if S is None:
                 raise NoTransition("step %d: no transition from %r" % (n, q))
             targets.append(S)
-        watched = list(dict.fromkeys(
-            s.var for s in active_leaves(leaves, assign) if isinstance(s, SObserve)))
-        if watched:
+        if plan.watched:
             rec = obs[n - 1] if obs is not None and n - 1 < len(obs) else None
             if rec is None:
                 raise MissingObservation(
-                    "step %d: no observation record for %r" % (n, watched)
+                    "step %d: no observation record for %r"
+                    % (n, [v.name for v in plan.watched])
                 )
-            points = [[] for _ in machines]
-            for x in watched:
-                v = _var(p, x)
-                points[owner[x]].append((v, observed_value(v, rec)))
-            for i, pts in enumerate(points):
-                if pts:
-                    key = (targets[i], tuple((v.name, val) for v, val in pts))
-                    if key not in observed:
-                        observed[key] = compose(targets[i], *(_pin(v, val) for v, val in pts))
-                    targets[i] = observed[key]
+            vals = [observed_value(v, rec) for v in plan.watched]
+            for i, at in plan.groups:
+                key = (targets[i], tuple((plan.watched[j].name, vals[j]) for j in at))
+                S = observed.get(key)
+                if S is None:
+                    S = observed[key] = compose(
+                        targets[i], *(_pin(plan.watched[j], vals[j]) for j in at))
+                targets[i] = S
         norm = 1
         for S in targets:
             ok, _ = consistency(S)
@@ -121,10 +169,12 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
                 raise InconsistentSystem(
                     "step %d: observations contradict the model" % n
                 )
-            norm *= consistency_weight(S)
+            # an unobserved part weighs 1; the product stays a Fraction
+            w = consistency_weight(S)
+            norm = w if norm == 1 else norm if w == 1 else norm * w
         norms.append(norm)
         flags.append(True)
-        actions.append(dict(assign))
+        actions.append(dict(plan.assign))
         sizes.append(tuple(len(S.omega) for S in targets))
         _, q = sample(targets, rng, resolver)
         states = [q.restrict(own) for own in names]
@@ -134,4 +184,5 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
 
 
 def _visible(q: State, prog_vars):
-    return {nm: q[nm] for nm in prog_vars if nm in q}
+    values = dict(q.items())
+    return {nm: values[nm] for nm in prog_vars if nm in values}

@@ -165,16 +165,21 @@ class Program:
     """A parsed program: its declarations and its body.
 
     domains maps each declared domain's name to its typed core.Domain,
-    built once by parse.  The last two fields are compiled from the
-    declarations, each entry once, and are not part of the program's value
-    (==, repr): elaboration fills typed_vars with the one Var of each
-    variable and •x companion it meets, over those Domain objects, and
-    tied_laws with each parameterized distribution's score tables, read
-    from its rows when its first tied kernel is made and shared by all of
-    them (elaborate.prior_kernel); MixedKernel.score_table checks each
-    input before it reads them.  The parts of a program (program_parts)
-    share its dicts, so everything elaborated from one program holds the
-    same Domain and Var objects."""
+    built once by parse.  The last three fields are compiled from the
+    declarations and statements, each entry once, and are not part of the
+    program's value (==, repr): elaboration fills typed_vars with the one
+    Var of each variable and •x companion it meets, over those Domain
+    objects; tied_laws with each parameterized distribution's score
+    tables, read from its rows when its first tied kernel is made and
+    shared by all of them (elaborate.prior_kernel), where
+    MixedKernel.score_table checks each input before it reads them; and
+    statement_table with what each leaf statement touches and reads
+    through pre, and an on-statement's guard label and branches, found in
+    one walk of the statement when it is first asked for and keyed by the
+    statement's identity (elaborate.statement_facts).  The parts of a
+    program (program_parts) share its dicts, so everything elaborated from
+    one program holds the same Domain and Var objects and walks each
+    statement once."""
 
     domains: dict  # name -> Domain
     vars: dict  # name -> domain name
@@ -183,6 +188,7 @@ class Program:
     body: object  # Stmt or None
     typed_vars: dict = field(default_factory=dict, compare=False, repr=False)
     tied_laws: dict = field(default_factory=dict, compare=False, repr=False)
+    statement_table: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -314,13 +320,15 @@ def _nested(rule):
 
 class _Parser:
     def __init__(self, text):
+        # next() never passes the eof token, and peek looks at most one
+        # token ahead, so a second eof keeps every index in the list
         self.toks = tokenize(text)
+        self.toks.append(self.toks[-1])
         self.i = 0
         self.depth = 0
 
     def peek(self, k=0):
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + k]
 
     def next(self):
         t = self.toks[self.i]
@@ -329,7 +337,8 @@ class _Parser:
         return t
 
     def at(self, text):
-        return self.peek().text == text and self.peek().kind in ("punct", "ident")
+        t = self.toks[self.i]
+        return t.text == text and t.kind in ("punct", "ident")
 
     def accept(self, text):
         if self.at(text):

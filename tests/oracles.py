@@ -9,8 +9,9 @@ neighbours) instead of the flow computation the library uses.
 
 Algorithms the library replaced are kept here as references too
 (full_graft, whole_run, outer_bn_score, apply_table, round_sample,
-dfs_cycle, probe_greatest, allowed_pairs, text_rat, fraction_exact_weights).  They may call the library's
-query helpers, which the naive oracles check.
+dfs_cycle, probe_greatest, allowed_pairs, text_rat, fraction_exact_weights,
+enumerated_equation).  They may call the library's query helpers, which
+the naive oracles check.
 """
 
 import itertools
@@ -49,6 +50,8 @@ from rbmx.errors import (
 from rbmx.factorgraph import factor_graph
 from rbmx.transport import Masses, coupling
 from rbmx.rblang.elaborate import (
+    _same_value,
+    _var,
     active_leaves,
     elaborate_dynamic,
     eval_expr,
@@ -57,7 +60,7 @@ from rbmx.rblang.elaborate import (
     program_guards,
 )
 from rbmx.rblang.run import ProgramRun
-from rbmx.rblang.syntax import SObserve, statements
+from rbmx.rblang.syntax import SObserve, expr_vars
 
 SYMS = ("red", "green", "blue")
 
@@ -1083,7 +1086,7 @@ def whole_step(p, M, q, obs, n):
     if S is None:
         raise NoTransition("step %d: no transition from %r" % (n, q))
     watched = list(dict.fromkeys(
-        s.var for s in active_leaves(statements(p.body), assign) if isinstance(s, SObserve)))
+        s.var for s in active_leaves(p, assign) if isinstance(s, SObserve)))
     if watched:
         rec = obs[n - 1] if obs is not None and n - 1 < len(obs) else None
         if rec is None:
@@ -1118,3 +1121,21 @@ def whole_run(p, obs=None, steps=1, seed=0, resolver="lex"):
         trace.append({nm: q[nm] for nm in prog_vars if nm in q})
     return ProgramRun(tuple(trace), tuple(actions), tuple(norms), tuple(flags),
                       tuple(sizes))
+
+
+def enumerated_equation(p, lhs, rhs):
+    """equation_system as every state of the equation's variables checked
+    in turn: both sides evaluated at each state of the product of their
+    domains, in all_states order, and the state kept when their values are
+    the same (_same_value); the first state at which a side cannot be
+    evaluated raises."""
+    names = sorted(set(expr_vars(lhs, pre_name) + expr_vars(rhs, pre_name)))
+    vars = [_var(p, nm) for nm in names]
+    sols = []
+    for q in all_states(vars):
+        env = dict(q.items())
+        if _same_value(eval_expr(p, lhs, env), eval_expr(p, rhs, env)):
+            sols.append(q)
+    # the checked constructor sorts each row by domain indices, which is
+    # the order all_states enumerates in
+    return MixedSystem({"e": Fraction(1)}, vars, {"e": sols})

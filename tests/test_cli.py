@@ -381,6 +381,20 @@ class TestSample:
                     "--seed", "0", "--obs", files["dir"] + "/nope.jsonl")
         assert r.returncode == 2
 
+    def test_a_run_too_long_to_keep_is_refused_before_its_first_step(self, tmp_path):
+        # a noisy xor chain over x and n: 3,000,000 instants would keep
+        # 6,000,000 values, above core.MAX_OUTCOMES
+        prog = tmp_path / "chain.rb.mx"
+        prog.write_text("domain bool = { F, T }\nvar x, n : bool\n"
+                        "func xor2 : (bool, bool) -> bool "
+                        "{ (F,F) -> F, (F,T) -> T, (T,F) -> T, (T,T) -> F }\n"
+                        "|| init x = F\n|| n ~ Bernoulli(1/10)\n|| x = xor2(pre x, n)\n")
+        r = run_cli("sample", str(prog), "--steps", "3000000", "--seed", "1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == (
+            "error: a run of 3000000 instants over 2 visible variables would keep "
+            "6000000 values, above the cap of %d\n" % core.MAX_OUTCOMES)
+
 
 class TestEval:
     def test_outer_matches_the_worked_example(self, files):

@@ -10,7 +10,7 @@ from rbmx import core
 from rbmx.core import State, compose, consistency_weight, equivalent
 from rbmx.errors import CapExceeded, DomainMismatch, MalformedSystem, MissingObservation
 from rbmx.rblang import elaborate_dynamic, parse, run_program, statements
-from rbmx.rblang import elaborate, run
+from rbmx.rblang import elaborate, run, syntax
 from rbmx.rblang.elaborate import program_parts
 
 from .oracles import recheck_builds, whole_run, whole_step
@@ -335,3 +335,34 @@ class TestBuiltOnce:
         with pytest.raises(error):
             run_program(parse(xor_chains(1, {0})), obs=obs, steps=7, seed=3)
         assert drawn == {"sample": 4, "compose": 1}
+
+    def test_a_run_plans_each_guard_assignment_once(self, monkeypatch):
+        calls = counting(monkeypatch, run, "active_leaves")
+        observed = {0, 2}
+        run_program(parse(xor_chains(4, observed)),
+                    obs=chain_obs(random.Random(4), observed, 30), steps=30, seed=4)
+        assert calls == {"active_leaves": 1}  # no guards: one empty assignment
+        calls["active_leaves"] = 0
+        r = run_program(parse(GUARDED), obs=records(GUARDED_OBS), steps=10, seed=1,
+                        resolver="uniform")
+        distinct = {tuple(sorted(a.items())) for a in r.actions}
+        assert len(distinct) > 1
+        assert calls == {"active_leaves": len(distinct)}
+
+    def test_a_run_walks_each_statement_once(self, monkeypatch):
+        # the statement table walks each of the 14 statements once, and each
+        # equation_system walks its right-hand side once: 34 + 4 * 3 nodes
+        walk = syntax.nodes
+        seen = []
+
+        def counted(node):
+            for x in walk(node):
+                seen.append(x)
+                yield x
+
+        observed = {0, 2}
+        p = parse(xor_chains(4, observed))
+        for module in (syntax, elaborate):
+            monkeypatch.setattr(module, "nodes", counted)
+        run_program(p, obs=chain_obs(random.Random(4), observed, 30), steps=30, seed=4)
+        assert len(seen) == 46

@@ -48,10 +48,11 @@ from rbmx.rblang import (
 import rbmx.rblang.run as rblang_run
 from rbmx.rblang import elaborate
 from rbmx.rblang.elaborate import _graft
-from rbmx.rblang.syntax import MAX_NESTING
+from rbmx.rblang.syntax import MAX_NESTING, Const, Func, Pair, Pre, SEq, VarRef, nodes
 
 from .oracles import (
     chain,
+    enumerated_equation,
     full_graft,
     off_domain_states,
     outer_bn_score,
@@ -397,6 +398,16 @@ dist coin : bit { 0 : 1/2, 1 : 1/2 }
         with pytest.raises(InconsistentSystem) as exc:
             run_program(p, obs=[{"y": 0}, {"y": 1}], steps=3, seed=0)
         assert "step 2" in str(exc.value)
+
+    def test_a_run_too_long_to_keep_is_refused_before_its_first_step(self, monkeypatch):
+        # steps times visible variables, counting at least one, above the cap
+        monkeypatch.setattr(rblang_run, "sample", None)  # no step may be drawn
+        cap = core.MAX_OUTCOMES
+        for text, visible in ((STATIC, 2), (COUNTER, 1), ("domain bit = { 0, 1 }\n", 0)):
+            steps = cap // max(1, visible) + 1
+            with pytest.raises(CapExceeded, match="a run of %d instants over %d visible "
+                               "variables .* above the cap of %d" % (steps, visible, cap)):
+                run_program(parse(text), steps=steps)
 
 
 class TestStatic:
@@ -827,3 +838,123 @@ class TestCompiledDeclarations:
         assert len(run.trace) == 5 and len(targets) == 2 * 4
         for S in targets:
             self.assert_own(p, S.vars)
+
+
+# --- equations solved for their variable ---------------------------------------
+
+EQUATION_HEAD = """
+domain bool = { F, T }
+domain bit = { 0, 1 }
+domain tri = { 0, 1, 2 }
+var a, b : bool
+var x, y : bit
+var t, u : tri
+func neg : bit -> bit { 0 -> 1, 1 -> 0 }
+func pos : bit -> bool { 0 -> F, 1 -> T }
+func and2 : (bool, bool) -> bool { (F,F) -> F, (F,T) -> F, (T,F) -> F, (T,T) -> T }
+func inc : tri -> tri { 0 -> 1, 1 -> 2, 2 -> 0 }
+func low : tri -> bit { 0 -> 0, 1 -> 1, 2 -> 1 }
+"""
+
+# each variable with the functions that take its values, and the names
+# of each kind of value
+EQUATION_VARS = {"a": "bool", "b": "bool", "x": "bit", "y": "bit", "t": "tri", "u": "tri"}
+EQUATION_FUNCS = {"neg": ("bit",), "pos": ("bit",), "and2": ("bool", "bool"),
+                  "inc": ("tri",), "low": ("tri",)}
+EQUATION_CONSTS = {"bool": (False, True), "bit": (0, 1), "tri": (0, 1, 2)}
+
+
+def rand_expr(rng, dom, depth=2):
+    """A random expression over EQUATION_HEAD showing values of dom: a
+    constant, a variable, pre of one, a function, an if, or, when the
+    domain is None, a pair."""
+    kind = rng.choice(("const", "var", "pre", "func", "if", "pair") if depth else
+                      ("const", "var", "pre"))
+    if dom is None or kind == "pair":
+        return Pair((rand_expr(rng, rng.choice(list(EQUATION_CONSTS)), depth - 1),
+                     rand_expr(rng, rng.choice(list(EQUATION_CONSTS)), depth - 1)))
+    if kind == "const":
+        return Const(rng.choice(EQUATION_CONSTS[dom]))
+    if kind in ("var", "pre"):
+        # now and then a variable of another domain, whose value may match
+        # by == but not by type
+        names = [nm for nm, d in EQUATION_VARS.items() if d == dom or rng.random() < 0.2]
+        name = rng.choice(names)
+        return VarRef(name) if kind == "var" else Pre(name)
+    if kind == "if":
+        return Func("if", (rand_expr(rng, "bool", depth - 1), rand_expr(rng, dom, depth - 1),
+                           rand_expr(rng, dom, depth - 1)))
+    name = rng.choice([f for f, ins in EQUATION_FUNCS.items()])
+    return Func(name, tuple(rand_expr(rng, d, depth - 1) for d in EQUATION_FUNCS[name]))
+
+
+def equation_outcome(build, p, s):
+    """build(p, lhs, rhs)'s system as (vars, omega, weights, rows in order),
+    or the type and message of what it raises."""
+    try:
+        S = build(p, s.lhs, s.rhs)
+    except Exception as exc:  # compared as they are raised
+        return type(exc), str(exc)
+    return S.vars, S.omega, list(S.pi.items()), [(o, list(row)) for o, row in S.rel.items()]
+
+
+class TestEquations:
+    """equation_system solves x = e for x without enumerating x, and keeps
+    the rows of the enumeration over every state (enumerated_equation)."""
+
+    def test_every_equation_of_the_test_programs(self):
+        from .test_tools import ROOT, programs
+
+        checked = solved = 0
+        for text in programs.literals(ROOT):
+            try:
+                p = parse(text)
+            except Exception:  # a program the front end refuses has no equations
+                continue
+            for s in nodes(p.body) if p.body is not None else ():
+                if isinstance(s, SEq):
+                    got = equation_outcome(elaborate.equation_system, p, s)
+                    assert got == equation_outcome(enumerated_equation, p, s), text
+                    checked += 1
+                    solved += isinstance(s.lhs, VarRef)
+        assert checked > 40 and solved > 30
+
+    def test_seeded_equations_over_bool_int_and_pair_domains(self):
+        rng = random.Random(2911)
+        p = parse(EQUATION_HEAD)
+        kinds = {"rows": 0, "none": 0, "error": 0}
+        for _ in range(600):
+            if rng.random() < 0.7:
+                name = rng.choice(list(EQUATION_VARS))
+                lhs = VarRef(name)
+                rhs = rand_expr(rng, EQUATION_VARS[name] if rng.random() < 0.8 else None)
+            else:
+                lhs = rand_expr(rng, rng.choice(list(EQUATION_CONSTS) + [None]))
+                rhs = rand_expr(rng, rng.choice(list(EQUATION_CONSTS) + [None]))
+            s = SEq(lhs, rhs)
+            got = equation_outcome(elaborate.equation_system, p, s)
+            assert got == equation_outcome(enumerated_equation, p, s), s
+            kinds["error" if len(got) == 2 else "rows" if got[3][0][1] else "none"] += 1
+        assert all(n > 20 for n in kinds.values()), kinds
+
+    def test_a_boolean_function_into_bits_has_no_solution(self):
+        # pos(y) is F or T, never the bit 0 or 1 that x takes
+        p = parse(EQUATION_HEAD + "|| x = pos(y)")
+        s = p.body
+        assert list(elaborate.equation_system(p, s.lhs, s.rhs).rel["e"]) == []
+        assert equation_outcome(elaborate.equation_system, p, s) == equation_outcome(
+            enumerated_equation, p, s)
+        # over bools the same function gives one row per value of y
+        p = parse(EQUATION_HEAD + "|| a = pos(y)")
+        S = elaborate.equation_system(p, p.body.lhs, p.body.rhs)
+        assert [q.as_dict() for q in S.rel["e"]] == [{"a": False, "y": 0}, {"a": True, "y": 1}]
+
+    @pytest.mark.parametrize("stmt", ["y = f(x)", "(y, y) = (f(x), 1)", "y = neg(f(x))",
+                                      "y = if g(pre y) then f(x) else 0"])
+    def test_a_function_outside_its_table_raises_as_before(self, stmt):
+        p = parse(OFF_TABLE + "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n"
+                  "|| init y = 0\n|| " + stmt)
+        s = next(x for x in nodes(p.body) if isinstance(x, SEq))
+        got = equation_outcome(elaborate.equation_system, p, s)
+        assert got == equation_outcome(enumerated_equation, p, s)
+        assert got == (DomainMismatch, "function f is not defined at (2)")

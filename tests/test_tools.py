@@ -21,6 +21,7 @@ abtest = load_tool("abtest")
 outputs = load_tool("outputs")
 programs = load_tool("programs")
 ring = load_tool("ring")
+steps = load_tool("steps")
 tree = load_tool("tree")
 ROOT = TOOLS.parent
 
@@ -145,6 +146,24 @@ class TestTree:
                      ["--states", "ten"]):
             with pytest.raises(SystemExit):
                 tree.main(argv)
+
+
+class TestSteps:
+    def test_each_chain_count_prints_one_line_from_its_own_process(self, capsys):
+        assert steps.main(["--chains", "1,3", "--instants", "20"]) == 0
+        assert steps.main(["--chains", "3", "--instants", "20", "--seed", "2"]) == 0
+        lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert [(d["chains"], d["observed"], d["instants"]) for d in lines] == [
+            (1, 0, 20), (3, 1, 20), (3, 1, 20)]
+        for d in lines:
+            assert d["first_seconds"] > 0 and d["peak_rss_mb"] > 0
+            assert isinstance(d["steady_us"], float)
+
+    def test_bad_counts_are_refused(self):
+        for argv in (["--chains", "0"], ["--chains", "2,,4"], ["--instants", "0"],
+                     ["--instants", "ten"]):
+            with pytest.raises(SystemExit):
+                steps.main(argv)
 
 
 class TestOutputs:
