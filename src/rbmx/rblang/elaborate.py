@@ -8,7 +8,8 @@ Three targets, at increasing expressiveness:
 * elaborate_graph: the same fragment as a Bayesian network.  Directed rules
   first (priors and equations of the shape x = e feed kernels); when the
   side conditions fail, fall back to the factor graph of the top-level
-  parallel blocks and convert it when it is a tree.
+  parallel blocks and convert it with fg_to_bn when it is a forest, each
+  tree on its own.
 * elaborate_dynamic: the full language as a mixed automaton.  Every variable
   read through pre gets a companion variable carrying the previous value,
   pinned per step from the source state; guards are evaluated at the source
@@ -17,7 +18,10 @@ Three targets, at increasing expressiveness:
 
 Each target trusts a Program from syntax.parse, which checked its
 declarations, statements and priors; only what depends on the values and
-dependencies met while elaborating is checked here.
+dependencies met while elaborating is checked here.  What each leaf
+statement touches, reads through pre and, for an on-statement, guards and
+selects is read from the program's statement table (syntax.statement_facts),
+which parse fills; no target walks a statement for it again.
 
 What a Program declares is compiled once and kept on it, shared with its
 parts (program_parts): parse keeps each declared domain as its typed
@@ -34,7 +38,6 @@ by value, as domains do: 1 is not T.
 import dataclasses
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 from ..automata import MixedAutomaton
 from ..bayes import (
@@ -63,11 +66,12 @@ from ..core import (
 from ..errors import (
     DomainMismatch,
     MalformedSystem,
+    NotATree,
     NotIncremental,
     MissingObservation,
     GuardNotBoolean,
 )
-from ..factorgraph import _components, factor_graph, fg_to_bn, is_tree
+from ..factorgraph import _components, factor_graph, fg_to_bn
 from .syntax import (
     IF_FUNC,
     Const,
@@ -84,9 +88,7 @@ from .syntax import (
     VarRef,
     expr_vars,
     is_dynamic,
-    nodes,
-    print_expr,
-    rewrite_guard,
+    statement_facts,
     statements,
 )
 
@@ -530,8 +532,9 @@ def program_factor_graph(p: Program):
 def elaborate_graph(p: Program) -> BayesianNetwork:
     """The body as a Bayesian network: directed rules when every statement
     gives one and the union stays acyclic with observed variables as
-    sources; otherwise the tree-shaped factor-graph rewrite rooted at the
-    first block.  Anything else is not incremental."""
+    sources; otherwise fg_to_bn's rewrite of the blocks' factor graph when
+    it is a forest, rooted at the first block in its tree.  Anything else
+    is not incremental."""
     leaves = statements(p.body)
     _static_only(p)
     try:
@@ -539,59 +542,13 @@ def elaborate_graph(p: Program) -> BayesianNetwork:
     except _DirectRulesFail as first:
         reason = str(first)
     fg = program_factor_graph(p)
-    if not is_tree(fg):
-        raise NotIncremental(
-            "no directed reading (%s) and the factor graph is not a tree" % reason
-        )
-    return fg_to_bn(fg, root=fg.labels[0])
+    try:
+        return fg_to_bn(fg, root=fg.labels[0])
+    except NotATree as e:
+        raise NotIncremental("no directed reading (%s) and %s" % (reason, e)) from None
 
 
 # --- dynamic semantics ---------------------------------------------------------
-
-
-class Facts(NamedTuple):
-    """A leaf statement's entry in its program's statement table."""
-
-    stmt: object  # the statement; holding it keeps its id from being reused
-    touched: frozenset  # every variable it touches, with •x for pre x
-    pres: frozenset  # variables read through pre, a guard's variables included
-    guard: object  # on-statement: (label, rewritten guard, guard's variables)
-    branches: tuple  # on-statement: the leaves of its then and else branches
-
-
-def statement_facts(p: Program, s) -> Facts:
-    """The statement table's entry for s, a leaf statement of p's body, made
-    in one walk of s when first asked for and kept in p.statement_table,
-    which p's parts share.  A guard's variables count as touched and as
-    read through pre: a guard is evaluated at the previous state."""
-    got = p.statement_table.get(id(s))
-    if got is not None:
-        return got
-    touched, pres = set(), set()
-    guard = branches = None
-    roots = (s,)
-    if isinstance(s, SOn):
-        for x in nodes(s.guard):
-            if isinstance(x, (VarRef, Pre)):
-                touched.add(x.name if isinstance(x, VarRef) else pre_name(x.name))
-                pres.add(x.name)
-        g = rewrite_guard(s.guard)
-        # pres holds the guard's variables only, until the branches are walked
-        guard = (print_expr(g), g, frozenset(pres))
-        branches = (tuple(statements(s.then)), tuple(statements(s.els)))
-        roots = (s.then, s.els)
-    for root in roots:
-        for x in nodes(root):
-            if isinstance(x, VarRef):
-                touched.add(x.name)
-            elif isinstance(x, Pre):
-                touched.add(pre_name(x.name))
-                pres.add(x.name)
-            elif isinstance(x, (SObserve, SInit, SPrior)):
-                touched.add(x.var)
-    got = p.statement_table[id(s)] = Facts(s, frozenset(touched), frozenset(pres),
-                                           guard, branches)
-    return got
 
 
 def _guards(p: Program):
@@ -623,16 +580,16 @@ def _check_guards_boolean(p: Program, guards):
 
 def program_parts(p: Program):
     """The program's top-level parallel statements grouped into independent
-    parts: two statements share a part when they touch a common base
-    variable, where reading pre x, init x and a guard reading x all touch
-    x, so x and •x stay in one part.  What each statement touches is read
+    parts: two statements share a part when they touch a common variable,
+    where reading pre x, init x and a guard reading x all touch x, so x
+    and •x stay in one part.  What each statement touches is read
     from the statement table (statement_facts).  Each part is a Program
     with p's declarations, its compiled Domains, Vars and tied score
     tables, and its statement table; parts keep the order of their first
     statements, and statements keep theirs.  A program with one part gives
     (p,)."""
     leaves = statements(p.body)
-    adj = {("s", i): {("v", base_name(x)) for x in statement_facts(p, s).touched}
+    adj = {("s", i): {("v", x) for x in statement_facts(p, s).touched}
            for i, s in enumerate(leaves)}
     for node, touched in list(adj.items()):
         for v in touched:
@@ -688,10 +645,7 @@ def elaborate_dynamic(p: Program):
     guards = _guards(p)
     _check_guards_boolean(p, guards)
 
-    names = set().union(*(f.touched for f in facts))
-    for x in pres:
-        names.add(x)
-        names.add(pre_name(x))
+    names = set().union(*(f.touched for f in facts), map(pre_name, pres))
     vars = [_var(p, nm) for nm in sorted(names)]
     labels = sorted(guards)
 

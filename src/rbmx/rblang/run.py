@@ -19,8 +19,8 @@ it would from their composition.
 
 Nothing of a step is built or walked twice within one call.  The parts
 and their automata read each statement's variables and guard from the
-program's statement table (elaborate.statement_facts), filled in one walk
-per statement.  A step plan is made once per distinct guard assignment:
+program's statement table (syntax.statement_facts), filled at parse in one
+walk per statement.  A step plan is made once per distinct guard assignment:
 each part's action State, and each observed variable's Var and owning
 part, from the statements that assignment selects (active_leaves).  So a
 step walks no statements and builds no action States; it evaluates the

@@ -29,9 +29,15 @@ parenthesis or brace adds a level of its own.  Deeper programs are rejected
 with RbSyntaxError, so every recursive pass over a parsed program stays far
 below Python's recursion limit.
 
-parse is the one boundary for programs: elaboration trusts what it returns,
-and reads each declared domain as the one typed core.Domain that parse
-built for it (Program.domains).  Beyond the syntax, parse checks that
+parse is the one boundary for programs: elaboration trusts what it returns.
+parse keeps each declared domain as the one typed core.Domain that
+elaboration reads (Program.domains), and each leaf statement's facts in
+the program's statement table (statement_facts): the variables it
+touches, those it reads through pre, an on-statement's guard and the
+leaves of its branches, found in one walk of the statement.  Everything
+that needs those facts reads them there: the init check below,
+is_dynamic, and elaboration's parts, guards and automata.  Beyond the
+syntax, parse checks that
 * every domain a declaration names is declared;
 * function tables cover their input domains, inside their output domain;
 * a value given for a domain is one of its values of the same type (see
@@ -49,11 +55,13 @@ built for it (Program.domains).  Beyond the syntax, parse checks that
   the parameter it takes: Bernoulli a number literal in [0,1] (the variable is
   boolean), Uniform a domain name, a declared one an expression exactly
   when it has a parameter domain;
-* whatever pre or a guard reads has an init.
+* whatever pre or a guard reads, the union of the leaves' pres in the
+  statement table, has an init.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..core import (Domain, describe_rat, domains_agree, exact_weights, format_rat,
                     number_text_problem)
@@ -172,14 +180,13 @@ class Program:
     objects; tied_laws with each parameterized distribution's score
     tables, read from its rows when its first tied kernel is made and
     shared by all of them (elaborate.prior_kernel), where
-    MixedKernel.score_table checks each input before it reads them; and
-    statement_table with what each leaf statement touches and reads
-    through pre, and an on-statement's guard label and branches, found in
-    one walk of the statement when it is first asked for and keyed by the
-    statement's identity (elaborate.statement_facts).  The parts of a
-    program (program_parts) share its dicts, so everything elaborated from
-    one program holds the same Domain and Var objects and walks each
-    statement once."""
+    MixedKernel.score_table checks each input before it reads them.
+    statement_table holds each leaf statement's Facts, keyed by the
+    statement's identity (statement_facts): parse fills it for every leaf
+    while it checks the inits, and a Program built without parse fills it
+    on first ask.  The parts of a program (elaborate.program_parts) share
+    its dicts, so everything elaborated from one program holds the same
+    Domain and Var objects and walks each statement once."""
 
     domains: dict  # name -> Domain
     vars: dict  # name -> domain name
@@ -456,7 +463,7 @@ class _Parser:
     def decl_func(self, p):
         kind = self.next().text  # func or op
         name = self.ident("function name")
-        if name in p.funcs or name == IF_FUNC:
+        if name in p.funcs:  # "if" is a keyword, so ident() refused it
             self.fail("function %r declared twice" % name)
         self.expect(":")
         if self.accept("("):
@@ -683,12 +690,6 @@ def expr_vars(e, pre_as=None):
     return list(out)
 
 
-def pre_vars(node):
-    """All variables appearing under pre anywhere below node (exprs and
-    statements alike)."""
-    return {x.name for x in nodes(node) if isinstance(x, Pre)}
-
-
 def statements(body):
     """Flatten the parallel structure into a list of leaf statements (SOn
     counts as a leaf; its branches are elaborated separately)."""
@@ -697,12 +698,6 @@ def statements(body):
     if isinstance(body, SPar):
         return [leaf for s in body.items for leaf in statements(s)]
     return [body]
-
-
-def guard_exprs(body):
-    """The guards of every on-statement, with bare variables rewritten to
-    their previous versions (a guard is evaluated at the previous state)."""
-    return [rewrite_guard(s.guard) for s in statements(body) if isinstance(s, SOn)]
 
 
 def rewrite_guard(e):
@@ -715,20 +710,53 @@ def rewrite_guard(e):
     return e
 
 
+class Facts(NamedTuple):
+    """A leaf statement's entry in its program's statement table."""
+
+    stmt: object  # the statement; holding it keeps its id from being reused
+    touched: frozenset  # every variable it touches, pre x and a guard's x included
+    pres: frozenset  # variables read through pre, a guard's variables included
+    guard: object  # on-statement: (label, rewritten guard, guard's variables)
+    branches: tuple  # on-statement: the leaves of its then and else branches
+
+
+def statement_facts(p: Program, s) -> Facts:
+    """The statement table's entry for s, a leaf statement of p's body, made
+    in one walk of s when first asked for and kept in p.statement_table,
+    which p's parts share; parse fills it for every leaf.  A guard's
+    variables count as read through pre: a guard is evaluated at the
+    previous state."""
+    got = p.statement_table.get(id(s))
+    if got is not None:
+        return got
+    touched, pres = set(), set()
+    guard = branches = None
+    roots = (s,)
+    if isinstance(s, SOn):
+        pres.update(x.name for x in nodes(s.guard) if isinstance(x, (VarRef, Pre)))
+        g = rewrite_guard(s.guard)
+        # pres holds the guard's variables only, until the branches are walked
+        guard = (print_expr(g), g, frozenset(pres))
+        branches = (tuple(statements(s.then)), tuple(statements(s.els)))
+        roots = (s.then, s.els)
+    for root in roots:
+        for x in nodes(root):
+            if isinstance(x, Pre):
+                pres.add(x.name)
+            elif isinstance(x, VarRef):
+                touched.add(x.name)
+            elif isinstance(x, (SObserve, SInit, SPrior)):
+                touched.add(x.var)
+    got = p.statement_table[id(s)] = Facts(s, frozenset(touched | pres), frozenset(pres),
+                                           guard, branches)
+    return got
+
+
 def is_dynamic(p: Program) -> bool:
     """Whether the program needs the dynamic semantics: it reads some
     variable through pre, or holds an init or on statement."""
-    return bool(pre_vars(p.body)) or any(
-        isinstance(s, (SInit, SOn)) for s in statements(p.body))
-
-
-def required_inits(p: Program):
-    """Variables whose previous value is read somewhere: explicitly pre'd
-    ones plus every variable a guard mentions."""
-    need = set(pre_vars(p.body))
-    for g in guard_exprs(p.body):
-        need |= pre_vars(g)
-    return need
+    return any(isinstance(s, (SInit, SOn)) or statement_facts(p, s).pres
+               for s in statements(p.body))
 
 
 BOOL = Domain("bool", (False, True))
@@ -794,12 +822,12 @@ def _validate(p: Program):
                     )
             exact_weights(rows, rows)
     _validate_body(p, p.body)
-    inits = {s.var for s in statements(p.body) if isinstance(s, SInit)}
-    for name in sorted(required_inits(p)):
-        if name not in inits:
-            raise MissingInit(
-                "variable %r is read through pre but has no init" % name
-            )
+    leaves = statements(p.body)
+    inits = {s.var for s in leaves if isinstance(s, SInit)}
+    read = frozenset().union(*(statement_facts(p, s).pres for s in leaves))
+    missing = sorted(read - inits)
+    if missing:
+        raise MissingInit("variable %r is read through pre but has no init" % missing[0])
 
 
 def _validate_expr(p, e, where):

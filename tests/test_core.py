@@ -259,6 +259,11 @@ class TestSharedChecks:
         # a value that cannot be hashed is outside every domain
         assert core.domain_index(BIT, [1]) is None and {0: 1} not in BIT
 
+    def test_norm_vars_names_a_plain_value_list_after_its_variable(self):
+        y, x = core.norm_vars([("y", [0, "a"]), ("x", BIT)])[::-1]
+        assert (x.name, x.domain) == ("x", BIT)
+        assert (y.name, y.domain.name, y.domain.values) == ("y", "D_y", (0, "a"))
+
     def test_check_vars_compares_names_then_typed_domains(self):
         vars = core.norm_vars([("x", BIT), ("y", BIT)])
         same = core.norm_vars([("x", Domain("other", (1, 0))), ("y", BIT)])
@@ -788,6 +793,14 @@ class TestJson:
         doc = system_to_json(C)
         assert len(set(doc["omega"])) == len(C.omega)
         assert equivalent(system_from_json(doc), C)
+
+    def test_outcome_ids_that_print_alike_are_numbered(self):
+        S = bitsys({1: Fraction(1, 3), "1": Fraction(2, 3)}, {1: [(0,)], "1": [(1,)]})
+        doc = system_to_json(S)
+        assert doc["omega"] == ["1", "1#2"]
+        assert doc["pi"] == {"1": "1/3", "1#2": "2/3"}
+        assert doc["rel"] == [["1", {"x": 0}], ["1#2", {"x": 1}]]
+        assert equivalent(system_from_json(doc), S)
 
     def test_bad_document(self):
         with pytest.raises(MalformedSystem):

@@ -95,6 +95,15 @@ class TestSpaImage:
                                                ("a", "s"): Fraction(2, 3)})])
         assert [d[("a", "q")] for _, d in G.transitions] == [Fraction(1, 3), HALF]
 
+    def test_a_token_name_a_state_holds_is_primed(self):
+        P = SPA(["a"], ["q", "q@a#0"], "q", [("q", "a", {"q@a#0": Fraction(1)})])
+        M = spa_to_ma(P, var="x")
+        assert M.vars[0].domain.values == ("q", "q@a#0", "q@a#0'")
+        commit = M.transition({"x": "q"}, "a")
+        assert [q["x"] for q in commit.rel[commit.omega[0]]] == ["q@a#0'"]
+        draw = M.transition({"x": "q@a#0'"}, "@commit")
+        assert {o: draw.pi[o] for o in draw.omega} == {"q@a#0": 1}
+
 
 class TestMaToSpa:
     def test_simulation_carries_to_the_image(self):
@@ -117,6 +126,16 @@ class TestMaToSpa:
             positives += 1
             assert spa_simulates(ma_to_spa(M1), ma_to_spa(M2)) is not None, trial
         assert positives >= 5
+
+    def test_selections_past_the_cap_are_refused(self):
+        # two outcomes that each admit both states: 2 * 2 selections
+        vars = [("u", core.Domain("D", (0, 1)))]
+        both = [State({"u": 0}), State({"u": 1})]
+        S = MixedSystem({"o1": HALF, "o2": HALF}, vars, {"o1": both, "o2": both})
+        M = MixedAutomaton(["a"], vars, {"u": 0}, {(State({"u": 0}), "a"): S})
+        assert len(ma_to_spa(M, cap=4).transitions) == 3
+        with pytest.raises(CapExceeded, match=r"^ma_to_spa at .*: 4 selections exceed cap 3$"):
+            ma_to_spa(M, cap=3)
 
     def test_product_image_vs_image_product(self):
         # Two single-step automata sharing variable x.  The SPA product of

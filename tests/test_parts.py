@@ -350,8 +350,8 @@ class TestBuiltOnce:
         assert calls == {"active_leaves": len(distinct)}
 
     def test_a_run_walks_each_statement_once(self, monkeypatch):
-        # the statement table walks each of the 14 statements once, and each
-        # equation_system walks its right-hand side once: 34 + 4 * 3 nodes
+        # parse filled the statement table, so the run walks only each
+        # equation's right-hand side, once in its equation_system: 4 * 3 nodes
         walk = syntax.nodes
         seen = []
 
@@ -362,7 +362,6 @@ class TestBuiltOnce:
 
         observed = {0, 2}
         p = parse(xor_chains(4, observed))
-        for module in (syntax, elaborate):
-            monkeypatch.setattr(module, "nodes", counted)
+        monkeypatch.setattr(syntax, "nodes", counted)
         run_program(p, obs=chain_obs(random.Random(4), observed, 30), steps=30, seed=4)
-        assert len(seen) == 46
+        assert len(seen) == 12

@@ -48,12 +48,14 @@ from rbmx.rblang import (
 import rbmx.rblang.run as rblang_run
 from rbmx.rblang import elaborate
 from rbmx.rblang.elaborate import _graft
-from rbmx.rblang.syntax import MAX_NESTING, Const, Func, Pair, Pre, SEq, VarRef, nodes
+from rbmx.rblang.syntax import (MAX_NESTING, Const, Func, Pair, Pre, SEq, SObserve, SPar,
+                                VarRef, nodes)
 
 from .oracles import (
     chain,
     enumerated_equation,
     full_graft,
+    naive_point_outer,
     off_domain_states,
     outer_bn_score,
     rand_domain,
@@ -220,6 +222,44 @@ dist step(t3) : t3 { 0 -> { 0 : 1/2, 1 : 1/2, 2 : 0 }, 1 -> { 0 : 0, 1 : 1/3, 2 
 """
 
 
+# a declaration given twice, or a table key or value given twice in one
+# declaration: parse refuses each with RbSyntaxError at the token after it
+BIT_DECL = "domain bit = { 0, 1 }\n"
+REPEATED = {
+    "domain": (BIT_DECL + "domain bit = { 0 }", "domain 'bit' declared twice at line 2, col 12"),
+    "domain value": ("domain d = { 0, 1, 0 }", "domain 'd' repeats a value at line 1, col 23"),
+    "variable": (BIT_DECL + "var x : bit\nvar y, x : bit",
+                 "variable 'x' declared twice at line 3, col 15"),
+    "function": (BIT_DECL + "func f : bit -> bit { 0 -> 1, 1 -> 0 }\n"
+                 "op f : bit -> bit { 0 -> 0, 1 -> 1 }",
+                 "function 'f' declared twice at line 3, col 6"),
+    "function named if": (BIT_DECL + "func if : bit -> bit { 0 -> 1, 1 -> 0 }",
+                          "expected function name, found 'if' at line 2, col 6"),
+    "function key": (BIT_DECL + "func f : bit -> bit { 0 -> 1, 1 -> 0, 0 -> 0 }",
+                     "function 'f' maps 0 twice at line 2, col 46"),
+    "function tuple key": (BIT_DECL + "func f : (bit, bit) -> bit { (0, 0) -> 0, (0, 0) -> 1 }",
+                           "function 'f' maps (0, 0) twice at line 2, col 55"),
+    "distribution": (BIT_DECL + "dist d : bit { 0 : 1 }\ndist d : bit { 1 : 1 }",
+                     "distribution 'd' declared twice at line 3, col 8"),
+    "builtin distribution": (BIT_DECL + "dist Uniform : bit { 0 : 1 }",
+                             "distribution 'Uniform' declared twice at line 2, col 14"),
+    "distribution key": (BIT_DECL + "dist d(bit) : bit { 0 -> { 0 : 1 }, 0 -> { 1 : 1 } }",
+                         "distribution 'd' maps 0 twice at line 2, col 52"),
+    "distribution value": (BIT_DECL + "dist d : bit { 0 : 1/2, 0 : 1/2 }",
+                           "distribution repeats value 0 at line 2, col 33"),
+}
+
+# statements that parse refuses after the syntax: each error type and message
+BAD_STATEMENTS = {
+    "undeclared function": (HEAD + "|| x = foo(y)", UndeclaredVariable,
+                            "undeclared function 'foo' in equation"),
+    "wrong arity": (HEAD + "|| x = neg(x, y)", DomainMismatch,
+                    "function 'neg' takes 1 arguments, got 2 in equation"),
+    "conflicting inits": (HEAD + "|| init x = 0\n|| init x = 1\n|| x = pre x",
+                          MalformedSystem, "conflicting init values for 'x'"),
+}
+
+
 def roundtrip(text):
     p = parse(text)
     out = print_program(p)
@@ -340,6 +380,26 @@ class TestParsePrint:
         with pytest.raises(RbSyntaxError) as exc:
             parse("domain bit = { 0, 1 }\nvar x bit\n|| x = 0")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("name", sorted(REPEATED))
+    def test_a_repeated_declaration_or_key_is_a_syntax_error(self, name):
+        text, message = REPEATED[name]
+        with pytest.raises(RbSyntaxError, match="^%s$" % re.escape(message)):
+            parse(text)
+
+    @pytest.mark.parametrize("name", sorted(BAD_STATEMENTS))
+    def test_a_bad_statement_is_rejected_at_parse(self, name):
+        text, error, message = BAD_STATEMENTS[name]
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            parse(text)
+
+    def test_shorthands_parse_to_their_long_forms(self):
+        assert parse(HEAD + "|| observe x, y").body == SPar((SObserve("x"), SObserve("y")))
+        assert parse(HEAD + "|| ( x = 1 )") == parse(HEAD + "|| x = 1")
+        assert parse(HEAD + "|| ((x, y)) = (0, 1)") == parse(HEAD + "|| (x, y) = (0, 1)")
+        pre_call = parse(HEAD + "|| init x = 0\n|| x = neg(pre(x))")
+        assert pre_call == parse(HEAD + "|| init x = 0\n|| x = neg(pre x)")
+        assert pre_call.body.items[1] == SEq(VarRef("x"), Func("neg", (Pre("x"),)))
 
 
 class TestRun:
@@ -621,6 +681,23 @@ TREE_REWRITE = ("domain bit = { 0, 1 }\nvar x : bit\nvar y : bit\n"
                 "|| { x ~ coin || y = neg(x) }\n|| observe y")
 
 
+COIN_HEAD = HEAD + "dist coin : bit { 0 : 1/2, 1 : 1/2 }\n"
+
+# programs the directed rules refuse, each for one reason, whose blocks'
+# factor graph is a tree, with the kernels fg_to_bn makes of it
+FALLBACKS = {
+    "pair on the left": (COIN_HEAD + "|| x ~ coin\n|| (x, y) = (x, neg(x))",
+                         ["cond[S2|x]", "head[S1]"]),
+    "defined from itself": (COIN_HEAD + "|| y = neg(x)\n|| x = neg(x)",
+                            ["cond[S2|x]", "head[S1]"]),
+    "two producers": (COIN_HEAD + "|| x ~ coin\n|| x = 0", ["cond[S2|x]", "head[S1]"]),
+}
+
+# y is observed and produced, so no directed reading; the blocks form a
+# forest of two trees, { S1, S2 } joined by y and S3 alone
+FOREST = COIN_HEAD + "var z : bit\n|| { x ~ coin || y = neg(x) } || observe y || z ~ coin"
+
+
 class TestGraph:
     def test_direct_rules(self):
         N = elaborate_graph(parse(STATIC))
@@ -631,8 +708,30 @@ class TestGraph:
         p = parse("domain bit = { 0, 1 }\nvar x : bit\nvar y : bit\n"
                   "func neg : bit -> bit { 0 -> 1, 1 -> 0 }\n"
                   "|| x = neg(y)\n|| y = neg(x)")
-        with pytest.raises(NotIncremental):
+        with pytest.raises(NotIncremental, match="^%s$" % re.escape(
+                "no directed reading (graph has a cycle through kernels "
+                "['k[x]', 'k[y]', 'k[x]']) and factor graph component "
+                "['S1', 'S2'] has a cycle")):
             elaborate_graph(p)
+
+    @pytest.mark.parametrize("name", sorted(FALLBACKS))
+    def test_each_failed_direct_rule_falls_back_to_the_factor_graph(self, name):
+        text, kernels = FALLBACKS[name]
+        N = elaborate_graph(parse(text))
+        assert [K.name for K in N.kernels] == kernels
+        for q in list(all_states(N.vars)) + list(off_domain_states(N)):
+            assert score_outcome(bn_score, N, q) == score_outcome(outer_bn_score, N, q)
+
+    def test_a_forest_of_blocks_scores_like_their_composition(self):
+        p = parse(FOREST)
+        N = elaborate_graph(p)
+        assert not bn_validate(N)
+        assert [K.name for K in N.kernels] == ["cond[S2|y]", "head[S1]", "head[S3]"]
+        g = program_factor_graph(p)
+        S = compose(*(g.systems[label] for label in g.labels))
+        scores = [bn_score(N, q).value for q in all_states(N.vars)]
+        assert scores == [naive_point_outer(S, q) for q in all_states(N.vars)]
+        assert sorted(set(scores)) == [0, Fraction(1, 4)]
 
     def test_fallback_tree_rewrite(self):
         N = elaborate_graph(parse(TREE_REWRITE))

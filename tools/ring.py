@@ -32,10 +32,10 @@ the one under this checkout's src/.
 
 import argparse
 import os
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from timing import run_each, size_list  # noqa: E402
 
 CHILD = """
 import json, resource, sys, time
@@ -83,19 +83,9 @@ print(json.dumps(line))
 """
 
 
-def sizes(text):
-    try:
-        out = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError("want a comma-separated list of state counts")
-    if not out or min(out) < 1:
-        raise argparse.ArgumentTypeError("every state count must be at least 1")
-    return out
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--states", type=sizes, default=[150, 300, 600],
+    ap.add_argument("--states", type=size_list("state"), default=[150, 300, 600],
                     help="comma-separated ring sizes (default 150,300,600)")
     ap.add_argument("--bisim", action="store_true",
                     help="time the bisimulation check instead of the simulation check")
@@ -112,15 +102,9 @@ def main(argv=None):
     if args.read and args.bisim:
         ap.error("--read runs no check, so --bisim has nothing to choose")
     mode = "read" if args.read else "bisim" if args.bisim else "sim"
-    path = os.path.join(ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=path + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for n in args.states:
-        r = subprocess.run([sys.executable, "-c", CHILD, str(n), mode,
-                            "ma" if args.ma else "spa", "split" if args.split else "dirac"],
-                           env=env, capture_output=True, text=True)
-        if r.returncode != 0:
-            raise SystemExit("ring of %d states failed:\n%s" % (n, r.stderr))
-        print(r.stdout.strip(), flush=True)
+    run_each(args.states, CHILD, [mode, "ma" if args.ma else "spa",
+                                  "split" if args.split else "dirac"],
+             "ring of %d states failed")
     return 0
 
 

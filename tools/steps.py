@@ -23,10 +23,10 @@ checkout's src/.
 
 import argparse
 import os
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from timing import positive_count, run_each, size_list  # noqa: E402
 
 CHILD = """
 import json, random, resource, sys, time
@@ -65,42 +65,15 @@ print(json.dumps({
 """
 
 
-def counts(text):
-    try:
-        out = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError("want a comma-separated list of chain counts")
-    if not out or min(out) < 1:
-        raise argparse.ArgumentTypeError("every chain count must be at least 1")
-    return out
-
-
-def instants(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError("want an instant count of at least 1")
-    return n
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--chains", type=counts, default=[2, 4, 8],
+    ap.add_argument("--chains", type=size_list("chain"), default=[2, 4, 8],
                     help="comma-separated chain counts (default 2,4,8)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the observations and runs")
-    ap.add_argument("--instants", type=instants, default=1000,
+    ap.add_argument("--instants", type=positive_count("an instant"), default=1000,
                     help="instants of the steady run beyond its first two (default 1000)")
     args = ap.parse_args(argv)
-    path = os.path.join(ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=path + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for k in args.chains:
-        r = subprocess.run([sys.executable, "-c", CHILD, str(k), str(args.seed),
-                            str(args.instants)], env=env, capture_output=True, text=True)
-        if r.returncode != 0:
-            raise SystemExit("run of %d chains failed:\n%s" % (k, r.stderr))
-        print(r.stdout.strip(), flush=True)
+    run_each(args.chains, CHILD, [args.seed, args.instants], "run of %d chains failed")
     return 0
 
 

@@ -29,10 +29,10 @@ one under this checkout's src/.
 
 import argparse
 import os
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from timing import positive_count, run_each, size_list  # noqa: E402
 
 CHILD = """
 import json, random, resource, sys, time
@@ -94,42 +94,15 @@ print(json.dumps({
 """
 
 
-def sizes(text):
-    try:
-        out = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError("want a comma-separated list of system counts")
-    if not out or min(out) < 1:
-        raise argparse.ArgumentTypeError("every system count must be at least 1")
-    return out
-
-
-def count(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError("want a state count of at least 1")
-    return n
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--systems", type=sizes, default=[4, 8, 16],
+    ap.add_argument("--systems", type=size_list("system"), default=[4, 8, 16],
                     help="comma-separated tree sizes in systems (default 4,8,16)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the trees and states")
-    ap.add_argument("--states", type=count, default=1000,
+    ap.add_argument("--states", type=positive_count("a state"), default=1000,
                     help="number of full states to score per tree (default 1000)")
     args = ap.parse_args(argv)
-    path = os.path.join(ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=path + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for m in args.systems:
-        r = subprocess.run([sys.executable, "-c", CHILD, str(m), str(args.seed),
-                            str(args.states)], env=env, capture_output=True, text=True)
-        if r.returncode != 0:
-            raise SystemExit("tree of %d systems failed:\n%s" % (m, r.stderr))
-        print(r.stdout.strip(), flush=True)
+    run_each(args.systems, CHILD, [args.seed, args.states], "tree of %d systems failed")
     return 0
 
 
