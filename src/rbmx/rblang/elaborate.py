@@ -79,7 +79,6 @@ from .syntax import (
     Pair,
     Pre,
     Program,
-    SEq,
     SInit,
     SObserve,
     SOn,
@@ -388,14 +387,14 @@ def _static_only(p: Program):
 def _leaf(p: Program, s, obs=None, observe_free=False):
     """The system a leaf statement denotes, or the kernel of a parameterized
     prior.  An observed variable is pinned to its value in obs, or left free
-    with observe_free."""
+    with observe_free.  s is an observe, a prior or an equation: the static
+    targets refuse pre, init and on (_static_only), and parse keeps on and
+    init out of branches."""
     if isinstance(s, SObserve):
         return free_system(p, s.var) if observe_free else observe_point(p, s.var, obs)
     if isinstance(s, SPrior):
         return prior_kernel(p, s) if _is_parameterized(p, s) else prior_system(p, s)
-    if isinstance(s, SEq):
-        return equation_system(p, s.lhs, s.rhs)
-    raise MalformedSystem("unexpected statement %r" % (s,))
+    return equation_system(p, s.lhs, s.rhs)
 
 
 def _assemble(pieces, pins=()):
@@ -455,6 +454,8 @@ class _DirectRulesFail(Exception):
 
 
 def _direct_bn(p: Program, leaves) -> BayesianNetwork:
+    """The directed reading of leaves, each an observe, a prior or an
+    equation (see _leaf): one kernel per prior and per equation x = e."""
     producers = {}
     flagged = set()
     mentioned = set()
@@ -471,7 +472,7 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
                 if _is_parameterized(p, s)
                 else kernel_from_system(prior_system(p, s), name="k[%s]" % x)
             )
-        elif isinstance(s, SEq):
+        else:
             if not isinstance(s.lhs, VarRef):
                 raise _DirectRulesFail("equation lhs is not a variable")
             x = s.lhs.name
@@ -491,8 +492,6 @@ def _direct_bn(p: Program, leaves) -> BayesianNetwork:
                 return point_system([_out], State({_out.name: val}))
 
             K = MixedKernel(in_vars, [out], fn, name="k[%s]" % x)
-        else:
-            raise _DirectRulesFail("statement %r has no directed rule" % (s,))
         if x in producers:
             raise _DirectRulesFail("two producers for %r" % x)
         producers[x] = K

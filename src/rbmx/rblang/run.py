@@ -36,6 +36,13 @@ the Program is what its declarations and statements compile to (Vars,
 tied score tables, the statement table), the same for every run, so
 run_program keeps no state between calls that could change a run.
 
+A step checks only what the records decide (a missing record, a value
+outside its domain, observations contradicting the model), and trusts the
+rest: a guard reads only •x of variables it touches, which parse gives
+inits and every later state binds, so guards always evaluate; each part's
+action is a State over exactly its guard labels, and each part state
+binds what the part reads through pre, so every transition exists.
+
 A run keeps every instant, so a run whose steps times visible variables
 (counting at least one) exceeds core.MAX_OUTCOMES is refused with
 CapExceeded before its first step.
@@ -46,8 +53,7 @@ from typing import NamedTuple
 
 from ..core import (MAX_OUTCOMES, State, compose, consistency, consistency_weight, sample,
                     state_join)
-from ..errors import (CapExceeded, InconsistentSystem, MalformedSystem, MissingObservation,
-                      NoTransition)
+from ..errors import CapExceeded, InconsistentSystem, MalformedSystem, MissingObservation
 from .elaborate import (
     _pin,
     _var,
@@ -128,25 +134,11 @@ def run_program(p, obs=None, steps=1, seed=0, resolver="lex") -> ProgramRun:
         values = ()
         if guards:
             env = {pre_name(k): v for k, v in q.items()}
-            got = []
-            for label, g in guards:
-                try:
-                    got.append(eval_expr(p, g, env))
-                except KeyError:
-                    raise InconsistentSystem(
-                        "step %d: guard %s reads a variable the previous instant "
-                        "did not determine" % (n, label)
-                    )
-            values = tuple(got)
+            values = tuple(eval_expr(p, g, env) for _, g in guards)
         plan = plans.get(values)
         if plan is None:
             plan = plans[values] = _plan(p, parts, guards, values, owner)
-        targets = []
-        for M, qi, a in zip(machines, states, plan.actions):
-            S = M.transition(qi, a)
-            if S is None:
-                raise NoTransition("step %d: no transition from %r" % (n, q))
-            targets.append(S)
+        targets = [M.transition(qi, a) for M, qi, a in zip(machines, states, plan.actions)]
         if plan.watched:
             rec = obs[n - 1] if obs is not None and n - 1 < len(obs) else None
             if rec is None:

@@ -46,7 +46,10 @@ syntax, parse checks that
   the typed domain it meets: an equation side's constants against the
   domain the other side shows (a variable's, a function's output), a
   function argument against its input domain, an if-condition against
-  { F, T }, and a distribution parameter against its parameter domain;
+  { F, T }, and a distribution parameter against its parameter domain.
+  A guard's own value meets no domain (a guard that is not boolean is
+  elaboration's GuardNotBoolean).  A statement's names are checked
+  before its constants, each in one walk of each expression;
 * distribution tables are exact (core.exact_weights), one per parameter;
 * statements use declared variables and functions with the right arity;
 * inits lie in their domains and agree, and sit at the top level, as
@@ -831,13 +834,13 @@ def _validate(p: Program):
 
 
 def _validate_expr(p, e, where):
+    """Raise when e reads an undeclared variable or calls an undeclared
+    function or one with the wrong number of arguments; its constants are
+    _check_consts's, once every name is known."""
     for x in nodes(e):
         if isinstance(x, (VarRef, Pre)) and x.name not in p.vars:
             raise UndeclaredVariable("undeclared variable %r in %s" % (x.name, where))
-        if isinstance(x, Func) and x.name == IF_FUNC:
-            if len(x.args) != 3:
-                raise MalformedSystem("if expression needs 3 parts in %s" % where)
-        elif isinstance(x, Func):
+        if isinstance(x, Func) and x.name != IF_FUNC:
             decl = p.funcs.get(x.name)
             if decl is None:
                 raise UndeclaredVariable(
@@ -848,13 +851,6 @@ def _validate_expr(p, e, where):
                     "function %r takes %d arguments, got %d in %s"
                     % (x.name, len(decl.in_domains), len(x.args), where)
                 )
-    # every name is declared now; constants meet the domains they are passed to
-    for x in nodes(e):
-        if isinstance(x, Func) and x.name == IF_FUNC:
-            _check_consts(p, x.args[0], BOOL, where)
-        elif isinstance(x, Func):
-            for arg, d in zip(x.args, p.funcs[x.name].in_domains):
-                _check_consts(p, arg, p.domains[d], where)
 
 
 def _expr_domain(p, e):
@@ -875,12 +871,19 @@ def _expr_domain(p, e):
     return None
 
 
+UNMET = "unmet"  # what a guard's value meets, and an argument no parameter takes
+
+
 def _check_consts(p, e, dom, where):
-    """Raise DomainMismatch when a constant that e evaluates to, itself, as
-    a branch of an if or as a pair item, is not a value of dom, the typed
-    domain it meets.  Pair items meet the items of a tuple of domains; an
-    if meeting no domain (None) gives its branches the domain it shows
-    itself, so in (if c then 1 else b) = T the 1 meets b's domain.  1 is
+    """Raise DomainMismatch when a constant anywhere in e is not a value of
+    the typed domain it meets, in one walk of e, whose names
+    _validate_expr has checked.  e itself meets dom; a function argument
+    meets its input domain and an if-condition { F, T }; an if's branches
+    meet what the if meets, or the domain the if shows itself when that is
+    None, so in (if c then 1 else b) = T the 1 meets b's domain; pair items
+    meet the items of a tuple of domains, or UNMET when the pair does.  A
+    constant meeting None or UNMET is not checked, so with dom UNMET only
+    the constants inside a function argument or an if-condition are.  1 is
     not a value of { F, T }, nor T of { 0, 1 }."""
     stack = [(e, dom)]
     while stack:
@@ -892,10 +895,12 @@ def _check_consts(p, e, dom, where):
         elif isinstance(x, Func) and x.name == IF_FUNC:
             if d is None:
                 d = _expr_domain(p, x)
-            stack += ((x.args[1], d), (x.args[2], d))
+            stack += ((x.args[1], d), (x.args[2], d), (x.args[0], BOOL))
+        elif isinstance(x, Func):
+            stack += ((a, p.domains[i]) for a, i in zip(x.args, p.funcs[x.name].in_domains))
         elif isinstance(x, Pair):
             if not (isinstance(d, tuple) and len(d) == len(x.items)):
-                d = (None,) * len(x.items)
+                d = (UNMET if d is UNMET else None,) * len(x.items)
             stack += zip(x.items, d)
 
 
@@ -911,8 +916,11 @@ def _validate_prior(p, s):
             raise DomainMismatch("Uniform over %r does not match the domain of %r"
                                  % (s.arg.name, s.var))
         return
+    decl = p.dists.get(s.dist)
     if s.arg is not None:
         _validate_expr(p, s.arg, where)
+        param = decl.param_domain if decl is not None else None
+        _check_consts(p, s.arg, p.domains[param] if param else UNMET, where)
     if s.dist == "Bernoulli":
         # a number literal parses to an int or a Fraction; the exact type
         # test turns away T and F (bools) and quoted strings like "1/3"
@@ -926,7 +934,6 @@ def _validate_prior(p, s):
             raise DomainMismatch("Bernoulli needs the boolean domain, %r has %r"
                                  % (s.var, dom))
         return
-    decl = p.dists.get(s.dist)
     if decl is None:
         raise UnknownDistribution("no distribution named %r" % s.dist)
     if decl.target_domain != dom:
@@ -936,8 +943,6 @@ def _validate_prior(p, s):
         raise UnknownDistribution("distribution %r needs a parameter, in %s" % (s.dist, where))
     if decl.param_domain is None and s.arg is not None:
         raise UnknownDistribution("distribution %r takes no parameter, in %s" % (s.dist, where))
-    if decl.param_domain is not None:
-        _check_consts(p, s.arg, p.domains[decl.param_domain], where)
 
 
 def _validate_body(p, body):
@@ -965,6 +970,7 @@ def _validate_body(p, body):
             _check_consts(p, s.rhs, _expr_domain(p, s.lhs), "equation")
         elif isinstance(s, SOn):
             _validate_expr(p, s.guard, "guard")
+            _check_consts(p, s.guard, UNMET, "guard")
             for branch in (s.then, s.els):
                 for leaf in statements(branch):
                     if isinstance(leaf, SOn):
@@ -975,8 +981,6 @@ def _validate_body(p, body):
                         raise MalformedSystem("init must sit at the top level")
             _validate_body(p, s.then)
             _validate_body(p, s.els)
-        else:
-            raise MalformedSystem("unexpected statement %r" % (s,))
 
 
 # --- printer -------------------------------------------------------------------

@@ -32,6 +32,7 @@ from rbmx.errors import (
     MissingInit,
     NotIncremental,
     RbmxError,
+    UnknownVariable,
     VariableSetMismatch,
 )
 from rbmx.factorgraph import fg_to_bn
@@ -150,6 +151,13 @@ class TestKernel:
         K.apply(State({"x": 1}))
         K.apply(State({"x": 1}))
         assert len(calls) == 1
+
+    def test_a_table_kernel_refuses_an_input_it_lacks(self):
+        table = {State({"x": 0}): copy_mapping("dict")[State({"x": 0})]}
+        K = MixedKernel([("x", BIT)], [("y", BIT)], table, name="k")
+        with pytest.raises(VariableSetMismatch, match=re.escape(
+                "kernel k has no entry for State(x=1)")):
+            K.apply({"x": 1})
 
     def test_inputs_enumerates_the_domain(self):
         K = neg_kernel()
@@ -282,6 +290,12 @@ class TestConditional:
         assert not flag
 
 
+    def test_an_unknown_variable_is_refused(self):
+        with pytest.raises(UnknownVariable,
+                           match=re.escape("not variables of the system: ['zz']")):
+            conditional(coin_system(), ["x", "zz"])
+
+
 class TestBayesSplit:
     def test_split_scores_like_the_system(self):
         rng = random.Random(1111)
@@ -312,6 +326,15 @@ class TestBayesSplit:
         with pytest.raises(InconsistentSystem):
             bayes_split(S, ["x"])
 
+    def test_networks_over_other_variables_or_scores_are_not_equivalent(self):
+        N = seq_compose(kernel_from_system(coin_system(), name="prior"), neg_kernel())
+        biased = seq_compose(kernel_from_system(coin_system(Fraction(1, 3)), name="prior"),
+                             neg_kernel())
+        assert bn_equivalent_p(N, N) and not bn_equivalent_p(N, biased)
+        with pytest.raises(VariableSetMismatch, match=re.escape(
+                "networks differ in variables: ['x', 'y'] vs ['x']")):
+            bn_equivalent_p(N, BayesianNetwork([kernel_from_system(coin_system())]))
+
 
 class TestSeqCompose:
     def test_chains_and_validates(self):
@@ -329,6 +352,11 @@ class TestSeqCompose:
         assert N.min_vars() == ("x",) and bn_validate(N) == []
         assert bn_sample(N, {"x": 1}, random.Random(0)) == State({"x": 1, "y": 0, "z": 1})
 
+    def test_two_producers_of_one_variable(self):
+        with pytest.raises(VariableSetMismatch, match="^variable 'x' is output by both a and b$"):
+            seq_compose(kernel_from_system(coin_system(), name="a"),
+                        kernel_from_system(coin_system(), name="b"))
+
     def test_missing_upstream_variable(self):
         with pytest.raises(VariableSetMismatch):
             seq_compose(kernel_from_system(coin_system(), name="prior"),
@@ -342,6 +370,11 @@ class TestValidate:
         N = BayesianNetwork([kernel_from_system(coin_system(), name="c1"),
                              kernel_from_system(coin_system(), name="c2")])
         assert any("output by both" in p for p in bn_validate(N))
+
+    def test_duplicate_kernel_names(self):
+        with pytest.raises(VariableSetMismatch,
+                           match=re.escape("duplicate kernel names: ['neg', 'neg']")):
+            BayesianNetwork([neg_kernel(), neg_kernel()])
 
     def test_cycle_through_extra_edges(self):
         N = BayesianNetwork([kernel_from_system(coin_system(), name="c")],

@@ -24,7 +24,7 @@ from rbmx.rblang import parse
 from rbmx.rblang.syntax import MAX_NESTING
 
 from .oracles import sim_equivalent_not_bisimilar
-from .test_rblang import BAD_PRIORS, HOSTILE, OFF_TABLE, TYPED_CONSTANTS
+from .test_rblang import BAD_PRIORS, FLIP_KERNEL, HOSTILE, OFF_TABLE, TYPED_CONSTANTS
 
 CLI = [sys.executable, "-m", "rbmx.cli"]
 
@@ -264,6 +264,14 @@ class TestParseElaborate:
         names = [v["name"] for v in doc["vars"]]
         assert names == ["x", "y"]
 
+    def test_elaborate_static_of_a_kernel_says_so(self, tmp_path, capsys):
+        prog = tmp_path / "flip.rb.mx"
+        prog.write_text(FLIP_KERNEL)
+        assert cli.main(["elaborate", str(prog), "--mode", "static"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "kernel"
+        assert (doc["in"], doc["out"]) == (["x"], ["y"])
+
     def test_elaborate_static_obs_not_an_object_is_exit_2(self, files):
         r = run_cli("elaborate", files["noisy.rb.mx"], "--mode", "static",
                     "--obs", "5")
@@ -458,6 +466,23 @@ class TestEval:
                     "--mode", "outer")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("query, mode, message", [
+        ("x", "outer", "bad query clause 'x' (want var=value)"),
+        ("=b", "outer", "bad query clause '=b' (want var=value)"),
+        (" , ", "outer", "empty query"),
+        ("zz=1", "polarized", "query mentions unknown variables ['zz']"),
+    ])
+    def test_a_malformed_query_is_exit_2(self, files, capsys, query, mode, message):
+        doc = files["polar.json" if mode == "polarized" else "sab.json"]
+        assert cli.main(["eval", doc, "--query", query, "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: %s\n" % message
+
+    def test_an_empty_clause_is_skipped(self, files, capsys):
+        for query in ("x=b", "x=b,,", ", x=b"):
+            assert cli.main(["eval", files["sab.json"], "--query", query]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "1/2"
+
 
 class TestGraphCommands:
     def test_fg_json_and_dot(self, files):
@@ -553,6 +578,16 @@ class TestComposeSimcheckEmbed:
         assert r.returncode == 2
         assert "simcheck wants two automata, got system" in r.stderr
 
+    def test_simcheck_kind_mismatch_is_exit_2(self, files, capsys):
+        assert cli.main(["simcheck", files["sab.json"], files["spa.json"]]) == 2
+        assert capsys.readouterr().err == "error: cannot compare a system with a spa\n"
+
+    def test_an_unrecognized_model_document_is_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "other.json"
+        f.write_text(json.dumps({"nodes": []}))
+        assert cli.main(["simcheck", str(f), str(f)]) == 2
+        assert capsys.readouterr().err == "error: %s: unrecognized model document\n" % f
+
     def test_compose_kind_mismatch_is_exit_2(self, files):
         r = run_cli("compose", files["spa.json"], files["pa.json"])
         assert r.returncode == 2
@@ -602,6 +637,16 @@ class TestComposeSimcheckEmbed:
         g = run_cli("embed", "spa2pa", files["spa.json"])
         assert g.returncode == 0, g.stderr
         assert json.loads(g.stdout)["kind"] == "pa"
+
+    def test_embed_ma2spa_of_an_image(self, files, tmp_path, capsys):
+        ma = tmp_path / "img.json"
+        ma.write_text(json.dumps(ma_to_json(spa_to_ma(spa_from_json(SPA_DOC)))))
+        assert cli.main(["embed", "ma2spa", str(ma)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the SPA's two states and the image's one commitment token
+        assert (doc["kind"], doc["initial"]) == ("spa", "xi='q0'")
+        assert doc["states"] == ["xi='q0'", "xi='q0@a#0'", "xi='q1'"]
+        assert len(doc["transitions"]) == 2
 
     def test_document_missing_a_field_is_exit_2(self, tmp_path):
         f = tmp_path / "nodomains.json"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from rbmx.automata import (
 )
 from rbmx import core
 from rbmx.core import Domain, MixedSystem, State, all_states
-from rbmx.errors import CapExceeded, MalformedSystem
+from rbmx.errors import CapExceeded, MalformedSystem, MissingInit
 from rbmx.embeddings import (
     PA,
     SPA,
@@ -103,6 +104,42 @@ class TestSpaImage:
         assert [q["x"] for q in commit.rel[commit.omega[0]]] == ["q@a#0'"]
         draw = M.transition({"x": "q@a#0'"}, "@commit")
         assert {o: draw.pi[o] for o in draw.omega} == {"q@a#0": 1}
+
+
+ONE = PA(("a",), ("q",), "q", [("q", {("a", "q"): 1})])
+
+# automata the constructors and conversions refuse, each with its message
+MALFORMED = {
+    "duplicate states": (lambda: SPA(("a",), ("q", "q"), "q", []), "duplicate SPA states"),
+    "transition from an unknown state": (lambda: SPA(("a",), ("q",), "q", [("r", "a", {"q": 1})]),
+                                         "transition from unknown state 'r'"),
+    "SPA distribution off the states": (lambda: SPA(("a",), ("q",), "q", [("q", "a", {"r": 1})]),
+                                        "distribution leaves the state set"),
+    "PA distribution off the actions": (lambda: PA(("a",), ("q",), "q", [("q", {("b", "q"): 1})]),
+                                        "distribution leaves Σ×Q at ('b', 'q')"),
+    "PA distribution off the states": (lambda: PA(("a",), ("q",), "q", [("q", {("a", "r"): 1})]),
+                                       "distribution leaves Σ×Q at ('a', 'r')"),
+    "scheduler at 0": (lambda: pa_compose(ONE, ONE, 0),
+                       "scheduler parameter must lie strictly between 0 and 1"),
+    "scheduler at 1": (lambda: pa_compose(ONE, ONE, 1),
+                       "scheduler parameter must lie strictly between 0 and 1"),
+    "reserved action": (lambda: spa_to_ma(SPA(("@commit",), ("q",), "q",
+                                               [("q", "@commit", {"q": 1})])),
+                        "action name '@commit' is reserved"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_a_malformed_automaton_is_refused(self, name):
+        build, message = MALFORMED[name]
+        with pytest.raises(MalformedSystem, match="^%s$" % re.escape(message)):
+            build()
+
+    def test_a_partial_initial_state_has_no_image(self):
+        vars = [("u", Domain("D", (0, 1))), ("w", Domain("D", (0, 1)))]
+        with pytest.raises(MissingInit, match="^automaton initial state is partial$"):
+            ma_to_spa(MixedAutomaton(["a"], vars, {"u": 0}, {}))
 
 
 class TestMaToSpa:

@@ -365,3 +365,20 @@ class TestBuiltOnce:
         monkeypatch.setattr(syntax, "nodes", counted)
         run_program(p, obs=chain_obs(random.Random(4), observed, 30), steps=30, seed=4)
         assert len(seen) == 12
+
+    def test_parse_walks_each_expression_once_and_each_statement_once(self, monkeypatch):
+        # names and arity walk each expression once (_validate_expr), and
+        # the statement table walks each leaf once: an equation 4 + 5 nodes,
+        # a prior 1 + 2, an init and an observe 1; constants are checked
+        # without a walk of nodes
+        walk = syntax.nodes
+        seen = []
+
+        def counted(node):
+            for x in walk(node):
+                seen.append(x)
+                yield x
+
+        monkeypatch.setattr(syntax, "nodes", counted)
+        parse(xor_chains(4, {0, 2}))
+        assert len(seen) == 4 * 9 + 4 * 3 + 4 + 2

@@ -18,7 +18,7 @@ from rbmx import (
 )
 from rbmx import core
 from rbmx.automata import ma_compose, ma_to_json
-from rbmx.bayes import MixedKernel, bn_score, bn_validate
+from rbmx.bayes import MixedKernel, bn_score, bn_to_json, bn_validate
 from rbmx.core import all_states
 from rbmx.embeddings import ma_to_spa
 from rbmx.errors import (
@@ -148,6 +148,8 @@ BAD_PRIORS = {
                                DomainMismatch, "Bernoulli needs the boolean domain"),
     "Uniform over 0 and 1 for a boolean": (BIT_BOOL + "|| b ~ Uniform(bit)",
                                            DomainMismatch, "does not match the domain"),
+    "Uniform of a constant": (BIT_BOOL + "|| x ~ Uniform(1)",
+                              DomainMismatch, "Uniform takes a domain name"),
 }
 
 # a value of another type where a domain value is due: 1 is not T, though
@@ -186,6 +188,15 @@ TYPED_CONSTANTS = {
     "distribution parameter": (BIT_BOOL + "dist flip(bool) : bit { F -> { 0 : 1 }, T -> { 1 : 1 } }"
                                "\n|| x ~ flip(1)",
                                "constant 1 in prior for 'x' is not a value of 'bool'"),
+    "argument of a distribution parameter": (BIT_BOOL + FLIP_DECL
+                                             + "func g : bool -> bit { F -> 0, T -> 1 }\n"
+                                             "|| x ~ flip(g(0))",
+                                             "constant 0 in prior for 'x' is not a value of 'bool'"),
+    "guard function argument": (BIT_BOOL + "func neg : bool -> bool { F -> T, T -> F }\n"
+                                "|| init c = F || on neg(1) then b = T else b = F",
+                                "constant 1 in guard is not a value of 'bool'"),
+    "guard if condition": (BIT_BOOL + "|| init c = F || on (if 0 then c else c) then b = T "
+                           "else b = F", "constant 0 in guard is not a value of 'bool'"),
 }
 
 
@@ -257,7 +268,13 @@ BAD_STATEMENTS = {
                     "function 'neg' takes 1 arguments, got 2 in equation"),
     "conflicting inits": (HEAD + "|| init x = 0\n|| init x = 1\n|| x = pre x",
                           MalformedSystem, "conflicting init values for 'x'"),
+    "nested on": (HEAD + "|| init x = 0\n|| on pre x then { on pre x then y = 0 else y = 1 } "
+                  "else y = 0", MalformedSystem, "on-statements do not nest inside branches"),
 }
+
+# st(x): a parameterized prior over bit, as in x ~ st(z)
+ST_HEAD = (HEAD + "var z, w : bit\n"
+           "dist st(bit) : bit { 0 -> { 0 : 1/2, 1 : 1/2 }, 1 -> { 0 : 1/3, 1 : 2/3 } }\n")
 
 
 def roundtrip(text):
@@ -480,6 +497,21 @@ class TestStatic:
         assert sorted((q["x"], q["b"]) for q in S.rel["e"]) == [
             (0, False), (0, True), (1, False), (1, True)]
         assert all(q["b"] is q["c"] for q in S.rel["e"])
+
+    def test_a_dynamic_program_is_refused(self):
+        with pytest.raises(MalformedSystem, match="^the static semantics covers programs "
+                                                  "without pre/init/on$"):
+            elaborate_static(parse(COUNTER))
+
+    def test_priors_that_feed_each_other_are_a_cycle(self):
+        cycle = "parameterized priors depend on each other in a cycle"
+        with pytest.raises(NotIncremental, match="^%s$" % cycle):
+            elaborate_static(parse(ST_HEAD + "|| x ~ st(z) || z ~ st(x)"))
+        # with a free input the kernel is made, and the cycle found when it is applied
+        K = elaborate_static(parse(ST_HEAD + "|| x ~ st(z) || z ~ st(x) || y ~ st(w)"))
+        assert (K.in_names, K.out_names) == (("w",), ("x", "y", "z"))
+        with pytest.raises(NotIncremental, match="^%s$" % cycle):
+            K.apply(State({"w": 0}))
 
     def test_a_parameter_of_another_type_has_no_case(self):
         p = parse(BIT_BOOL + "var y : bit\n"
@@ -733,6 +765,21 @@ class TestGraph:
         assert scores == [naive_point_outer(S, q) for q in all_states(N.vars)]
         assert sorted(set(scores)) == [0, Fraction(1, 4)]
 
+    def test_an_equation_off_its_domain_is_refused_when_its_kernel_is_applied(self):
+        p = parse("domain bit = { 0, 1 }\ndomain tri = { 0, 1, 2 }\nvar x : bit\n"
+                  "var y : tri\n|| y ~ Uniform(tri) || x = y")
+        N = elaborate_graph(p)
+        with pytest.raises(DomainMismatch,
+                           match="^equation drives 'x' to 2 outside its domain$"):
+            bn_to_json(N)
+
+    def test_a_block_that_leaves_a_prior_without_its_input_is_refused(self):
+        # x and z feed each other, so no directed reading; block 1 lacks z
+        p = parse(ST_HEAD + "|| { x ~ st(z) || observe x } || x = z || z = x")
+        with pytest.raises(NotIncremental, match="^block 1 has parameterized priors whose "
+                                                 "inputs it does not determine$"):
+            elaborate_graph(p)
+
     def test_fallback_tree_rewrite(self):
         N = elaborate_graph(parse(TREE_REWRITE))
         assert not bn_validate(N)
@@ -793,6 +840,25 @@ class TestDynamic:
         assert len(ma_to_spa(elaborate_dynamic(parse(step))).transitions) == 2
         assert ma_to_json(elaborate_dynamic(parse(step))) == ma_to_json(
             elaborate_dynamic(parse(step)).materialize())
+
+    def test_the_provider_answers_only_its_actions_at_states_binding_every_pre(self):
+        M = elaborate_dynamic(parse(BOOL_HEAD + "var x : bool\n|| init b = T || init x = F\n"
+                                    "|| on pre b then x = pre x else x = F || b = pre b"))
+        q = State({"b": True, "x": False})
+        a = State({"pre b": True})
+        assert M.provider(q, State({"pre c": True})) is None
+        assert M.provider(q, "a") is None
+        assert M.provider(State({"b": True}), a) is None
+        assert M.provider(q, a) is M.transition(q, a)
+
+    def test_a_guard_branch_constant_is_left_to_elaboration(self):
+        # a guard's own value meets no domain at parse, so its if-branches'
+        # constants are not checked there; the guard is refused as not boolean
+        p = parse(BOOL_HEAD + "var c : bool\ndomain bit = { 0, 1 }\nvar x : bit\n"
+                  "|| init b = T || init c = F\n"
+                  "|| on (if b then 1 else c) then x = 0 else x = 1")
+        with pytest.raises(GuardNotBoolean, match="evaluates to 1"):
+            elaborate_dynamic(p)
 
     def test_materialize_without_a_provider_is_a_no_op(self):
         M = elaborate_dynamic(parse(COUNTER)).materialize()

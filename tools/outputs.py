@@ -17,14 +17,12 @@ With two checkouts it exits 1 when the digests or the counts differ, and 0
 when they agree.  It imports nothing from either checkout itself.
 """
 
-import argparse
-import json
 import os
-import subprocess
 import sys
 import tempfile
 
-RUN_TIMEOUT_S = 1800
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from digests import compare, parse_args, parser, run_child  # noqa: E402
 
 # run in the checkout's root, with the workload name, the seed and a work
 # directory as arguments; prints {"operations": n, "sha256": hex}
@@ -50,35 +48,21 @@ print(json.dumps({"operations": count, "sha256": digest.hexdigest()}))
 
 def digest(checkout, workload, seed, workdir):
     """{"checkout", "operations", "sha256"} of one checkout's results."""
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    r = subprocess.run([sys.executable, "-c", CHILD, workload, str(seed), workdir],
-                       cwd=checkout, env=env, capture_output=True, text=True,
-                       timeout=RUN_TIMEOUT_S)
-    if r.returncode != 0:
-        raise SystemExit("the workload in %s exited with %d:\n%s"
-                         % (checkout, r.returncode, r.stderr))
-    got = json.loads(r.stdout.strip().splitlines()[-1])
-    return dict(checkout=checkout, **got)
+    return run_child(checkout, CHILD, [workload, str(seed), workdir], None,
+                     "the workload")
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("checkouts", nargs="+", metavar="CHECKOUT")
+    ap = parser(__doc__)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    if len(args.checkouts) > 2:
-        ap.error("give one or two checkouts")
-    results = []
-    for checkout in args.checkouts:
+    args = parse_args(ap, argv)
+
+    def one(checkout):
         with tempfile.TemporaryDirectory(prefix="outputs-") as workdir:
-            results.append(digest(os.path.abspath(checkout), args.workload, args.seed,
-                                  workdir))
-        print(json.dumps(results[-1]), flush=True)
-    first = results[0]
-    same = all((r["operations"], r["sha256"]) == (first["operations"], first["sha256"])
-               for r in results)
-    return 0 if same else 1
+            return digest(os.path.abspath(checkout), args.workload, args.seed, workdir)
+
+    return compare(args.checkouts, one, "operations")
 
 
 if __name__ == "__main__":

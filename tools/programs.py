@@ -24,17 +24,16 @@ exits 1 when the digests or the counts differ, and 0 when they agree.  It
 imports nothing from either checkout itself.
 """
 
-import argparse
 import ast
 import json
 import os
 import pathlib
 import random
 import re
-import subprocess
 import sys
 
-RUN_TIMEOUT_S = 1800
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from digests import compare, parse_args, parser, run_child  # noqa: E402
 
 # run in the checkout's root with the corpus, a JSON list of texts, on
 # stdin; prints {"programs": n, "sha256": hex}
@@ -141,35 +140,17 @@ def corpus(checkout, mutations, seed):
 
 def digest(checkout, texts):
     """{"checkout", "programs", "sha256"} of one checkout's records."""
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    r = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(texts),
-                       cwd=checkout, env=env, capture_output=True, text=True,
-                       timeout=RUN_TIMEOUT_S)
-    if r.returncode != 0:
-        raise SystemExit("the front end in %s exited with %d:\n%s"
-                         % (checkout, r.returncode, r.stderr))
-    got = json.loads(r.stdout.strip().splitlines()[-1])
-    return dict(checkout=checkout, **got)
+    return run_child(checkout, CHILD, [], json.dumps(texts), "the front end")
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("checkouts", nargs="+", metavar="CHECKOUT")
+    ap = parser(__doc__)
     ap.add_argument("--mutations", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    if len(args.checkouts) > 2:
-        ap.error("give one or two checkouts")
+    args = parse_args(ap, argv)
     checkouts = [os.path.abspath(c) for c in args.checkouts]
     texts = corpus(checkouts[0], args.mutations, args.seed)
-    results = []
-    for checkout in checkouts:
-        results.append(digest(checkout, texts))
-        print(json.dumps(results[-1]), flush=True)
-    first = results[0]
-    same = all((r["programs"], r["sha256"]) == (first["programs"], first["sha256"])
-               for r in results)
-    return 0 if same else 1
+    return compare(checkouts, lambda checkout: digest(checkout, texts), "programs")
 
 
 if __name__ == "__main__":
